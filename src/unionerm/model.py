@@ -407,6 +407,7 @@ def validate_collection(law, collection: FeatureCollection) -> None:
     if getattr(law, "kind", None) != "discrete":
         raise ValueError("collection validation requires a discrete law")
     tables = {}
+    ranks = {}
     for entry in collection:
         phi = entry(law.xs)
         if not np.all(np.isfinite(phi)):
@@ -416,11 +417,9 @@ def validate_collection(law, collection: FeatureCollection) -> None:
         if lam_min <= SINGULAR_TOL:
             raise DegenerateFeatureError(entry.index, f"lambda_min={lam_min:.3e}")
         tables[entry.index] = phi
+        ranks[entry.index] = _column_space_rank(phi)
     ids = collection.indices()
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
-            pa, pb = tables[a], tables[b]
-            ra = _column_space_rank(pa)
-            rb = _column_space_rank(pb)
-            if ra == rb == _column_space_rank(np.hstack([pa, pb])):
+            if ranks[a] == ranks[b] == _column_space_rank(np.hstack([tables[a], tables[b]])):
                 raise DuplicateClassError(a, b)

@@ -15,6 +15,7 @@ live in :mod:`unionerm.experiments`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,10 +30,7 @@ from .model import (
 __all__ = [
     "IndexRecord",
     "PopulationProfile",
-    "covariance",
-    "optimal_weights",
     "profile",
-    "gradient_covariance",
     "excess_risk",
 ]
 
@@ -111,33 +109,20 @@ class PopulationProfile:
     def least_optimal_index(self):
         return self.t_star[0]
 
+    @cached_property
+    def tables(self):
+        """The law's per-atom process tables, built on first use.
+
+        They also keep the last count sample drawn for this profile (see
+        :class:`unionerm.processes.AtomTables`).
+        """
+        from .processes import AtomTables  # processes imports this module
+
+        return AtomTables(self)
+
 
 def _feature_table(law: DiscreteLaw, entry) -> np.ndarray:
     return entry(law.xs)
-
-
-def covariance(t, law, collection) -> np.ndarray:
-    """Exact feature covariance E[phi_t(X) phi_t(X)^T]; must be nonsingular."""
-    law = _check_discrete(law)
-    entry = collection.entry(t)
-    phi = _feature_table(law, entry)
-    sigma = (phi * law.weights[:, None]).T @ phi
-    sigma = 0.5 * (sigma + sigma.T)
-    vals = np.linalg.eigvalsh(sigma)
-    if vals[0] <= SINGULAR_TOL:
-        raise DegenerateFeatureError(t, f"lambda_min={vals[0]:.3e}")
-    return sigma
-
-
-def optimal_weights(t, law, collection) -> np.ndarray:
-    """w_*(t): solves the population normal equations for feature map t."""
-    law = _check_discrete(law)
-    entry = collection.entry(t)
-    phi = _feature_table(law, entry)
-    sigma = covariance(t, law, collection)
-    rhs = phi.T @ (law.weights * law.ys)
-    vals, vecs = np.linalg.eigh(sigma)
-    return vecs @ ((vecs.T @ rhs) / vals)
 
 
 def _risk_of(law: DiscreteLaw, phi: np.ndarray, w: np.ndarray) -> float:
@@ -198,12 +183,6 @@ def profile(law, collection, opt_tol: float = OPT_TOL) -> PopulationProfile:
         opt_tol=opt_tol,
         mixed_dims=collection.mixed_dims,
     )
-
-
-def gradient_covariance(t, s, law, collection, prof: PopulationProfile) -> np.ndarray:
-    """G(t, s) = E[g(t,(X,Y)) g(s,(X,Y))^T] with g the square-loss gradient."""
-    _check_discrete(law)
-    return prof.g_cross(t, s)
 
 
 def excess_risk(t, w, prof: PopulationProfile) -> float:

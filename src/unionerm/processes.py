@@ -14,14 +14,19 @@ Each summand of the variational form of lambda_n is at most one, so
 lambda_n(t) <= sqrt(n) pathwise.  The supremum over an empty index subset is
 0 by convention (the risk-gap term vanishes when every map is optimal).
 
-Expected suprema are estimated by Monte Carlo over independent datasets, in
-fixed-size chunks with per-chunk seed streams so parallel and serial runs
-aggregate identically.  For tiny discrete instances an exact product-measure
-enumeration over all datasets is available as the oracle for the estimator.
+On a discrete law a dataset is equivalent to its atom counts, so every
+expectation over datasets (expected suprema here; class moments and A(S) in
+:mod:`unionerm.bounds`) is one reduction, :meth:`CountSample.mean`, over one
+:func:`count_sample`: Monte Carlo chunks with per-chunk seed streams (any
+chunk schedule aggregates identically), or for tiny instances the exact
+enumeration of every dataset with its probability.  ``prof.tables`` keeps
+the last sample drawn, keyed by (n, trials, seed, mode), so one command
+draws each stream once and the sample lives as long as the profile.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +42,8 @@ __all__ = [
     "snapshot",
     "expected_sup",
     "AtomTables",
+    "CountSample",
+    "count_sample",
     "iter_count_batches",
     "enumerate_product_counts",
 ]
@@ -167,9 +174,9 @@ class AtomTables:
         law = prof.law
         if law.kind != "discrete":
             raise ValueError("atom tables require a discrete law")
-        self.prof = prof
+        # no reference back to prof, which holds these tables: a cycle would
+        # keep every profile and its count sample alive until the cyclic GC
         self.law = law
-        self.m = law.support_size
         self.psi = {}        # whitened features, (m, d_t)
         self.psi_outer = {}  # whitened feature outer products, (m, d_t, d_t)
         self.grad_w = {}     # whitened gradients at w_*, (m, d_t)
@@ -187,6 +194,18 @@ class AtomTables:
         s0 = prof.least_optimal_index
         for t in prof.suboptimal():
             self.delta_vals[t] = (self.loss[t] - self.loss[s0]) / prof.gap(t)
+        self._last = None  # (key, CountSample) of the last sample drawn
+
+    def sample(self, n: int, trials: int, seed: int, mode: str) -> CountSample:
+        """The count sample of this law for (n, trials, seed, mode).
+
+        The last sample drawn is kept, so consecutive requests for one key
+        share a single draw.
+        """
+        key = (n, trials, seed, mode)
+        if self._last is None or self._last[0] != key:
+            self._last = (key, count_sample(self.law, n, trials, seed, mode))
+        return self._last[1]
 
     # Each method maps a counts batch (B, m) to per-dataset values (B,).
 
@@ -194,11 +213,6 @@ class AtomTables:
         wcov = np.tensordot(counts / n, self.psi_outer[t], axes=(1, 0))
         vals = np.linalg.eigvalsh(wcov)
         return np.sqrt(n) * (1.0 - vals[..., 0])
-
-    def lambda_minus_batch(self, t, counts: np.ndarray, n: int) -> np.ndarray:
-        wcov = np.tensordot(counts / n, self.psi_outer[t], axes=(1, 0))
-        vals = np.linalg.eigvalsh(wcov)
-        return vals[..., -1] - 1.0
 
     def g_sq_batch(self, t, counts: np.ndarray, n: int) -> np.ndarray:
         mean = (counts / n) @ self.grad_w[t]
@@ -252,6 +266,50 @@ def enumerate_product_counts(law: DiscreteLaw, n: int, cap: int = MAX_EXACT_DATA
     return counts, probs
 
 
+@dataclass(frozen=True)
+class CountSample:
+    """Datasets of size n from a discrete law, as atom-count chunks (B, m).
+
+    ``probs`` is None for a Monte Carlo sample, whose rows weigh equally; for
+    an exact enumeration it holds the product probability of each row of the
+    single chunk.
+    """
+
+    chunks: tuple
+    probs: np.ndarray | None
+
+    def mean(self, fn) -> tuple[float, float]:
+        """(mean, standard error) of ``fn(counts) -> (B,)`` over the sample.
+
+        The standard error is 0 for an exact enumeration.  Monte Carlo sums
+        accumulate chunk by chunk, in chunk order.
+        """
+        if self.probs is not None:
+            return float(self.probs @ fn(self.chunks[0])), 0.0
+        rows = 0
+        total = 0.0
+        total_sq = 0.0
+        for counts in self.chunks:
+            vals = fn(counts)
+            rows += counts.shape[0]
+            total += float(np.sum(vals))
+            total_sq += float(np.sum(vals**2))
+        mean = total / rows
+        var = max(total_sq / rows - mean**2, 0.0)
+        return mean, math.sqrt(var / rows)
+
+
+def count_sample(law: DiscreteLaw, n: int, trials: int, seed: int, mode: str) -> CountSample:
+    """Draw the ``trials`` Monte Carlo datasets of one seed (``mode="mc"``),
+    or enumerate every dataset exactly (``mode="exact"``, tiny instances)."""
+    if mode == "exact":
+        counts, probs = enumerate_product_counts(law, n)
+        return CountSample((counts,), probs)
+    if mode != "mc":
+        raise ValueError(f"unknown mode {mode!r}")
+    return CountSample(tuple(iter_count_batches(law, n, trials, seed)), None)
+
+
 def _resolve_subset(process: str, subset, prof: PopulationProfile):
     if subset is None:
         subset = prof.suboptimal() if process == "delta" else prof.indices()
@@ -283,22 +341,8 @@ def expected_sup(
     subset = _resolve_subset(process, subset, prof)
     if not subset:
         return 0.0, 0.0
-    tables = AtomTables(prof)
-    if mode == "exact":
-        counts, probs = enumerate_product_counts(prof.law, n)
-        vals = tables.sup_batch(process, subset, counts, n)
-        est = float(probs @ vals)
-        return est, 0.0
-    if mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
-    if trials < 100:
+    if mode == "mc" and trials < 100:
         raise ValueError("Monte Carlo expected suprema need at least 100 trials")
-    total = 0.0
-    total_sq = 0.0
-    for counts in iter_count_batches(prof.law, n, trials, seed):
-        vals = tables.sup_batch(process, subset, counts, n)
-        total += float(np.sum(vals))
-        total_sq += float(np.sum(vals**2))
-    mean = total / trials
-    var = max(total_sq / trials - mean**2, 0.0)
-    return mean, float(np.sqrt(var / trials))
+    tables = prof.tables
+    sample = tables.sample(n, trials, seed, mode)
+    return sample.mean(lambda counts: tables.sup_batch(process, subset, counts, n))

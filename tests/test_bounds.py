@@ -1,13 +1,15 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from unionerm import bounds
+from unionerm import bounds, processes
 from unionerm.model import DiscreteLaw, FeatureCollection, FeatureEntry, GaussianDesignLaw, subset_collection
 from unionerm.population import profile
 
-from conftest import random_instance
+from conftest import canonical_law, canonical_three_map_collection, random_instance
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +79,58 @@ def test_class_moments_exact_mode_matches_mc(canonical):
     mc = bounds.class_moments("G", None, prof, n=2, trials=1_000_000, seed=2)
     assert abs(mc.r_n - exact.r_n) <= 4 * max(mc.r_n_se, 1e-12)
     assert exact.sigma_sq == mc.sigma_sq  # both exact by enumeration
+
+
+# ---------------------------------------------------------------------------
+# shared count samples
+# ---------------------------------------------------------------------------
+
+def test_bound_report_draws_each_count_stream_once(monkeypatch):
+    draws = []
+    real = processes.iter_count_batches
+
+    def counting(law, n, trials, seed):
+        draws.append((n, trials, seed))
+        return real(law, n, trials, seed)
+
+    monkeypatch.setattr(processes, "iter_count_batches", counting)
+    prof = profile(canonical_law(), canonical_three_map_collection())
+    inputs = bounds.compute_bound_inputs(prof, 60, trials=300, seed=5, restarts=4)
+    for delta in (0.01, 0.05, 0.1, 0.5):
+        bounds.thresholds_and_bounds(prof, inputs, 60, delta, k=2)
+    assert draws == [(60, 300, 5)]
+
+
+def test_reused_count_sample_matches_fresh_profile():
+    law, coll = canonical_law(), canonical_three_map_collection()
+    shared = profile(law, coll)
+    args = dict(trials=500, seed=3)
+    reused = [
+        processes.expected_sup("lambda", None, 40, shared, **args),
+        bounds.class_moments("D", None, shared, 40, **args),
+        processes.expected_sup("delta", None, 40, shared, **args),
+        bounds.class_moments("G", ["A", "C"], shared, 40, **args),
+    ]
+    fresh = [
+        processes.expected_sup("lambda", None, 40, profile(law, coll), **args),
+        bounds.class_moments("D", None, profile(law, coll), 40, **args),
+        processes.expected_sup("delta", None, 40, profile(law, coll), **args),
+        bounds.class_moments("G", ["A", "C"], profile(law, coll), 40, **args),
+    ]
+    assert reused == fresh  # exact float equality
+    assert shared.tables.sample(40, 500, 3, "mc") is shared.tables.sample(40, 500, 3, "mc")
+
+
+def test_profile_with_count_sample_is_freed_without_cyclic_gc():
+    prof = profile(canonical_law(), canonical_three_map_collection())
+    bounds.class_moments("G", None, prof, 40, trials=500, seed=3)
+    ref = weakref.ref(prof)
+    gc.disable()
+    try:
+        del prof
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

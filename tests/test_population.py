@@ -9,13 +9,7 @@ from unionerm.model import (
     GaussianDesignLaw,
     exact_expectation,
 )
-from unionerm.population import (
-    covariance,
-    excess_risk,
-    gradient_covariance,
-    optimal_weights,
-    profile,
-)
+from unionerm.population import excess_risk, profile
 
 from conftest import canonical_law, random_instance
 from oracles import (
@@ -34,26 +28,28 @@ def _single(fn, dim=1, index="t"):
 def test_covariance_constant_intercept():
     law = canonical_law()
     coll = _single(lambda x: np.ones((x.shape[0], 1)))
-    assert covariance("t", law, coll) == pytest.approx(np.array([[1.0]]))
+    assert profile(law, coll).sigma("t") == pytest.approx(np.array([[1.0]]))
 
 
 def test_covariance_sign_coordinate_is_identity():
     law = DiscreteLaw(xs=np.array([[1.0], [-1.0]]), ys=np.zeros(2), weights=[0.5, 0.5])
     coll = _single(lambda x: x)
-    assert covariance("t", law, coll) == pytest.approx(np.array([[1.0]]))
+    assert profile(law, coll).sigma("t") == pytest.approx(np.array([[1.0]]))
 
 
 def test_covariance_three_point_support():
     law = DiscreteLaw(xs=np.array([[0.0], [1.0], [2.0]]), ys=np.zeros(3), weights=np.full(3, 1 / 3))
     coll = _single(lambda x: x)
-    assert covariance("t", law, coll)[0, 0] == pytest.approx(5.0 / 3.0, rel=1e-12)
+    sigma = profile(law, coll).sigma("t")
+    assert sigma[0, 0] == pytest.approx(5.0 / 3.0, rel=1e-12)
+    assert sigma == pytest.approx(enum_sigma(atoms_of(law), lambda x: x), rel=1e-12)
 
 
 def test_covariance_rejects_degenerate():
     law = canonical_law()
     coll = _single(lambda x: 1e-9 * x[:, [1]])
     with pytest.raises(DegenerateFeatureError):
-        covariance("t", law, coll)
+        profile(law, coll)
 
 
 def test_optimal_weights_realizable(realizable):
@@ -65,7 +61,7 @@ def test_optimal_weights_realizable(realizable):
 def test_optimal_weights_noise_orthogonal(canonical):
     law, coll, prof = canonical
     # Y = x1 + eps with eps independent of the first coordinate
-    assert optimal_weights("A", law, coll) == pytest.approx(np.array([1.0]), abs=1e-12)
+    assert prof.w_star("A") == pytest.approx(np.array([1.0]), abs=1e-12)
 
 
 def test_optimal_weights_matches_enumeration(canonical):
@@ -117,7 +113,7 @@ def test_profile_rejects_generative():
 
 def test_gradient_covariance_zero_in_noiseless_case(realizable):
     law, coll, prof = realizable
-    g = gradient_covariance("full", "full", law, coll, prof)
+    g = prof.g_cross("full", "full")
     assert np.allclose(g, 0.0, atol=1e-14)
 
 
@@ -129,7 +125,7 @@ def test_gradient_covariance_whitened_noise_trace():
     law = DiscreteLaw(xs=xx, ys=xx[:, 0] + xx[:, 1] + eps, weights=np.full(8, 1 / 8))
     coll = _single(lambda x: x, dim=2)
     prof = profile(law, coll)
-    g = gradient_covariance("t", "t", law, coll, prof)
+    g = prof.g_cross("t", "t")
     sigma = prof.sigma("t")
     assert np.trace(np.linalg.solve(sigma, g)) == pytest.approx(1.5**2 * 2, rel=1e-12)
     assert prof.grad_second_moment("t") == pytest.approx(1.5**2 * 2, rel=1e-10)
@@ -145,7 +141,7 @@ def test_gradient_covariance_cross_term_matches_enumeration(canonical):
         lambda x: x[[1]],
         prof.w_star("B"),
     )
-    assert gradient_covariance("A", "B", law, coll, prof) == pytest.approx(ref, rel=1e-12)
+    assert prof.g_cross("A", "B") == pytest.approx(ref, rel=1e-12)
 
 
 def test_excess_risk_minimizer_is_zero(canonical):
@@ -181,7 +177,7 @@ def test_excess_risk_equals_risk_difference_randomly(canonical):
 def test_grad_second_moment_consistency(canonical):
     law, coll, prof = canonical
     for t in prof.indices():
-        g = gradient_covariance(t, t, law, coll, prof)
+        g = prof.g_cross(t, t)
         tr = float(np.trace(np.linalg.solve(prof.sigma(t), g)))
         assert prof.grad_second_moment(t) == pytest.approx(tr, rel=1e-10)
 
