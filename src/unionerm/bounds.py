@@ -9,8 +9,8 @@ Naming of the main quantities (all scalars unless noted):
 * quadratic-form variance supremum — the worst variance of a unit-norm
   quadratic form of the stacked whitened features,
   ``sup E[(sum_t <v_t, psi_t(X)>^2 - 1)^2]`` over ``sum_t ||v_t||^2 = 1``.
-  A nonconvex quartic; maximized by projected gradient ascent with restarts,
-  with a dense angular grid as the oracle in total dimension <= 3.
+  A nonconvex quartic; maximized by projected gradient ascent with restarts
+  (the tests hold it against a dense angular grid in total dimension <= 3).
 * class moments ``(sigma^2, r_n)`` for the two finite function classes the
   bounds consume: the whitened-gradient class over an index subset, and the
   normalized loss-gap class over the suboptimal indices (mean one, so the
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DiscreteLaw, FeatureCollection
+from .model import DiscreteLaw
 from .population import PopulationProfile
 from .processes import (
     CountSample,
@@ -52,7 +52,6 @@ __all__ = [
     "covariance_deviation_lambda_max",
     "covariance_deviation_lambda_max_mc",
     "quadratic_form_variance_sup",
-    "single_block_variance_max",
     "explicit_complexity",
     "compute_bound_inputs",
     "thresholds_and_bounds",
@@ -400,51 +399,6 @@ def quadratic_form_variance_sup(
         best = max(best, val)
     tag = "estimated:ascent" if converged else "estimated:ascent-maxiter"
     return float(best), tag
-
-
-def quadratic_form_variance_grid(
-    law,
-    collection,
-    prof: PopulationProfile,
-    resolution: float = 1e-3,
-    chunk: int = 200_000,
-) -> float:
-    """Dense angular-grid oracle for the quartic supremum, total dim <= 3."""
-    rows = _stacked_rows(law, collection, prof)
-    weights = law.weights
-    total = rows.shape[2]
-    if total > 3:
-        raise ValueError("the grid oracle is limited to total dimension <= 3")
-    if total == 1:
-        return _quartic_value(rows, weights, np.array([1.0]))
-    if total == 2:
-        theta = np.arange(0.0, math.pi, resolution)
-        grid = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    else:
-        theta = np.arange(0.0, math.pi + resolution, resolution)
-        phi = np.arange(0.0, math.pi, resolution)
-        tt, pp = np.meshgrid(theta, phi, indexing="ij")
-        grid = np.stack(
-            [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
-        ).reshape(-1, 3)
-    best = -np.inf
-    for lo in range(0, grid.shape[0], chunk):
-        g = grid[lo:lo + chunk]
-        q = np.einsum("atd,vd->vat", rows, g) ** 2
-        q = q.sum(axis=2)
-        vals = ((q - 1.0) ** 2) @ weights
-        best = max(best, float(vals.max()))
-    return best
-
-
-def single_block_variance_max(law, collection, prof: PopulationProfile, seed: int = 0) -> float:
-    """Largest quartic value over unit directions supported on one block."""
-    best = 0.0
-    for entry in collection:
-        single = FeatureCollection([entry])
-        val, _ = quadratic_form_variance_sup(law, single, prof, restarts=16, seed=seed)
-        best = max(best, val)
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -412,7 +412,7 @@ def cmd_localize(cfg: dict, out: str, trials_override: int | None) -> int:
     return EXIT_OK
 
 
-def _mc_quantiles(cfg, out, law, collection, prof, trials, threads):
+def _mc_quantiles(cfg, out, law, collection, prof, trials):
     n_grid = [int(v) for v in _param(cfg, "n_grid", required=True)]
     delta = float(_param(cfg, "delta", 0.1))
     draws = int(_param(cfg, "draws", max(trials, 10_000)))
@@ -425,7 +425,7 @@ def _mc_quantiles(cfg, out, law, collection, prof, trials, threads):
     rows = []
     batches = {}
     for i, n in enumerate(n_grid):
-        batch = experiments.run_trials(law, collection, n, trials, experiments._grid_seed(seed, i), prof, threads=threads)
+        batch = experiments.run_trials(law, collection, n, trials, experiments._grid_seed(seed, i), prof)
         batches[n] = batch
         q = experiments.estimate_quantile(batch.n_excess, 1 - delta)
         rows.append([n, q.estimate, q.ci_lo, q.ci_hi])
@@ -470,7 +470,7 @@ def _mc_quantiles(cfg, out, law, collection, prof, trials, threads):
     return payload
 
 
-def _mc_consistency(cfg, out, law, collection, prof, trials, threads):
+def _mc_consistency(cfg, out, law, collection, prof, trials):
     n_grid = [int(v) for v in _param(cfg, "n_grid", required=True)]
     seed = int(cfg["seed"])
     rows = experiments.consistency_curve(law, collection, n_grid, trials, seed, prof)
@@ -496,7 +496,7 @@ def _mc_consistency(cfg, out, law, collection, prof, trials, threads):
     return payload
 
 
-def _mc_validity(cfg, out, law, collection, prof, trials, threads):
+def _mc_validity(cfg, out, law, collection, prof, trials):
     delta = float(_param(cfg, "delta", 0.1))
     bound_kind = _param(cfg, "bound", "explicit")
     k = _param(cfg, "k")
@@ -540,11 +540,11 @@ def _mc_validity(cfg, out, law, collection, prof, trials, threads):
     return payload
 
 
-def _mc_pathwise(cfg, out, law, collection, prof, trials, threads):
+def _mc_pathwise(cfg, out, law, collection, prof, trials):
     n = int(_param(cfg, "n", required=True))
     slack = float(_param(cfg, "slack", 1e-8))
     seed = int(cfg["seed"])
-    batch = experiments.run_trials(law, collection, n, trials, seed, prof, snapshots=True, threads=threads)
+    batch = experiments.run_trials(law, collection, n, trials, seed, prof, snapshots=True)
     res = experiments.pathwise_master_check(batch, prof, slack=slack)
     write_csv(
         os.path.join(out, "pathwise.csv"),
@@ -569,7 +569,7 @@ def _mc_pathwise(cfg, out, law, collection, prof, trials, threads):
     return payload
 
 
-def _mc_bss(cfg, out, law, collection, prof, trials, threads):
+def _mc_bss(cfg, out, law, collection, prof, trials):
     seed = int(cfg["seed"])
     design = _param(cfg, "design", "discrete")
     d = int(_param(cfg, "d", required=True))
@@ -635,7 +635,7 @@ _MC_SUBCOMMANDS = {
 _MC_MIN_TRIALS = {"quantiles": 100, "consistency": 10, "validity": 100, "pathwise": 10, "bss": 10}
 
 
-def cmd_montecarlo(cfg: dict, out: str, sub: str, trials_override: int | None, threads: int) -> int:
+def cmd_montecarlo(cfg: dict, out: str, sub: str, trials_override: int | None) -> int:
     trials = int(trials_override or _param(cfg, "trials", 1000))
     if trials < _MC_MIN_TRIALS[sub]:
         raise experiments.InsufficientTrialsError(
@@ -647,7 +647,7 @@ def cmd_montecarlo(cfg: dict, out: str, sub: str, trials_override: int | None, t
         law = build_law(cfg)
         collection = build_collection(cfg)
         prof = build_profile(law, collection)
-    payload = _MC_SUBCOMMANDS[sub](cfg, out, law, collection, prof, trials, threads)
+    payload = _MC_SUBCOMMANDS[sub](cfg, out, law, collection, prof, trials)
     status = "PASS" if payload.get("pass", True) else "FAIL"
     print(f"montecarlo {sub}: {status}")
     return EXIT_OK
@@ -663,7 +663,6 @@ def make_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override the config master seed")
     parser.add_argument("--trials", type=int, default=None, help="override the trial count")
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for trial loops")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("profile")
     sub.add_parser("bounds")
@@ -688,7 +687,7 @@ def main(argv=None) -> int:
         if args.command == "localize":
             return cmd_localize(cfg, args.out, args.trials)
         if args.command == "montecarlo":
-            return cmd_montecarlo(cfg, args.out, args.subcommand, args.trials, args.threads)
+            return cmd_montecarlo(cfg, args.out, args.subcommand, args.trials)
         raise AssertionError("unreachable")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -2,9 +2,10 @@
 
 Conventions used throughout:
 
-* every trial is reproducible from (master seed, trial index); aggregation
-  is a deterministic reduction in trial order, so thread counts do not
-  change results;
+* every trial is reproducible from (master seed, trial index), and its
+  values do not depend on how trials are chunked; a discrete-law trial is
+  the atom counts of its dataset, fitted for every index by the one
+  least-squares routine of :mod:`unionerm.erm`;
 * every reported probability carries a binomial confidence interval;
 * quantiles are order statistics with binomial-method confidence intervals;
 * trials whose solver hit a singular sample covariance are flagged, never
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +28,7 @@ from .model import (
     FeatureCollection,
     GaussianDesignLaw,
     rng_from_seed,
+    sample_counts,
     sample_dataset,
     subset_collection,
 )
@@ -53,6 +54,10 @@ __all__ = [
     "bss_study",
     "binomial_ci",
 ]
+
+
+# Trials fitted together; bounds the memory of a batch, whatever `trials` is.
+TRIAL_CHUNK = 256
 
 
 class InsufficientTrialsError(ValueError):
@@ -125,17 +130,6 @@ class TrialBatch:
         return h.hexdigest()
 
 
-def _oracle_index(law, collection, prof):
-    if prof is not None:
-        return prof.least_optimal_index
-    risks = {e.index: law.approx_risk(e) for e in collection}
-    best = min(risks.values())
-    for t in collection.indices():
-        if risks[t] <= best + 1e-12:
-            return t
-    raise AssertionError("unreachable")
-
-
 def run_trials(
     law,
     collection: FeatureCollection,
@@ -144,14 +138,17 @@ def run_trials(
     master_seed: int,
     prof: PopulationProfile | None = None,
     snapshots: bool = False,
-    threads: int = 1,
 ) -> TrialBatch:
     """Solve ERM on `trials` independent datasets of size n.
 
-    Excess risks are exact: from the population profile on discrete laws,
-    from the closed-form risk of the design on Gaussian laws.  The benchmark
-    record reuses the solver's fit of the a-priori optimal index, which is
-    what refitting it alone would produce.
+    Trial i draws its dataset from the stream (master_seed, i).  On a
+    discrete law the dataset is its atom counts, and every index is fitted
+    for a chunk of ``TRIAL_CHUNK`` trials at once; on a Gaussian law each
+    trial draws explicit rows and is its own chunk.  Excess risks are exact:
+    from the population profile on discrete laws, from the closed-form risk
+    of the design on Gaussian laws.  The benchmark record reuses the
+    solver's fit of the a-priori optimal index, which is what refitting it
+    alone would produce.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -159,65 +156,68 @@ def run_trials(
         raise ValueError("snapshots need a population profile")
     if prof is None and law.kind == "discrete":
         raise ValueError("discrete laws need a profile for exact excess risks")
-    t_oracle = _oracle_index(law, collection, prof)
-    if law.kind != "discrete":
-        risks = {e.index: law.approx_risk(e) for e in collection}
-        r_star = min(risks.values())
+    ids = collection.indices()
+    if prof is not None:
+        o = ids.index(prof.least_optimal_index)
+        phis = [e(law.xs) for e in collection]
 
-    def one(trial: int):
-        ds = sample_dataset(law, n, (master_seed, trial))
-        sol = erm.solve(ds, collection, prof)
-        orec = sol.record(t_oracle)
-        if prof is not None:
-            exc = excess_risk(sol.index, sol.weights, prof)
-            exc_o = excess_risk(t_oracle, orec.weights, prof)
-        else:
-            exc = law.risk(collection.entry(sol.index), sol.weights) - r_star
-            exc_o = law.risk(collection.entry(t_oracle), orec.weights) - r_star
-        row = (sol.index, n * exc, n * exc_o, sol.singular)
-        if not snapshots:
-            return row + (None,)
-        snap = process_snapshot(ds, prof)
-        g_hat = snap.g[sol.index]
-        extra = (
-            snap.lam_plus_scaled,
-            snap.lam_minus_scaled,
-            snap.delta_plus_scaled,
-            g_hat * g_hat,
-            prof.gap(sol.index),
-            exc - prof.gap(sol.index),
-        )
-        return row + (extra,)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, range(trials)))
+        def excess(j, w):
+            return excess_risk(ids[j], w, prof)
     else:
-        results = [one(i) for i in range(trials)]
+        risks = np.array([law.approx_risk(e) for e in collection])
+        o = int(erm.select(risks[None])[0])
+        r_star = risks.min()
+
+        def excess(j, w):
+            return np.array([law.risk(collection.entries[j], v) for v in w]) - r_star
+
+    parts = []
+    chunk = TRIAL_CHUNK if prof is not None else 1
+    for lo in range(0, trials, chunk):
+        seeds = [(master_seed, i) for i in range(lo, min(lo + chunk, trials))]
+        if prof is not None:
+            counts = np.stack([sample_counts(law, n, seed) for seed in seeds])
+            fits = [erm.least_squares(phi, law.ys, counts, n)[:3] for phi in phis]
+        else:
+            ds = sample_dataset(law, n, seeds[0])
+            fits = [erm.least_squares(e(ds.x), ds.y, np.ones((1, n)), n)[:3] for e in collection]
+        pick = erm.select(np.stack([f[1] for f in fits], axis=1))
+        # one evaluation per selected index; the oracle's doubles as t_hat's
+        exc_o = excess(o, fits[o][0])
+        exc = exc_o.copy()
+        for j in np.unique(pick):
+            if j != o:
+                exc[pick == j] = excess(j, fits[j][0][pick == j])
+        part = {
+            "pick": pick,
+            "n_excess": n * exc,
+            "n_excess_oracle": n * exc_o,
+            "singular": np.any([f[2] for f in fits], axis=0),
+        }
+        if snapshots:
+            snap = process_snapshot(counts, n, prof)
+            gap_hat = np.array([prof.gap(t) for t in ids])[pick]
+            part.update(
+                lam_plus=snap.lam_plus_scaled,
+                lam_minus=snap.lam_minus_scaled,
+                delta_plus=snap.delta_plus_scaled,
+                g_sq_hat=snap.g_sq[np.arange(len(pick)), pick],
+                gap_hat=gap_hat,
+                est_err_hat=exc - gap_hat,
+            )
+        parts.append(part)
 
     h = hashlib.sha256()
     h.update(_law_fingerprint(law))
-    h.update(repr((n, trials, master_seed, collection.indices(), snapshots)).encode())
-    batch = {
-        "config_hash": h.hexdigest(),
-        "n": n,
-        "master_seed": master_seed,
-        "t_hat": tuple(r[0] for r in results),
-        "n_excess": np.array([r[1] for r in results]),
-        "n_excess_oracle": np.array([r[2] for r in results]),
-        "singular": np.array([r[3] for r in results], dtype=bool),
-    }
-    if snapshots:
-        extras = np.array([r[4] for r in results])
-        batch.update(
-            lam_plus=extras[:, 0],
-            lam_minus=extras[:, 1],
-            delta_plus=extras[:, 2],
-            g_sq_hat=extras[:, 3],
-            gap_hat=extras[:, 4],
-            est_err_hat=extras[:, 5],
-        )
-    return TrialBatch(**batch)
+    h.update(repr((n, trials, master_seed, ids, snapshots)).encode())
+    batch = {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+    return TrialBatch(
+        config_hash=h.hexdigest(),
+        n=n,
+        master_seed=master_seed,
+        t_hat=tuple(ids[j] for j in batch.pop("pick")),
+        **batch,
+    )
 
 
 def _grid_seed(seed: int, idx: int) -> int:

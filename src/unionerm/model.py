@@ -35,6 +35,7 @@ __all__ = [
     "Dataset",
     "exact_expectation",
     "sample_dataset",
+    "sample_counts",
     "subset_collection",
     "validate_collection",
     "rng_from_seed",
@@ -86,7 +87,6 @@ class FeatureEntry:
     must return an ``(n, dim)`` array.  ``coords`` is set for maps that are
     plain coordinate selections of the input (used by coordinate-subset
     collections, where exact second moments of Gaussian designs are
-
     available in closed form).
     """
 
@@ -333,6 +333,19 @@ def sample_dataset(law, n: int, seed: tuple[int, int]) -> Dataset:
     rng = rng_from_seed(master, trial)
     x, y = law.sample(n, rng)
     return Dataset(x=x, y=y, seed=(int(master), int(trial)))
+
+
+def sample_counts(law: DiscreteLaw, n: int, seed: tuple[int, int]) -> np.ndarray:
+    """Atom counts (m,) of the dataset ``sample_dataset(law, n, seed)`` draws.
+
+    Same stream, same atoms: the counts are the sufficient statistic of that
+    dataset for every empirical second moment.
+    """
+    if n < 1:
+        raise ValueError("sample size must be at least 1")
+    master, trial = seed
+    idx = law.sample_indices(n, rng_from_seed(master, trial))
+    return np.bincount(idx, minlength=law.support_size)
 
 
 # ---------------------------------------------------------------------------

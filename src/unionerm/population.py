@@ -4,8 +4,9 @@ For each feature map t the profile stores the covariance Sigma(t), its
 symmetric inverse square root, the risk minimizer w_*(t), the attained risk
 R(t, w_*(t)), and the second moment of the whitened loss gradient at the
 minimizer.  Across maps it stores the optimal risk R_*, the optimal set of
-indices, the suboptimality gap, and all gradient cross-covariances
-G(t, s) = E[g(t) g(s)^T].
+indices and the suboptimality gap; it keeps the per-atom loss gradients g(t),
+from which any gradient cross-covariance G(t, s) = E[g(t) g(s)^T] is formed
+on demand.
 
 Everything here is an exact finite sum over the atoms of the law; generative
 laws are rejected (their quantities are only ever Monte Carlo estimates and
@@ -73,7 +74,7 @@ class PopulationProfile:
     r_star: float
     t_star: tuple
     gamma: float
-    cross_g: dict
+    grads: dict                  # per-atom loss gradients at w_*, (m, d_t)
     opt_tol: float
     mixed_dims: bool
 
@@ -96,7 +97,7 @@ class PopulationProfile:
         return self.records[t].approx_risk - self.r_star
 
     def g_cross(self, t, s) -> np.ndarray:
-        return self.cross_g[(t, s)]
+        return (self.grads[t] * self.law.weights[:, None]).T @ self.grads[s]
 
     def indices(self) -> tuple:
         return self.collection.indices()
@@ -168,10 +169,6 @@ def profile(law, collection, opt_tol: float = OPT_TOL) -> PopulationProfile:
     t_star = tuple(t for t in collection.indices() if risks[t] - r_star <= tol)
     sub = [risks[t] - r_star for t in collection.indices() if t not in set(t_star)]
     gamma = min(sub) if sub else float("inf")
-    cross = {}
-    for t in collection.indices():
-        for s in collection.indices():
-            cross[(t, s)] = (grads[t] * law.weights[:, None]).T @ grads[s]
     return PopulationProfile(
         law=law,
         collection=collection,
@@ -179,14 +176,20 @@ def profile(law, collection, opt_tol: float = OPT_TOL) -> PopulationProfile:
         r_star=r_star,
         t_star=t_star,
         gamma=gamma,
-        cross_g=cross,
+        grads=grads,
         opt_tol=opt_tol,
         mixed_dims=collection.mixed_dims,
     )
 
 
-def excess_risk(t, w, prof: PopulationProfile) -> float:
-    """R(t, w) - R_* via the exact quadratic expansion around w_*(t)."""
+def excess_risk(t, w, prof: PopulationProfile):
+    """R(t, w) - R_* via the exact quadratic expansion around w_*(t).
+
+    ``w`` is one weight vector (a float is returned) or a stack (B, d_t)
+    (an array (B,) is returned).
+    """
     rec = prof.records[t]
-    diff = np.asarray(w, dtype=float).ravel() - rec.w_star
-    return 0.5 * float(diff @ rec.sigma @ diff) + (rec.approx_risk - prof.r_star)
+    diff = np.asarray(w, dtype=float) - rec.w_star
+    quad = 0.5 * np.einsum("...i,ij,...j->...", diff, rec.sigma, diff)
+    out = quad + (rec.approx_risk - prof.r_star)
+    return float(out) if out.ndim == 0 else out

@@ -14,7 +14,10 @@ Each summand of the variational form of lambda_n is at most one, so
 lambda_n(t) <= sqrt(n) pathwise.  The supremum over an empty index subset is
 0 by convention (the risk-gap term vanishes when every map is optimal).
 
-On a discrete law a dataset is equivalent to its atom counts, so every
+On a discrete law a dataset is equivalent to its atom counts, and every
+process value is a contraction of those counts with the per-atom tables of
+``prof.tables``.  :func:`snapshot` evaluates all three processes on a batch
+of count rows (the trials of :func:`unionerm.experiments.run_trials`).  Every
 expectation over datasets (expected suprema here; class moments and A(S) in
 :mod:`unionerm.bounds`) is one reduction, :meth:`CountSample.mean`, over one
 :func:`count_sample`: Monte Carlo chunks with per-chunk seed streams (any
@@ -31,14 +34,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, DiscreteLaw
+from .model import DiscreteLaw
 from .population import PopulationProfile
 
 __all__ = [
-    "ProcessSnapshot",
-    "lambda_process",
-    "g_process",
-    "delta_process",
+    "Snapshot",
     "snapshot",
     "expected_sup",
     "AtomTables",
@@ -59,102 +59,6 @@ class DeltaUndefinedError(ValueError):
 def _batch_rng(seed: int, chunk: int) -> np.random.Generator:
     # distinct namespace from per-trial dataset streams
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), int(chunk), 1))))
-
-
-# ---------------------------------------------------------------------------
-# Direct per-dataset evaluation
-# ---------------------------------------------------------------------------
-
-def _whitened_sample_cov(dataset: Dataset, t, prof: PopulationProfile) -> np.ndarray:
-    entry = prof.collection.entry(t)
-    phi = entry(dataset.x)
-    wh = prof.whitener(t)
-    psi = phi @ wh
-    return psi.T @ psi / dataset.n
-
-
-def lambda_process(dataset: Dataset, t, prof: PopulationProfile) -> float:
-    """sqrt(n) times the top eigenvalue of I minus the whitened sample covariance."""
-    wcov = _whitened_sample_cov(dataset, t, prof)
-    lam_min = float(np.linalg.eigvalsh(wcov)[0])
-    return float(np.sqrt(dataset.n) * (1.0 - lam_min))
-
-
-def g_process(dataset: Dataset, t, prof: PopulationProfile) -> float:
-    """sqrt(n) times the whitened norm of the empirical gradient at w_*(t)."""
-    entry = prof.collection.entry(t)
-    phi = entry(dataset.x)
-    resid = phi @ prof.w_star(t) - dataset.y
-    grad = phi.T @ resid / dataset.n
-    return float(np.sqrt(dataset.n) * np.linalg.norm(prof.whitener(t) @ grad))
-
-
-def delta_process(dataset: Dataset, t, t_star, prof: PopulationProfile) -> float:
-    """Normalized empirical risk gap deviation for a suboptimal index."""
-    if t in prof.t_star:
-        raise DeltaUndefinedError(f"index {t!r} is optimal; the gap denominator vanishes")
-    gap = prof.gap(t)
-    entry_t = prof.collection.entry(t)
-    entry_s = prof.collection.entry(t_star)
-    rt = 0.5 * float(np.mean((entry_t(dataset.x) @ prof.w_star(t) - dataset.y) ** 2))
-    rs = 0.5 * float(np.mean((entry_s(dataset.x) @ prof.w_star(t_star) - dataset.y) ** 2))
-    return float(np.sqrt(dataset.n) * (1.0 - (rt - rs) / gap))
-
-
-@dataclass(frozen=True)
-class ProcessSnapshot:
-    """All three processes evaluated on one dataset.
-
-    ``lam_plus_scaled`` and ``lam_minus_scaled`` are the one-sided suprema of
-    the n^{-1/2}-rescaled covariance deviation over the whole collection,
-    taken over the full variational index (map, direction): the plus side is
-    sup_t (1 - lambda_min of the whitened sample covariance), the minus side
-    sup_t (lambda_max of it - 1).
-    """
-
-    t_star: object
-    lam: dict
-    g: dict
-    delta: dict
-    sup_lambda: float
-    sup_g_sq: float
-    sup_delta: float
-    lam_plus_scaled: float
-    lam_minus_scaled: float
-    delta_plus_scaled: float
-
-
-def snapshot(dataset: Dataset, prof: PopulationProfile) -> ProcessSnapshot:
-    """Evaluate every process on one dataset; suprema are over the collection."""
-    n = dataset.n
-    rn = np.sqrt(n)
-    t_star = prof.least_optimal_index
-    lam, g, delta = {}, {}, {}
-    lam_plus = -np.inf
-    lam_minus = -np.inf
-    for entry in prof.collection:
-        t = entry.index
-        wcov = _whitened_sample_cov(dataset, t, prof)
-        vals = np.linalg.eigvalsh(wcov)
-        lam[t] = float(rn * (1.0 - vals[0]))
-        lam_plus = max(lam_plus, 1.0 - float(vals[0]))
-        lam_minus = max(lam_minus, float(vals[-1]) - 1.0)
-        g[t] = g_process(dataset, t, prof)
-    for t in prof.suboptimal():
-        delta[t] = delta_process(dataset, t, t_star, prof)
-    sup_delta = max(delta.values()) if delta else 0.0
-    return ProcessSnapshot(
-        t_star=t_star,
-        lam=lam,
-        g=g,
-        delta=delta,
-        sup_lambda=max(lam.values()),
-        sup_g_sq=max(v * v for v in g.values()),
-        sup_delta=sup_delta,
-        lam_plus_scaled=float(lam_plus),
-        lam_minus_scaled=float(lam_minus),
-        delta_plus_scaled=sup_delta / rn if delta else 0.0,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +133,66 @@ class AtomTables:
         for t in subset:
             np.maximum(out, fn(t, counts, n), out=out)
         return out
+
+
+@dataclass(frozen=True)
+class Snapshot:
+    """All three processes on B datasets of a discrete law.
+
+    ``lam_min`` and ``lam_max`` (B, |T|) are the eigenvalue ends of each
+    map's whitened sample covariance and ``g_sq`` (B, |T|) the squared
+    gradient-norm process, in ``prof.indices()`` order; ``delta``
+    (B, |T_sub|) is the risk-gap process, in ``prof.suboptimal()`` order.
+    """
+
+    n: int
+    lam_min: np.ndarray
+    lam_max: np.ndarray
+    g_sq: np.ndarray
+    delta: np.ndarray
+
+    @property
+    def lam_plus_scaled(self) -> np.ndarray:
+        """sup_t (1 - lambda_min): the n^{-1/2}-rescaled sup of lambda_n."""
+        return np.max(1.0 - self.lam_min, axis=1)
+
+    @property
+    def lam_minus_scaled(self) -> np.ndarray:
+        """sup_t (lambda_max - 1): the other one-sided supremum."""
+        return np.max(self.lam_max - 1.0, axis=1)
+
+    @property
+    def delta_plus_scaled(self) -> np.ndarray:
+        """sup of delta_n over the suboptimal maps over sqrt(n); 0 if none."""
+        if self.delta.shape[1] == 0:
+            return np.zeros(self.delta.shape[0])
+        return np.max(self.delta, axis=1) / np.sqrt(self.n)
+
+
+def snapshot(counts: np.ndarray, n: int, prof: PopulationProfile) -> Snapshot:
+    """Evaluate every process on the datasets with atom counts ``counts`` (B, m).
+
+    The per-atom tables are those of :meth:`AtomTables.sup_batch`, but every
+    product is taken one dataset at a time (``(B, 1, m) @ table``), so a
+    dataset's values do not depend on the other rows of the batch.
+    """
+    tables = prof.tables
+    b, m = counts.shape
+    freq = counts[:, None, :] / n
+    ends, g_sq = [], []
+    for t in prof.indices():
+        d = tables.psi[t].shape[1]
+        wcov = (freq @ tables.psi_outer[t].reshape(m, d * d)).reshape(b, d, d)
+        ends.append(np.linalg.eigvalsh(wcov))
+        g_sq.append(n * np.sum((freq @ tables.grad_w[t])[:, 0] ** 2, axis=1))
+    delta = [np.sqrt(n) * (1.0 - (freq @ tables.delta_vals[t])[:, 0]) for t in prof.suboptimal()]
+    return Snapshot(
+        n=n,
+        lam_min=np.stack([e[:, 0] for e in ends], axis=1),
+        lam_max=np.stack([e[:, -1] for e in ends], axis=1),
+        g_sq=np.stack(g_sq, axis=1),
+        delta=np.stack(delta, axis=1) if delta else np.empty((b, 0)),
+    )
 
 
 def iter_count_batches(law: DiscreteLaw, n: int, trials: int, seed: int):

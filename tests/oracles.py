@@ -9,8 +9,13 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
+
+from unionerm.bounds import quadratic_form_variance_sup
+from unionerm.model import FeatureCollection
+from unionerm.processes import DeltaUndefinedError
 
 
 def enum_expectation(atoms, fn):
@@ -98,3 +103,127 @@ def enum_expected_sup_gsq(law, collection, prof, n):
             best = max(best, n * float(np.sum((wh @ grad) ** 2)))
         total += prob * best
     return total
+
+
+# ---------------------------------------------------------------------------
+# The three processes on one explicit dataset (reference for the count route)
+# ---------------------------------------------------------------------------
+
+def _whitened_sample_cov(dataset, t, prof):
+    psi = prof.collection.entry(t)(dataset.x) @ prof.whitener(t)
+    return psi.T @ psi / dataset.n
+
+
+def lambda_process(dataset, t, prof):
+    """sqrt(n) times the top eigenvalue of I minus the whitened sample covariance."""
+    lam_min = float(np.linalg.eigvalsh(_whitened_sample_cov(dataset, t, prof))[0])
+    return float(np.sqrt(dataset.n) * (1.0 - lam_min))
+
+
+def g_process(dataset, t, prof):
+    """sqrt(n) times the whitened norm of the empirical gradient at w_*(t)."""
+    phi = prof.collection.entry(t)(dataset.x)
+    grad = phi.T @ (phi @ prof.w_star(t) - dataset.y) / dataset.n
+    return float(np.sqrt(dataset.n) * np.linalg.norm(prof.whitener(t) @ grad))
+
+
+def delta_process(dataset, t, t_star, prof):
+    """Normalized empirical risk gap deviation for a suboptimal index."""
+    if t in prof.t_star:
+        raise DeltaUndefinedError(f"index {t!r} is optimal; the gap denominator vanishes")
+    entry_t = prof.collection.entry(t)
+    entry_s = prof.collection.entry(t_star)
+    rt = 0.5 * float(np.mean((entry_t(dataset.x) @ prof.w_star(t) - dataset.y) ** 2))
+    rs = 0.5 * float(np.mean((entry_s(dataset.x) @ prof.w_star(t_star) - dataset.y) ** 2))
+    return float(np.sqrt(dataset.n) * (1.0 - (rt - rs) / prof.gap(t)))
+
+
+@dataclass(frozen=True)
+class ProcessSnapshot:
+    """All three processes evaluated on one dataset.
+
+    ``lam_plus_scaled`` is sup_t (1 - lambda_min) and ``lam_minus_scaled``
+    sup_t (lambda_max - 1) of the whitened sample covariances.
+    """
+
+    lam: dict
+    g: dict
+    delta: dict
+    sup_g_sq: float
+    sup_delta: float
+    lam_plus_scaled: float
+    lam_minus_scaled: float
+    delta_plus_scaled: float
+
+
+def snapshot(dataset, prof):
+    """Evaluate every process on one dataset; suprema are over the collection."""
+    rn = np.sqrt(dataset.n)
+    t_star = prof.least_optimal_index
+    lam, g, ends = {}, {}, []
+    for t in prof.indices():
+        vals = np.linalg.eigvalsh(_whitened_sample_cov(dataset, t, prof))
+        lam[t] = float(rn * (1.0 - vals[0]))
+        ends.append((1.0 - float(vals[0]), float(vals[-1]) - 1.0))
+        g[t] = g_process(dataset, t, prof)
+    delta = {t: delta_process(dataset, t, t_star, prof) for t in prof.suboptimal()}
+    sup_delta = max(delta.values()) if delta else 0.0
+    return ProcessSnapshot(
+        lam=lam,
+        g=g,
+        delta=delta,
+        sup_g_sq=max(v * v for v in g.values()),
+        sup_delta=sup_delta,
+        lam_plus_scaled=max(e[0] for e in ends),
+        lam_minus_scaled=max(e[1] for e in ends),
+        delta_plus_scaled=sup_delta / rn if delta else 0.0,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Quadratic-form variance: grid and single-block references
+# ---------------------------------------------------------------------------
+
+def _stacked_whitened_rows(law, collection, prof):
+    """R[a, j] is psi_j(atom a) placed in block j of the stacked coordinates."""
+    total = sum(collection.dims)
+    rows = np.zeros((law.support_size, len(collection), total))
+    off = 0
+    for j, entry in enumerate(collection):
+        rows[:, j, off:off + entry.dim] = entry(law.xs) @ prof.whitener(entry.index)
+        off += entry.dim
+    return rows
+
+
+def quadratic_form_variance_grid(law, collection, prof, resolution=1e-3, chunk=200_000):
+    """Dense angular-grid maximum of E[(sum_t <v_t, psi_t>^2 - 1)^2], total dim <= 3."""
+    rows = _stacked_whitened_rows(law, collection, prof)
+    total = rows.shape[2]
+    if total > 3:
+        raise ValueError("the grid oracle is limited to total dimension <= 3")
+    if total == 1:
+        grid = np.array([[1.0]])
+    elif total == 2:
+        theta = np.arange(0.0, math.pi, resolution)
+        grid = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    else:
+        theta = np.arange(0.0, math.pi + resolution, resolution)
+        phi = np.arange(0.0, math.pi, resolution)
+        tt, pp = np.meshgrid(theta, phi, indexing="ij")
+        grid = np.stack(
+            [np.sin(tt) * np.cos(pp), np.sin(tt) * np.sin(pp), np.cos(tt)], axis=-1
+        ).reshape(-1, 3)
+    best = -np.inf
+    for lo in range(0, grid.shape[0], chunk):
+        q = (np.einsum("atd,vd->vat", rows, grid[lo:lo + chunk]) ** 2).sum(axis=2)
+        best = max(best, float((((q - 1.0) ** 2) @ law.weights).max()))
+    return best
+
+
+def single_block_variance_max(law, collection, prof, seed=0):
+    """Largest quartic value over unit directions supported on one block."""
+    best = 0.0
+    for entry in collection:
+        val, _ = quadratic_form_variance_sup(law, FeatureCollection([entry]), prof, restarts=16, seed=seed)
+        best = max(best, val)
+    return best

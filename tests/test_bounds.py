@@ -10,6 +10,7 @@ from unionerm.model import DiscreteLaw, FeatureCollection, FeatureEntry, Gaussia
 from unionerm.population import profile
 
 from conftest import canonical_law, canonical_three_map_collection, random_instance
+from oracles import quadratic_form_variance_grid, single_block_variance_max
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +263,7 @@ def test_quartic_sup_zero_for_deterministic_unit_form():
 def test_quartic_sup_matches_grid_oracle(canonical):
     law, coll, prof = canonical
     val, _ = bounds.quadratic_form_variance_sup(law, coll, prof, restarts=32, seed=0)
-    grid = bounds.quadratic_form_variance_grid(law, coll, prof, resolution=1e-3)
+    grid = quadratic_form_variance_grid(law, coll, prof, resolution=1e-3)
     assert val == pytest.approx(grid, abs=1e-3)
     assert val >= grid - 1e-9  # ascent refines the grid maximum
 
@@ -275,7 +276,7 @@ def test_quartic_sup_matches_grid_oracle_dim3():
         if sum(coll.dims) == 3:
             break
     val, _ = bounds.quadratic_form_variance_sup(law, coll, prof, restarts=32, seed=1)
-    grid = bounds.quadratic_form_variance_grid(law, coll, prof, resolution=5e-3)
+    grid = quadratic_form_variance_grid(law, coll, prof, resolution=5e-3)
     assert val >= grid - 1e-9
     assert val == pytest.approx(grid, rel=2e-2, abs=2e-2)
 
@@ -285,7 +286,7 @@ def test_quartic_sup_dominates_single_block_restriction():
     for _ in range(5):
         law, coll, prof = random_instance(rng)
         full, _ = bounds.quadratic_form_variance_sup(law, coll, prof, restarts=24, seed=2)
-        single = bounds.single_block_variance_max(law, coll, prof, seed=2)
+        single = single_block_variance_max(law, coll, prof, seed=2)
         assert full >= single - 1e-9
 
 

@@ -187,3 +187,9 @@ def test_no_temp_files_left_behind(tmp_path):
     assert main(["--config", cfg, "--out", str(out), "bounds"]) == 0
     leftovers = [p for p in os.listdir(out) if p.endswith(".tmp")]
     assert leftovers == []
+
+
+def test_threads_flag_is_rejected(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", "cfg.json", "--out", str(tmp_path), "--threads", "2", "profile"])
+    assert exc.value.code == 2

@@ -101,6 +101,17 @@ def test_solve_tie_break_prefers_smaller_id():
     assert sol.index == "a"
 
 
+def test_solve_tie_survives_rescaling(symmetric):
+    # a swap-symmetric dataset ties A and B exactly; rounding of the risks
+    # grows with the scale, so an absolute tie tolerance would pick B at 1e6
+    law, coll, _ = symmetric
+    ds = sample_dataset(law, 7, (2, 0))
+    x = np.vstack([ds.x, ds.x[:, ::-1]])
+    y = np.concatenate([ds.y, ds.y])
+    for scale in (1.0, 1e6):
+        assert erm.solve(Dataset(x=scale * x, y=scale * y), coll).index == "A"
+
+
 def test_solve_monotone_in_collection(canonical):
     law, coll, prof = canonical
     big = FeatureCollection(list(coll.entries) + [FeatureEntry("C", 2, lambda x: x)])

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from unionerm import erm, experiments as ex
-from unionerm.model import sample_dataset
-from unionerm.population import excess_risk
+from unionerm.model import DiscreteLaw, sample_dataset
+from unionerm.population import excess_risk, profile as build_profile
 
+import oracles
+from conftest import canonical_atoms, canonical_collection, random_instance
 
 
 def test_run_trials_noiseless_realizable_zero_excess(realizable):
@@ -25,11 +27,54 @@ def test_run_trials_deterministic_hash(canonical):
     assert a.batch_hash() != c.batch_hash()
 
 
-def test_run_trials_threads_match_serial(canonical):
-    law, coll, prof = canonical
-    a = ex.run_trials(law, coll, 25, 40, 303, prof)
-    b = ex.run_trials(law, coll, 25, 40, 303, prof, threads=4)
-    assert a.batch_hash() == b.batch_hash()
+def test_run_trials_prefix_matches_shorter_run():
+    # trial i depends on (master seed, i) only, also across a chunk boundary.
+    # Non-integer atoms, so no sum is exact by luck; with 8 atoms a (B, m)
+    # matrix product rounds a row differently for a 9-row and a 3-row chunk.
+    xs, ys, ws = canonical_atoms()
+    law = DiscreteLaw(xs=1.1 * xs, ys=0.7 * ys, weights=ws)
+    coll = canonical_collection()
+    prof = build_profile(law, coll)
+    k = ex.TRIAL_CHUNK + 3
+    long = ex.run_trials(law, coll, 25, k + 6, 303, prof, snapshots=True)
+    short = ex.run_trials(law, coll, 25, k, 303, prof, snapshots=True)
+    assert long.t_hat[:k] == short.t_hat
+    for field in ("n_excess", "n_excess_oracle", "singular", "lam_plus", "lam_minus",
+                  "delta_plus", "g_sq_hat", "gap_hat", "est_err_hat"):
+        assert np.array_equal(getattr(long, field)[:k], getattr(short, field))
+
+
+def test_run_trials_matches_per_dataset_route():
+    # the count engine against sample_dataset -> erm.solve -> oracle snapshot,
+    # trial by trial, with n below the map dimensions so singular fits occur
+    rng = np.random.default_rng(41)
+    singular_seen = 0
+    for case in range(8):
+        law, coll, prof = random_instance(rng)
+        t0 = prof.least_optimal_index
+        for n in (1, 2, 5, 40):
+            batch = ex.run_trials(law, coll, n, 12, 500 + case, prof, snapshots=True)
+            for i in range(12):
+                ds = sample_dataset(law, n, (500 + case, i))
+                sol = erm.solve(ds, coll, prof)
+                snap = oracles.snapshot(ds, prof)
+                assert batch.t_hat[i] == sol.index
+                assert bool(batch.singular[i]) == sol.singular
+                singular_seen += sol.singular
+                exc = excess_risk(sol.index, sol.weights, prof)
+                ref = {
+                    "n_excess": n * exc,
+                    "n_excess_oracle": n * excess_risk(t0, sol.record(t0).weights, prof),
+                    "lam_plus": snap.lam_plus_scaled,
+                    "lam_minus": snap.lam_minus_scaled,
+                    "delta_plus": snap.delta_plus_scaled,
+                    "g_sq_hat": snap.g[sol.index] ** 2,
+                    "gap_hat": prof.gap(sol.index),
+                    "est_err_hat": exc - prof.gap(sol.index),
+                }
+                for field, val in ref.items():
+                    assert getattr(batch, field)[i] == pytest.approx(val, rel=1e-9, abs=1e-9), field
+    assert singular_seen > 0
 
 
 def test_run_trials_oracle_record_matches_oracle_solve(canonical):

@@ -11,6 +11,7 @@ from unionerm.model import (
     FeatureEntry,
     GaussianDesignLaw,
     exact_expectation,
+    sample_counts,
     sample_dataset,
     subset_collection,
     validate_collection,
@@ -81,6 +82,16 @@ def test_sample_dataset_deterministic():
     assert np.array_equal(a.x, b.x) and np.array_equal(a.y, b.y)
     c = sample_dataset(law, 5, (0, 1))
     assert not (np.array_equal(a.x, c.x) and np.array_equal(a.y, c.y))
+
+
+def test_sample_counts_is_the_atom_multiset_of_sample_dataset():
+    for law in (canonical_law(), two_atom_law()):
+        for n, seed in ((1, (3, 0)), (17, (3, 1)), (500, (4, 2))):
+            ds = sample_dataset(law, n, seed)
+            rows = np.column_stack([ds.x, ds.y])
+            atoms = np.column_stack([law.xs, law.ys])
+            ref = [int(np.sum(np.all(rows == a, axis=1))) for a in atoms]
+            assert sample_counts(law, n, seed).tolist() == ref
 
 
 def test_sample_dataset_rejects_empty():

@@ -6,21 +6,20 @@ from unionerm.model import (
     DiscreteLaw,
     FeatureCollection,
     FeatureEntry,
+    sample_counts,
     sample_dataset,
 )
 from unionerm.population import profile
 from unionerm.processes import (
     DeltaUndefinedError,
-    delta_process,
     enumerate_product_counts,
     expected_sup,
-    g_process,
-    lambda_process,
     snapshot,
 )
 
+import oracles
 from conftest import random_instance
-from oracles import enum_expected_sup_gsq
+from oracles import delta_process, enum_expected_sup_gsq, g_process, lambda_process
 
 
 def _unit_scalar_instance():
@@ -162,23 +161,37 @@ def test_delta_mean_zero(canonical):
     assert abs(est) <= 4 * se
 
 
+def _count_and_oracle_snapshots(law, prof, n, seed):
+    ds = sample_dataset(law, n, seed)
+    counts = sample_counts(law, n, seed)[None]
+    return snapshot(counts, n, prof), oracles.snapshot(ds, prof), ds
+
+
 def test_snapshot_consistency(canonical):
     law, coll, prof = canonical
-    ds = sample_dataset(law, 30, (206, 0))
-    snap = snapshot(ds, prof)
+    count_snap, snap, ds = _count_and_oracle_snapshots(law, prof, 30, (206, 0))
     assert snap.lam["A"] == pytest.approx(lambda_process(ds, "A", prof))
     assert snap.g["B"] == pytest.approx(g_process(ds, "B", prof))
     assert snap.delta["B"] == pytest.approx(delta_process(ds, "B", "A", prof))
     assert snap.sup_g_sq == pytest.approx(max(snap.g["A"] ** 2, snap.g["B"] ** 2))
     assert snap.lam_plus_scaled == pytest.approx(max(snap.lam.values()) / np.sqrt(ds.n))
+    # the count snapshot evaluates the same processes from the atom counts
+    rn = np.sqrt(ds.n)
+    for j, t in enumerate(prof.indices()):
+        assert rn * (1.0 - count_snap.lam_min[0, j]) == pytest.approx(snap.lam[t], rel=1e-12, abs=1e-12)
+        assert count_snap.g_sq[0, j] == pytest.approx(snap.g[t] ** 2, rel=1e-12, abs=1e-12)
+    assert count_snap.delta[0, 0] == pytest.approx(snap.delta["B"], rel=1e-12, abs=1e-12)
+    for field in ("lam_plus_scaled", "lam_minus_scaled", "delta_plus_scaled"):
+        assert getattr(count_snap, field)[0] == pytest.approx(getattr(snap, field), rel=1e-12, abs=1e-12)
 
 
 def test_snapshot_sup_delta_empty_is_zero(symmetric):
     law, coll, prof = symmetric
-    ds = sample_dataset(law, 10, (207, 0))
-    snap = snapshot(ds, prof)
+    count_snap, snap, _ = _count_and_oracle_snapshots(law, prof, 10, (207, 0))
     assert snap.delta == {}
     assert snap.sup_delta == 0.0
+    assert count_snap.delta.shape == (1, 0)
+    assert count_snap.delta_plus_scaled[0] == 0.0
 
 
 def test_expected_sup_empty_subset(canonical):
