@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -551,13 +552,15 @@ def recovery_threshold(
     Solves n > min_k 4 k (gamma delta)^{-1} A(iterate_{k-1}(T)) where the
     iterate uses per-step confidence delta/(2k); the right-hand side depends
     on n through A, so the fixed point is found by repeated substitution
-    (A decreases with n, so this converges from above).  Returns (n, k).
+    (A decreases with n, so this converges from above).  Returns (n, k); if
+    ``max_rounds`` substitutions do not reach the fixed point, the last iterate
+    is returned with a RuntimeWarning naming the last two iterates.
     """
     gamma = prof.gamma
     if not (0.0 < gamma < float("inf")):
         raise ValueError("recovery threshold needs a positive finite gap")
     k_max = 1 + len(prof.suboptimal())
-    n = 1000
+    prev = n = 1000
     best_k = 1
     for _ in range(max_rounds):
         best = None
@@ -574,9 +577,14 @@ def recovery_threshold(
         n_new = int(math.ceil(best[0])) + 1
         best_k = best[1]
         if abs(n_new - n) <= max(2, n // 100):
-            n = max(n, n_new)
-            break
-        n = n_new
+            return max(n, n_new), best_k
+        prev, n = n, n_new
+    warnings.warn(
+        f"recovery threshold fixed point not reached in {max_rounds} rounds "
+        f"(last iterates {prev} and {n})",
+        RuntimeWarning,
+        stacklevel=2,
+    )
     return n, best_k
 
 

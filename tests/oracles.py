@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from unionerm.bounds import quadratic_form_variance_sup
 from unionerm.model import FeatureCollection
 from unionerm.processes import DeltaUndefinedError
 
@@ -220,10 +219,11 @@ def quadratic_form_variance_grid(law, collection, prof, resolution=1e-3, chunk=2
     return best
 
 
-def single_block_variance_max(law, collection, prof, seed=0):
-    """Largest quartic value over unit directions supported on one block."""
-    best = 0.0
-    for entry in collection:
-        val, _ = quadratic_form_variance_sup(law, FeatureCollection([entry]), prof, restarts=16, seed=seed)
-        best = max(best, val)
-    return best
+def single_block_variance_max(law, collection, prof):
+    """Largest quartic value over unit directions supported on one block.
+
+    Each block alone is a grid problem, so each block dimension must be <= 3.
+    """
+    return max(
+        quadratic_form_variance_grid(law, FeatureCollection([entry]), prof) for entry in collection
+    )

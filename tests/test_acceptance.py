@@ -194,8 +194,8 @@ def test_criterion_08_bound_validity(canonical):
     # (a) singleton collection at the single-class threshold
     single = FeatureCollection([FeatureEntry("A", 1, lambda x: x[:, [0]], coords=(0,))])
     prof_a = build_profile(law, single)
-    lam_v = bounds.covariance_deviation_lambda_max(law, single, prof_a)
-    l_val, _ = bounds.quadratic_form_variance_sup(law, single, prof_a, seed=80)
+    lam_v = bounds.covariance_deviation_lambda_max(prof_a)
+    l_val, _ = bounds.quadratic_form_variance_sup(prof_a, seed=80)
     n_a = int(math.ceil(bounds.single_class_threshold_value(lam_v, l_val, 1, delta)))
     bound_a = 4.0 / (n_a * delta) * prof_a.grad_second_moment("A")
     batch_a = ex.run_trials(law, single, n_a, trials, 808, prof_a)
@@ -253,7 +253,7 @@ def test_criterion_10_gaussian_design_constant():
             [FeatureEntry("t", s, lambda x: np.hstack([np.ones((x.shape[0], 1)), x]))]
         )
         dprof = build_profile(dlaw, dcoll)
-        val = bounds.covariance_deviation_lambda_max(dlaw, dcoll, dprof)
+        val = bounds.covariance_deviation_lambda_max(dprof)
         oks.append(val >= s - 1 - 1e-12)
         details.append(f"intercept s={s}: {val:.6f} >= {s - 1}")
     _report("C10", all(oks), "; ".join(details))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from unionerm import bounds, processes
+from unionerm.experiments import bss_instance
 from unionerm.model import DiscreteLaw, FeatureCollection, FeatureEntry, GaussianDesignLaw, subset_collection
 from unionerm.population import profile
 
@@ -96,7 +97,7 @@ def test_bound_report_draws_each_count_stream_once(monkeypatch):
 
     monkeypatch.setattr(processes, "iter_count_batches", counting)
     prof = profile(canonical_law(), canonical_three_map_collection())
-    inputs = bounds.compute_bound_inputs(prof, 60, trials=300, seed=5, restarts=4)
+    inputs = bounds.compute_bound_inputs(prof, 60, trials=300, seed=5)
     for delta in (0.01, 0.05, 0.1, 0.5):
         bounds.thresholds_and_bounds(prof, inputs, 60, delta, k=2)
     assert draws == [(60, 300, 5)]
@@ -224,7 +225,7 @@ def test_cov_dev_zero_for_sign_coordinate():
     law = DiscreteLaw(xs=np.array([[1.0], [-1.0]]), ys=np.zeros(2), weights=[0.5, 0.5])
     coll = FeatureCollection([FeatureEntry("t", 1, lambda x: x)])
     prof = profile(law, coll)
-    assert bounds.covariance_deviation_lambda_max(law, coll, prof) == pytest.approx(0.0, abs=1e-12)
+    assert bounds.covariance_deviation_lambda_max(prof) == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("s", [2, 3])
@@ -236,7 +237,7 @@ def test_cov_dev_intercept_lower_bound(s):
         [FeatureEntry("t", s, lambda x: np.hstack([np.ones((x.shape[0], 1)), x]))]
     )
     prof = profile(law, coll)
-    val = bounds.covariance_deviation_lambda_max(law, coll, prof)
+    val = bounds.covariance_deviation_lambda_max(prof)
     assert val >= s - 1 - 1e-12
 
 
@@ -255,14 +256,26 @@ def test_quartic_sup_zero_for_deterministic_unit_form():
     law = DiscreteLaw(xs=np.array([[1.0], [-1.0]]), ys=np.zeros(2), weights=[0.5, 0.5])
     coll = FeatureCollection([FeatureEntry("t", 1, lambda x: x)])
     prof = profile(law, coll)
-    val, tag = bounds.quadratic_form_variance_sup(law, coll, prof, restarts=8, seed=0)
+    val, tag = bounds.quadratic_form_variance_sup(prof, seed=0)
     assert val == pytest.approx(0.0, abs=1e-12)
     assert tag.startswith("estimated")
 
 
+@pytest.mark.parametrize("d", [4, 6])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_quartic_sup_closed_form_on_sign_hypercube(d, seed):
+    # X uniform on {-1, +1}^d, Y = x0 + x1 + a +-1 coin, every size-2 subset: L = 1
+    w_true = np.zeros(d)
+    w_true[:2] = 1.0
+    prof = profile(bss_instance("discrete", d, w_true, 1.0), subset_collection(d, 2))
+    val, tag = bounds.quadratic_form_variance_sup(prof, seed=seed)
+    assert val == pytest.approx(1.0, abs=1e-9)
+    assert tag == "estimated:ascent"
+
+
 def test_quartic_sup_matches_grid_oracle(canonical):
     law, coll, prof = canonical
-    val, _ = bounds.quadratic_form_variance_sup(law, coll, prof, restarts=32, seed=0)
+    val, _ = bounds.quadratic_form_variance_sup(prof, seed=0)
     grid = quadratic_form_variance_grid(law, coll, prof, resolution=1e-3)
     assert val == pytest.approx(grid, abs=1e-3)
     assert val >= grid - 1e-9  # ascent refines the grid maximum
@@ -275,7 +288,7 @@ def test_quartic_sup_matches_grid_oracle_dim3():
         law, coll, prof = random_instance(rng, n_maps=2)
         if sum(coll.dims) == 3:
             break
-    val, _ = bounds.quadratic_form_variance_sup(law, coll, prof, restarts=32, seed=1)
+    val, _ = bounds.quadratic_form_variance_sup(prof, seed=1)
     grid = quadratic_form_variance_grid(law, coll, prof, resolution=5e-3)
     assert val >= grid - 1e-9
     assert val == pytest.approx(grid, rel=2e-2, abs=2e-2)
@@ -285,8 +298,8 @@ def test_quartic_sup_dominates_single_block_restriction():
     rng = np.random.default_rng(29)
     for _ in range(5):
         law, coll, prof = random_instance(rng)
-        full, _ = bounds.quadratic_form_variance_sup(law, coll, prof, restarts=24, seed=2)
-        single = single_block_variance_max(law, coll, prof, seed=2)
+        full, _ = bounds.quadratic_form_variance_sup(prof, seed=2)
+        single = single_block_variance_max(law, coll, prof)
         assert full >= single - 1e-9
 
 
@@ -377,11 +390,17 @@ def test_report_missing_constituent_raises(canonical):
         bounds.thresholds_and_bounds(prof, broken, 200, 0.1)
 
 
+def test_resolve_explicit_threshold_warns_when_rounds_run_out(canonical):
+    _, _, prof = canonical
+    with pytest.warns(RuntimeWarning, match="explicit threshold fixed point not reached in 1 rounds"):
+        bounds.resolve_explicit_threshold(prof, 0.1, trials=500, seed=4, rounds=1)
+
+
 def test_resolve_explicit_threshold_self_consistent(canonical):
     law, coll, prof = canonical
     n = bounds.resolve_explicit_threshold(prof, 0.1, trials=2000, seed=4)
     gap = bounds.class_moments("D", None, prof, n, trials=2000, seed=4)
-    lam_v = bounds.covariance_deviation_lambda_max(law, coll, prof)
-    l_val, _ = bounds.quadratic_form_variance_sup(law, coll, prof, seed=4)
+    lam_v = bounds.covariance_deviation_lambda_max(prof)
+    l_val, _ = bounds.quadratic_form_variance_sup(prof, seed=4)
     thr = bounds.explicit_threshold_value(lam_v, l_val, 1, 2, 0.1, gap)
     assert n >= thr * 0.999

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unionerm import erm, experiments as ex
-from unionerm.model import DiscreteLaw, sample_dataset
+from unionerm.model import DiscreteLaw, sample_dataset, subset_collection
 from unionerm.population import excess_risk, profile as build_profile
 
 import oracles
@@ -302,6 +302,12 @@ def test_bss_gaussian_trend():
 def test_bss_rejects_wrong_sparsity():
     with pytest.raises(ValueError):
         ex.bss_study("discrete", 4, 2, [1.0, 0.0, 0.0, 0.0], 1.0, [50], 10, 325)
+
+
+def test_recovery_threshold_warns_when_rounds_run_out():
+    prof = build_profile(ex.bss_instance("discrete", 4, [1.0, 1.0, 0.0, 0.0], 1.0), subset_collection(4, 2))
+    with pytest.warns(RuntimeWarning, match="recovery threshold fixed point not reached in 1 rounds"):
+        ex.recovery_threshold(prof, 0.1, trials=200, seed=0, max_rounds=1)
 
 
 def test_binomial_ci_basic():
