@@ -30,7 +30,8 @@ import tempfile
 
 import numpy as np
 
-import jsonschema
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from . import experiments, localization, svgplot
 from .bounds import (
@@ -143,6 +144,8 @@ CONFIG_SCHEMA = {
         "params": {"type": "object"},
     },
 }
+# Built once: the schema is fixed, so its meta-schema check lives in the tests.
+_CONFIG_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
 
 
 def load_config(path: str) -> dict:
@@ -151,9 +154,8 @@ def load_config(path: str) -> dict:
             cfg = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    if exc is not None:
         raise ConfigError(f"config field {exc.json_path}: {exc.message}") from exc
     return cfg
 
@@ -250,10 +252,6 @@ def write_csv(path: str, header: list[str], rows) -> None:
     _write_text(path, buf.getvalue())
 
 
-def _fmt_id(t) -> str:
-    return str(t)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -264,11 +262,11 @@ def cmd_profile(cfg: dict, out: str) -> int:
     prof = build_profile(law, collection)
     payload = {
         "r_star": prof.r_star,
-        "t_star": [_fmt_id(t) for t in prof.t_star],
+        "t_star": [str(t) for t in prof.t_star],
         "gamma": prof.gamma if math.isfinite(prof.gamma) else "inf",
         "mixed_dims": prof.mixed_dims,
         "indices": {
-            _fmt_id(t): {
+            str(t): {
                 "dim": prof.records[t].dim,
                 "approx_risk": prof.records[t].approx_risk,
                 "gap": prof.gap(t),
@@ -286,12 +284,12 @@ def cmd_profile(cfg: dict, out: str) -> int:
     for t in prof.indices():
         gap = prof.gap(t)
         lines.append(
-            f"{_fmt_id(t):<16}{prof.records[t].dim:>4}{prof.records[t].approx_risk:>16.10g}"
+            f"{str(t):<16}{prof.records[t].dim:>4}{prof.records[t].approx_risk:>16.10g}"
             f"{gap:>16.10g}{prof.grad_second_moment(t):>14.8g}  {'*' if t in prof.t_star else ''}"
         )
     gamma_txt = "inf" if not math.isfinite(prof.gamma) else f"{prof.gamma:.10g}"
     lines.append(f"optimal risk = {prof.r_star:.10g}; optimal set = "
-                 f"{{{', '.join(_fmt_id(t) for t in prof.t_star)}}}; gap = {gamma_txt}")
+                 f"{{{', '.join(str(t) for t in prof.t_star)}}}; gap = {gamma_txt}")
     if prof.mixed_dims:
         lines.append("note: the collection mixes feature dimensions")
     _write_text(os.path.join(out, "profile.txt"), "\n".join(lines) + "\n")
@@ -311,34 +309,13 @@ def cmd_bounds(cfg: dict, out: str, trials_override: int | None) -> int:
     inputs = compute_bound_inputs(prof, n, trials=trials, seed=seed)
     report = thresholds_and_bounds(prof, inputs, n, delta, k=k)
     write_json(os.path.join(out, "bounds.json"), report.to_json_dict())
-    grid = _param(cfg, "delta_grid", [0.01, 0.02, 0.05, 0.1, 0.2, 0.5])
+    cols = ("single_class_threshold", "explicit_threshold", "expected_sup_threshold",
+            "single_class_excess_bound", "explicit_excess_bound", "expected_sup_excess_bound")
     rows = []
-    for dval in grid:
+    for dval in _param(cfg, "delta_grid", [0.01, 0.02, 0.05, 0.1, 0.2, 0.5]):
         r = thresholds_and_bounds(prof, inputs, n, float(dval), k=k)
-        rows.append(
-            [
-                dval,
-                r.single_class_threshold.value,
-                r.explicit_threshold.value,
-                r.expected_sup_threshold.value,
-                r.single_class_excess_bound.value,
-                r.explicit_excess_bound.value,
-                r.expected_sup_excess_bound.value,
-            ]
-        )
-    write_csv(
-        os.path.join(out, "thresholds.csv"),
-        [
-            "delta",
-            "single_class_threshold",
-            "explicit_threshold",
-            "expected_sup_threshold",
-            "single_class_excess_bound",
-            "explicit_excess_bound",
-            "expected_sup_excess_bound",
-        ],
-        rows,
-    )
+        rows.append([dval] + [getattr(r, c).value for c in cols])
+    write_csv(os.path.join(out, "thresholds.csv"), ["delta", *cols], rows)
     print(f"wrote bounds.json and thresholds.csv (n={n}, delta={delta}, k={k})")
     return EXIT_OK
 
@@ -380,13 +357,13 @@ def cmd_localize(cfg: dict, out: str, trials_override: int | None) -> int:
         "delta": delta,
         "k": k,
         "complexity": source,
-        "sets": [[_fmt_id(t) for t in s] for s in trace.sets],
+        "sets": [[str(t) for t in s] for s in trace.sets],
         "set_sizes": [len(s) for s in trace.sets],
         "thresholds": list(trace.thresholds),
         "fixed_point_at": trace.fixed_point_at,
         "final_bound": bound,
         "membership": {
-            _fmt_id(t): [t in s for s in trace.sets] for t in prof.indices()
+            str(t): [t in s for s in trace.sets] for t in prof.indices()
         },
     }
     write_json(os.path.join(out, "trace.json"), payload)
@@ -435,7 +412,7 @@ def _mc_quantiles(cfg, out, law, collection, prof, trials):
         os.path.join(out, "trials_quantiles.csv"),
         ["trial", "t_hat", "n_excess", "n_excess_oracle", "singular"],
         [
-            [i, _fmt_id(final.t_hat[i]), final.n_excess[i], final.n_excess_oracle[i], int(final.singular[i])]
+            [i, str(final.t_hat[i]), final.n_excess[i], final.n_excess_oracle[i], int(final.singular[i])]
             for i in range(final.trials)
         ],
     )
@@ -550,7 +527,7 @@ def _mc_pathwise(cfg, out, law, collection, prof, trials):
         os.path.join(out, "pathwise.csv"),
         ["trial", "t_hat", "lam_plus", "lam_minus", "delta_plus", "g_sq_hat", "gap_hat", "est_err_hat"],
         [
-            [i, _fmt_id(batch.t_hat[i]), batch.lam_plus[i], batch.lam_minus[i], batch.delta_plus[i],
+            [i, str(batch.t_hat[i]), batch.lam_plus[i], batch.lam_minus[i], batch.delta_plus[i],
              batch.g_sq_hat[i], batch.gap_hat[i], batch.est_err_hat[i]]
             for i in range(batch.trials)
         ],

@@ -20,7 +20,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from . import erm
 from .localization import ClosedFormComplexity, iterate
@@ -69,10 +68,12 @@ def binomial_ci(successes: int, trials: int, conf: float = 0.95) -> tuple[float,
     """Clopper-Pearson interval for a binomial proportion."""
     if trials < 1:
         raise ValueError("need at least one trial")
+    from scipy.special import betaincinv  # lazy: keeps scipy off the import path
+
     alpha = 1.0 - conf
     k = int(successes)
-    lo = 0.0 if k == 0 else float(stats.beta.ppf(alpha / 2.0, k, trials - k + 1))
-    hi = 1.0 if k == trials else float(stats.beta.ppf(1.0 - alpha / 2.0, k + 1, trials - k))
+    lo = 0.0 if k == 0 else float(betaincinv(k, trials - k + 1, alpha / 2.0))
+    hi = 1.0 if k == trials else float(betaincinv(k + 1, trials - k, 1.0 - alpha / 2.0))
     return lo, hi
 
 
@@ -338,15 +339,36 @@ def estimate_quantile(samples: np.ndarray, level: float, conf: float = 0.95) -> 
         raise ValueError("level must be in (0, 1)")
     point = x[min(max(math.ceil(n * level) - 1, 0), n - 1)]
     alpha = 1.0 - conf
-    lo_idx = int(stats.binom.ppf(alpha / 2.0, n, level))
-    hi_idx = int(stats.binom.ppf(1.0 - alpha / 2.0, n, level)) + 1
+    lo_idx = _binom_ppf(alpha / 2.0, n, level)
+    hi_idx = _binom_ppf(1.0 - alpha / 2.0, n, level) + 1
     lo_idx = min(max(lo_idx, 1), n)
     hi_idx = min(max(hi_idx, 1), n)
     return QuantileEstimate(level, float(point), float(x[lo_idx - 1]), float(x[hi_idx - 1]))
 
 
+def _binom_ppf(q: float, n: int, p: float) -> int:
+    """Smallest j with P(Binomial(n, p) <= j) >= q: scipy's ``binom.ppf`` rule."""
+    from scipy.special import bdtr, bdtrik  # lazy: keeps scipy off the import path
+
+    j = min(max(math.ceil(bdtrik(q, n, p)), 0), n)
+    if j > 0 and bdtr(j - 1, n, p) >= q:
+        j -= 1
+    return j
+
+
 def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
-    return float(stats.ks_2samp(a, b, method="asymp").statistic)
+    """Two-sample Kolmogorov-Smirnov statistic sup |F_a - F_b|.
+
+    A tie between the two one-sided gaps goes to the upper one, so identical
+    samples give +0.0, as ``scipy.stats.ks_2samp`` does.
+    """
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    if a.size == 0 or b.size == 0:
+        raise ValueError("need non-empty samples")
+    pooled = np.concatenate([a, b])
+    d = np.searchsorted(a, pooled, "right") / a.size - np.searchsorted(b, pooled, "right") / b.size
+    return float(max(d.max(), np.clip(-d.min(), 0.0, 1.0)))
 
 
 def quantile_sandwich_check(
@@ -600,10 +622,6 @@ class BssReport:
     rows: tuple
     recovery_at_threshold: float | None
     ratio_nonincreasing: bool
-
-    @property
-    def final_recovery(self) -> float:
-        return self.rows[-1]["recovery"]
 
 
 def bss_study(

@@ -209,11 +209,8 @@ class DiscreteLaw:
         out = np.tensordot(self.weights, vals, axes=(0, 0))
         return float(out) if np.ndim(out) == 0 else out
 
-    def sample_indices(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.choice(self.support_size, size=n, p=self.weights)
-
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        idx = self.sample_indices(n, rng)
+        idx = rng.choice(self.support_size, size=n, p=self.weights)
         return self.xs[idx], self.ys[idx]
 
 
@@ -343,9 +340,14 @@ def sample_counts(law: DiscreteLaw, n: int, seed: tuple[int, int]) -> np.ndarray
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    master, trial = seed
-    idx = law.sample_indices(n, rng_from_seed(master, trial))
-    return np.bincount(idx, minlength=law.support_size)
+    # numpy's Generator.choice(m, n, p=w) draws u = random(n) and returns
+    # cdf.searchsorted(u, "right"), with cdf = w.cumsum() divided by its last
+    # entry: atom j gets the u in [cdf[j-1], cdf[j]).  Counting the sorted u
+    # below each edge bins the same uniforms without materialising indices.
+    cdf = law.weights.cumsum()
+    cdf /= cdf[-1]
+    u = np.sort(rng_from_seed(*seed).random(n))
+    return np.diff(np.searchsorted(u, cdf, "left"), prepend=0)
 
 
 # ---------------------------------------------------------------------------

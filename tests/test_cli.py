@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+from jsonschema import Draft202012Validator
 
-from unionerm.cli import main
+from unionerm.cli import CONFIG_SCHEMA, ConfigError, load_config, main
 
 from conftest import canonical_atoms
 
@@ -193,3 +196,23 @@ def test_threads_flag_is_rejected(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["--config", "cfg.json", "--out", str(tmp_path), "--threads", "2", "profile"])
     assert exc.value.code == 2
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, unionerm.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_config_schema_is_a_valid_draft_2020_12_schema():
+    Draft202012Validator.check_schema(CONFIG_SCHEMA)
+
+
+def test_schema_error_deep_in_atoms_names_path_and_message(tmp_path):
+    cfg_data = _canonical_config()
+    cfg_data["law"]["atoms"] = [dict(a, w=a["w"] / 5) for a in cfg_data["law"]["atoms"] * 5]
+    cfg_data["law"]["atoms"][37]["w"] = 0
+    with pytest.raises(ConfigError) as err:
+        load_config(_write(tmp_path, cfg_data))
+    assert str(err.value) == "config field $.law.atoms[37].w: 0 is less than or equal to the minimum of 0"

@@ -317,3 +317,61 @@ def test_binomial_ci_basic():
     assert hi == 1.0 and lo > 0.94
     lo, hi = ex.binomial_ci(50, 100)
     assert lo < 0.5 < hi
+
+
+def test_binomial_ci_matches_scipy_beta_ppf():
+    from scipy import stats
+
+    for trials in (1, 2, 3, 10, 57, 100, 500, 1000, 10_000):
+        for k in sorted({0, 1, 2, trials // 3, trials // 2, trials - 1, trials} & set(range(trials + 1))):
+            for conf in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+                a = 1.0 - conf
+                lo = 0.0 if k == 0 else stats.beta.ppf(a / 2, k, trials - k + 1)
+                hi = 1.0 if k == trials else stats.beta.ppf(1 - a / 2, k + 1, trials - k)
+                assert ex.binomial_ci(k, trials, conf) == (lo, hi)
+
+
+def test_estimate_quantile_ci_indices_match_scipy_binom_ppf():
+    from scipy import stats
+
+    for n in (2, 3, 5, 10, 37, 100, 400, 500, 1000, 2000, 10_000, 100_000):
+        x = np.arange(n, dtype=float)  # value = order-statistic index - 1
+        for level in (0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 0.999):
+            for conf in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+                a = 1.0 - conf
+                lo = min(max(int(stats.binom.ppf(a / 2, n, level)), 1), n)
+                hi = min(max(int(stats.binom.ppf(1 - a / 2, n, level)) + 1, 1), n)
+                q = ex.estimate_quantile(x, level, conf)
+                assert (q.ci_lo, q.ci_hi) == (lo - 1, hi - 1)
+
+
+def test_binom_ppf_is_the_smallest_index_covering_q_at_cdf_values():
+    # q equal to a value of the cdf is where ceil(bdtrik) can land one too high
+    from scipy.special import bdtr
+
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        n, p = int(rng.integers(1, 5000)), float(rng.uniform(0.001, 0.999))
+        k = int(np.clip(round(n * p + 2.0 * rng.normal() * math.sqrt(n * p * (1 - p))), 0, n - 1))
+        q = float(bdtr(k, n, p))
+        j = ex._binom_ppf(q, n, p)
+        assert bdtr(j, n, p) >= q and (j == 0 or bdtr(j - 1, n, p) < q)
+
+
+def test_ks_statistic_matches_scipy_ks_2samp():
+    from scipy import stats
+
+    rng = np.random.default_rng(21)
+    for i in range(300):
+        na, nb = rng.integers(1, 400, size=2)
+        if i % 3 == 0:  # heavy ties, within and across samples
+            a, b = rng.integers(0, 5, na).astype(float), rng.integers(0, 5, nb).astype(float)
+        else:
+            a, b = rng.normal(size=na), rng.normal(0.1, 1.2, size=nb)
+        assert ex.ks_statistic(a, b) == stats.ks_2samp(a, b, method="asymp").statistic
+
+
+def test_ks_statistic_of_identical_samples_is_positive_zero():
+    x = np.random.default_rng(22).normal(size=50)
+    d = ex.ks_statistic(x, x.copy())
+    assert d == 0.0 and math.copysign(1.0, d) == 1.0

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -84,14 +85,31 @@ def test_sample_dataset_deterministic():
     assert not (np.array_equal(a.x, c.x) and np.array_equal(a.y, c.y))
 
 
+def _hypercube_law(weights=None):
+    """X uniform on {+-1}^8 with a +-1 coin, Y = x0 + x1 + eps: 512 atoms."""
+    xs = np.repeat(np.array(list(itertools.product((-1.0, 1.0), repeat=8))), 2, axis=0)
+    ys = xs[:, 0] + xs[:, 1] + np.tile([1.0, -1.0], 256)
+    return DiscreteLaw(xs=xs, ys=ys, weights=np.full(512, 1.0 / 512) if weights is None else weights)
+
+
+def _random_law(rng, m):
+    w = rng.exponential(size=m) ** rng.uniform(0.5, 4.0)
+    return DiscreteLaw(xs=rng.normal(size=(m, 2)), ys=rng.normal(size=m), weights=w / w.sum())
+
+
 def test_sample_counts_is_the_atom_multiset_of_sample_dataset():
-    for law in (canonical_law(), two_atom_law()):
-        for n, seed in ((1, (3, 0)), (17, (3, 1)), (500, (4, 2))):
+    rng = np.random.default_rng(20)
+    w = rng.exponential(size=512) ** 3
+    laws = [canonical_law(), two_atom_law(), _hypercube_law(), _hypercube_law(w / w.sum())]
+    laws += [_random_law(rng, m) for m in (3, 40, 512)]
+    for law in laws:
+        atoms = np.column_stack([law.xs, law.ys])
+        for n, seed in ((1, (3, 0)), (2, (3, 5)), (7, (3, 1)), (100, (4, 2)), (3001, (11, 9))):
             ds = sample_dataset(law, n, seed)
             rows = np.column_stack([ds.x, ds.y])
-            atoms = np.column_stack([law.xs, law.ys])
-            ref = [int(np.sum(np.all(rows == a, axis=1))) for a in atoms]
-            assert sample_counts(law, n, seed).tolist() == ref
+            match = np.all(rows[:, None, :] == atoms[None, :, :], axis=2)
+            assert np.all(match.sum(axis=1) == 1)
+            assert sample_counts(law, n, seed).tolist() == match.sum(axis=0).tolist()
 
 
 def test_sample_dataset_rejects_empty():
@@ -110,14 +128,11 @@ def test_sample_atom_frequencies_within_four_se():
     law = canonical_law()
     n = 10**6
     ds = sample_dataset(law, n, (7, 0))
-    keys = {tuple(np.r_[law.xs[i], law.ys[i]]): law.weights[i] for i in range(law.support_size)}
-    seen = {}
-    for i in range(n):
-        k = tuple(np.r_[ds.x[i], ds.y[i]])
-        seen[k] = seen.get(k, 0) + 1
-    for k, w in keys.items():
-        se = math.sqrt(w * (1 - w) / n)
-        assert abs(seen.get(k, 0) / n - w) <= 4 * se
+    rows = np.column_stack([ds.x, ds.y])
+    counts = np.array([np.all(rows == a, axis=1).sum() for a in np.column_stack([law.xs, law.ys])])
+    assert counts.sum() == n
+    se = np.sqrt(law.weights * (1 - law.weights) / n)
+    assert np.all(np.abs(counts / n - law.weights) <= 4 * se)
 
 
 def test_subset_collection_full_subset_is_identity():
