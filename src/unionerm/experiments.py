@@ -66,12 +66,12 @@ class InsufficientTrialsError(ValueError):
 
 def binomial_ci(successes: int, trials: int, conf: float = 0.95) -> tuple[float, float]:
     """Clopper-Pearson interval for a binomial proportion."""
-    if trials < 1:
-        raise ValueError("need at least one trial")
+    k = int(successes)
+    if trials < 1 or not 0 <= k <= trials:
+        raise ValueError(f"need at least one trial and successes in [0, trials], got {k} of {trials}")
     from scipy.special import betaincinv  # lazy: keeps scipy off the import path
 
     alpha = 1.0 - conf
-    k = int(successes)
     lo = 0.0 if k == 0 else float(betaincinv(k, trials - k + 1, alpha / 2.0))
     hi = 1.0 if k == trials else float(betaincinv(k + 1, trials - k, 1.0 - alpha / 2.0))
     return lo, hi

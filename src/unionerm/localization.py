@@ -14,7 +14,8 @@ Two complexity functionals are pluggable:
   subsets, so monotonicity under inclusion holds exactly).
 * ``ExpectedSupComplexity`` — the Monte Carlo estimate of the expected
   supremum of the squared gradient-norm process over S, plus 3 standard
-  errors (the conservative direction), also on shared sample paths.
+  errors (the conservative direction), also on shared sample paths.  Not
+  cached: a value is a column max of the sample's value table, built once.
 """
 
 from __future__ import annotations
@@ -72,18 +73,11 @@ class ExpectedSupComplexity:
         self.seed = seed
         self.mode = mode
         self.se_mult = se_mult
-        self._cache: dict[tuple, TaggedValue] = {}
 
     def value(self, subset) -> TaggedValue:
-        key = tuple(sorted(subset, key=str))
-        if key not in self._cache:
-            est, se = expected_sup(
-                "g_sq", key, self.n, self.prof,
-                trials=self.trials, seed=self.seed, mode=self.mode,
-            )
-            tag = "exact" if self.mode == "exact" else "estimated"
-            self._cache[key] = TaggedValue(est + self.se_mult * se, tag, se)
-        return self._cache[key]
+        est, se = expected_sup("g_sq", subset, self.n, self.prof, trials=self.trials, seed=self.seed, mode=self.mode)
+        tag = "exact" if self.mode == "exact" else "estimated"
+        return TaggedValue(est + self.se_mult * se, tag, se)
 
 
 def f_map(subset, n: int, delta: float, prof: PopulationProfile, complexity) -> tuple:

@@ -17,14 +17,14 @@ lambda_n(t) <= sqrt(n) pathwise.  The supremum over an empty index subset is
 On a discrete law a dataset is equivalent to its atom counts, and every
 process value is a contraction of those counts with the per-atom tables of
 ``prof.tables``.  :func:`snapshot` evaluates all three processes on a batch
-of count rows (the trials of :func:`unionerm.experiments.run_trials`).  Every
-expectation over datasets (expected suprema here; class moments and A(S) in
-:mod:`unionerm.bounds`) is one reduction, :meth:`CountSample.mean`, over one
-:func:`count_sample`: Monte Carlo chunks with per-chunk seed streams (any
-chunk schedule aggregates identically), or for tiny instances the exact
-enumeration of every dataset with its probability.  ``prof.tables`` keeps
-the last sample drawn, keyed by (n, trials, seed, mode), so one command
-draws each stream once and the sample lives as long as the profile.
+of count rows as a per-index value table.  Every expectation over datasets
+(expected suprema here; class moments and A(S) in :mod:`unionerm.bounds`) is
+one reduction, :meth:`CountSample.mean`, over one :func:`count_sample`: Monte
+Carlo chunks with per-chunk seed streams, or for tiny instances the exact
+enumeration of every dataset with its probability.  ``prof.tables`` keeps the
+last sample drawn, keyed by (n, trials, seed, mode), and its value table,
+built on first use, of which every expected supremum is a column max.  So
+one command draws each stream and evaluates each dataset once.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ __all__ = [
 ]
 
 CHUNK = 16384
+TABLE_BLOCK = 256  # rows per block of AtomTables.snapshot
 MAX_EXACT_DATASETS = 250_000
 
 
@@ -98,7 +99,10 @@ class AtomTables:
         s0 = prof.least_optimal_index
         for t in prof.suboptimal():
             self.delta_vals[t] = (self.loss[t] - self.loss[s0]) / prof.gap(t)
-        self._last = None  # (key, CountSample) of the last sample drawn
+        self.indices = prof.indices()        # column order of a Snapshot
+        self.suboptimal = prof.suboptimal()  # column order of Snapshot.delta
+        self._last = None   # (key, CountSample) of the last sample drawn
+        self._table = None  # its value table, built on first use
 
     def sample(self, n: int, trials: int, seed: int, mode: str) -> CountSample:
         """The count sample of this law for (n, trials, seed, mode).
@@ -109,57 +113,68 @@ class AtomTables:
         key = (n, trials, seed, mode)
         if self._last is None or self._last[0] != key:
             self._last = (key, count_sample(self.law, n, trials, seed, mode))
+            self._table = None
         return self._last[1]
 
-    # Each method maps a counts batch (B, m) to per-dataset values (B,).
+    def table(self, n: int, trials: int, seed: int, mode: str) -> CountSample:
+        """:meth:`sample` with each chunk replaced by its :class:`Snapshot`, built on first use."""
+        sample = self.sample(n, trials, seed, mode)
+        if self._table is None:
+            self._table = CountSample(tuple(self.snapshot(c, n) for c in sample.chunks), sample.probs)
+        return self._table
 
-    def lambda_batch(self, t, counts: np.ndarray, n: int) -> np.ndarray:
-        wcov = np.tensordot(counts / n, self.psi_outer[t], axes=(1, 0))
-        vals = np.linalg.eigvalsh(wcov)
-        return np.sqrt(n) * (1.0 - vals[..., 0])
+    def snapshot(self, counts: np.ndarray, n: int) -> Snapshot:
+        """Evaluate every process on the datasets with atom counts ``counts`` (B, m).
 
-    def g_sq_batch(self, t, counts: np.ndarray, n: int) -> np.ndarray:
-        mean = (counts / n) @ self.grad_w[t]
-        return n * np.sum(mean**2, axis=-1)
-
-    def delta_batch(self, t, counts: np.ndarray, n: int) -> np.ndarray:
-        mean = (counts / n) @ self.delta_vals[t]
-        return np.sqrt(n) * (1.0 - mean)
-
-    def sup_batch(self, process: str, subset, counts: np.ndarray, n: int) -> np.ndarray:
-        fns = {"lambda": self.lambda_batch, "g_sq": self.g_sq_batch, "delta": self.delta_batch}
-        fn = fns[process]
-        out = np.full(counts.shape[0], -np.inf)
-        for t in subset:
-            np.maximum(out, fn(t, counts, n), out=out)
-        return out
+        Every product is taken one dataset at a time (``(b, 1, m) @ table``),
+        so a row's values do not depend on the other rows.  Rows go in blocks
+        of ``TABLE_BLOCK``, which bounds the (b, 1, m) frequency temporary.
+        """
+        b, m = counts.shape
+        lam_min, g_sq = np.empty((b, len(self.indices))), np.empty((b, len(self.indices)))
+        lam_minus = np.full(b, -np.inf)
+        delta = np.empty((b, len(self.suboptimal)))
+        for lo in range(0, b, TABLE_BLOCK):
+            rows = slice(lo, lo + TABLE_BLOCK)
+            freq = counts[rows, None, :] / n
+            for j, t in enumerate(self.indices):
+                d = self.psi[t].shape[1]
+                wcov = (freq @ self.psi_outer[t].reshape(m, d * d)).reshape(-1, d, d)
+                ends = np.linalg.eigvalsh(wcov)
+                lam_min[rows, j] = ends[:, 0]
+                np.maximum(lam_minus[rows], ends[:, -1] - 1.0, out=lam_minus[rows])
+                g_sq[rows, j] = n * np.sum((freq @ self.grad_w[t])[:, 0] ** 2, axis=1)
+            for j, t in enumerate(self.suboptimal):
+                delta[rows, j] = np.sqrt(n) * (1.0 - (freq @ self.delta_vals[t])[:, 0])
+        return Snapshot(n=n, lam_min=lam_min, lam_minus_scaled=lam_minus, g_sq=g_sq, delta=delta)
 
 
 @dataclass(frozen=True)
 class Snapshot:
     """All three processes on B datasets of a discrete law.
 
-    ``lam_min`` and ``lam_max`` (B, |T|) are the eigenvalue ends of each
-    map's whitened sample covariance and ``g_sq`` (B, |T|) the squared
-    gradient-norm process, in ``prof.indices()`` order; ``delta``
-    (B, |T_sub|) is the risk-gap process, in ``prof.suboptimal()`` order.
+    ``lam_min`` (B, |T|) is the smallest eigenvalue of each map's whitened
+    sample covariance and ``g_sq`` (B, |T|) the squared gradient-norm
+    process, in ``prof.indices()`` order; ``delta`` (B, |T_sub|) is the
+    risk-gap process, in ``prof.suboptimal()`` order.
+    ``lam_minus_scaled`` (B,) is sup_t (lambda_max - 1), the other one-sided
+    supremum, which no index subset asks for.
     """
 
     n: int
     lam_min: np.ndarray
-    lam_max: np.ndarray
+    lam_minus_scaled: np.ndarray
     g_sq: np.ndarray
     delta: np.ndarray
+
+    def values(self, process: str) -> np.ndarray:
+        """Per-index values of one process; lambda_n is sqrt(n) (1 - lam_min)."""
+        return np.sqrt(self.n) * (1.0 - self.lam_min) if process == "lambda" else getattr(self, process)
 
     @property
     def lam_plus_scaled(self) -> np.ndarray:
         """sup_t (1 - lambda_min): the n^{-1/2}-rescaled sup of lambda_n."""
         return np.max(1.0 - self.lam_min, axis=1)
-
-    @property
-    def lam_minus_scaled(self) -> np.ndarray:
-        """sup_t (lambda_max - 1): the other one-sided supremum."""
-        return np.max(self.lam_max - 1.0, axis=1)
 
     @property
     def delta_plus_scaled(self) -> np.ndarray:
@@ -170,29 +185,9 @@ class Snapshot:
 
 
 def snapshot(counts: np.ndarray, n: int, prof: PopulationProfile) -> Snapshot:
-    """Evaluate every process on the datasets with atom counts ``counts`` (B, m).
-
-    The per-atom tables are those of :meth:`AtomTables.sup_batch`, but every
-    product is taken one dataset at a time (``(B, 1, m) @ table``), so a
-    dataset's values do not depend on the other rows of the batch.
-    """
-    tables = prof.tables
-    b, m = counts.shape
-    freq = counts[:, None, :] / n
-    ends, g_sq = [], []
-    for t in prof.indices():
-        d = tables.psi[t].shape[1]
-        wcov = (freq @ tables.psi_outer[t].reshape(m, d * d)).reshape(b, d, d)
-        ends.append(np.linalg.eigvalsh(wcov))
-        g_sq.append(n * np.sum((freq @ tables.grad_w[t])[:, 0] ** 2, axis=1))
-    delta = [np.sqrt(n) * (1.0 - (freq @ tables.delta_vals[t])[:, 0]) for t in prof.suboptimal()]
-    return Snapshot(
-        n=n,
-        lam_min=np.stack([e[:, 0] for e in ends], axis=1),
-        lam_max=np.stack([e[:, -1] for e in ends], axis=1),
-        g_sq=np.stack(g_sq, axis=1),
-        delta=np.stack(delta, axis=1) if delta else np.empty((b, 0)),
-    )
+    """Every process on the datasets with atom counts ``counts`` (B, m):
+    :meth:`AtomTables.snapshot` of ``prof.tables``."""
+    return prof.tables.snapshot(counts, n)
 
 
 def iter_count_batches(law: DiscreteLaw, n: int, trials: int, seed: int):
@@ -232,7 +227,8 @@ def enumerate_product_counts(law: DiscreteLaw, n: int, cap: int = MAX_EXACT_DATA
 
 @dataclass(frozen=True)
 class CountSample:
-    """Datasets of size n from a discrete law, as atom-count chunks (B, m).
+    """Datasets of size n from a discrete law, as atom-count chunks (B, m),
+    or as the value table of those chunks (one :class:`Snapshot` each).
 
     ``probs`` is None for a Monte Carlo sample, whose rows weigh equally; for
     an exact enumeration it holds the product probability of each row of the
@@ -243,24 +239,29 @@ class CountSample:
     probs: np.ndarray | None
 
     def mean(self, fn) -> tuple[float, float]:
-        """(mean, standard error) of ``fn(counts) -> (B,)`` over the sample.
+        """(mean, standard error) of ``fn(chunk) -> (B,)`` over the sample.
 
         The standard error is 0 for an exact enumeration.  Monte Carlo sums
-        accumulate chunk by chunk, in chunk order.
+        accumulate chunk by chunk, in chunk order.  The variance does not
+        cancel: each chunk's squared deviations are taken about its own mean
+        (refined by a second pass) and merged in chunk order by the pairwise
+        update of Chan et al., so constant values give exactly 0.
         """
         if self.probs is not None:
             return float(self.probs @ fn(self.chunks[0])), 0.0
-        rows = 0
-        total = 0.0
-        total_sq = 0.0
-        for counts in self.chunks:
-            vals = fn(counts)
-            rows += counts.shape[0]
-            total += float(np.sum(vals))
-            total_sq += float(np.sum(vals**2))
-        mean = total / rows
-        var = max(total_sq / rows - mean**2, 0.0)
-        return mean, math.sqrt(var / rows)
+        rows, total, mean, m2 = 0, 0.0, 0.0, 0.0
+        for chunk in self.chunks:
+            vals = fn(chunk)
+            b = vals.shape[0]
+            s = float(np.sum(vals))
+            mu = s / b
+            mu += float(np.sum(vals - mu)) / b
+            gap = mu - mean
+            rows += b
+            total += s
+            mean += gap * (b / rows)
+            m2 += float(np.sum((vals - mu) ** 2)) + gap * gap * (rows - b) * (b / rows)
+        return total / rows, math.sqrt(m2 / rows / rows)
 
 
 def count_sample(law: DiscreteLaw, n: int, trials: int, seed: int, mode: str) -> CountSample:
@@ -298,7 +299,8 @@ def expected_sup(
 
     Returns (estimate, standard error).  ``mode="exact"`` enumerates the
     product measure (tiny instances only) and returns a zero standard error.
-    The supremum over an empty subset is 0 with no uncertainty.
+    The supremum over an empty subset is 0 with no uncertainty; any other
+    is a column max of the sample's value table (:meth:`AtomTables.table`).
     """
     if process not in ("lambda", "g_sq", "delta"):
         raise ValueError(f"unknown process {process!r}")
@@ -308,5 +310,7 @@ def expected_sup(
     if mode == "mc" and trials < 100:
         raise ValueError("Monte Carlo expected suprema need at least 100 trials")
     tables = prof.tables
-    sample = tables.sample(n, trials, seed, mode)
-    return sample.mean(lambda counts: tables.sup_batch(process, subset, counts, n))
+    order = tables.suboptimal if process == "delta" else tables.indices
+    cols = [order.index(t) for t in subset]
+    table = tables.table(n, trials, seed, mode)
+    return table.mean(lambda snap: snap.values(process)[:, cols].max(axis=1))

@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from unionerm import bounds, processes
+from unionerm import bounds, localization, processes
 from unionerm.experiments import bss_instance
 from unionerm.model import DiscreteLaw, FeatureCollection, FeatureEntry, GaussianDesignLaw, subset_collection
 from unionerm.population import profile
@@ -103,6 +103,33 @@ def test_bound_report_draws_each_count_stream_once(monkeypatch):
     assert draws == [(60, 300, 5)]
 
 
+def test_bound_report_builds_each_value_table_once(monkeypatch):
+    builds, asks = [], []
+    real_snapshot, real_sup = processes.AtomTables.snapshot, processes.expected_sup
+
+    def counting_snapshot(self, counts, n):
+        builds.append((counts, n))
+        return real_snapshot(self, counts, n)
+
+    def counting_sup(*args, **kwargs):
+        asks.append(args[:2])
+        return real_sup(*args, **kwargs)
+
+    monkeypatch.setattr(processes.AtomTables, "snapshot", counting_snapshot)
+    for module in (bounds, localization):
+        monkeypatch.setattr(module, "expected_sup", counting_sup)
+    prof = profile(canonical_law(), canonical_three_map_collection())
+    trials = processes.CHUNK + 300  # two chunks
+    inputs = bounds.compute_bound_inputs(prof, 60, trials=trials, seed=5)
+    for delta in (0.01, 0.05, 0.1, 0.5):
+        bounds.thresholds_and_bounds(prof, inputs, 60, delta, k=2)
+    chunks = prof.tables.sample(60, trials, 5, "mc").chunks
+    assert len(chunks) == 2
+    assert len(builds) == len(chunks)
+    assert all(counts is chunk and n == 60 for (counts, n), chunk in zip(builds, chunks))
+    assert len(asks) > 10  # many subsets, steps and deltas read the one table
+
+
 def test_reused_count_sample_matches_fresh_profile():
     law, coll = canonical_law(), canonical_three_map_collection()
     shared = profile(law, coll)
@@ -126,6 +153,18 @@ def test_reused_count_sample_matches_fresh_profile():
 def test_profile_with_count_sample_is_freed_without_cyclic_gc():
     prof = profile(canonical_law(), canonical_three_map_collection())
     bounds.class_moments("G", None, prof, 40, trials=500, seed=3)
+    ref = weakref.ref(prof)
+    gc.disable()
+    try:
+        del prof
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_profile_with_value_table_is_freed_without_cyclic_gc():
+    prof = profile(canonical_law(), canonical_three_map_collection())
+    processes.expected_sup("g_sq", None, 40, prof, trials=500, seed=3)
     ref = weakref.ref(prof)
     gc.disable()
     try:

@@ -319,6 +319,12 @@ def test_binomial_ci_basic():
     assert lo < 0.5 < hi
 
 
+@pytest.mark.parametrize("successes, trials", [(2, 1), (101, 100), (-1, 10), (-1, 1)])
+def test_binomial_ci_rejects_counts_outside_the_trials(successes, trials):
+    with pytest.raises(ValueError, match="successes in \\[0, trials\\]"):
+        ex.binomial_ci(successes, trials)
+
+
 def test_binomial_ci_matches_scipy_beta_ppf():
     from scipy import stats
 

@@ -1,6 +1,10 @@
+import statistics
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from unionerm.experiments import bss_instance
 from unionerm.model import (
     Dataset,
     DiscreteLaw,
@@ -8,9 +12,12 @@ from unionerm.model import (
     FeatureEntry,
     sample_counts,
     sample_dataset,
+    subset_collection,
 )
 from unionerm.population import profile
 from unionerm.processes import (
+    TABLE_BLOCK,
+    CountSample,
     DeltaUndefinedError,
     enumerate_product_counts,
     expected_sup,
@@ -18,7 +25,7 @@ from unionerm.processes import (
 )
 
 import oracles
-from conftest import random_instance
+from conftest import canonical_atoms, canonical_three_map_collection, random_instance
 from oracles import delta_process, enum_expected_sup_gsq, g_process, lambda_process
 
 
@@ -246,3 +253,111 @@ def test_expected_sup_lambda_scale_decreases_with_n(canonical):
         vals[n] = (est / np.sqrt(n), se / np.sqrt(n))
     assert vals[100][0] <= vals[50][0] + 3 * (vals[50][1] + vals[100][1])
     assert vals[200][0] <= vals[100][0] + 3 * (vals[100][1] + vals[200][1])
+
+
+# ---------------------------------------------------------------------------
+# the value table: every expected supremum is a column max of it
+# ---------------------------------------------------------------------------
+
+def _oracle_rows(law, prof, counts):
+    """Per-dataset oracle values {process: {index: value}} for count rows."""
+    t0 = prof.least_optimal_index
+    rows = []
+    for c in counts:
+        ds = Dataset(x=np.repeat(law.xs, c, axis=0), y=np.repeat(law.ys, c))
+        rows.append({
+            "lambda": {t: lambda_process(ds, t, prof) for t in prof.indices()},
+            "g_sq": {t: g_process(ds, t, prof) ** 2 for t in prof.indices()},
+            "delta": {t: delta_process(ds, t, t0, prof) for t in prof.suboptimal()},
+        })
+    return rows
+
+
+def _subsets(indices):
+    indices = tuple(indices)
+    return [indices] + [(t,) for t in indices] + [indices[::2], indices[1:]]
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_expected_sup_is_the_mean_of_oracle_maxima(mode, canonical):
+    rng = np.random.default_rng(17)
+    instances = [canonical] + [random_instance(rng) for _ in range(4)]
+    for law, coll, prof in instances:
+        n, trials, seed = (3, 150, 0) if mode == "exact" else (9, 150, 23)
+        sample = prof.tables.sample(n, trials, seed, mode)
+        counts = np.concatenate(sample.chunks)
+        weights = sample.probs if mode == "exact" else np.full(len(counts), 1.0 / len(counts))
+        rows = _oracle_rows(law, prof, counts)
+        for process in ("lambda", "g_sq", "delta"):
+            pool = prof.suboptimal() if process == "delta" else prof.indices()
+            for subset in _subsets(pool):
+                if not subset:
+                    continue
+                got, se = expected_sup(process, subset, n, prof, trials=trials, seed=seed, mode=mode)
+                maxima = np.array([max(r[process][t] for t in subset) for r in rows])
+                ref = float(weights @ maxima)
+                assert got == pytest.approx(ref, rel=1e-12, abs=1e-12), (process, subset)
+                if mode == "mc":
+                    ref_se = statistics.pstdev(maxima.tolist()) / np.sqrt(len(maxima))
+                    assert se == pytest.approx(ref_se, rel=1e-9, abs=1e-12), (process, subset)
+                else:
+                    assert se == 0.0
+
+
+def test_value_table_rows_do_not_depend_on_the_sample_size():
+    # non-integer atoms, so no product is exact by luck: a plain (B, m)
+    # product rounds the rows of a 3-row and a 9-row last block differently
+    xs, ys, ws = canonical_atoms()
+    law = DiscreteLaw(xs=1.1 * xs, ys=0.7 * ys, weights=ws)
+    prof = profile(law, canonical_three_map_collection())
+    k = TABLE_BLOCK + 3
+    short = prof.tables.table(25, k, 11, "mc").chunks[0]
+    long = prof.tables.table(25, k + 6, 11, "mc").chunks[0]
+    assert np.array_equal(prof.tables.sample(25, k + 6, 11, "mc").chunks[0][:k],
+                          prof.tables.sample(25, k, 11, "mc").chunks[0])
+    for field in ("lam_min", "lam_minus_scaled", "g_sq", "delta"):
+        assert np.array_equal(getattr(long, field)[:k], getattr(short, field)), field
+
+
+def test_value_table_peak_memory_is_a_fraction_of_one_count_chunk():
+    # the table itself is (B, 2|T| + |T_sub| + 1); with |T| = 8 against m = 512
+    # atoms the bound measures the (B, m) temporaries the blocks avoid
+    prof = profile(bss_instance("discrete", 8, [1.0, 1.0] + [0.0] * 6, 1.0), subset_collection(8, 1))
+    tables = prof.tables
+    b, n = 4096, 1000
+    counts = np.random.default_rng(5).multinomial(n, prof.law.weights, size=b)
+    assert counts.shape == (b, 512)
+    tracemalloc.start()
+    try:
+        snap = tables.snapshot(counts, n)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert snap.g_sq.shape == (b, 8)
+    assert peak < b * 512 * 8 / 4
+
+
+# ---------------------------------------------------------------------------
+# the sample reducer's standard error
+# ---------------------------------------------------------------------------
+
+def _split_sample(values, sizes):
+    parts = iter(np.split(np.asarray(values, dtype=float), np.cumsum(sizes)[:-1]))
+    sample = CountSample(tuple(np.zeros((k, 1)) for k in sizes), None)
+    return sample.mean(lambda chunk: next(parts))
+
+
+@pytest.mark.parametrize("sizes", [(2700,), (1000, 1000, 700), (1, 2699), (256,) * 10 + (140,)])
+def test_mean_se_of_a_constant_is_zero(sizes):
+    mean, se = _split_sample(np.full(2700, 1.0 / 3.0), sizes)
+    assert mean == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert se == 0.0
+
+
+@pytest.mark.parametrize("sizes", [(2700,), (1000, 1000, 700), (1, 2699), (256,) * 10 + (140,)])
+def test_mean_se_resolves_a_small_spread_on_a_large_offset(sizes):
+    values = 1e4 + np.where(np.arange(2700) % 2 == 0, 1e-4, -1e-4)
+    ref = statistics.pstdev(values.tolist()) / np.sqrt(2700)  # exact rational variance
+    _, se = _split_sample(values, sizes)
+    assert ref == pytest.approx(1.9245e-6, rel=1e-4)
+    assert se == pytest.approx(ref, rel=1e-9)
