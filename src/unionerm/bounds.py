@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -481,26 +481,10 @@ class BoundReport:
 
     def to_json_dict(self) -> dict:
         out = {"n": self.n, "delta": self.delta, "k": self.k}
-        for name in (
-            "cov_dev_lambda_max",
-            "quad_form_var_sup",
-            "sigma_sq_gap_class",
-            "r_n_gap_class",
-            "sigma_grad_class",
-            "r_n_grad_class",
-            "exp_sup_lambda",
-            "exp_sup_delta",
-            "single_class_threshold",
-            "explicit_threshold",
-            "expected_sup_threshold",
-            "single_class_excess_bound",
-            "explicit_excess_bound",
-            "expected_sup_excess_bound",
-            "optimal_set_expected_sup_bound",
-            "grad_second_moment_best",
-            "grad_cov_lambda_max_best",
-        ):
-            out[name] = getattr(self, name).to_json()
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, TaggedValue):
+                out[f.name] = value.to_json()
         out["a_values"] = {k: v.to_json() for k, v in self.a_values.items()}
         out["explicit_sets"] = [list(map(str, s)) for s in self.explicit_sets]
         out["expected_sup_sets"] = [list(map(str, s)) for s in self.expected_sup_sets]

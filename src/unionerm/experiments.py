@@ -146,7 +146,9 @@ def run_trials(
     Trial i draws its dataset from the stream (master_seed, i).  On a
     discrete law the dataset is its atom counts, and every index is fitted
     for a chunk of ``TRIAL_CHUNK`` trials at once; on a Gaussian law each
-    trial draws explicit rows and is its own chunk.  Excess risks are exact:
+    trial draws explicit rows and is its own chunk.  A discrete-law trial is
+    fitted on the atom tables of ``prof``, which must be the profile of this
+    ``law`` and ``collection``.  Excess risks are exact:
     from the population profile on discrete laws, from the closed-form risk
     of the design on Gaussian laws.  The benchmark record reuses the
     solver's fit of the a-priori optimal index, which is what refitting it
@@ -160,8 +162,10 @@ def run_trials(
         raise ValueError("discrete laws need a profile for exact excess risks")
     ids = collection.indices()
     if prof is not None:
+        if prof.law is not law or prof.collection is not collection:
+            raise ValueError("the profile must be built from this law and collection")
         o = ids.index(prof.least_optimal_index)
-        phis = [e(law.xs) for e in collection]
+        phis = [prof.records[t].phi for t in ids]
 
         def excess(j, w):
             return excess_risk(ids[j], w, prof)
@@ -514,26 +518,21 @@ def pathwise_master_check(batch: TrialBatch, prof: PopulationProfile, slack: flo
         raise ValueError("pathwise check needs a batch with process snapshots")
     n = batch.n
     event = (batch.delta_plus < 1.0) & (batch.lam_plus < 1.0)
-    violations = 0
-    worst = 0.0
-    for i in np.nonzero(event)[0]:
-        lam_p = batch.lam_plus[i]
-        lam_m = batch.lam_minus[i]
-        del_p = batch.delta_plus[i]
-        gsq = batch.g_sq_hat[i] / n
-        sub = batch.gap_hat[i]
-        est = batch.est_err_hat[i]
-        rhs1 = 0.5 / ((1.0 - del_p) * (1.0 - lam_p)) * gsq
-        lo2 = 0.5 * gsq / (1.0 + lam_m) ** 2
-        hi2 = 0.5 * gsq / (1.0 - lam_p) ** 2
-        bad = (sub > rhs1 + slack) or (est > hi2 + slack) or (est < lo2 - slack)
-        worst = max(worst, sub - rhs1, est - hi2, lo2 - est)
-        if bad:
-            violations += 1
+    lam_p = batch.lam_plus[event]
+    lam_m = batch.lam_minus[event]
+    del_p = batch.delta_plus[event]
+    gsq = batch.g_sq_hat[event] / n
+    sub = batch.gap_hat[event]
+    est = batch.est_err_hat[event]
+    rhs1 = 0.5 / ((1.0 - del_p) * (1.0 - lam_p)) * gsq
+    lo2 = 0.5 * gsq / (1.0 + lam_m) ** 2
+    hi2 = 0.5 * gsq / (1.0 - lam_p) ** 2
+    bad = (sub > rhs1 + slack) | (est > hi2 + slack) | (est < lo2 - slack)
+    worst = max(0.0, float(np.max([sub - rhs1, est - hi2, lo2 - est], initial=-np.inf)))
     return MasterCheckResult(
         checked=int(event.sum()),
         excluded=int((~event).sum()),
-        violations=violations,
+        violations=int(bad.sum()),
         worst_slack=worst,
     )
 

@@ -66,18 +66,17 @@ class ExpectedSupComplexity:
     """Monte Carlo E[sup over S of the squared gradient-norm process] + 3 SE."""
 
     def __init__(self, prof: PopulationProfile, n: int, trials: int = 10_000,
-                 seed: int = 0, mode: str = "mc", se_mult: float = 3.0):
+                 seed: int = 0, mode: str = "mc"):
         self.prof = prof
         self.n = int(n)
         self.trials = trials
         self.seed = seed
         self.mode = mode
-        self.se_mult = se_mult
 
     def value(self, subset) -> TaggedValue:
         est, se = expected_sup("g_sq", subset, self.n, self.prof, trials=self.trials, seed=self.seed, mode=self.mode)
         tag = "exact" if self.mode == "exact" else "estimated"
-        return TaggedValue(est + self.se_mult * se, tag, se)
+        return TaggedValue(est + 3.0 * se, tag, se)
 
 
 def f_map(subset, n: int, delta: float, prof: PopulationProfile, complexity) -> tuple:

@@ -412,12 +412,14 @@ def _column_space_rank(mat: np.ndarray, tol_scale: float = 1e-10) -> int:
     return int(np.sum(sv > tol_scale * max(1.0, sv[0])))
 
 
-def validate_collection(law, collection: FeatureCollection) -> None:
-    """Check a collection against a discrete law.
+def validate_collection(law, collection: FeatureCollection) -> dict:
+    """Check a collection against a discrete law; return its atom tables.
 
     Rejects degenerate maps (singular population covariance on the support)
     and pairs of maps inducing the same linear class, detected by comparing
-    column spaces of the atom-evaluated feature matrices.
+    column spaces of the atom-evaluated feature matrices.  Those matrices,
+    ``{index: phi (m, d_t)}``, are returned: they are the only evaluation of
+    each map that later layers read.
     """
     if getattr(law, "kind", None) != "discrete":
         raise ValueError("collection validation requires a discrete law")
@@ -438,3 +440,4 @@ def validate_collection(law, collection: FeatureCollection) -> None:
         for b in ids[i + 1:]:
             if ranks[a] == ranks[b] == _column_space_rank(np.hstack([tables[a], tables[b]])):
                 raise DuplicateClassError(a, b)
+    return tables

@@ -1,12 +1,14 @@
 """Exact population quantities for discrete laws.
 
-For each feature map t the profile stores the covariance Sigma(t), its
-symmetric inverse square root, the risk minimizer w_*(t), the attained risk
+For each feature map t the profile stores its atom table phi(t) (the map
+evaluated on the atoms, once, by :func:`unionerm.model.validate_collection`),
+the covariance Sigma(t), its symmetric inverse square root, the risk
+minimizer w_*(t), the per-atom residuals at w_*(t), the attained risk
 R(t, w_*(t)), and the second moment of the whitened loss gradient at the
 minimizer.  Across maps it stores the optimal risk R_*, the optimal set of
-indices and the suboptimality gap; it keeps the per-atom loss gradients g(t),
-from which any gradient cross-covariance G(t, s) = E[g(t) g(s)^T] is formed
-on demand.
+indices and the suboptimality gap.  Any gradient cross-covariance
+G(t, s) = E[g(t) g(s)^T] is formed on demand from the tables and residuals;
+the process tables and the trial fits read the same atom tables.
 
 Everything here is an exact finite sum over the atoms of the law; generative
 laws are rejected (their quantities are only ever Monte Carlo estimates and
@@ -45,17 +47,12 @@ def _check_discrete(law) -> DiscreteLaw:
     return law
 
 
-def _sym_inv_sqrt(sigma: np.ndarray, index) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(sigma)
-    if vals[0] <= SINGULAR_TOL:
-        raise DegenerateFeatureError(index, f"lambda_min={vals[0]:.3e}")
-    return (vecs / np.sqrt(vals)) @ vecs.T
-
-
 @dataclass(frozen=True)
 class IndexRecord:
     """Per-index exact population quantities."""
 
+    phi: np.ndarray              # the map evaluated on the atoms, (m, d_t)
+    resid: np.ndarray            # per-atom residual phi w_star - y, (m,)
     sigma: np.ndarray            # covariance of the feature map
     whitener: np.ndarray         # symmetric inverse square root of sigma
     w_star: np.ndarray           # population risk minimizer
@@ -74,9 +71,10 @@ class PopulationProfile:
     r_star: float
     t_star: tuple
     gamma: float
-    grads: dict                  # per-atom loss gradients at w_*, (m, d_t)
-    opt_tol: float
-    mixed_dims: bool
+
+    @property
+    def mixed_dims(self) -> bool:
+        return self.collection.mixed_dims
 
     def sigma(self, t) -> np.ndarray:
         return self.records[t].sigma
@@ -97,7 +95,9 @@ class PopulationProfile:
         return self.records[t].approx_risk - self.r_star
 
     def g_cross(self, t, s) -> np.ndarray:
-        return (self.grads[t] * self.law.weights[:, None]).T @ self.grads[s]
+        """E[g(t) g(s)^T] of the per-atom loss gradients g = resid * phi at w_*."""
+        a, b = self.records[t], self.records[s]
+        return (a.resid[:, None] * a.phi * self.law.weights[:, None]).T @ (b.resid[:, None] * b.phi)
 
     def indices(self) -> tuple:
         return self.collection.indices()
@@ -122,50 +122,41 @@ class PopulationProfile:
         return AtomTables(self)
 
 
-def _feature_table(law: DiscreteLaw, entry) -> np.ndarray:
-    return entry(law.xs)
-
-
-def _risk_of(law: DiscreteLaw, phi: np.ndarray, w: np.ndarray) -> float:
-    resid = phi @ w - law.ys
-    return 0.5 * float(law.weights @ resid**2)
-
-
-def profile(law, collection, opt_tol: float = OPT_TOL) -> PopulationProfile:
+def profile(law, collection) -> PopulationProfile:
     """Full population profile; the optimal set uses a relative tolerance.
 
     Membership in the optimal set is decided by
-    ``approx_risk(t) - R_* <= opt_tol * max(1, R_*)`` so that exact ties in
+    ``approx_risk(t) - R_* <= OPT_TOL * max(1, R_*)`` so that exact ties in
     symmetric constructions survive rescaling of the target.
     """
     law = _check_discrete(law)
-    validate_collection(law, collection)
+    phis = validate_collection(law, collection)
     records = {}
-    grads = {}
     for entry in collection:
-        phi = _feature_table(law, entry)
+        phi = phis[entry.index]
         sigma = (phi * law.weights[:, None]).T @ phi
         sigma = 0.5 * (sigma + sigma.T)
-        whitener = _sym_inv_sqrt(sigma, entry.index)
-        rhs = phi.T @ (law.weights * law.ys)
         vals, vecs = np.linalg.eigh(sigma)
+        if vals[0] <= SINGULAR_TOL:
+            raise DegenerateFeatureError(entry.index, f"lambda_min={vals[0]:.3e}")
+        whitener = (vecs / np.sqrt(vals)) @ vecs.T
+        rhs = phi.T @ (law.weights * law.ys)
         w_star = vecs @ ((vecs.T @ rhs) / vals)
-        risk = _risk_of(law, phi, w_star)
-        g = (phi @ w_star - law.ys)[:, None] * phi  # per-atom loss gradient
-        gw = g @ whitener
-        second = float(law.weights @ np.sum(gw * gw, axis=1))
+        resid = phi @ w_star - law.ys
+        gw = (resid[:, None] * phi) @ whitener  # whitened per-atom loss gradient
         records[entry.index] = IndexRecord(
+            phi=phi,
+            resid=resid,
             sigma=sigma,
             whitener=whitener,
             w_star=w_star,
-            approx_risk=risk,
-            grad_second_moment=second,
+            approx_risk=0.5 * float(law.weights @ resid**2),
+            grad_second_moment=float(law.weights @ np.sum(gw * gw, axis=1)),
             dim=entry.dim,
         )
-        grads[entry.index] = g
     risks = {t: records[t].approx_risk for t in collection.indices()}
     r_star = min(risks.values())
-    tol = opt_tol * max(1.0, r_star)
+    tol = OPT_TOL * max(1.0, r_star)
     t_star = tuple(t for t in collection.indices() if risks[t] - r_star <= tol)
     sub = [risks[t] - r_star for t in collection.indices() if t not in set(t_star)]
     gamma = min(sub) if sub else float("inf")
@@ -176,9 +167,6 @@ def profile(law, collection, opt_tol: float = OPT_TOL) -> PopulationProfile:
         r_star=r_star,
         t_star=t_star,
         gamma=gamma,
-        grads=grads,
-        opt_tol=opt_tol,
-        mixed_dims=collection.mixed_dims,
     )
 
 

@@ -86,15 +86,12 @@ class AtomTables:
         self.psi_outer = {}  # whitened feature outer products, (m, d_t, d_t)
         self.grad_w = {}     # whitened gradients at w_*, (m, d_t)
         self.loss = {}       # pointwise loss at w_*, (m,)
-        for entry in prof.collection:
-            t = entry.index
-            phi = entry(law.xs)
-            psi = phi @ prof.whitener(t)
-            resid = phi @ prof.w_star(t) - law.ys
+        for t, rec in prof.records.items():
+            psi = rec.phi @ rec.whitener
             self.psi[t] = psi
             self.psi_outer[t] = psi[:, :, None] * psi[:, None, :]
-            self.grad_w[t] = resid[:, None] * psi
-            self.loss[t] = 0.5 * resid**2
+            self.grad_w[t] = rec.resid[:, None] * psi
+            self.loss[t] = 0.5 * rec.resid**2
         self.delta_vals = {}  # normalized loss differences, mean one, (m,)
         s0 = prof.least_optimal_index
         for t in prof.suboptimal():

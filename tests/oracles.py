@@ -227,3 +227,25 @@ def single_block_variance_max(law, collection, prof):
     return max(
         quadratic_form_variance_grid(law, FeatureCollection([entry]), prof) for entry in collection
     )
+
+
+def pathwise_master_check(batch, slack):
+    """(checked, excluded, violations, worst slack) of the pathwise
+    inequalities, one event trial at a time."""
+    n = batch.n
+    checked = violations = 0
+    worst = 0.0
+    for i in range(batch.trials):
+        lam_p, lam_m, del_p = batch.lam_plus[i], batch.lam_minus[i], batch.delta_plus[i]
+        if not (del_p < 1.0 and lam_p < 1.0):
+            continue
+        checked += 1
+        gsq = batch.g_sq_hat[i] / n
+        sub, est = batch.gap_hat[i], batch.est_err_hat[i]
+        rhs1 = 0.5 / ((1.0 - del_p) * (1.0 - lam_p)) * gsq
+        lo2 = 0.5 * gsq / (1.0 + lam_m) ** 2
+        hi2 = 0.5 * gsq / (1.0 - lam_p) ** 2
+        worst = max(worst, sub - rhs1, est - hi2, lo2 - est)
+        if sub > rhs1 + slack or est > hi2 + slack or est < lo2 - slack:
+            violations += 1
+    return checked, batch.trials - checked, violations, worst

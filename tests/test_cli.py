@@ -138,6 +138,21 @@ def test_montecarlo_consistency_rows(tmp_path):
     assert (out / "consistency.svg").read_bytes() == (out2 / "consistency.svg").read_bytes()
 
 
+def test_montecarlo_quantiles(tmp_path):
+    cfg = _write(tmp_path, _canonical_config(n_grid=[100, 400], delta=0.5))
+    outs = [tmp_path / "q1", tmp_path / "q2"]
+    for out in outs:
+        assert main(["--config", cfg, "--out", str(out), "--trials", "100",
+                     "montecarlo", "quantiles"]) == 0
+    header = (outs[0] / "trials_quantiles.csv").read_text().splitlines()[0]
+    assert header == "trial,t_hat,n_excess,n_excess_oracle,singular"
+    verdict = json.loads((outs[0] / "verdict_quantiles.json").read_text())
+    assert [c["id"] for c in verdict["clauses"]] == ["c7_sandwich", "c7_ks_limit", "c7_ks_oracle"]
+    assert len(verdict["quantiles"]) == 2
+    for name in ("trials_quantiles.csv", "verdict_quantiles.json", "quantiles.svg"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 def test_montecarlo_pathwise(tmp_path):
     cfg = _write(tmp_path, _canonical_config(n=100))
     out = tmp_path / "mc"

@@ -8,7 +8,7 @@ from unionerm.model import DiscreteLaw, sample_dataset, subset_collection
 from unionerm.population import excess_risk, profile as build_profile
 
 import oracles
-from conftest import canonical_atoms, canonical_collection, random_instance
+from conftest import canonical_atoms, canonical_collection, canonical_law, random_instance
 
 
 def test_run_trials_noiseless_realizable_zero_excess(realizable):
@@ -25,6 +25,15 @@ def test_run_trials_deterministic_hash(canonical):
     assert a.batch_hash() == b.batch_hash()
     c = ex.run_trials(law, coll, 40, 30, 302, prof)
     assert a.batch_hash() != c.batch_hash()
+
+
+def test_run_trials_rejects_profile_of_another_law_or_collection(canonical):
+    # fits read the profile's atom tables while counts are drawn from law
+    law, coll, prof = canonical
+    with pytest.raises(ValueError, match="this law and collection"):
+        ex.run_trials(canonical_law(), coll, 10, 5, 1, prof)
+    with pytest.raises(ValueError, match="this law and collection"):
+        ex.run_trials(law, canonical_collection(), 10, 5, 1, prof)
 
 
 def test_run_trials_prefix_matches_shorter_run():
@@ -283,6 +292,19 @@ def test_pathwise_check_event_exclusion_counted(canonical):
     res = ex.pathwise_master_check(batch, prof)
     assert res.violations == 0
     assert res.excluded > 0
+
+
+def test_pathwise_check_matches_per_trial_loop(canonical):
+    # n = 6 excludes some trials; a negative slack forces violations
+    law, coll, prof = canonical
+    batch = ex.run_trials(law, coll, 6, 300, 323, prof, snapshots=True)
+    seen = 0
+    for slack in (1e-8, 0.0, -1e-3, -0.05):
+        res = ex.pathwise_master_check(batch, prof, slack=slack)
+        ref = oracles.pathwise_master_check(batch, slack)
+        assert (res.checked, res.excluded, res.violations, res.worst_slack) == ref
+        seen += res.violations
+    assert res.excluded > 0 and seen > 0
 
 
 def test_bss_single_subset_recovers_trivially():

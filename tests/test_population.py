@@ -11,7 +11,7 @@ from unionerm.model import (
 )
 from unionerm.population import excess_risk, profile
 
-from conftest import canonical_law, random_instance
+from conftest import canonical_collection, canonical_law, random_instance
 from oracles import (
     atoms_of,
     enum_grad_cross,
@@ -221,3 +221,42 @@ def test_t_star_invariant_under_feature_rescaling():
         prof2 = profile(law, FeatureCollection(entries))
         assert prof2.t_star == prof.t_star
         assert prof2.r_star == pytest.approx(prof.r_star, rel=1e-9)
+
+
+def _counted(coll):
+    """The collection with each map wrapped by a call counter."""
+    calls = {t: 0 for t in coll.indices()}
+
+    def wrap(e):
+        def fn(x):
+            calls[e.index] += 1
+            return e.fn(x)
+
+        return FeatureEntry(e.index, e.dim, fn, coords=e.coords)
+
+    return FeatureCollection([wrap(e) for e in coll]), calls
+
+
+def test_every_map_is_evaluated_once():
+    # validation, the profile, the process tables, the bound inputs and the
+    # trial fits all read the one atom table per map
+    from unionerm.bounds import compute_bound_inputs, thresholds_and_bounds
+    from unionerm.experiments import run_trials
+
+    law_c, coll_c, _ = random_instance(np.random.default_rng(5))
+    for law, base in ((canonical_law(), canonical_collection()), (law_c, coll_c)):
+        coll, calls = _counted(base)
+        prof = profile(law, coll)
+        prof.tables
+        inputs = compute_bound_inputs(prof, 200, trials=200, seed=1)
+        thresholds_and_bounds(prof, inputs, 200, 0.1)
+        run_trials(law, coll, 20, 30, 2, prof, snapshots=True)
+        assert calls == {t: 1 for t in coll.indices()}
+
+
+def test_profile_keeps_atom_tables_and_residuals(canonical):
+    law, coll, prof = canonical
+    for entry in coll:
+        rec = prof.records[entry.index]
+        assert np.array_equal(rec.phi, entry(law.xs))
+        assert np.array_equal(rec.resid, rec.phi @ rec.w_star - law.ys)
