@@ -321,14 +321,6 @@ QUARTIC_TOL = 1e-8
 QUARTIC_MAX_ITER = 2000
 
 
-def _quartic_coef(blocks: list, v: np.ndarray) -> np.ndarray:
-    """sum_t <v_t, psi_t(a)>^2 - 1 for every atom a and start row of v, (m, S)."""
-    coef = np.full((blocks[0][0].shape[0], v.shape[0]), -1.0)
-    for p, cols in blocks:
-        coef += (p @ v[:, cols].T) ** 2
-    return coef
-
-
 def quadratic_form_variance_sup(prof: PopulationProfile, seed: int = 0) -> tuple[float, str]:
     """Maximize F(v) = E[(sum_t <v_t, psi_t(X)>^2 - 1)^2] over the unit sphere.
 
@@ -342,30 +334,32 @@ def quadratic_form_variance_sup(prof: PopulationProfile, seed: int = 0) -> tuple
     zero.  Starts: every coordinate basis vector (so single-block candidates
     are always probed), then QUARTIC_RESTARTS Gaussian directions seeded by
     ``seed``.  Returns (best value, method tag); the tag records
-    non-convergence.
+    non-convergence.  Each step is two products with one pair table, the
+    atoms' block-diagonal products psi_ti psi_tj, merged over equal rows.
     """
     tables = prof.tables
     weights = tables.law.weights
-    blocks, total = [], 0  # (psi_t, its columns in the stacked coordinates)
-    for p in tables.psi.values():
-        blocks.append((p, slice(total, total + p.shape[1])))
-        total += p.shape[1]
+    block = np.repeat(np.arange(len(tables.psi)), [p.shape[1] for p in tables.psi.values()])
+    total = block.size
+    ci, cj = np.nonzero(block[:, None] == block)  # the pairs' stacked coordinates
+    scatter = np.eye(total)[ci]  # adds each pair's term to its first coordinate
+    stacked = np.hstack(list(tables.psi.values()))
+    pairs, inverse = np.unique(stacked[:, ci] * stacked[:, cj], axis=0, return_inverse=True)
+    merged = np.bincount(inverse.ravel(), weights=weights, minlength=pairs.shape[0])
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), 3))))
     gauss = rng.standard_normal((QUARTIC_RESTARTS, total))
     v = np.vstack([np.eye(total), gauss / np.linalg.norm(gauss, axis=1, keepdims=True)])
-    sq_max = np.max([np.sum(p**2, axis=1) for p, _ in blocks], axis=0)
+    sq_max = np.max([np.sum(p**2, axis=1) for p in tables.psi.values()], axis=0)
     alpha = 3.0 * float(weights @ np.maximum(np.abs(sq_max - 1.0), 1.0) ** 2)
-    coef = _quartic_coef(blocks, v)
-    val = weights @ coef**2
+    coef = pairs @ (v[:, ci] * v[:, cj]).T - 1.0  # (atoms, starts)
+    val = merged @ coef**2
     converged = False
     for _ in range(QUARTIC_MAX_ITER):
-        wc = weights[:, None] * coef
-        step = alpha * v
-        for p, cols in blocks:
-            step[:, cols] += (p.T @ (wc * (p @ v[:, cols].T))).T
+        grad = (merged[:, None] * coef).T @ pairs  # (starts, pairs)
+        step = alpha * v + (grad * v[:, cj]) @ scatter
         v = step / np.linalg.norm(step, axis=1, keepdims=True)
-        coef = _quartic_coef(blocks, v)
-        new_val = weights @ coef**2
+        coef = pairs @ (v[:, ci] * v[:, cj]).T - 1.0
+        new_val = merged @ coef**2
         converged = bool(np.all(new_val - val <= QUARTIC_TOL * np.maximum(1.0, np.abs(val))))
         val = new_val
         if converged:

@@ -20,6 +20,7 @@ trials, 1 internal error.
 from __future__ import annotations
 
 import argparse
+import copy
 import csv
 import io
 import json
@@ -146,6 +147,25 @@ CONFIG_SCHEMA = {
 }
 # Built once: the schema is fixed, so its meta-schema check lives in the tests.
 _CONFIG_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
+# The same schema with no per-atom check, for configs whose atoms pass _plain_atoms.
+_ATOMLESS_SCHEMA = copy.deepcopy(CONFIG_SCHEMA)
+del _ATOMLESS_SCHEMA["properties"]["law"]["oneOf"][0]["properties"]["atoms"]["items"]
+_ATOMLESS_VALIDATOR = Draft202012Validator(_ATOMLESS_SCHEMA)
+
+
+def _plain_atoms(cfg) -> bool:
+    """True when law.atoms is a list of dicts whose x are equal-length non-empty
+    lists of finite numbers and whose y and w > 0 are finite numbers: every such
+    list passes the atom schema, so it need not be walked atom by atom."""
+    try:
+        atoms = cfg["law"]["atoms"]
+        rows = [[a["w"], a["y"], *a["x"]] for a in atoms if type(a) is dict and type(a["x"]) is list]
+        if len(rows) != len(atoms) or not {type(c) for row in rows for c in row} <= {int, float}:
+            return False
+        table = np.array(rows, dtype=float)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        return False
+    return table.ndim == 2 and table.shape[1] > 2 and bool(np.isfinite(table).all() and (table[:, 0] > 0).all())
 
 
 def load_config(path: str) -> dict:
@@ -154,7 +174,8 @@ def load_config(path: str) -> dict:
             cfg = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    exc = best_match(_CONFIG_VALIDATOR.iter_errors(cfg))
+    validator = _ATOMLESS_VALIDATOR if _plain_atoms(cfg) else _CONFIG_VALIDATOR
+    exc = best_match(validator.iter_errors(cfg))
     if exc is not None:
         raise ConfigError(f"config field {exc.json_path}: {exc.message}") from exc
     return cfg
@@ -202,6 +223,10 @@ def build_collection(cfg: dict) -> FeatureCollection:
         raise ConfigError(f"config field $.collection: {exc}") from exc
 
 
+def _profile_of(cfg: dict):
+    return build_profile(build_law(cfg), build_collection(cfg))
+
+
 def _param(cfg: dict, name: str, default=None, required: bool = False):
     params = cfg.get("params", {})
     if name in params:
@@ -238,8 +263,6 @@ def _json_default(obj):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
-    if isinstance(obj, tuple):
-        return list(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
@@ -257,9 +280,7 @@ def write_csv(path: str, header: list[str], rows) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_profile(cfg: dict, out: str) -> int:
-    law = build_law(cfg)
-    collection = build_collection(cfg)
-    prof = build_profile(law, collection)
+    prof = _profile_of(cfg)
     payload = {
         "r_star": prof.r_star,
         "t_star": [str(t) for t in prof.t_star],
@@ -298,9 +319,7 @@ def cmd_profile(cfg: dict, out: str) -> int:
 
 
 def cmd_bounds(cfg: dict, out: str, trials_override: int | None) -> int:
-    law = build_law(cfg)
-    collection = build_collection(cfg)
-    prof = build_profile(law, collection)
+    prof = _profile_of(cfg)
     n = int(_param(cfg, "n", required=True))
     delta = float(_param(cfg, "delta", 0.1))
     k = int(_param(cfg, "k", 1))
@@ -321,9 +340,7 @@ def cmd_bounds(cfg: dict, out: str, trials_override: int | None) -> int:
 
 
 def cmd_localize(cfg: dict, out: str, trials_override: int | None) -> int:
-    law = build_law(cfg)
-    collection = build_collection(cfg)
-    prof = build_profile(law, collection)
+    prof = _profile_of(cfg)
     n = int(_param(cfg, "n", required=True))
     delta = float(_param(cfg, "delta", 0.1))
     trials = int(trials_override or _param(cfg, "trials", 4000))
@@ -618,12 +635,8 @@ def cmd_montecarlo(cfg: dict, out: str, sub: str, trials_override: int | None) -
         raise experiments.InsufficientTrialsError(
             f"subcommand {sub} needs at least {_MC_MIN_TRIALS[sub]} trials, got {trials}"
         )
-    if sub == "bss":
-        law = collection = prof = None
-    else:
-        law = build_law(cfg)
-        collection = build_collection(cfg)
-        prof = build_profile(law, collection)
+    prof = None if sub == "bss" else _profile_of(cfg)
+    law, collection = (None, None) if prof is None else (prof.law, prof.collection)
     payload = _MC_SUBCOMMANDS[sub](cfg, out, law, collection, prof, trials)
     status = "PASS" if payload.get("pass", True) else "FAIL"
     print(f"montecarlo {sub}: {status}")

@@ -32,7 +32,6 @@ __all__ = [
     "fit_linear",
     "empirical_risk",
     "solve",
-    "oracle_solve",
 ]
 
 PIVOT_TOL = 1e-12
@@ -143,14 +142,3 @@ def solve(
     table = tuple(fit_linear(dataset, e.index, collection, prof) for e in collection)
     best = table[int(select(np.array([[r.risk for r in table]]))[0])]
     return ErmSolution(index=best.index, weights=best.weights, risk=best.risk, table=table)
-
-
-def oracle_solve(
-    dataset: Dataset,
-    collection: FeatureCollection,
-    prof: PopulationProfile,
-) -> ErmSolution:
-    """Benchmark that fixes the least optimal index and fits only that class."""
-    t0 = prof.least_optimal_index
-    rec = fit_linear(dataset, t0, collection, prof)
-    return ErmSolution(index=t0, weights=rec.weights, risk=rec.risk, table=(rec,))

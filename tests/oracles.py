@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from unionerm.bounds import QUARTIC_MAX_ITER, QUARTIC_RESTARTS, QUARTIC_TOL
+from unionerm.erm import ErmSolution, fit_linear
 from unionerm.model import FeatureCollection
 from unionerm.processes import DeltaUndefinedError
 
@@ -68,6 +70,15 @@ def loop_empirical_risk(x_mat, y, w):
         pred = float(x_mat[i] @ w)
         total += 0.5 * (pred - y[i]) ** 2
     return total / x_mat.shape[0]
+
+
+def oracle_solve(dataset, collection, prof):
+    """The fixed-index benchmark on one explicit dataset: fit only the least
+    optimal index, one ``fit_linear`` call (``run_trials`` reuses the
+    solver's batched fit of that index instead)."""
+    t0 = prof.least_optimal_index
+    rec = fit_linear(dataset, t0, collection, prof)
+    return ErmSolution(index=t0, weights=rec.weights, risk=rec.risk, table=(rec,))
 
 
 def enum_datasets(law, n):
@@ -227,6 +238,48 @@ def single_block_variance_max(law, collection, prof):
     return max(
         quadratic_form_variance_grid(law, FeatureCollection([entry]), prof) for entry in collection
     )
+
+
+def _quartic_coef(blocks: list, v: np.ndarray) -> np.ndarray:
+    """sum_t <v_t, psi_t(a)>^2 - 1 for every atom a and start row of v, (m, S)."""
+    coef = np.full((blocks[0][0].shape[0], v.shape[0]), -1.0)
+    for p, cols in blocks:
+        coef += (p @ v[:, cols].T) ** 2
+    return coef
+
+
+def quadratic_form_variance_sup_loop(prof, seed=0):
+    """The quartic sup's shifted power iteration, one block product at a time
+    over the unmerged atoms: same starts, shift and stopping rule as
+    ``bounds.quadratic_form_variance_sup``, a different route to each step."""
+    tables = prof.tables
+    weights = tables.law.weights
+    blocks, total = [], 0  # (psi_t, its columns in the stacked coordinates)
+    for p in tables.psi.values():
+        blocks.append((p, slice(total, total + p.shape[1])))
+        total += p.shape[1]
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), 3))))
+    gauss = rng.standard_normal((QUARTIC_RESTARTS, total))
+    v = np.vstack([np.eye(total), gauss / np.linalg.norm(gauss, axis=1, keepdims=True)])
+    sq_max = np.max([np.sum(p**2, axis=1) for p, _ in blocks], axis=0)
+    alpha = 3.0 * float(weights @ np.maximum(np.abs(sq_max - 1.0), 1.0) ** 2)
+    coef = _quartic_coef(blocks, v)
+    val = weights @ coef**2
+    converged = False
+    for _ in range(QUARTIC_MAX_ITER):
+        wc = weights[:, None] * coef
+        step = alpha * v
+        for p, cols in blocks:
+            step[:, cols] += (p.T @ (wc * (p @ v[:, cols].T))).T
+        v = step / np.linalg.norm(step, axis=1, keepdims=True)
+        coef = _quartic_coef(blocks, v)
+        new_val = weights @ coef**2
+        converged = bool(np.all(new_val - val <= QUARTIC_TOL * np.maximum(1.0, np.abs(val))))
+        val = new_val
+        if converged:
+            break
+    tag = "estimated:ascent" if converged else "estimated:ascent-maxiter"
+    return float(val.max()), tag
 
 
 def pathwise_master_check(batch, slack):

@@ -11,7 +11,11 @@ from unionerm.model import DiscreteLaw, FeatureCollection, FeatureEntry, Gaussia
 from unionerm.population import profile
 
 from conftest import canonical_law, canonical_three_map_collection, random_instance
-from oracles import quadratic_form_variance_grid, single_block_variance_max
+from oracles import (
+    quadratic_form_variance_grid,
+    quadratic_form_variance_sup_loop,
+    single_block_variance_max,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +344,56 @@ def test_quartic_sup_dominates_single_block_restriction():
         full, _ = bounds.quadratic_form_variance_sup(prof, seed=2)
         single = single_block_variance_max(law, coll, prof)
         assert full >= single - 1e-9
+
+
+def _quartic_cases():
+    for s in range(40):
+        yield pytest.param(lambda s=s: random_instance(np.random.default_rng(s))[2], 2, id=f"random-{s}")
+    for d in (4, 6):
+        w_true = np.zeros(d)
+        w_true[:2] = 1.0
+        for seed in range(3):
+            yield pytest.param(
+                lambda d=d, w=w_true: profile(bss_instance("discrete", d, w, 1.0), subset_collection(d, 2)),
+                seed,
+                id=f"hypercube-{d}-{seed}",
+            )
+
+    def mixed():
+        rng = np.random.default_rng(7)
+        law = DiscreteLaw(xs=rng.normal(size=(9, 4)), ys=rng.normal(size=9), weights=np.full(9, 1 / 9))
+        coll = FeatureCollection(
+            [FeatureEntry("one", 1, lambda x: x[:, [3]]), FeatureEntry("three", 3, lambda x: x[:, :3])]
+        )
+        return profile(law, coll)
+
+    yield pytest.param(mixed, 0, id="mixed-1-3")
+    zero_law = DiscreteLaw(xs=np.array([[1.0], [-1.0]]), ys=np.zeros(2), weights=[0.5, 0.5])
+    yield pytest.param(
+        lambda: profile(zero_law, FeatureCollection([FeatureEntry("t", 1, lambda x: x)])), 0, id="two-atom-zero"
+    )
+
+
+@pytest.mark.parametrize("build,seed", list(_quartic_cases()))
+def test_quartic_sup_matches_per_block_loop(build, seed):
+    prof = build()
+    val, tag = bounds.quadratic_form_variance_sup(prof, seed=seed)
+    ref, ref_tag = quadratic_form_variance_sup_loop(prof, seed=seed)
+    assert tag == ref_tag
+    assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+@pytest.mark.parametrize("s", range(5))
+def test_quartic_sup_invariant_under_atom_split(s):
+    # two half-weight copies of every atom give the same law, hence the same L
+    law, coll, prof = random_instance(np.random.default_rng(s))
+    split = DiscreteLaw(
+        xs=np.repeat(law.xs, 2, axis=0), ys=np.repeat(law.ys, 2), weights=np.repeat(law.weights / 2, 2)
+    )
+    val, tag = bounds.quadratic_form_variance_sup(prof, seed=1)
+    split_val, split_tag = bounds.quadratic_form_variance_sup(profile(split, coll), seed=1)
+    assert split_tag == tag
+    assert abs(split_val - val) <= 1e-12 * max(1.0, abs(val))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ import sys
 
 import pytest
 from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
-from unionerm.cli import CONFIG_SCHEMA, ConfigError, load_config, main
+from unionerm.cli import CONFIG_SCHEMA, ConfigError, _plain_atoms, load_config, main
 
 from conftest import canonical_atoms
 
@@ -231,3 +232,50 @@ def test_schema_error_deep_in_atoms_names_path_and_message(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(_write(tmp_path, cfg_data))
     assert str(err.value) == "config field $.law.atoms[37].w: 0 is less than or equal to the minimum of 0"
+
+
+def _bad_atoms(kind):
+    cfg = _canonical_config()
+    atom = cfg["law"]["atoms"][3]
+    if kind == "missing-key":
+        del atom["y"]
+    elif kind == "bool":
+        atom["x"][1] = True
+    elif kind == "string":
+        atom["y"] = "1.0"
+    elif kind == "w-zero":
+        atom["w"] = 0
+    elif kind == "w-negative":
+        atom["w"] = -0.5
+    elif kind == "x-empty":
+        atom["x"] = []
+    elif kind == "x-ragged":
+        atom["x"] = atom["x"] + [1.0]
+    elif kind == "nan":
+        atom["x"][0] = float("nan")
+    elif kind == "not-an-object":
+        cfg["law"]["atoms"][3] = [1.0, 2.0]
+    elif kind == "seed-missing":
+        del cfg["seed"]
+    elif kind == "gaussian-kind":
+        cfg["law"]["kind"] = "gaussian_design"
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["clean", "missing-key", "bool", "string", "w-zero", "w-negative", "x-empty", "x-ragged", "nan",
+     "not-an-object", "seed-missing", "gaussian-kind"],
+)
+def test_load_config_agrees_with_full_atom_validation(tmp_path, kind):
+    cfg = _bad_atoms(kind)
+    exc = best_match(Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg))
+    path = _write(tmp_path, cfg)
+    # the three configs with clean atoms skip the per-atom walk; the rest get the full validator
+    assert _plain_atoms(json.loads(json.dumps(cfg))) == (kind in ("clean", "seed-missing", "gaussian-kind"))
+    if exc is None:
+        assert json.dumps(load_config(path)) == json.dumps(cfg)
+    else:
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        assert str(err.value) == f"config field {exc.json_path}: {exc.message}"

@@ -6,7 +6,7 @@ from unionerm.model import Dataset, FeatureCollection, FeatureEntry, sample_data
 from unionerm.population import excess_risk
 
 from conftest import random_instance
-from oracles import loop_empirical_risk, lstsq_fit
+from oracles import loop_empirical_risk, lstsq_fit, oracle_solve
 
 
 def _coll1(fn, index="t"):
@@ -161,14 +161,14 @@ def test_oracle_solve_always_uses_optimal_index(canonical):
     law, coll, prof = canonical
     for t in range(5):
         ds = sample_dataset(law, 10, (107, t))
-        sol = erm.oracle_solve(ds, coll, prof)
+        sol = oracle_solve(ds, coll, prof)
         assert sol.index == "A"
 
 
 def test_oracle_solve_zero_excess_in_realizable_case(realizable):
     law, coll, prof = realizable
     ds = sample_dataset(law, 40, (108, 0))
-    sol = erm.oracle_solve(ds, coll, prof)
+    sol = oracle_solve(ds, coll, prof)
     assert not sol.singular
     assert excess_risk(sol.index, sol.weights, prof) == pytest.approx(0.0, abs=1e-12)
 

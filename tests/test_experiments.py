@@ -91,7 +91,7 @@ def test_run_trials_oracle_record_matches_oracle_solve(canonical):
     batch = ex.run_trials(law, coll, 30, 5, 304, prof)
     for trial in range(5):
         ds = sample_dataset(law, 30, (304, trial))
-        osol = erm.oracle_solve(ds, coll, prof)
+        osol = oracles.oracle_solve(ds, coll, prof)
         ref = 30 * excess_risk(osol.index, osol.weights, prof)
         assert batch.n_excess_oracle[trial] == pytest.approx(ref, rel=1e-12)
 
