@@ -121,12 +121,19 @@ def _expected_max_sqrt(sample: CountSample, atom_values: list[np.ndarray]) -> tu
     """E[max over (sample, function) of a per-atom value]^{1/2} with SE.
 
     The max over a dataset only depends on which atoms are present, so the
-    counts representation is enough.
+    counts representation is enough.  A row with every atom present takes
+    the overall max; only rows missing an atom are masked.
     """
-    table = np.stack(atom_values, axis=1)  # (m, F)
-    worst = table.max(axis=1)              # (m,) max over functions per atom
-    mean, se = sample.mean(lambda counts: np.where(counts > 0, worst[None, :], -np.inf).max(axis=1))
-    return _sqrt_with_se(mean, se)
+    worst = np.stack(atom_values, axis=1).max(axis=1)  # (m,) max over functions per atom
+
+    def present_max(counts: np.ndarray) -> np.ndarray:
+        out = np.full(counts.shape[0], worst.max())
+        gaps = counts.min(axis=1) == 0
+        if gaps.any():
+            out[gaps] = np.where(counts[gaps] > 0, worst[None, :], -np.inf).max(axis=1)
+        return out
+
+    return _sqrt_with_se(*sample.mean(present_max))
 
 
 def class_moments(

@@ -180,7 +180,7 @@ class DiscreteLaw:
             raise ValueError("atoms, outputs and weights must have equal length")
         if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
             raise ValueError("atoms must have finite coordinates and outputs")
-        if np.any(ws <= 0.0):
+        if not np.all(ws > 0.0):  # NaN fails too
             raise ValueError("atom weights must be strictly positive")
         if abs(ws.sum() - 1.0) > WEIGHT_TOL:
             raise ValueError(f"atom weights sum to {ws.sum()!r}, expected 1 within {WEIGHT_TOL}")
@@ -412,19 +412,39 @@ def _column_space_rank(mat: np.ndarray, tol_scale: float = 1e-10) -> int:
     return int(np.sum(sv > tol_scale * max(1.0, sv[0])))
 
 
+def _coordinate_classes(law, tables: dict, collection: FeatureCollection):
+    """Each entry's coordinate set, when every entry is a coordinate
+    selection of full-rank inputs; else None.
+
+    Then two entries span one class iff their sets are equal, under the same
+    rank rule as the pairwise test: by interlacing, the nonzero singular
+    values of two stacked selections are at least sigma_min(xs), and their
+    largest is at most sqrt(2) sigma_max(xs), which the doubled tolerance
+    covers.
+    """
+    p = law.xs.shape[1]
+    for entry in collection:
+        c = entry.coords
+        if c is None or not all(0 <= j < p for j in c) or not np.array_equal(tables[entry.index], law.xs[:, c]):
+            return None
+    if _column_space_rank(law.xs, 2e-10) < p:
+        return None
+    return {entry.index: frozenset(entry.coords) for entry in collection}
+
+
 def validate_collection(law, collection: FeatureCollection) -> dict:
     """Check a collection against a discrete law; return its atom tables.
 
     Rejects degenerate maps (singular population covariance on the support)
     and pairs of maps inducing the same linear class, detected by comparing
-    column spaces of the atom-evaluated feature matrices.  Those matrices,
+    column spaces of the atom-evaluated feature matrices (for coordinate
+    selections of full-rank inputs: their coordinate sets).  Those matrices,
     ``{index: phi (m, d_t)}``, are returned: they are the only evaluation of
     each map that later layers read.
     """
     if getattr(law, "kind", None) != "discrete":
         raise ValueError("collection validation requires a discrete law")
     tables = {}
-    ranks = {}
     for entry in collection:
         phi = entry(law.xs)
         if not np.all(np.isfinite(phi)):
@@ -434,8 +454,17 @@ def validate_collection(law, collection: FeatureCollection) -> dict:
         if lam_min <= SINGULAR_TOL:
             raise DegenerateFeatureError(entry.index, f"lambda_min={lam_min:.3e}")
         tables[entry.index] = phi
-        ranks[entry.index] = _column_space_rank(phi)
     ids = collection.indices()
+    classes = _coordinate_classes(law, tables, collection)
+    if classes is not None:
+        groups = {}
+        for t in ids:
+            groups.setdefault(classes[t], []).append(t)
+        for a in ids:  # the first index with a later duplicate heads its group
+            if len(groups[classes[a]]) > 1:
+                raise DuplicateClassError(a, groups[classes[a]][1])
+        return tables
+    ranks = {t: _column_space_rank(phi) for t, phi in tables.items()}
     for i, a in enumerate(ids):
         for b in ids[i + 1:]:
             if ranks[a] == ranks[b] == _column_space_rank(np.hstack([tables[a], tables[b]])):

@@ -17,7 +17,10 @@ lambda_n(t) <= sqrt(n) pathwise.  The supremum over an empty index subset is
 On a discrete law a dataset is equivalent to its atom counts, and every
 process value is a contraction of those counts with the per-atom tables of
 ``prof.tables``.  :func:`snapshot` evaluates all three processes on a batch
-of count rows as a per-index value table.  Every expectation over datasets
+of count rows as a per-index value table: one product per dataset against
+one merged per-atom table (whitened outer products grouped by feature
+dimension, then gradients, then normalized loss differences), then one
+batched ``eigvalsh`` per feature dimension.  Every expectation over datasets
 (expected suprema here; class moments and A(S) in :mod:`unionerm.bounds`) is
 one reduction, :meth:`CountSample.mean`, over one :func:`count_sample`: Monte
 Carlo chunks with per-chunk seed streams, or for tiny instances the exact
@@ -98,6 +101,7 @@ class AtomTables:
             self.delta_vals[t] = (self.loss[t] - self.loss[s0]) / prof.gap(t)
         self.indices = prof.indices()        # column order of a Snapshot
         self.suboptimal = prof.suboptimal()  # column order of Snapshot.delta
+        self._build_value_columns()
         self._last = None   # (key, CountSample) of the last sample drawn
         self._table = None  # its value table, built on first use
 
@@ -120,29 +124,53 @@ class AtomTables:
             self._table = CountSample(tuple(self.snapshot(c, n) for c in sample.chunks), sample.probs)
         return self._table
 
+    def _build_value_columns(self) -> None:
+        """One (m, K) table whose per-dataset product gives every process input.
+
+        Columns: each index's flattened ``psi_outer``, grouped by d_t; then
+        each index's ``grad_w`` in the same groups; then every ``delta_vals``.
+        ``self._groups`` holds, per d_t, the Snapshot columns of its indices
+        and the table columns of their outer products and gradients.
+        """
+        by_dim = {}
+        for j, t in enumerate(self.indices):
+            by_dim.setdefault(self.psi[t].shape[1], []).append(j)
+        ts = [self.indices[j] for js in by_dim.values() for j in js]
+        m = self.law.support_size
+        self._value_columns = np.hstack(
+            [self.psi_outer[t].reshape(m, -1) for t in ts]
+            + [self.grad_w[t] for t in ts]
+            + [self.delta_vals[t][:, None] for t in self.suboptimal]
+        )
+        self._groups, lo, lo_grad = [], 0, sum(d * d * len(js) for d, js in by_dim.items())
+        for d, js in by_dim.items():
+            k = len(js)
+            self._groups.append((d, js, slice(lo, lo + k * d * d), slice(lo_grad, lo_grad + k * d)))
+            lo, lo_grad = lo + k * d * d, lo_grad + k * d
+        self._delta_cols = slice(lo_grad, None)
+
     def snapshot(self, counts: np.ndarray, n: int) -> Snapshot:
         """Evaluate every process on the datasets with atom counts ``counts`` (B, m).
 
-        Every product is taken one dataset at a time (``(b, 1, m) @ table``),
-        so a row's values do not depend on the other rows.  Rows go in blocks
-        of ``TABLE_BLOCK``, which bounds the (b, 1, m) frequency temporary.
+        Every product is taken one dataset at a time (``(b, 1, m) @ table``
+        on the merged per-atom table), so a row's values do not depend on the
+        other rows.  Rows go in blocks of ``TABLE_BLOCK``, which bounds the
+        (b, 1, m) frequency temporary; each block takes one product and one
+        ``eigvalsh`` per feature dimension.
         """
-        b, m = counts.shape
+        b = counts.shape[0]
         lam_min, g_sq = np.empty((b, len(self.indices))), np.empty((b, len(self.indices)))
         lam_minus = np.full(b, -np.inf)
         delta = np.empty((b, len(self.suboptimal)))
         for lo in range(0, b, TABLE_BLOCK):
             rows = slice(lo, lo + TABLE_BLOCK)
-            freq = counts[rows, None, :] / n
-            for j, t in enumerate(self.indices):
-                d = self.psi[t].shape[1]
-                wcov = (freq @ self.psi_outer[t].reshape(m, d * d)).reshape(-1, d, d)
-                ends = np.linalg.eigvalsh(wcov)
-                lam_min[rows, j] = ends[:, 0]
-                np.maximum(lam_minus[rows], ends[:, -1] - 1.0, out=lam_minus[rows])
-                g_sq[rows, j] = n * np.sum((freq @ self.grad_w[t])[:, 0] ** 2, axis=1)
-            for j, t in enumerate(self.suboptimal):
-                delta[rows, j] = np.sqrt(n) * (1.0 - (freq @ self.delta_vals[t])[:, 0])
+            vals = ((counts[rows, None, :] / n) @ self._value_columns)[:, 0, :]
+            for d, js, outer, grad in self._groups:
+                ends = np.linalg.eigvalsh(vals[:, outer].reshape(-1, len(js), d, d))
+                lam_min[rows, js] = ends[:, :, 0]
+                np.maximum(lam_minus[rows], ends[:, :, -1].max(axis=1) - 1.0, out=lam_minus[rows])
+                g_sq[rows, js] = n * np.sum(vals[:, grad].reshape(-1, len(js), d) ** 2, axis=2)
+            delta[rows] = np.sqrt(n) * (1.0 - vals[:, self._delta_cols])
         return Snapshot(n=n, lam_min=lam_min, lam_minus_scaled=lam_minus, g_sq=g_sq, delta=delta)
 
 

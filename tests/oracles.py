@@ -15,8 +15,14 @@ import numpy as np
 
 from unionerm.bounds import QUARTIC_MAX_ITER, QUARTIC_RESTARTS, QUARTIC_TOL
 from unionerm.erm import ErmSolution, fit_linear
-from unionerm.model import FeatureCollection
-from unionerm.processes import DeltaUndefinedError
+from unionerm.model import (
+    SINGULAR_TOL,
+    DegenerateFeatureError,
+    DuplicateClassError,
+    FeatureCollection,
+    _column_space_rank,
+)
+from unionerm.processes import TABLE_BLOCK, DeltaUndefinedError, Snapshot
 
 
 def enum_expectation(atoms, fn):
@@ -188,6 +194,58 @@ def snapshot(dataset, prof):
         lam_minus_scaled=max(e[1] for e in ends),
         delta_plus_scaled=sup_delta / rn if delta else 0.0,
     )
+
+
+def table_snapshot_loop(tables, counts, n):
+    """``AtomTables.snapshot`` one index at a time: three products and one
+    ``eigvalsh`` per index and block, on the per-index tables."""
+    b, m = counts.shape
+    lam_min, g_sq = np.empty((b, len(tables.indices))), np.empty((b, len(tables.indices)))
+    lam_minus = np.full(b, -np.inf)
+    delta = np.empty((b, len(tables.suboptimal)))
+    for lo in range(0, b, TABLE_BLOCK):
+        rows = slice(lo, lo + TABLE_BLOCK)
+        freq = counts[rows, None, :] / n
+        for j, t in enumerate(tables.indices):
+            d = tables.psi[t].shape[1]
+            wcov = (freq @ tables.psi_outer[t].reshape(m, d * d)).reshape(-1, d, d)
+            ends = np.linalg.eigvalsh(wcov)
+            lam_min[rows, j] = ends[:, 0]
+            np.maximum(lam_minus[rows], ends[:, -1] - 1.0, out=lam_minus[rows])
+            g_sq[rows, j] = n * np.sum((freq @ tables.grad_w[t])[:, 0] ** 2, axis=1)
+        for j, t in enumerate(tables.suboptimal):
+            delta[rows, j] = np.sqrt(n) * (1.0 - (freq @ tables.delta_vals[t])[:, 0])
+    return Snapshot(n=n, lam_min=lam_min, lam_minus_scaled=lam_minus, g_sq=g_sq, delta=delta)
+
+
+def expected_max_presence(sample, atom_values):
+    """(mean, SE) of the max over present atoms of the per-atom max value,
+    masking every absent atom of every row."""
+    worst = np.stack(atom_values, axis=1).max(axis=1)
+    return sample.mean(lambda counts: np.where(counts > 0, worst[None, :], -np.inf).max(axis=1))
+
+
+def validate_collection_loop(law, collection):
+    """``validate_collection`` comparing the rank of every pair's stacked atom
+    tables, for any collection: O(|T|^2) SVDs."""
+    tables = {}
+    ranks = {}
+    for entry in collection:
+        phi = entry(law.xs)
+        if not np.all(np.isfinite(phi)):
+            raise DegenerateFeatureError(entry.index, "non-finite feature values")
+        sigma = (phi * law.weights[:, None]).T @ phi
+        lam_min = float(np.linalg.eigvalsh(sigma)[0])
+        if lam_min <= SINGULAR_TOL:
+            raise DegenerateFeatureError(entry.index, f"lambda_min={lam_min:.3e}")
+        tables[entry.index] = phi
+        ranks[entry.index] = _column_space_rank(phi)
+    ids = collection.indices()
+    for i, a in enumerate(ids):
+        for b in ids[i + 1:]:
+            if ranks[a] == ranks[b] == _column_space_rank(np.hstack([tables[a], tables[b]])):
+                raise DuplicateClassError(a, b)
+    return tables
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from unionerm.population import profile
 
 from conftest import canonical_law, canonical_three_map_collection, random_instance
 from oracles import (
+    expected_max_presence,
     quadratic_form_variance_grid,
     quadratic_form_variance_sup_loop,
     single_block_variance_max,
@@ -394,6 +395,23 @@ def test_quartic_sup_invariant_under_atom_split(s):
     split_val, split_tag = bounds.quadratic_form_variance_sup(profile(split, coll), seed=1)
     assert split_tag == tag
     assert abs(split_val - val) <= 1e-12 * max(1.0, abs(val))
+
+
+@pytest.mark.parametrize("n,gap_rows", [(5, "all"), (3500, "some"), (40_000, "none")])
+def test_expected_max_presence_shortcut_matches_masked_max(n, gap_rows):
+    # rows missing an atom are masked, full rows take the overall max
+    prof = profile(bss_instance("discrete", 8, [1.0, 1.0] + [0.0] * 6, 1.0), subset_collection(8, 2))
+    sample = processes.count_sample(prof.law, n, 1000, 4, "mc")
+    assert prof.law.support_size == 512
+    share = np.mean(np.concatenate([c.min(axis=1) == 0 for c in sample.chunks]))
+    assert {"all": share == 1.0, "some": 0.0 < share < 1.0, "none": share == 0.0}[gap_rows]
+    tables = prof.tables
+    for values in (
+        [np.sum(tables.grad_w[t] ** 2, axis=1) for t in prof.indices()],
+        [(tables.delta_vals[t] - 1.0) ** 2 for t in prof.suboptimal()[:3]],
+    ):
+        got = bounds._expected_max_sqrt(sample, values)
+        assert got == bounds._sqrt_with_se(*expected_max_presence(sample, values))
 
 
 # ---------------------------------------------------------------------------

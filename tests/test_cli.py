@@ -73,6 +73,18 @@ def test_schema_violation_reports_field_path(tmp_path, capsys):
     assert "$." in capsys.readouterr().err
 
 
+def test_nan_atom_weight_exits_2(tmp_path, capsys):
+    cfg_data = _canonical_config()
+    cfg_data["law"]["atoms"] = [
+        {"x": [1.0, 0.0], "y": 1.0, "w": 0.5},
+        {"x": [0.0, 1.0], "y": -1.0, "w": 0.5},
+        {"x": [1.0, 1.0], "y": 0.0, "w": float("nan")},
+    ]
+    cfg = _write(tmp_path, cfg_data)  # json writes NaN, which json.load reads back
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "profile"]) == 2
+    assert "config field $.law: atom weights must be strictly positive" in capsys.readouterr().err
+
+
 def test_degenerate_collection_exits_3(tmp_path):
     cfg_data = _canonical_config()
     cfg_data["collection"]["entries"].append({"id": "Z", "matrix": [[0.0, 0.0]]})

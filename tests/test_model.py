@@ -15,11 +15,12 @@ from unionerm.model import (
     sample_counts,
     sample_dataset,
     subset_collection,
+    _coordinate_classes,
     validate_collection,
 )
 
 from conftest import canonical_law, two_atom_law
-from oracles import atoms_of, enum_expectation
+from oracles import atoms_of, enum_expectation, validate_collection_loop
 
 
 def test_exact_expectation_constant_is_one():
@@ -192,6 +193,81 @@ def test_validate_collection_rejects_duplicate_classes():
     )
     with pytest.raises(DuplicateClassError):
         validate_collection(law, coll)
+
+
+def _coord_entry(index, coords, fn=None):
+    cols = list(coords)
+    return FeatureEntry(index, len(cols), fn or (lambda x: x[:, cols]), coords=tuple(cols))
+
+
+def _validation_cases():
+    rng = np.random.default_rng(13)
+    full = DiscreteLaw(xs=rng.normal(size=(12, 4)), ys=rng.normal(size=12), weights=np.full(12, 1 / 12))
+    for s in (1, 2, 3):
+        yield f"subsets-{s}", full, subset_collection(4, s), True
+    yield "swapped-coords", full, FeatureCollection(
+        [_coord_entry("a", (0, 2)), _coord_entry("b", (1,)), _coord_entry("c", (2, 0))]
+    ), True
+    # A = D and B = C: the pairwise test names (A, D), not the first pair closed (B, C)
+    yield "two-groups", full, FeatureCollection(
+        [_coord_entry("A", (0, 1)), _coord_entry("B", (2,)), _coord_entry("C", (2,)), _coord_entry("D", (1, 0))]
+    ), True
+    repeated = DiscreteLaw(xs=np.hstack([full.xs, full.xs[:, [0]]]), ys=full.ys, weights=full.weights)
+    yield "rank-deficient", repeated, FeatureCollection(
+        [_coord_entry("a", (0, 1)), _coord_entry("b", (4, 1)), _coord_entry("c", (2,))]
+    ), False
+    yield "rank-deficient-distinct", repeated, FeatureCollection(
+        [_coord_entry("a", (0, 1)), _coord_entry("c", (2,))]
+    ), False
+    yield "coords-disagree-with-fn", full, FeatureCollection(
+        [_coord_entry("a", (0,), lambda x: 2.0 * x[:, [1]]), _coord_entry("b", (1,)), _coord_entry("c", (3,))]
+    ), False
+    mat = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 1.0, 0.0]])
+    yield "coords-and-matrix", full, FeatureCollection(
+        [_coord_entry("a", (0, 1)), FeatureEntry("m", 2, lambda x: x @ mat.T), _coord_entry("z", (0, 2))]
+    ), False
+    yield "coords-and-matrix-duplicate", full, FeatureCollection(
+        [_coord_entry("a", (0, 3)), FeatureEntry("m", 2, lambda x: x[:, [0, 3]] @ mat[:, :2].T + 0.0)]
+    ), False
+
+
+@pytest.mark.parametrize("name,law,coll,coordinate_route", list(_validation_cases()))
+def test_validate_collection_matches_pairwise_loop(name, law, coll, coordinate_route):
+    tables = {e.index: e(law.xs) for e in coll}
+    assert (_coordinate_classes(law, tables, coll) is not None) == coordinate_route
+    try:
+        ref = validate_collection_loop(law, coll)
+    except DuplicateClassError as exc:
+        with pytest.raises(DuplicateClassError) as got:
+            validate_collection(law, coll)
+        assert got.value.indices == exc.indices
+        assert str(got.value) == str(exc)
+        return
+    got = validate_collection(law, coll)
+    assert got.keys() == ref.keys()
+    assert all(np.array_equal(got[t], ref[t]) for t in ref)
+
+
+def test_validation_cases_cover_accept_and_reject():
+    pairs = {}
+    for name, law, coll, _ in _validation_cases():
+        try:
+            validate_collection_loop(law, coll)
+            pairs[name] = None
+        except DuplicateClassError as exc:
+            pairs[name] = exc.indices
+    assert pairs == {
+        "subsets-1": None,
+        "subsets-2": None,
+        "subsets-3": None,
+        "swapped-coords": ("a", "c"),
+        "two-groups": ("A", "D"),
+        "rank-deficient": ("a", "b"),
+        "rank-deficient-distinct": None,
+        "coords-disagree-with-fn": ("a", "b"),
+        "coords-and-matrix": None,
+        "coords-and-matrix-duplicate": ("a", "m"),
+    }
 
 
 def test_gaussian_design_closed_forms():

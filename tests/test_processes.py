@@ -25,7 +25,13 @@ from unionerm.processes import (
 )
 
 import oracles
-from conftest import canonical_atoms, canonical_three_map_collection, random_instance
+from conftest import (
+    canonical_atoms,
+    canonical_law,
+    canonical_three_map_collection,
+    random_instance,
+    symmetric_law_and_collection,
+)
 from oracles import delta_process, enum_expected_sup_gsq, g_process, lambda_process
 
 
@@ -335,6 +341,46 @@ def test_value_table_peak_memory_is_a_fraction_of_one_count_chunk():
         tracemalloc.stop()
     assert snap.g_sq.shape == (b, 8)
     assert peak < b * 512 * 8 / 4
+
+
+def _value_table_cases():
+    for s in range(10):
+        yield pytest.param(lambda s=s: random_instance(np.random.default_rng(s))[2], id=f"random-{s}")
+
+    def mixed():
+        rng = np.random.default_rng(7)
+        law = DiscreteLaw(xs=rng.normal(size=(9, 4)), ys=rng.normal(size=9), weights=np.full(9, 1 / 9))
+        coll = FeatureCollection(
+            [
+                FeatureEntry("one", 1, lambda x: x[:, [3]]),
+                FeatureEntry("three", 3, lambda x: x[:, :3]),
+                FeatureEntry("two-one", 1, lambda x: x[:, [0]] - x[:, [1]]),
+                FeatureEntry("two-three", 3, lambda x: x[:, 1:]),
+            ]
+        )
+        return profile(law, coll)
+
+    def single():
+        return profile(canonical_law(), FeatureCollection([FeatureEntry("A", 1, lambda x: x[:, [0]])]))
+
+    yield pytest.param(mixed, id="mixed-1-3")
+    yield pytest.param(single, id="single-index")
+    yield pytest.param(lambda: profile(*symmetric_law_and_collection()), id="all-optimal")
+
+
+@pytest.mark.parametrize("build", list(_value_table_cases()))
+def test_value_table_matches_per_index_loop(build):
+    prof = build()
+    tables = prof.tables
+    n, b = 23, 2 * TABLE_BLOCK + 5
+    counts = np.random.default_rng(3).multinomial(n, prof.law.weights, size=b)
+    got, ref = tables.snapshot(counts, n), oracles.table_snapshot_loop(tables, counts, n)
+    assert got.delta.shape == ref.delta.shape == (b, len(prof.suboptimal()))
+    # not bit-equal: numpy takes a one-column product by ddot and a wider
+    # one by gemv, whose sums run in different orders
+    for field in ("lam_min", "lam_minus_scaled", "g_sq", "delta"):
+        x, y = getattr(got, field), getattr(ref, field)
+        assert np.all(np.abs(x - y) <= 1e-12 * np.maximum(1.0, np.abs(y))), field
 
 
 # ---------------------------------------------------------------------------
