@@ -160,14 +160,13 @@ def class_moments(
         if not subset:
             return ClassMoments(0.0, 0.0, 0.0, mode)
         sigma_sq = max(prof.grad_second_moment(t) for t in subset)
-        values = [np.sum(tables.grad_w[t] ** 2, axis=1) for t in subset]
+        values = [tables.grad_sq[t] for t in subset]
     elif kind == "D":
         subset = tuple(prof.suboptimal() if subset is None else subset)
         if not subset:
             return ClassMoments(0.0, 0.0, 0.0, mode)
-        w = prof.law.weights
-        sigma_sq = max(float(w @ (tables.delta_vals[t] - 1.0) ** 2) for t in subset)
-        values = [(tables.delta_vals[t] - 1.0) ** 2 for t in subset]
+        values = [tables.delta_dev_sq[t] for t in subset]
+        sigma_sq = max(float(prof.law.weights @ v) for v in values)
     else:
         raise ValueError(f"unknown class kind {kind!r}")
     r_n, r_n_se = _expected_max_sqrt(tables.sample(n, trials, seed, mode), values)
@@ -536,19 +535,28 @@ def resolve_explicit_threshold(
     coll = prof.collection
     lam_v = covariance_deviation_lambda_max(prof)
     l_val, _ = quadratic_form_variance_sup(prof, seed=seed)
+
+    def step(n):
+        gap = class_moments("D", None, prof, n, trials=trials, seed=seed)
+        return int(math.ceil(explicit_threshold_value(lam_v, l_val, coll.max_dim, len(coll), delta, gap)))
+
+    return _fixed_point(step, rounds, 200, "explicit threshold")
+
+
+def _fixed_point(step, rounds: int, tol_div: int, name: str) -> int:
+    """Substitute n <- step(n) from n = 1000 until n moves by at most
+    ``max(2, n // tol_div)``, and return the larger of the last two iterates;
+    after ``rounds`` substitutions, the last one with a RuntimeWarning."""
     prev = n = 1000
     for _ in range(rounds):
-        gap = class_moments("D", None, prof, n, trials=trials, seed=seed)
-        thr = explicit_threshold_value(lam_v, l_val, coll.max_dim, len(coll), delta, gap)
-        n_new = int(math.ceil(thr))
-        if abs(n_new - n) <= max(2, n // 200):
+        n_new = step(n)
+        if abs(n_new - n) <= max(2, n // tol_div):
             return max(n, n_new)
         prev, n = n, n_new
     warnings.warn(
-        f"explicit threshold fixed point not reached in {rounds} rounds "
-        f"(last iterates {prev} and {n})",
+        f"{name} fixed point not reached in {rounds} rounds (last iterates {prev} and {n})",
         RuntimeWarning,
-        stacklevel=2,
+        stacklevel=3,
     )
     return n
 

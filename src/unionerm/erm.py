@@ -6,9 +6,9 @@ sample covariance is singular the minimum-norm minimizer is returned and the
 fit is flagged instead of raising, so experiment sweeps can proceed below
 the sample-size thresholds and report the flag frequency.
 
-One routine, :func:`least_squares`, fits B datasets at once.  Each dataset
-is a vector of row multiplicities over shared rows: atom counts for a
-discrete law, or a single row of ones for an explicit :class:`Dataset`.
+One routine, :func:`least_squares`, solves from moments (Sigma_n, Phi^T y / n):
+:func:`fit_linear` takes them from a :class:`Dataset`'s rows, a discrete-law
+trial from :class:`unionerm.processes.AtomTables`.
 
 Index selection, :func:`select`, breaks empirical-risk ties (within
 ``1e-12 * max(1, min risk)``) by the identifier order of the collection;
@@ -72,30 +72,23 @@ def empirical_risk(t, w, dataset: Dataset, collection: FeatureCollection) -> flo
     return 0.5 * float(np.mean(resid**2))
 
 
-def least_squares(phi: np.ndarray, y: np.ndarray, mult: np.ndarray, n: int):
-    """Pivoted least squares of y on phi for B datasets over shared rows.
+def least_squares(sigma_n: np.ndarray, rhs: np.ndarray):
+    """Pivoted least squares from moments, for a stack of systems.
 
-    ``phi`` is (rows, d), ``y`` (rows,) and ``mult`` (B, rows) holds each
-    dataset's row multiplicities, summing to n.  The multiplicities are
-    contracted before dividing by n, so on integer-valued rows the moments
-    equal those of the explicit n-row dataset bit for bit.  Every product is
-    taken one dataset at a time, so a dataset's fit does not depend on the
-    other datasets of the batch, nor on B.
+    ``sigma_n`` (..., d, d) holds sample covariances and ``rhs`` (..., d) the
+    moments Phi^T y / n.  Eigenvalues at or below ``PIVOT_TOL * trace`` are
+    dropped, so a singular system gets its minimum-norm solution.  Each
+    system is solved on its own, so a fit does not depend on the others of
+    the stack.
 
-    Returns ``(weights (B, d), risks (B,), singular (B,), sigma_n (B, d, d))``;
-    the risk is the multiplicity-weighted mean of half squared residuals.
+    Returns ``(weights (..., d), singular (...))``.
     """
-    sigma_n = phi.T @ (mult[:, :, None] * phi) / n
-    rhs = phi.T @ (mult * y)[:, :, None] / n
     vals, vecs = np.linalg.eigh(sigma_n)
-    pivot = PIVOT_TOL * np.maximum(np.trace(sigma_n, axis1=1, axis2=2), 0.0)
-    keep = vals > pivot[:, None]
-    singular = ~np.all(keep, axis=1)
+    pivot = PIVOT_TOL * np.maximum(np.trace(sigma_n, axis1=-2, axis2=-1), 0.0)
+    keep = vals > pivot[..., None]
     inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
-    w = (vecs @ (inv[:, :, None] * (vecs.transpose(0, 2, 1) @ rhs)))[:, :, 0]
-    resid = (phi @ w[:, :, None])[:, :, 0] - y
-    risk = 0.5 * np.sum(mult * resid**2, axis=1) / n
-    return w, risk, singular, sigma_n
+    w = (vecs @ (inv[..., None] * (np.swapaxes(vecs, -1, -2) @ rhs[..., None])))[..., 0]
+    return w, ~np.all(keep, axis=-1)
 
 
 def select(risks: np.ndarray) -> np.ndarray:
@@ -124,13 +117,14 @@ def fit_linear(
     covariance otherwise.
     """
     phi = collection.entry(t)(dataset.x)
-    w, risk, singular, sigma_n = least_squares(phi, dataset.y, np.ones((1, dataset.n)), dataset.n)
+    sigma_n = phi.T @ phi / dataset.n
+    w, singular = least_squares(sigma_n, phi.T @ dataset.y / dataset.n)
+    risk = 0.5 * float(np.mean((phi @ w - dataset.y) ** 2))
     if prof is not None:
         wh = prof.whitener(t)
-        lam_min = float(np.linalg.eigvalsh(wh @ sigma_n[0] @ wh)[0])
-    else:
-        lam_min = float(np.linalg.eigvalsh(sigma_n[0])[0])
-    return FitResult(index=t, weights=w[0], risk=float(risk[0]), lam_min=lam_min, singular=bool(singular[0]))
+        sigma_n = wh @ sigma_n @ wh
+    lam_min = float(np.linalg.eigvalsh(sigma_n)[0])
+    return FitResult(index=t, weights=w, risk=risk, lam_min=lam_min, singular=bool(singular))
 
 
 def solve(

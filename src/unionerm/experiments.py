@@ -4,8 +4,10 @@ Conventions used throughout:
 
 * every trial is reproducible from (master seed, trial index), and its
   values do not depend on how trials are chunked; a discrete-law trial is
-  the atom counts of its dataset, fitted for every index by the one
-  least-squares routine of :mod:`unionerm.erm`;
+  the atom counts of its dataset, whose one product with the profile's
+  moment table gives every index's fit (by the one least-squares routine of
+  :mod:`unionerm.erm`) and every process value; a Gaussian-law trial is
+  solved on its rows by :func:`unionerm.erm.solve`;
 * every reported probability carries a binomial confidence interval;
 * quantiles are order statistics with binomial-method confidence intervals;
 * trials whose solver hit a singular sample covariance are flagged, never
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,8 @@ from .model import (
     subset_collection,
 )
 from .population import PopulationProfile, excess_risk
-from .processes import snapshot as process_snapshot
-from .bounds import compute_bound_inputs, thresholds_and_bounds
+from .processes import snapshot as process_snapshot  # noqa: F401 -- the benchmark tracer wraps it under this name
+from .bounds import _fixed_point, compute_bound_inputs, thresholds_and_bounds
 
 __all__ = [
     "InsufficientTrialsError",
@@ -144,15 +145,15 @@ def run_trials(
     """Solve ERM on `trials` independent datasets of size n.
 
     Trial i draws its dataset from the stream (master_seed, i).  On a
-    discrete law the dataset is its atom counts, and every index is fitted
-    for a chunk of ``TRIAL_CHUNK`` trials at once; on a Gaussian law each
-    trial draws explicit rows and is its own chunk.  A discrete-law trial is
-    fitted on the atom tables of ``prof``, which must be the profile of this
-    ``law`` and ``collection``.  Excess risks are exact:
-    from the population profile on discrete laws, from the closed-form risk
-    of the design on Gaussian laws.  The benchmark record reuses the
-    solver's fit of the a-priori optimal index, which is what refitting it
-    alone would produce.
+    discrete law the dataset is its atom counts: a chunk of ``TRIAL_CHUNK``
+    trials takes one moment product per dataset on the atom tables of
+    ``prof`` (which must be the profile of this ``law`` and ``collection``),
+    and every index's fit and, with ``snapshots``, every process value read
+    it.  On a Gaussian law each trial draws explicit rows and is solved by
+    :func:`unionerm.erm.solve`.  Excess risks are exact: from the population
+    profile on discrete laws, from the closed-form risk of the design on
+    Gaussian laws.  The benchmark record reuses the solver's fit of the
+    a-priori optimal index, which is what refitting it alone would produce.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -161,57 +162,45 @@ def run_trials(
     if prof is None and law.kind == "discrete":
         raise ValueError("discrete laws need a profile for exact excess risks")
     ids = collection.indices()
-    if prof is not None:
+    parts = []
+    if prof is None:
+        risks = np.array([law.approx_risk(e) for e in collection])
+        o, r_star = int(erm.select(risks[None])[0]), risks.min()
+        for i in range(trials):
+            sol = erm.solve(sample_dataset(law, n, (master_seed, i)), collection)
+            j = ids.index(sol.index)
+            exc = [n * (law.risk(collection.entries[k], sol.table[k].weights) - r_star) for k in (j, o)]
+            parts.append({"pick": [j], "n_excess": exc[:1], "n_excess_oracle": exc[1:], "singular": [sol.singular]})
+    else:
         if prof.law is not law or prof.collection is not collection:
             raise ValueError("the profile must be built from this law and collection")
+        tables = prof.tables
         o = ids.index(prof.least_optimal_index)
-        phis = [prof.records[t].phi for t in ids]
-
-        def excess(j, w):
-            return excess_risk(ids[j], w, prof)
-    else:
-        risks = np.array([law.approx_risk(e) for e in collection])
-        o = int(erm.select(risks[None])[0])
-        r_star = risks.min()
-
-        def excess(j, w):
-            return np.array([law.risk(collection.entries[j], v) for v in w]) - r_star
-
-    parts = []
-    chunk = TRIAL_CHUNK if prof is not None else 1
-    for lo in range(0, trials, chunk):
-        seeds = [(master_seed, i) for i in range(lo, min(lo + chunk, trials))]
-        if prof is not None:
+        for lo in range(0, trials, TRIAL_CHUNK):
+            seeds = [(master_seed, i) for i in range(lo, min(lo + TRIAL_CHUNK, trials))]
             counts = np.stack([sample_counts(law, n, seed) for seed in seeds])
-            fits = [erm.least_squares(phi, law.ys, counts, n)[:3] for phi in phis]
-        else:
-            ds = sample_dataset(law, n, seeds[0])
-            fits = [erm.least_squares(e(ds.x), ds.y, np.ones((1, n)), n)[:3] for e in collection]
-        pick = erm.select(np.stack([f[1] for f in fits], axis=1))
-        # one evaluation per selected index; the oracle's doubles as t_hat's
-        exc_o = excess(o, fits[o][0])
-        exc = exc_o.copy()
-        for j in np.unique(pick):
-            if j != o:
-                exc[pick == j] = excess(j, fits[j][0][pick == j])
-        part = {
-            "pick": pick,
-            "n_excess": n * exc,
-            "n_excess_oracle": n * exc_o,
-            "singular": np.any([f[2] for f in fits], axis=0),
-        }
-        if snapshots:
-            snap = process_snapshot(counts, n, prof)
-            gap_hat = np.array([prof.gap(t) for t in ids])[pick]
-            part.update(
-                lam_plus=snap.lam_plus_scaled,
-                lam_minus=snap.lam_minus_scaled,
-                delta_plus=snap.delta_plus_scaled,
-                g_sq_hat=snap.g_sq[np.arange(len(pick)), pick],
-                gap_hat=gap_hat,
-                est_err_hat=exc - gap_hat,
-            )
-        parts.append(part)
+            moments = tables.moments(counts, n)
+            weights, risks, singular = tables.fit(moments)
+            pick = erm.select(risks)
+            # one evaluation per selected index; the oracle's doubles as t_hat's
+            exc_o = excess_risk(ids[o], weights[o], prof)
+            exc = exc_o.copy()
+            for j in np.unique(pick):
+                if j != o:
+                    exc[pick == j] = excess_risk(ids[j], weights[j][pick == j], prof)
+            part = {"pick": pick, "n_excess": n * exc, "n_excess_oracle": n * exc_o, "singular": singular}
+            if snapshots:
+                snap = tables.evaluate(moments, n)
+                gap_hat = np.array([prof.gap(t) for t in ids])[pick]
+                part.update(
+                    lam_plus=snap.lam_plus_scaled,
+                    lam_minus=snap.lam_minus_scaled,
+                    delta_plus=snap.delta_plus_scaled,
+                    g_sq_hat=snap.g_sq[np.arange(len(pick)), pick],
+                    gap_hat=gap_hat,
+                    est_err_hat=exc - gap_hat,
+                )
+            parts.append(part)
 
     h = hashlib.sha256()
     h.update(_law_fingerprint(law))
@@ -581,9 +570,9 @@ def recovery_threshold(
     if not (0.0 < gamma < float("inf")):
         raise ValueError("recovery threshold needs a positive finite gap")
     k_max = 1 + len(prof.suboptimal())
-    prev = n = 1000
-    best_k = 1
-    for _ in range(max_rounds):
+    best_k = []
+
+    def step(n):
         best = None
         cx = ClosedFormComplexity(prof, n, trials=trials, seed=seed)
         for k in range(1, k_max + 1):
@@ -595,18 +584,10 @@ def recovery_threshold(
             val = 4.0 * k / (gamma * delta) * cx.value(s_prev).value
             if best is None or val < best[0]:
                 best = (val, k)
-        n_new = int(math.ceil(best[0])) + 1
-        best_k = best[1]
-        if abs(n_new - n) <= max(2, n // 100):
-            return max(n, n_new), best_k
-        prev, n = n, n_new
-    warnings.warn(
-        f"recovery threshold fixed point not reached in {max_rounds} rounds "
-        f"(last iterates {prev} and {n})",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    return n, best_k
+        best_k.append(best[1])
+        return int(math.ceil(best[0])) + 1
+
+    return _fixed_point(step, max_rounds, 100, "recovery threshold"), best_k[-1]
 
 
 @dataclass(frozen=True)

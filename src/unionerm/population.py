@@ -8,7 +8,8 @@ R(t, w_*(t)), and the second moment of the whitened loss gradient at the
 minimizer.  Across maps it stores the optimal risk R_*, the optimal set of
 indices and the suboptimality gap.  Any gradient cross-covariance
 G(t, s) = E[g(t) g(s)^T] is formed on demand from the tables and residuals;
-the process tables and the trial fits read the same atom tables.
+the moment table that every trial fit and process value reads
+(:attr:`PopulationProfile.tables`) is built from the same atom tables.
 
 Everything here is an exact finite sum over the atoms of the law; generative
 laws are rejected (their quantities are only ever Monte Carlo estimates and

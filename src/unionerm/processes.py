@@ -14,20 +14,21 @@ Each summand of the variational form of lambda_n is at most one, so
 lambda_n(t) <= sqrt(n) pathwise.  The supremum over an empty index subset is
 0 by convention (the risk-gap term vanishes when every map is optimal).
 
-On a discrete law a dataset is equivalent to its atom counts, and every
-process value is a contraction of those counts with the per-atom tables of
-``prof.tables``.  :func:`snapshot` evaluates all three processes on a batch
-of count rows as a per-index value table: one product per dataset against
-one merged per-atom table (whitened outer products grouped by feature
-dimension, then gradients, then normalized loss differences), then one
-batched ``eigvalsh`` per feature dimension.  Every expectation over datasets
-(expected suprema here; class moments and A(S) in :mod:`unionerm.bounds`) is
-one reduction, :meth:`CountSample.mean`, over one :func:`count_sample`: Monte
-Carlo chunks with per-chunk seed streams, or for tiny instances the exact
-enumeration of every dataset with its probability.  ``prof.tables`` keeps the
-last sample drawn, keyed by (n, trials, seed, mode), and its value table,
-built on first use, of which every expected supremum is a column max.  So
-one command draws each stream and evaluates each dataset once.
+On a discrete law a dataset is its atom counts, and every quantity read
+from it is a contraction of (counts / n) with the per-atom moment table of
+``prof.tables`` (:class:`AtomTables`): the pair products of the dictionary
+z = [distinct atom columns of every map, y] that some map's Sigma_n or
+Phi^T y reads, then each index's pointwise loss at w_*.  One product per
+dataset gives every index's Sigma_n, Phi^T y / n and R_n(w_*), which the
+trial fits and :func:`snapshot`, the per-index value table of all three
+processes, both read.  Every expectation over datasets (expected suprema
+here; class moments and A(S) in :mod:`unionerm.bounds`) is one reduction,
+:meth:`CountSample.mean`, over one :func:`count_sample`: Monte Carlo chunks
+with per-chunk seed streams, or for tiny instances the exact enumeration of
+every dataset with its probability.  ``prof.tables`` keeps the last sample
+drawn, keyed by (n, trials, seed, mode), and its value table, built on first
+use, of which every expected supremum is a column max.  So one command
+draws each stream and evaluates each dataset once.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .erm import least_squares
 from .model import DiscreteLaw
 from .population import PopulationProfile
 
@@ -70,13 +72,10 @@ def _batch_rng(seed: int, chunk: int) -> np.random.Generator:
 # ---------------------------------------------------------------------------
 
 class AtomTables:
-    """Per-atom values of every process ingredient for a discrete law.
-
-    A dataset from a discrete law is equivalent to its atom counts, so any
-    empirical mean is an exact contraction of (counts / n) with a per-atom
-    table.  These tables make Monte Carlo over 1e5-1e6 datasets a handful of
-    dense tensor operations per chunk.
-    """
+    """The moment table of a discrete law (see the module docstring): a
+    dataset's :meth:`moments` are all that :meth:`fit` and :meth:`evaluate`
+    read.  Also the per-atom arrays that only the bounds read, built on
+    first use."""
 
     def __init__(self, prof: PopulationProfile):
         law = prof.law
@@ -84,26 +83,57 @@ class AtomTables:
             raise ValueError("atom tables require a discrete law")
         # no reference back to prof, which holds these tables: a cycle would
         # keep every profile and its count sample alive until the cyclic GC
-        self.law = law
-        self.psi = {}        # whitened features, (m, d_t)
-        self.psi_outer = {}  # whitened feature outer products, (m, d_t, d_t)
-        self.grad_w = {}     # whitened gradients at w_*, (m, d_t)
-        self.loss = {}       # pointwise loss at w_*, (m,)
-        for t, rec in prof.records.items():
-            psi = rec.phi @ rec.whitener
-            self.psi[t] = psi
-            self.psi_outer[t] = psi[:, :, None] * psi[:, None, :]
-            self.grad_w[t] = rec.resid[:, None] * psi
-            self.loss[t] = 0.5 * rec.resid**2
-        self.delta_vals = {}  # normalized loss differences, mean one, (m,)
-        s0 = prof.least_optimal_index
-        for t in prof.suboptimal():
-            self.delta_vals[t] = (self.loss[t] - self.loss[s0]) / prof.gap(t)
+        self.law, self._records = law, prof.records
         self.indices = prof.indices()        # column order of a Snapshot
         self.suboptimal = prof.suboptimal()  # column order of Snapshot.delta
-        self._build_value_columns()
+        self._sub = [self.indices.index(t) for t in self.suboptimal]
+        self._s0 = self.indices.index(prof.least_optimal_index)
+        self._gaps = np.array([prof.gap(t) for t in self.suboptimal])
         self._last = None   # (key, CountSample) of the last sample drawn
         self._table = None  # its value table, built on first use
+        slots, pairs = {}, {}  # atom column -> (slot, column); slot pair -> table column
+
+        def slot(col):
+            return slots.setdefault(col.tobytes(), (len(slots), col))[0]
+
+        def pair(a, b):
+            return pairs.setdefault((min(a, b), max(a, b)), len(pairs))
+
+        maps = [[slot(c) for c in self._records[t].phi.T] for t in self.indices]
+        y = slot(law.ys)
+        # per feature dimension d, k indices: their Snapshot columns, the
+        # table columns of [Sigma_n | Phi^T y / n] (k, d, d + 1), w_* and W
+        self._groups = []
+        for d in dict.fromkeys(map(len, maps)):
+            js = [j for j, cs in enumerate(maps) if len(cs) == d]
+            recs = [self._records[self.indices[j]] for j in js]
+            cols = [[[pair(a, b) for b in maps[j]] + [pair(a, y)] for a in maps[j]] for j in js]
+            self._groups.append((js, np.array(cols), np.stack([r.w_star for r in recs]),
+                                 np.stack([r.whitener for r in recs])))
+        columns = [col for _, col in slots.values()]
+        self._loss = slice(len(pairs), None)
+        self._moment_columns = np.column_stack(
+            [columns[a] * columns[b] for a, b in pairs]
+            + [0.5 * self._records[t].resid ** 2 for t in self.indices]
+        )
+
+    def __getattr__(self, name):
+        """The per-atom arrays that only the bounds read, all built on first use:
+        per index, whitened features ``psi`` (m, d_t), ``psi_outer``, whitened
+        gradients ``grad_w`` at w_* and ``grad_sq`` = |grad_w|^2; per suboptimal
+        index, ``delta_vals`` = (loss - loss of the least optimal index) / gap
+        (mean one) and ``delta_dev_sq`` = (delta_vals - 1)^2."""
+        if name not in ("psi", "psi_outer", "grad_w", "grad_sq", "delta_vals", "delta_dev_sq"):
+            raise AttributeError(name)
+        recs = self._records
+        self.psi = {t: rec.phi @ rec.whitener for t, rec in recs.items()}
+        self.psi_outer = {t: p[:, :, None] * p[:, None, :] for t, p in self.psi.items()}
+        self.grad_w = {t: rec.resid[:, None] * self.psi[t] for t, rec in recs.items()}
+        self.grad_sq = {t: np.sum(g**2, axis=1) for t, g in self.grad_w.items()}
+        loss0 = 0.5 * recs[self.indices[self._s0]].resid ** 2
+        self.delta_vals = {t: (0.5 * recs[t].resid ** 2 - loss0) / g for t, g in zip(self.suboptimal, self._gaps)}
+        self.delta_dev_sq = {t: (v - 1.0) ** 2 for t, v in self.delta_vals.items()}
+        return getattr(self, name)
 
     def sample(self, n: int, trials: int, seed: int, mode: str) -> CountSample:
         """The count sample of this law for (n, trials, seed, mode).
@@ -124,54 +154,64 @@ class AtomTables:
             self._table = CountSample(tuple(self.snapshot(c, n) for c in sample.chunks), sample.probs)
         return self._table
 
-    def _build_value_columns(self) -> None:
-        """One (m, K) table whose per-dataset product gives every process input.
+    def moments(self, counts: np.ndarray, n: int) -> np.ndarray:
+        """The moments (B, K) of the datasets with atom counts ``counts`` (B, m),
+        one product per dataset (``(b, 1, m) @ table``), so a row's moments
+        do not depend on the other rows."""
+        return ((counts[:, None, :] / n) @ self._moment_columns)[:, 0, :]
 
-        Columns: each index's flattened ``psi_outer``, grouped by d_t; then
-        each index's ``grad_w`` in the same groups; then every ``delta_vals``.
-        ``self._groups`` holds, per d_t, the Snapshot columns of its indices
-        and the table columns of their outer products and gradients.
-        """
-        by_dim = {}
-        for j, t in enumerate(self.indices):
-            by_dim.setdefault(self.psi[t].shape[1], []).append(j)
-        ts = [self.indices[j] for js in by_dim.values() for j in js]
-        m = self.law.support_size
-        self._value_columns = np.hstack(
-            [self.psi_outer[t].reshape(m, -1) for t in ts]
-            + [self.grad_w[t] for t in ts]
-            + [self.delta_vals[t][:, None] for t in self.suboptimal]
-        )
-        self._groups, lo, lo_grad = [], 0, sum(d * d * len(js) for d, js in by_dim.items())
-        for d, js in by_dim.items():
-            k = len(js)
-            self._groups.append((d, js, slice(lo, lo + k * d * d), slice(lo_grad, lo_grad + k * d)))
-            lo, lo_grad = lo + k * d * d, lo_grad + k * d
-        self._delta_cols = slice(lo_grad, None)
+    def _grams(self, moments: np.ndarray):
+        """Per feature dimension: Snapshot columns, w_*, W, Sigma_n, Phi^T y / n, Sigma_n w_* - Phi^T y / n."""
+        for js, cols, w_star, whitener in self._groups:
+            both = moments[:, cols]
+            sigma_n, rhs = both[..., :-1], both[..., -1]
+            yield js, w_star, whitener, sigma_n, rhs, (sigma_n @ w_star[..., None])[..., 0] - rhs
 
-    def snapshot(self, counts: np.ndarray, n: int) -> Snapshot:
-        """Evaluate every process on the datasets with atom counts ``counts`` (B, m).
+    def fit(self, moments: np.ndarray):
+        """Least squares of every index on the datasets of ``moments`` (B, K):
+        one batched pivoted :func:`unionerm.erm.least_squares` per feature
+        dimension, with the risk R_n(w_*) + grad^T D + D^T Sigma_n D / 2 at
+        D = w - w_*.  Returns one (B, d_t) weight stack per index in
+        ``indices`` order, the (B, |T|) risks, and whether any fit of a
+        dataset was singular (B,)."""
+        weights = [None] * len(self.indices)
+        risks = np.array(moments[:, self._loss])
+        singular = np.zeros(moments.shape[0], dtype=bool)
+        for js, w_star, _, sigma_n, rhs, grad in self._grams(moments):
+            w, sing = least_squares(sigma_n, rhs)
+            diff = w - w_star
+            risks[:, js] += np.sum(diff * (grad + 0.5 * (sigma_n @ diff[..., None])[..., 0]), axis=2)
+            singular |= sing.any(axis=1)
+            for i, j in enumerate(js):
+                weights[j] = w[:, i]
+        return weights, risks, singular
 
-        Every product is taken one dataset at a time (``(b, 1, m) @ table``
-        on the merged per-atom table), so a row's values do not depend on the
-        other rows.  Rows go in blocks of ``TABLE_BLOCK``, which bounds the
-        (b, 1, m) frequency temporary; each block takes one product and one
-        ``eigvalsh`` per feature dimension.
-        """
-        b = counts.shape[0]
+    def evaluate(self, moments: np.ndarray, n: int) -> Snapshot:
+        """Every process on the datasets of ``moments`` (B, K) at sample size n:
+        lambda_n from W Sigma_n W (one ``eigvalsh`` per feature dimension),
+        g_n from W (Sigma_n w_* - Phi^T y / n), delta_n from the loss columns."""
+        b = moments.shape[0]
         lam_min, g_sq = np.empty((b, len(self.indices))), np.empty((b, len(self.indices)))
         lam_minus = np.full(b, -np.inf)
-        delta = np.empty((b, len(self.suboptimal)))
-        for lo in range(0, b, TABLE_BLOCK):
-            rows = slice(lo, lo + TABLE_BLOCK)
-            vals = ((counts[rows, None, :] / n) @ self._value_columns)[:, 0, :]
-            for d, js, outer, grad in self._groups:
-                ends = np.linalg.eigvalsh(vals[:, outer].reshape(-1, len(js), d, d))
-                lam_min[rows, js] = ends[:, :, 0]
-                np.maximum(lam_minus[rows], ends[:, :, -1].max(axis=1) - 1.0, out=lam_minus[rows])
-                g_sq[rows, js] = n * np.sum(vals[:, grad].reshape(-1, len(js), d) ** 2, axis=2)
-            delta[rows] = np.sqrt(n) * (1.0 - vals[:, self._delta_cols])
+        for js, _, whitener, sigma_n, _, grad in self._grams(moments):
+            ends = np.linalg.eigvalsh(whitener @ sigma_n @ whitener)
+            lam_min[:, js] = ends[:, :, 0]
+            np.maximum(lam_minus, ends[:, :, -1].max(axis=1) - 1.0, out=lam_minus)
+            g_sq[:, js] = n * np.sum((whitener @ grad[..., None])[..., 0] ** 2, axis=2)
+        loss = moments[:, self._loss]
+        delta = np.sqrt(n) * (1.0 - (loss[:, self._sub] - loss[:, [self._s0]]) / self._gaps)
         return Snapshot(n=n, lam_min=lam_min, lam_minus_scaled=lam_minus, g_sq=g_sq, delta=delta)
+
+    def snapshot(self, counts: np.ndarray, n: int) -> Snapshot:
+        """Evaluate every process on the datasets with atom counts ``counts`` (B, m),
+        in blocks of ``TABLE_BLOCK`` rows, which bounds the (b, 1, m)
+        frequency temporary: one :meth:`moments` and :meth:`evaluate` each."""
+        blocks = [
+            self.evaluate(self.moments(counts[lo:lo + TABLE_BLOCK], n), n)
+            for lo in range(0, counts.shape[0], TABLE_BLOCK)
+        ]
+        fields = ("lam_min", "lam_minus_scaled", "g_sq", "delta")
+        return Snapshot(n=n, **{f: np.concatenate([getattr(s, f) for s in blocks]) for f in fields})
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,13 +54,17 @@ def test_run_trials_prefix_matches_shorter_run():
         assert np.array_equal(getattr(long, field)[:k], getattr(short, field))
 
 
-def test_run_trials_matches_per_dataset_route():
+def test_run_trials_matches_per_dataset_route(canonical_three):
     # the count engine against sample_dataset -> erm.solve -> oracle snapshot,
-    # trial by trial, with n below the map dimensions so singular fits occur
+    # trial by trial, with n below the map dimensions so singular fits occur;
+    # in the last two instances maps share atom columns (coordinate subsets,
+    # and a constant map), and at small n atoms go missing
     rng = np.random.default_rng(41)
+    instances = [random_instance(rng) for _ in range(8)]
+    cube, pairs = ex.bss_instance("discrete", 4, [1.0, -1.0, 0.0, 0.0], 1.0), subset_collection(4, 2)
+    instances += [(cube, pairs, build_profile(cube, pairs)), canonical_three]
     singular_seen = 0
-    for case in range(8):
-        law, coll, prof = random_instance(rng)
+    for case, (law, coll, prof) in enumerate(instances):
         t0 = prof.least_optimal_index
         for n in (1, 2, 5, 40):
             batch = ex.run_trials(law, coll, n, 12, 500 + case, prof, snapshots=True)
@@ -84,6 +89,29 @@ def test_run_trials_matches_per_dataset_route():
                 for field, val in ref.items():
                     assert getattr(batch, field)[i] == pytest.approx(val, rel=1e-9, abs=1e-9), field
     assert singular_seen > 0
+
+
+def test_run_trials_peak_memory_on_a_wide_law():
+    # bss_wide's law: 2048 atoms, |T| = 120 maps of dimension 3.  The moment
+    # table is (2048, 185), 3 MB; the per-atom arrays that only the bounds
+    # read hold tens of MB, and a (B, m, d_t) fit temporary per index adds
+    # three (B, m) arrays to a chunk's own allocations
+    law = ex.bss_instance("discrete", 10, [1.0, 1.0, 1.0] + [0.0] * 7, 1.0)
+    coll = subset_collection(10, 3)
+    prof = build_profile(law, coll)
+    trials = 60
+    tracemalloc.start()
+    try:
+        prof.tables
+        held, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        for n in (40, 100, 250):
+            ex.run_trials(law, coll, n, trials, 8, prof)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert max(build_peak, peak) < 12e6
+    assert peak - held < 6 * trials * law.support_size * 8
 
 
 def test_run_trials_oracle_record_matches_oracle_solve(canonical):
