@@ -154,22 +154,23 @@ def class_moments(
     suboptimal index; requires a nonempty suboptimal set unless empty-class
     output (0, 0) is acceptable.
     """
-    tables = prof.tables
+    recs = prof.records
     if kind == "G":
         subset = tuple(prof.indices() if subset is None else subset)
         if not subset:
             return ClassMoments(0.0, 0.0, 0.0, mode)
         sigma_sq = max(prof.grad_second_moment(t) for t in subset)
-        values = [tables.grad_sq[t] for t in subset]
+        values = [recs[t].grad_sq for t in subset]
     elif kind == "D":
         subset = tuple(prof.suboptimal() if subset is None else subset)
         if not subset:
             return ClassMoments(0.0, 0.0, 0.0, mode)
-        values = [tables.delta_dev_sq[t] for t in subset]
+        loss0 = 0.5 * recs[prof.least_optimal_index].resid ** 2
+        values = [((0.5 * recs[t].resid ** 2 - loss0) / prof.gap(t) - 1.0) ** 2 for t in subset]
         sigma_sq = max(float(prof.law.weights @ v) for v in values)
     else:
         raise ValueError(f"unknown class kind {kind!r}")
-    r_n, r_n_se = _expected_max_sqrt(tables.sample(n, trials, seed, mode), values)
+    r_n, r_n_se = _expected_max_sqrt(prof.tables.sample(n, trials, seed, mode), values)
     return ClassMoments(sigma_sq=float(sigma_sq), r_n=r_n, r_n_se=r_n_se, mode=mode)
 
 
@@ -279,11 +280,11 @@ def matrix_bernstein_bound(mean_z, v, n: int, d: int | None = None) -> float:
 
 def covariance_deviation_lambda_max(prof: PopulationProfile) -> float:
     """max_t lambda_max(E[(psi_t psi_t^T - I)^2]), exact on a discrete law."""
-    tables = prof.tables
     best = 0.0
-    for outer in tables.psi_outer.values():
-        dev = outer - np.eye(outer.shape[1])[None, :, :]
-        vmat = np.tensordot(tables.law.weights, dev @ dev, axes=(0, 0))
+    for rec in prof.records.values():
+        psi = rec.phi @ rec.whitener
+        dev = psi[:, :, None] * psi[:, None, :] - np.eye(psi.shape[1])[None, :, :]
+        vmat = np.tensordot(prof.law.weights, dev @ dev, axes=(0, 0))
         best = max(best, float(np.linalg.eigvalsh(vmat)[-1]))
     return best
 
@@ -343,19 +344,19 @@ def quadratic_form_variance_sup(prof: PopulationProfile, seed: int = 0) -> tuple
     non-convergence.  Each step is two products with one pair table, the
     atoms' block-diagonal products psi_ti psi_tj, merged over equal rows.
     """
-    tables = prof.tables
-    weights = tables.law.weights
-    block = np.repeat(np.arange(len(tables.psi)), [p.shape[1] for p in tables.psi.values()])
+    weights = prof.law.weights
+    psi = [rec.phi @ rec.whitener for rec in prof.records.values()]
+    block = np.repeat(np.arange(len(psi)), [p.shape[1] for p in psi])
     total = block.size
     ci, cj = np.nonzero(block[:, None] == block)  # the pairs' stacked coordinates
     scatter = np.eye(total)[ci]  # adds each pair's term to its first coordinate
-    stacked = np.hstack(list(tables.psi.values()))
+    stacked = np.hstack(psi)
     pairs, inverse = np.unique(stacked[:, ci] * stacked[:, cj], axis=0, return_inverse=True)
     merged = np.bincount(inverse.ravel(), weights=weights, minlength=pairs.shape[0])
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), 3))))
     gauss = rng.standard_normal((QUARTIC_RESTARTS, total))
     v = np.vstack([np.eye(total), gauss / np.linalg.norm(gauss, axis=1, keepdims=True)])
-    sq_max = np.max([np.sum(p**2, axis=1) for p in tables.psi.values()], axis=0)
+    sq_max = np.max([np.sum(p**2, axis=1) for p in psi], axis=0)
     alpha = 3.0 * float(weights @ np.maximum(np.abs(sq_max - 1.0), 1.0) ** 2)
     coef = pairs @ (v[:, ci] * v[:, cj]).T - 1.0  # (atoms, starts)
     val = merged @ coef**2

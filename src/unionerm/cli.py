@@ -47,7 +47,6 @@ from .model import (
     DuplicateClassError,
     FeatureCollection,
     FeatureEntry,
-    GaussianDesignLaw,
     subset_collection,
 )
 from .population import profile as build_profile
@@ -70,37 +69,23 @@ class ConfigError(ValueError):
 _NUMBER = {"type": "number"}
 _LAW_SCHEMA = {
     "type": "object",
-    "oneOf": [
-        {
-            "properties": {
-                "kind": {"const": "discrete"},
-                "atoms": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "required": ["x", "y", "w"],
-                        "properties": {
-                            "x": {"type": "array", "items": _NUMBER, "minItems": 1},
-                            "y": _NUMBER,
-                            "w": {"type": "number", "exclusiveMinimum": 0},
-                        },
-                    },
+    "properties": {
+        "kind": {"const": "discrete"},
+        "atoms": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "required": ["x", "y", "w"],
+                "properties": {
+                    "x": {"type": "array", "items": _NUMBER, "minItems": 1},
+                    "y": _NUMBER,
+                    "w": {"type": "number", "exclusiveMinimum": 0},
                 },
             },
-            "required": ["kind", "atoms"],
         },
-        {
-            "properties": {
-                "kind": {"const": "gaussian_design"},
-                "dim": {"type": "integer", "minimum": 1},
-                "w_true": {"type": "array", "items": _NUMBER},
-                "noise_std": {"type": "number", "minimum": 0},
-                "cov": {"type": "array"},
-            },
-            "required": ["kind", "dim", "w_true", "noise_std"],
-        },
-    ],
+    },
+    "required": ["kind", "atoms"],
 }
 _COLLECTION_SCHEMA = {
     "type": "object",
@@ -149,7 +134,7 @@ CONFIG_SCHEMA = {
 _CONFIG_VALIDATOR = Draft202012Validator(CONFIG_SCHEMA)
 # The same schema with no per-atom check, for configs whose atoms pass _plain_atoms.
 _ATOMLESS_SCHEMA = copy.deepcopy(CONFIG_SCHEMA)
-del _ATOMLESS_SCHEMA["properties"]["law"]["oneOf"][0]["properties"]["atoms"]["items"]
+del _ATOMLESS_SCHEMA["properties"]["law"]["properties"]["atoms"]["items"]
 _ATOMLESS_VALIDATOR = Draft202012Validator(_ATOMLESS_SCHEMA)
 
 
@@ -184,17 +169,14 @@ def load_config(path: str) -> dict:
 def build_law(cfg: dict):
     if "law" not in cfg:
         raise ConfigError("config field $.law: required for this command")
-    law = cfg["law"]
-    if law["kind"] == "discrete":
-        xs = np.array([a["x"] for a in law["atoms"]], dtype=float)
-        ys = np.array([a["y"] for a in law["atoms"]], dtype=float)
-        ws = np.array([a["w"] for a in law["atoms"]], dtype=float)
-        try:
-            return DiscreteLaw(xs=xs, ys=ys, weights=ws)
-        except ValueError as exc:
-            raise ConfigError(f"config field $.law: {exc}") from exc
-    cov = np.array(law.get("cov", np.eye(law["dim"]).tolist()), dtype=float)
-    return GaussianDesignLaw(cov=cov, w_true=np.array(law["w_true"], dtype=float), noise_std=law["noise_std"])
+    atoms = cfg["law"]["atoms"]
+    xs = np.array([a["x"] for a in atoms], dtype=float)
+    ys = np.array([a["y"] for a in atoms], dtype=float)
+    ws = np.array([a["w"] for a in atoms], dtype=float)
+    try:
+        return DiscreteLaw(xs=xs, ys=ys, weights=ws)
+    except ValueError as exc:
+        raise ConfigError(f"config field $.law: {exc}") from exc
 
 
 def _entry_from_json(spec: dict) -> FeatureEntry:

@@ -209,8 +209,18 @@ class DiscreteLaw:
         out = np.tensordot(self.weights, vals, axes=(0, 0))
         return float(out) if np.ndim(out) == 0 else out
 
+    def counts(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        """Atom counts (m,) of n draws: atom j takes the uniforms that fall in
+        [cdf[j-1], cdf[j]) of the normalized cumulative weights, counted on
+        the sorted uniforms without materialising indices."""
+        cdf = self.weights.cumsum()
+        cdf /= cdf[-1]
+        u = np.sort(rng.random(n))
+        return np.diff(np.searchsorted(u, cdf, "left"), prepend=0)
+
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        idx = rng.choice(self.support_size, size=n, p=self.weights)
+        """n draws as rows, in atom order: the :meth:`counts` expanded."""
+        idx = np.repeat(np.arange(self.support_size), self.counts(n, rng))
         return self.xs[idx], self.ys[idx]
 
 
@@ -323,7 +333,12 @@ def exact_expectation(fn, law) -> float | np.ndarray:
 
 
 def sample_dataset(law, n: int, seed: tuple[int, int]) -> Dataset:
-    """Draw n i.i.d. samples; identical (law, n, seed) is bit-identical."""
+    """Draw n i.i.d. samples; identical (law, n, seed) is bit-identical.
+
+    On a discrete law the rows come in atom order (the draw is exchangeable,
+    so the order carries no information): :meth:`DiscreteLaw.counts`
+    expanded row by row.
+    """
     if n < 1:
         raise ValueError("sample size must be at least 1")
     master, trial = seed
@@ -340,14 +355,7 @@ def sample_counts(law: DiscreteLaw, n: int, seed: tuple[int, int]) -> np.ndarray
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    # numpy's Generator.choice(m, n, p=w) draws u = random(n) and returns
-    # cdf.searchsorted(u, "right"), with cdf = w.cumsum() divided by its last
-    # entry: atom j gets the u in [cdf[j-1], cdf[j]).  Counting the sorted u
-    # below each edge bins the same uniforms without materialising indices.
-    cdf = law.weights.cumsum()
-    cdf /= cdf[-1]
-    u = np.sort(rng_from_seed(*seed).random(n))
-    return np.diff(np.searchsorted(u, cdf, "left"), prepend=0)
+    return law.counts(n, rng_from_seed(*seed))
 
 
 # ---------------------------------------------------------------------------

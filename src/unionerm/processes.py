@@ -28,7 +28,8 @@ with per-chunk seed streams, or for tiny instances the exact enumeration of
 every dataset with its probability.  ``prof.tables`` keeps the last sample
 drawn, keyed by (n, trials, seed, mode), and its value table, built on first
 use, of which every expected supremum is a column max.  So one command
-draws each stream and evaluates each dataset once.
+draws each stream and evaluates each dataset once.  The tables hold no
+per-atom population arrays; those are the profile's records.
 """
 
 from __future__ import annotations
@@ -74,8 +75,7 @@ def _batch_rng(seed: int, chunk: int) -> np.random.Generator:
 class AtomTables:
     """The moment table of a discrete law (see the module docstring): a
     dataset's :meth:`moments` are all that :meth:`fit` and :meth:`evaluate`
-    read.  Also the per-atom arrays that only the bounds read, built on
-    first use."""
+    read.  Also the last count sample drawn and its value table."""
 
     def __init__(self, prof: PopulationProfile):
         law = prof.law
@@ -83,7 +83,7 @@ class AtomTables:
             raise ValueError("atom tables require a discrete law")
         # no reference back to prof, which holds these tables: a cycle would
         # keep every profile and its count sample alive until the cyclic GC
-        self.law, self._records = law, prof.records
+        self.law, recs = law, prof.records
         self.indices = prof.indices()        # column order of a Snapshot
         self.suboptimal = prof.suboptimal()  # column order of Snapshot.delta
         self._sub = [self.indices.index(t) for t in self.suboptimal]
@@ -99,41 +99,25 @@ class AtomTables:
         def pair(a, b):
             return pairs.setdefault((min(a, b), max(a, b)), len(pairs))
 
-        maps = [[slot(c) for c in self._records[t].phi.T] for t in self.indices]
+        maps = [[slot(c) for c in recs[t].phi.T] for t in self.indices]
         y = slot(law.ys)
         # per feature dimension d, k indices: their Snapshot columns, the
         # table columns of [Sigma_n | Phi^T y / n] (k, d, d + 1), w_* and W
         self._groups = []
         for d in dict.fromkeys(map(len, maps)):
             js = [j for j, cs in enumerate(maps) if len(cs) == d]
-            recs = [self._records[self.indices[j]] for j in js]
+            group = [recs[self.indices[j]] for j in js]
             cols = [[[pair(a, b) for b in maps[j]] + [pair(a, y)] for a in maps[j]] for j in js]
-            self._groups.append((js, np.array(cols), np.stack([r.w_star for r in recs]),
-                                 np.stack([r.whitener for r in recs])))
+            self._groups.append((js, np.array(cols), np.stack([r.w_star for r in group]),
+                                 np.stack([r.whitener for r in group])))
         columns = [col for _, col in slots.values()]
         self._loss = slice(len(pairs), None)
-        self._moment_columns = np.column_stack(
-            [columns[a] * columns[b] for a, b in pairs]
-            + [0.5 * self._records[t].resid ** 2 for t in self.indices]
-        )
-
-    def __getattr__(self, name):
-        """The per-atom arrays that only the bounds read, all built on first use:
-        per index, whitened features ``psi`` (m, d_t), ``psi_outer``, whitened
-        gradients ``grad_w`` at w_* and ``grad_sq`` = |grad_w|^2; per suboptimal
-        index, ``delta_vals`` = (loss - loss of the least optimal index) / gap
-        (mean one) and ``delta_dev_sq`` = (delta_vals - 1)^2."""
-        if name not in ("psi", "psi_outer", "grad_w", "grad_sq", "delta_vals", "delta_dev_sq"):
-            raise AttributeError(name)
-        recs = self._records
-        self.psi = {t: rec.phi @ rec.whitener for t, rec in recs.items()}
-        self.psi_outer = {t: p[:, :, None] * p[:, None, :] for t, p in self.psi.items()}
-        self.grad_w = {t: rec.resid[:, None] * self.psi[t] for t, rec in recs.items()}
-        self.grad_sq = {t: np.sum(g**2, axis=1) for t, g in self.grad_w.items()}
-        loss0 = 0.5 * recs[self.indices[self._s0]].resid ** 2
-        self.delta_vals = {t: (0.5 * recs[t].resid ** 2 - loss0) / g for t, g in zip(self.suboptimal, self._gaps)}
-        self.delta_dev_sq = {t: (v - 1.0) ** 2 for t, v in self.delta_vals.items()}
-        return getattr(self, name)
+        # filled in place, column by column: the build holds nothing but the table
+        self._moment_columns = np.empty((law.support_size, len(pairs) + len(self.indices)))
+        for k, (a, b) in enumerate(pairs):
+            np.multiply(columns[a], columns[b], out=self._moment_columns[:, k])
+        for k, t in enumerate(self.indices, len(pairs)):
+            np.multiply(0.5, recs[t].resid ** 2, out=self._moment_columns[:, k])
 
     def sample(self, n: int, trials: int, seed: int, mode: str) -> CountSample:
         """The count sample of this law for (n, trials, seed, mode).

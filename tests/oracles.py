@@ -121,6 +121,28 @@ def enum_expected_sup_gsq(law, collection, prof, n):
     return total
 
 
+def enum_grad_class_moments(law, collection, n):
+    """(sigma^2, r_n) of the whitened-gradient class over every map, atom by
+    atom: each atom's gradient norm g^T Sigma^{-1} g at w_* by a solve, then
+    r_n^2 = E[max over the drawn atoms and the maps] over every ordered
+    dataset of size n."""
+    atoms = atoms_of(law)
+    norms = []  # per map, one squared norm per atom
+    for entry in collection:
+        feat = lambda x, e=entry: e(x[None, :])[0]
+        sigma, w = enum_sigma(atoms, feat), enum_optimal_weights(atoms, feat)
+        norms.append([])
+        for x, y, _ in atoms:
+            g = (feat(x) @ w - y) * feat(x)
+            norms[-1].append(float(g @ np.linalg.solve(sigma, g)))
+    sigma_sq = max(sum(wt * v for (_, _, wt), v in zip(atoms, vals)) for vals in norms)
+    r_sq = 0.0
+    for combo in itertools.product(range(len(atoms)), repeat=n):
+        prob = math.prod(atoms[a][2] for a in combo)
+        r_sq += prob * max(vals[a] for vals in norms for a in combo)
+    return sigma_sq, math.sqrt(r_sq)
+
+
 # ---------------------------------------------------------------------------
 # The three processes on one explicit dataset (reference for the count route)
 # ---------------------------------------------------------------------------
@@ -196,25 +218,33 @@ def snapshot(dataset, prof):
     )
 
 
-def table_snapshot_loop(tables, counts, n):
+def table_snapshot_loop(prof, counts, n):
     """``AtomTables.snapshot`` one index at a time: three products and one
-    ``eigvalsh`` per index and block, on the per-index tables."""
+    ``eigvalsh`` per index and block, on per-atom arrays built from the
+    profile's records (whitened features, whitened gradients, normalized
+    loss gaps)."""
     b, m = counts.shape
-    lam_min, g_sq = np.empty((b, len(tables.indices))), np.empty((b, len(tables.indices)))
+    recs, indices, suboptimal = prof.records, prof.indices(), prof.suboptimal()
+    psi = {t: rec.phi @ rec.whitener for t, rec in recs.items()}
+    grad_w = {t: rec.resid[:, None] * psi[t] for t, rec in recs.items()}
+    loss0 = 0.5 * recs[prof.least_optimal_index].resid ** 2
+    delta_vals = {t: (0.5 * recs[t].resid ** 2 - loss0) / prof.gap(t) for t in suboptimal}
+    lam_min, g_sq = np.empty((b, len(indices))), np.empty((b, len(indices)))
     lam_minus = np.full(b, -np.inf)
-    delta = np.empty((b, len(tables.suboptimal)))
+    delta = np.empty((b, len(suboptimal)))
     for lo in range(0, b, TABLE_BLOCK):
         rows = slice(lo, lo + TABLE_BLOCK)
         freq = counts[rows, None, :] / n
-        for j, t in enumerate(tables.indices):
-            d = tables.psi[t].shape[1]
-            wcov = (freq @ tables.psi_outer[t].reshape(m, d * d)).reshape(-1, d, d)
+        for j, t in enumerate(indices):
+            d = psi[t].shape[1]
+            outer = psi[t][:, :, None] * psi[t][:, None, :]
+            wcov = (freq @ outer.reshape(m, d * d)).reshape(-1, d, d)
             ends = np.linalg.eigvalsh(wcov)
             lam_min[rows, j] = ends[:, 0]
             np.maximum(lam_minus[rows], ends[:, -1] - 1.0, out=lam_minus[rows])
-            g_sq[rows, j] = n * np.sum((freq @ tables.grad_w[t])[:, 0] ** 2, axis=1)
-        for j, t in enumerate(tables.suboptimal):
-            delta[rows, j] = np.sqrt(n) * (1.0 - (freq @ tables.delta_vals[t])[:, 0])
+            g_sq[rows, j] = n * np.sum((freq @ grad_w[t])[:, 0] ** 2, axis=1)
+        for j, t in enumerate(suboptimal):
+            delta[rows, j] = np.sqrt(n) * (1.0 - (freq @ delta_vals[t])[:, 0])
     return Snapshot(n=n, lam_min=lam_min, lam_minus_scaled=lam_minus, g_sq=g_sq, delta=delta)
 
 
@@ -310,10 +340,10 @@ def quadratic_form_variance_sup_loop(prof, seed=0):
     """The quartic sup's shifted power iteration, one block product at a time
     over the unmerged atoms: same starts, shift and stopping rule as
     ``bounds.quadratic_form_variance_sup``, a different route to each step."""
-    tables = prof.tables
-    weights = tables.law.weights
+    weights = prof.law.weights
     blocks, total = [], 0  # (psi_t, its columns in the stacked coordinates)
-    for p in tables.psi.values():
+    for rec in prof.records.values():
+        p = rec.phi @ rec.whitener
         blocks.append((p, slice(total, total + p.shape[1])))
         total += p.shape[1]
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), 3))))

@@ -12,6 +12,7 @@ from unionerm.population import profile
 
 from conftest import canonical_law, canonical_three_map_collection, random_instance
 from oracles import (
+    enum_grad_class_moments,
     expected_max_presence,
     quadratic_form_variance_grid,
     quadratic_form_variance_sup_loop,
@@ -86,6 +87,15 @@ def test_class_moments_exact_mode_matches_mc(canonical):
     mc = bounds.class_moments("G", None, prof, n=2, trials=1_000_000, seed=2)
     assert abs(mc.r_n - exact.r_n) <= 4 * max(mc.r_n_se, 1e-12)
     assert exact.sigma_sq == mc.sigma_sq  # both exact by enumeration
+
+
+@pytest.mark.parametrize("s", range(8))
+def test_grad_class_exact_moments_match_atom_loop(s):
+    law, coll, prof = random_instance(np.random.default_rng(s))
+    mom = bounds.class_moments("G", None, prof, n=3, mode="exact")
+    sigma_sq, r_n = enum_grad_class_moments(law, coll, 3)
+    assert mom.sigma_sq == pytest.approx(sigma_sq, rel=1e-12)
+    assert mom.r_n == pytest.approx(r_n, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -405,10 +415,12 @@ def test_expected_max_presence_shortcut_matches_masked_max(n, gap_rows):
     assert prof.law.support_size == 512
     share = np.mean(np.concatenate([c.min(axis=1) == 0 for c in sample.chunks]))
     assert {"all": share == 1.0, "some": 0.0 < share < 1.0, "none": share == 0.0}[gap_rows]
-    tables = prof.tables
+    recs = prof.records
+    grad_w = {t: rec.resid[:, None] * (rec.phi @ rec.whitener) for t, rec in recs.items()}
+    loss0 = 0.5 * recs[prof.least_optimal_index].resid ** 2
     for values in (
-        [np.sum(tables.grad_w[t] ** 2, axis=1) for t in prof.indices()],
-        [(tables.delta_vals[t] - 1.0) ** 2 for t in prof.suboptimal()[:3]],
+        [np.sum(grad_w[t] ** 2, axis=1) for t in prof.indices()],
+        [((0.5 * recs[t].resid ** 2 - loss0) / prof.gap(t) - 1.0) ** 2 for t in prof.suboptimal()[:3]],
     ):
         got = bounds._expected_max_sqrt(sample, values)
         assert got == bounds._sqrt_with_se(*expected_max_presence(sample, values))

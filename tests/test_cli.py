@@ -85,6 +85,25 @@ def test_nan_atom_weight_exits_2(tmp_path, capsys):
     assert "config field $.law: atom weights must be strictly positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["profile"], ["bounds"], ["localize"], ["montecarlo", "quantiles"]])
+def test_gaussian_design_law_is_a_config_error(tmp_path, capsys, command):
+    # population quantities need a discrete law; montecarlo bss builds its own
+    cfg_data = _canonical_config(n=200, delta=0.1, n_grid=[50])
+    cfg_data["law"] = {"kind": "gaussian_design", "dim": 2, "w_true": [1.0, 0.0], "noise_std": 1.0}
+    cfg = _write(tmp_path, cfg_data)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), *command]) == 2
+    assert "config field $.law" in capsys.readouterr().err
+
+
+def test_readme_config_example_runs(tmp_path):
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    example = readme.split("A config is a JSON document")[1].split("```json\n")[1].split("```")[0]
+    cfg = _write(tmp_path, json.loads(example))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "profile"]) == 0
+    assert "optimal set = {A}" in (out / "profile.txt").read_text()
+
+
 def test_degenerate_collection_exits_3(tmp_path):
     cfg_data = _canonical_config()
     cfg_data["collection"]["entries"].append({"id": "Z", "matrix": [[0.0, 0.0]]})

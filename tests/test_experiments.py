@@ -93,9 +93,9 @@ def test_run_trials_matches_per_dataset_route(canonical_three):
 
 def test_run_trials_peak_memory_on_a_wide_law():
     # bss_wide's law: 2048 atoms, |T| = 120 maps of dimension 3.  The moment
-    # table is (2048, 185), 3 MB; the per-atom arrays that only the bounds
-    # read hold tens of MB, and a (B, m, d_t) fit temporary per index adds
-    # three (B, m) arrays to a chunk's own allocations
+    # table is (2048, 185), 3 MB: its build holds little beside it, per-atom
+    # arrays per index would hold tens of MB, and a (B, m, d_t) fit temporary
+    # per index adds three (B, m) arrays to a chunk's own allocations
     law = ex.bss_instance("discrete", 10, [1.0, 1.0, 1.0] + [0.0] * 7, 1.0)
     coll = subset_collection(10, 3)
     prof = build_profile(law, coll)
@@ -111,6 +111,7 @@ def test_run_trials_peak_memory_on_a_wide_law():
     finally:
         tracemalloc.stop()
     assert max(build_peak, peak) < 12e6
+    assert build_peak < 1.25 * held
     assert peak - held < 6 * trials * law.support_size * 8
 
 

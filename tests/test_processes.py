@@ -371,10 +371,9 @@ def _value_table_cases():
 @pytest.mark.parametrize("build", list(_value_table_cases()))
 def test_value_table_matches_per_index_loop(build):
     prof = build()
-    tables = prof.tables
     n, b = 23, 2 * TABLE_BLOCK + 5
     counts = np.random.default_rng(3).multinomial(n, prof.law.weights, size=b)
-    got, ref = tables.snapshot(counts, n), oracles.table_snapshot_loop(tables, counts, n)
+    got, ref = prof.tables.snapshot(counts, n), oracles.table_snapshot_loop(prof, counts, n)
     assert got.delta.shape == ref.delta.shape == (b, len(prof.suboptimal()))
     # not bit-equal: numpy takes a one-column product by ddot and a wider
     # one by gemv, whose sums run in different orders
