@@ -106,8 +106,8 @@ class ClassMoments:
     r_n_se: float
     mode: str
 
-    def r_n_conservative(self, mult: float = 3.0) -> float:
-        return self.r_n + mult * self.r_n_se
+    def r_n_conservative(self) -> float:
+        return self.r_n + 3.0 * self.r_n_se
 
 
 def _sqrt_with_se(mean_sq: float, se_sq: float) -> tuple[float, float]:
@@ -289,9 +289,10 @@ def covariance_deviation_lambda_max(prof: PopulationProfile) -> float:
     return best
 
 
-def covariance_deviation_lambda_max_mc(
-    law, collection, draws: int = 10**6, seed: int = 0, chunk: int = 65536
-) -> float:
+MC_CHUNK = 65536  # draws per seed stream of covariance_deviation_lambda_max_mc
+
+
+def covariance_deviation_lambda_max_mc(law, collection, draws: int = 10**6, seed: int = 0) -> float:
     """Monte Carlo variant for generative laws with known feature covariance."""
     best = 0.0
     for entry in collection:
@@ -303,7 +304,7 @@ def covariance_deviation_lambda_max_mc(
         done = 0
         chunk_idx = 0
         while done < draws:
-            b = min(chunk, draws - done)
+            b = min(MC_CHUNK, draws - done)
             rng = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence((int(seed), int(chunk_idx), 2)))
             )
@@ -386,22 +387,20 @@ def explicit_complexity(
     trials: int = 10_000,
     seed: int = 0,
     mode: str = "mc",
-    conservative: bool = True,
 ) -> TaggedValue:
     """A(S) = c(|S|)^2 (sigma_G(S) + c(|S|) r_n_G(S)/sqrt(n))^2.
 
-    The r_n constituent is a Monte Carlo estimate; when ``conservative`` the
-    estimate + 3 SE enters the formula.  All subsets evaluated with the same
-    seed share their sample paths, which preserves monotonicity of A under
-    inclusion exactly, not just in expectation.
+    The r_n constituent is a Monte Carlo estimate, of which estimate + 3 SE
+    enters the formula.  All subsets evaluated with the same seed share
+    their sample paths, which preserves monotonicity of A under inclusion
+    exactly, not just in expectation.
     """
     subset = tuple(subset)
     if not subset:
         return TaggedValue(0.0, "exact", None)
     mom = class_moments("G", subset, prof, n, trials=trials, seed=seed, mode=mode)
     cf = c_factor(len(subset))
-    r = mom.r_n_conservative() if conservative else mom.r_n
-    val = cf**2 * (math.sqrt(mom.sigma_sq) + cf * r / math.sqrt(n)) ** 2
+    val = cf**2 * (math.sqrt(mom.sigma_sq) + cf * mom.r_n_conservative() / math.sqrt(n)) ** 2
     tag = "exact" if mom.mode == "exact" else "estimated"
     return TaggedValue(float(val), tag, None)
 

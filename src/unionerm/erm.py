@@ -6,9 +6,10 @@ sample covariance is singular the minimum-norm minimizer is returned and the
 fit is flagged instead of raising, so experiment sweeps can proceed below
 the sample-size thresholds and report the flag frequency.
 
-One routine, :func:`least_squares`, solves from moments (Sigma_n, Phi^T y / n):
-:func:`fit_linear` takes them from a :class:`Dataset`'s rows, a discrete-law
-trial from :class:`unionerm.processes.AtomTables`.
+One routine, :func:`least_squares`, solves from moments (Sigma_n, Phi^T y / n).
+:class:`MomentFit` runs it batched on the moment rows of many datasets; every
+Monte Carlo trial of either law kind is fitted there.  :func:`fit_linear`
+and :func:`solve` fit one dataset from its rows: the per-dataset reference.
 
 Index selection, :func:`select`, breaks empirical-risk ties (within
 ``1e-12 * max(1, min risk)``) by the identifier order of the collection;
@@ -27,6 +28,7 @@ from .population import PopulationProfile
 __all__ = [
     "FitResult",
     "ErmSolution",
+    "MomentFit",
     "least_squares",
     "select",
     "fit_linear",
@@ -89,6 +91,52 @@ def least_squares(sigma_n: np.ndarray, rhs: np.ndarray):
     inv = np.where(keep, 1.0 / np.where(keep, vals, 1.0), 0.0)
     w = (vecs @ (inv[..., None] * (np.swapaxes(vecs, -1, -2) @ rhs[..., None])))[..., 0]
     return w, ~np.all(keep, axis=-1)
+
+
+class MomentFit:
+    """Least squares of every index from the moment rows (B, K) of B datasets.
+
+    A row holds moments of a dictionary of columns z (y among them): index j
+    reads its Sigma_n and Phi^T y / n from the row's columns ``pair(a, b)``
+    for a, b in its dictionary columns ``maps[j]`` and ``y``.  Its empirical
+    risk is expanded about the reference point ``w_ref[j]``:
+    R_n(w) = R_n(w_ref) + grad^T D + D^T Sigma_n D / 2 at D = w - w_ref, with
+    grad = Sigma_n w_ref - Phi^T y / n.
+    """
+
+    def __init__(self, maps, y, pair, w_ref):
+        self.size = len(maps)
+        # per feature dimension d, k indices: their positions, the row columns
+        # of [Sigma_n | Phi^T y / n] (k, d, d + 1) and w_ref (k, d)
+        self.groups = []
+        for d in dict.fromkeys(map(len, maps)):
+            js = [j for j, cs in enumerate(maps) if len(cs) == d]
+            cols = [[[pair(a, b) for b in maps[j]] + [pair(a, y)] for a in maps[j]] for j in js]
+            self.groups.append((js, np.array(cols), np.stack([w_ref[j] for j in js])))
+
+    def grams(self, moments: np.ndarray):
+        """Per feature dimension: positions, w_ref, Sigma_n, Phi^T y / n, grad."""
+        for js, cols, w_ref in self.groups:
+            both = moments[:, cols]
+            sigma_n, rhs = both[..., :-1], both[..., -1]
+            yield js, w_ref, sigma_n, rhs, (sigma_n @ w_ref[..., None])[..., 0] - rhs
+
+    def fit(self, moments: np.ndarray, ref_risk: np.ndarray):
+        """Fit every index, given the risks ``ref_risk`` (B, |T|) at w_ref:
+        one batched :func:`least_squares` per feature dimension.  Returns one
+        (B, d_t) weight stack per index, the risks (B, |T|), and whether any
+        fit of a dataset was singular (B,)."""
+        weights = [None] * self.size
+        risks = np.array(ref_risk)
+        singular = np.zeros(moments.shape[0], dtype=bool)
+        for js, w_ref, sigma_n, rhs, grad in self.grams(moments):
+            w, sing = least_squares(sigma_n, rhs)
+            diff = w - w_ref
+            risks[:, js] += np.sum(diff * (grad + 0.5 * (sigma_n @ diff[..., None])[..., 0]), axis=2)
+            singular |= sing.any(axis=1)
+            for i, j in enumerate(js):
+                weights[j] = w[:, i]
+        return weights, risks, singular
 
 
 def select(risks: np.ndarray) -> np.ndarray:

@@ -3,11 +3,10 @@
 Conventions used throughout:
 
 * every trial is reproducible from (master seed, trial index), and its
-  values do not depend on how trials are chunked; a discrete-law trial is
-  the atom counts of its dataset, whose one product with the profile's
-  moment table gives every index's fit (by the one least-squares routine of
-  :mod:`unionerm.erm`) and every process value; a Gaussian-law trial is
-  solved on its rows by :func:`unionerm.erm.solve`;
+  values do not depend on how trials are chunked; a trial is one moment row
+  (a discrete law's atom counts times the profile's moment table, a Gaussian
+  design's joint Gram), from which :class:`unionerm.erm.MomentFit` fits
+  every index;
 * every reported probability carries a binomial confidence interval;
 * quantiles are order statistics with binomial-method confidence intervals;
 * trials whose solver hit a singular sample covariance are flagged, never
@@ -144,16 +143,17 @@ def run_trials(
 ) -> TrialBatch:
     """Solve ERM on `trials` independent datasets of size n.
 
-    Trial i draws its dataset from the stream (master_seed, i).  On a
-    discrete law the dataset is its atom counts: a chunk of ``TRIAL_CHUNK``
-    trials takes one moment product per dataset on the atom tables of
-    ``prof`` (which must be the profile of this ``law`` and ``collection``),
-    and every index's fit and, with ``snapshots``, every process value read
-    it.  On a Gaussian law each trial draws explicit rows and is solved by
-    :func:`unionerm.erm.solve`.  Excess risks are exact: from the population
-    profile on discrete laws, from the closed-form risk of the design on
-    Gaussian laws.  The benchmark record reuses the solver's fit of the
-    a-priori optimal index, which is what refitting it alone would produce.
+    Trial i draws its dataset from the stream (master_seed, i).  A chunk of
+    ``TRIAL_CHUNK`` trials is one moment row per dataset, from which
+    :class:`unionerm.erm.MomentFit` fits every index.  On a discrete law the
+    row is the atom counts times the atom tables of ``prof`` (the profile of
+    this ``law`` and ``collection``), which with ``snapshots`` also give
+    every process value.  On a Gaussian law (coordinate maps only) it is the
+    joint Gram [X, y]^T [X, y] / n of the rows of ``sample_dataset``.
+    Excess risks are exact: the profile's on discrete laws, the design's
+    closed form on Gaussian laws.  The benchmark record reuses the solver's
+    fit of the a-priori optimal index, which is what refitting it alone
+    would produce.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -162,45 +162,57 @@ def run_trials(
     if prof is None and law.kind == "discrete":
         raise ValueError("discrete laws need a profile for exact excess risks")
     ids = collection.indices()
-    parts = []
     if prof is None:
         risks = np.array([law.approx_risk(e) for e in collection])
         o, r_star = int(erm.select(risks[None])[0]), risks.min()
-        for i in range(trials):
-            sol = erm.solve(sample_dataset(law, n, (master_seed, i)), collection)
-            j = ids.index(sol.index)
-            exc = [n * (law.risk(collection.entries[k], sol.table[k].weights) - r_star) for k in (j, o)]
-            parts.append({"pick": [j], "n_excess": exc[:1], "n_excess_oracle": exc[1:], "singular": [sol.singular]})
+        y = law.input_dim  # the Gram's last row and column
+        fits = erm.MomentFit([e.coords for e in collection], y, lambda a, b: a * (y + 1) + b,
+                             [np.zeros(e.dim) for e in collection])
+
+        def moments(seeds):
+            zs = (np.column_stack([ds.x, ds.y]) for ds in (sample_dataset(law, n, seed) for seed in seeds))
+            grams = np.stack([z.T @ z / n for z in zs])  # R_n(0) = y^T y / 2n for every index
+            return grams.reshape(len(seeds), -1), np.repeat(0.5 * grams[:, y, y:], len(ids), axis=1)
+
+        def excess(j, w):
+            return law.risk(collection.entries[j], w) - r_star
     else:
         if prof.law is not law or prof.collection is not collection:
             raise ValueError("the profile must be built from this law and collection")
         tables = prof.tables
-        o = ids.index(prof.least_optimal_index)
-        for lo in range(0, trials, TRIAL_CHUNK):
-            seeds = [(master_seed, i) for i in range(lo, min(lo + TRIAL_CHUNK, trials))]
-            counts = np.stack([sample_counts(law, n, seed) for seed in seeds])
-            moments = tables.moments(counts, n)
-            weights, risks, singular = tables.fit(moments)
-            pick = erm.select(risks)
-            # one evaluation per selected index; the oracle's doubles as t_hat's
-            exc_o = excess_risk(ids[o], weights[o], prof)
-            exc = exc_o.copy()
-            for j in np.unique(pick):
-                if j != o:
-                    exc[pick == j] = excess_risk(ids[j], weights[j][pick == j], prof)
-            part = {"pick": pick, "n_excess": n * exc, "n_excess_oracle": n * exc_o, "singular": singular}
-            if snapshots:
-                snap = tables.evaluate(moments, n)
-                gap_hat = np.array([prof.gap(t) for t in ids])[pick]
-                part.update(
-                    lam_plus=snap.lam_plus_scaled,
-                    lam_minus=snap.lam_minus_scaled,
-                    delta_plus=snap.delta_plus_scaled,
-                    g_sq_hat=snap.g_sq[np.arange(len(pick)), pick],
-                    gap_hat=gap_hat,
-                    est_err_hat=exc - gap_hat,
-                )
-            parts.append(part)
+        fits, o = tables.fits, ids.index(prof.least_optimal_index)
+
+        def moments(seeds):
+            rows = tables.moments(np.stack([sample_counts(law, n, seed) for seed in seeds]), n)
+            return rows, rows[:, tables.loss]
+
+        def excess(j, w):
+            return excess_risk(ids[j], w, prof)
+
+    parts = []
+    for lo in range(0, trials, TRIAL_CHUNK):
+        rows, ref_risk = moments([(master_seed, i) for i in range(lo, min(lo + TRIAL_CHUNK, trials))])
+        weights, risks, singular = fits.fit(rows, ref_risk)
+        pick = erm.select(risks)
+        # one evaluation per selected index; the oracle's doubles as t_hat's
+        exc_o = excess(o, weights[o])
+        exc = exc_o.copy()
+        for j in np.unique(pick):
+            if j != o:
+                exc[pick == j] = excess(j, weights[j][pick == j])
+        part = {"pick": pick, "n_excess": n * exc, "n_excess_oracle": n * exc_o, "singular": singular}
+        if snapshots:
+            snap = tables.evaluate(rows, n)
+            gap_hat = np.array([prof.gap(t) for t in ids])[pick]
+            part.update(
+                lam_plus=snap.lam_plus_scaled,
+                lam_minus=snap.lam_minus_scaled,
+                delta_plus=snap.delta_plus_scaled,
+                g_sq_hat=snap.g_sq[np.arange(len(pick)), pick],
+                gap_hat=gap_hat,
+                est_err_hat=exc - gap_hat,
+            )
+        parts.append(part)
 
     h = hashlib.sha256()
     h.update(_law_fingerprint(law))
@@ -369,14 +381,13 @@ def quantile_sandwich_check(
     z_minus: np.ndarray,
     z_plus: np.ndarray,
     delta: float,
-    singleton: bool | None = None,
 ) -> dict:
     """Compare the rescaled excess quantile against the limiting sandwich.
 
     Passes when the order-statistic intervals are consistent with
     0.5 * Q(min) <= n * Q(excess) <= 0.5 * Q(max); for a singleton optimal
-    set, also reports the two-sample KS statistic against half the squared
-    norm of the limit.
+    set (z_minus and z_plus agree within ``np.allclose``), also reports the
+    two-sample KS statistic against half the squared norm of the limit.
     """
     if batch.trials < 50 / delta:
         raise InsufficientTrialsError(
@@ -397,9 +408,7 @@ def quantile_sandwich_check(
         "upper_ok": bool(upper_ok),
         "pass": bool(lower_ok and upper_ok),
     }
-    if singleton is None:
-        singleton = bool(np.allclose(z_minus, z_plus))
-    if singleton:
+    if np.allclose(z_minus, z_plus):
         out["ks_limit"] = ks_statistic(batch.n_excess, 0.5 * z_plus)
         out["ks_oracle"] = ks_statistic(batch.n_excess, batch.n_excess_oracle)
     return out

@@ -43,21 +43,19 @@ class ClosedFormComplexity:
     """Closed-form A(S) at a fixed sample size, cached per subset."""
 
     def __init__(self, prof: PopulationProfile, n: int, trials: int = 10_000,
-                 seed: int = 0, mode: str = "mc", conservative: bool = True):
+                 seed: int = 0, mode: str = "mc"):
         self.prof = prof
         self.n = int(n)
         self.trials = trials
         self.seed = seed
         self.mode = mode
-        self.conservative = conservative
         self._cache: dict[tuple, TaggedValue] = {}
 
     def value(self, subset) -> TaggedValue:
         key = tuple(sorted(subset, key=str))
         if key not in self._cache:
             self._cache[key] = explicit_complexity(
-                key, self.prof, self.n, trials=self.trials, seed=self.seed,
-                mode=self.mode, conservative=self.conservative,
+                key, self.prof, self.n, trials=self.trials, seed=self.seed, mode=self.mode
             )
         return self._cache[key]
 
@@ -158,15 +156,11 @@ def choose_k(
     delta: float,
     prof: PopulationProfile,
     complexity,
-    k_max: int | None = None,
 ) -> tuple[int, float, LocalizationTrace]:
-    """Pick the step count minimizing the final excess bound (ties: smallest k)."""
-    if k_max is None:
-        k_max = 1 + len(prof.suboptimal())
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    """Pick the step count in 1..1 + |suboptimal| minimizing the final excess
+    bound (ties: smallest k)."""
     best = None
-    for k in range(1, k_max + 1):
+    for k in range(1, 2 + len(prof.suboptimal())):
         trace = iterate(n, delta, k, prof, complexity)
         if best is None or trace.final_bound < best[1]:
             best = (k, trace.final_bound, trace)

@@ -283,11 +283,15 @@ class GaussianDesignLaw:
         rhs = (self.cov @ self.w_true)[list(c)]
         return np.linalg.solve(self.feature_covariance(entry), rhs)
 
-    def risk(self, entry: FeatureEntry, w: np.ndarray) -> float:
-        c = self._require_coords(entry)
-        diff = -self.w_true.copy()
-        diff[list(c)] += np.asarray(w, dtype=float)
-        return 0.5 * float(diff @ self.cov @ diff + self.noise_std**2)
+    def risk(self, entry: FeatureEntry, w: np.ndarray):
+        """R(w) for one weight vector (a float) or a stack (B, d_t) (an array
+        (B,)), one product per vector, so a value does not depend on the stack."""
+        c = list(self._require_coords(entry))
+        w = np.asarray(w, dtype=float)
+        diff = np.broadcast_to(-self.w_true, w.shape[:-1] + self.w_true.shape).copy()
+        diff[..., c] += w
+        out = 0.5 * ((diff[..., None, :] @ self.cov @ diff[..., None])[..., 0, 0] + self.noise_std**2)
+        return float(out) if out.ndim == 0 else out
 
     def approx_risk(self, entry: FeatureEntry) -> float:
         return self.risk(entry, self.optimal_weights(entry))
@@ -362,35 +366,14 @@ def sample_counts(law: DiscreteLaw, n: int, seed: tuple[int, int]) -> np.ndarray
 # Coordinate-subset collections
 # ---------------------------------------------------------------------------
 
-def _selector(coords: tuple[int, ...], base_fn=None):
-    cols = list(coords)
-    if base_fn is None:
-        return lambda x: x[:, cols]
-    return lambda x: np.asarray(base_fn(x))[:, cols]
+def subset_collection(d: int, s: int, *, cap: int = 10**6) -> FeatureCollection:
+    """All size-s coordinate selections of the inputs of dimension d.
 
-
-def subset_collection(
-    base: int | FeatureEntry,
-    s: int,
-    *,
-    cap: int = 10**6,
-) -> FeatureCollection:
-    """All size-s coordinate selections of a base feature map.
-
-    ``base`` is either the dimension d of an identity map on the input, or a
-    ``FeatureEntry`` whose output coordinates are selected.  Entry ``t`` has
-    identifier equal to the coordinate tuple (ascending), evaluates to those
-    coordinates of the base map in increasing order, and the collection is
-    ordered lexicographically on the tuples.
+    Entry ``t`` has identifier equal to the coordinate tuple (ascending),
+    evaluates to those input coordinates in increasing order, and the
+    collection is ordered lexicographically on the tuples.
     """
-    if isinstance(base, FeatureEntry):
-        d = base.dim
-        base_fn = base.fn
-        base_coords = base.coords
-    else:
-        d = int(base)
-        base_fn = None
-        base_coords = tuple(range(d))
+    d = int(d)
     if s < 1 or s > d:
         raise ValueError(f"sparsity {s} must satisfy 1 <= s <= {d}")
     count = math.comb(d, s)
@@ -400,13 +383,10 @@ def subset_collection(
             RuntimeWarning,
             stacklevel=2,
         )
-    entries = []
-    for t in itertools.combinations(range(d), s):
-        coords = tuple(base_coords[j] for j in t) if base_coords is not None else None
-        entries.append(
-            FeatureEntry(index=t, dim=s, fn=_selector(t, base_fn), coords=coords)
-        )
-    return FeatureCollection(entries)
+    return FeatureCollection(
+        FeatureEntry(index=t, dim=s, fn=lambda x, cols=list(t): x[:, cols], coords=t)
+        for t in itertools.combinations(range(d), s)
+    )
 
 
 # ---------------------------------------------------------------------------

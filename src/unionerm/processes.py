@@ -20,16 +20,17 @@ from it is a contraction of (counts / n) with the per-atom moment table of
 z = [distinct atom columns of every map, y] that some map's Sigma_n or
 Phi^T y reads, then each index's pointwise loss at w_*.  One product per
 dataset gives every index's Sigma_n, Phi^T y / n and R_n(w_*), which the
-trial fits and :func:`snapshot`, the per-index value table of all three
-processes, both read.  Every expectation over datasets (expected suprema
-here; class moments and A(S) in :mod:`unionerm.bounds`) is one reduction,
-:meth:`CountSample.mean`, over one :func:`count_sample`: Monte Carlo chunks
-with per-chunk seed streams, or for tiny instances the exact enumeration of
-every dataset with its probability.  ``prof.tables`` keeps the last sample
-drawn, keyed by (n, trials, seed, mode), and its value table, built on first
-use, of which every expected supremum is a column max.  So one command
-draws each stream and evaluates each dataset once.  The tables hold no
-per-atom population arrays; those are the profile's records.
+trial fits (:class:`unionerm.erm.MomentFit`) and :func:`snapshot`, the
+per-index value table of all three processes, both read.  Every expectation
+over datasets (expected suprema here; class moments and A(S) in
+:mod:`unionerm.bounds`) is one reduction, :meth:`CountSample.mean`, over one
+:func:`count_sample`: Monte Carlo chunks with per-chunk seed streams, or for
+tiny instances the exact enumeration of every dataset with its probability.
+``prof.tables`` keeps the last sample drawn, keyed by (n, trials, seed,
+mode), and its value table, built on first use, of which every expected
+supremum is a column max.  So one command draws each stream and evaluates
+each dataset once.  The tables hold no per-atom population arrays; those
+are the profile's records.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .erm import least_squares
+from .erm import MomentFit
 from .model import DiscreteLaw
 from .population import PopulationProfile
 
@@ -74,8 +75,9 @@ def _batch_rng(seed: int, chunk: int) -> np.random.Generator:
 
 class AtomTables:
     """The moment table of a discrete law (see the module docstring): a
-    dataset's :meth:`moments` are all that :meth:`fit` and :meth:`evaluate`
-    read.  Also the last count sample drawn and its value table."""
+    dataset's :meth:`moments` are all that ``fits`` (about w_*, with R_n(w_*)
+    in the columns ``loss``) and :meth:`evaluate` read.  Also the last count
+    sample drawn and its value table."""
 
     def __init__(self, prof: PopulationProfile):
         law = prof.law
@@ -100,18 +102,11 @@ class AtomTables:
             return pairs.setdefault((min(a, b), max(a, b)), len(pairs))
 
         maps = [[slot(c) for c in recs[t].phi.T] for t in self.indices]
-        y = slot(law.ys)
-        # per feature dimension d, k indices: their Snapshot columns, the
-        # table columns of [Sigma_n | Phi^T y / n] (k, d, d + 1), w_* and W
-        self._groups = []
-        for d in dict.fromkeys(map(len, maps)):
-            js = [j for j, cs in enumerate(maps) if len(cs) == d]
-            group = [recs[self.indices[j]] for j in js]
-            cols = [[[pair(a, b) for b in maps[j]] + [pair(a, y)] for a in maps[j]] for j in js]
-            self._groups.append((js, np.array(cols), np.stack([r.w_star for r in group]),
-                                 np.stack([r.whitener for r in group])))
+        self.fits = MomentFit(maps, slot(law.ys), pair, [recs[t].w_star for t in self.indices])
+        whiteners = [recs[t].whitener for t in self.indices]
+        self._whiteners = [np.stack([whiteners[j] for j in js]) for js, _, _ in self.fits.groups]
         columns = [col for _, col in slots.values()]
-        self._loss = slice(len(pairs), None)
+        self.loss = slice(len(pairs), None)  # R_n(w_*) of every index
         # filled in place, column by column: the build holds nothing but the table
         self._moment_columns = np.empty((law.support_size, len(pairs) + len(self.indices)))
         for k, (a, b) in enumerate(pairs):
@@ -144,32 +139,6 @@ class AtomTables:
         do not depend on the other rows."""
         return ((counts[:, None, :] / n) @ self._moment_columns)[:, 0, :]
 
-    def _grams(self, moments: np.ndarray):
-        """Per feature dimension: Snapshot columns, w_*, W, Sigma_n, Phi^T y / n, Sigma_n w_* - Phi^T y / n."""
-        for js, cols, w_star, whitener in self._groups:
-            both = moments[:, cols]
-            sigma_n, rhs = both[..., :-1], both[..., -1]
-            yield js, w_star, whitener, sigma_n, rhs, (sigma_n @ w_star[..., None])[..., 0] - rhs
-
-    def fit(self, moments: np.ndarray):
-        """Least squares of every index on the datasets of ``moments`` (B, K):
-        one batched pivoted :func:`unionerm.erm.least_squares` per feature
-        dimension, with the risk R_n(w_*) + grad^T D + D^T Sigma_n D / 2 at
-        D = w - w_*.  Returns one (B, d_t) weight stack per index in
-        ``indices`` order, the (B, |T|) risks, and whether any fit of a
-        dataset was singular (B,)."""
-        weights = [None] * len(self.indices)
-        risks = np.array(moments[:, self._loss])
-        singular = np.zeros(moments.shape[0], dtype=bool)
-        for js, w_star, _, sigma_n, rhs, grad in self._grams(moments):
-            w, sing = least_squares(sigma_n, rhs)
-            diff = w - w_star
-            risks[:, js] += np.sum(diff * (grad + 0.5 * (sigma_n @ diff[..., None])[..., 0]), axis=2)
-            singular |= sing.any(axis=1)
-            for i, j in enumerate(js):
-                weights[j] = w[:, i]
-        return weights, risks, singular
-
     def evaluate(self, moments: np.ndarray, n: int) -> Snapshot:
         """Every process on the datasets of ``moments`` (B, K) at sample size n:
         lambda_n from W Sigma_n W (one ``eigvalsh`` per feature dimension),
@@ -177,12 +146,12 @@ class AtomTables:
         b = moments.shape[0]
         lam_min, g_sq = np.empty((b, len(self.indices))), np.empty((b, len(self.indices)))
         lam_minus = np.full(b, -np.inf)
-        for js, _, whitener, sigma_n, _, grad in self._grams(moments):
+        for (js, _, sigma_n, _, grad), whitener in zip(self.fits.grams(moments), self._whiteners):
             ends = np.linalg.eigvalsh(whitener @ sigma_n @ whitener)
             lam_min[:, js] = ends[:, :, 0]
             np.maximum(lam_minus, ends[:, :, -1].max(axis=1) - 1.0, out=lam_minus)
             g_sq[:, js] = n * np.sum((whitener @ grad[..., None])[..., 0] ** 2, axis=2)
-        loss = moments[:, self._loss]
+        loss = moments[:, self.loss]
         delta = np.sqrt(n) * (1.0 - (loss[:, self._sub] - loss[:, [self._s0]]) / self._gaps)
         return Snapshot(n=n, lam_min=lam_min, lam_minus_scaled=lam_minus, g_sq=g_sq, delta=delta)
 
@@ -256,7 +225,7 @@ def iter_count_batches(law: DiscreteLaw, n: int, trials: int, seed: int):
         chunk_idx += 1
 
 
-def enumerate_product_counts(law: DiscreteLaw, n: int, cap: int = MAX_EXACT_DATASETS):
+def enumerate_product_counts(law: DiscreteLaw, n: int):
     """All datasets of size n from a discrete law, as (counts, probability).
 
     Enumerates the m^n ordered samples via their atom-count multiset with
@@ -264,8 +233,8 @@ def enumerate_product_counts(law: DiscreteLaw, n: int, cap: int = MAX_EXACT_DATA
     the returned probabilities.
     """
     m = law.support_size
-    if m**n > cap:
-        raise ValueError(f"exact enumeration needs {m**n} datasets, above the cap {cap}")
+    if m**n > MAX_EXACT_DATASETS:
+        raise ValueError(f"exact enumeration needs {m**n} datasets, above the cap {MAX_EXACT_DATASETS}")
     grids = np.indices((m,) * n).reshape(n, -1).T  # (m^n, n) ordered samples
     counts = np.zeros((grids.shape[0], m), dtype=np.int64)
     for i in range(n):

@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from unionerm import erm, experiments as ex
-from unionerm.model import DiscreteLaw, sample_dataset, subset_collection
+from unionerm.model import (
+    DiscreteLaw,
+    FeatureCollection,
+    FeatureEntry,
+    GaussianDesignLaw,
+    sample_dataset,
+    subset_collection,
+)
 from unionerm.population import excess_risk, profile as build_profile
 
 import oracles
@@ -37,58 +44,96 @@ def test_run_trials_rejects_profile_of_another_law_or_collection(canonical):
         ex.run_trials(law, canonical_collection(), 10, 5, 1, prof)
 
 
+def _correlated_design():
+    a = np.random.default_rng(42).normal(size=(5, 5))
+    return GaussianDesignLaw(cov=a @ a.T / 5 + 0.2 * np.eye(5), w_true=[1.0, -0.5, 0.0, 0.3, 0.0], noise_std=0.8)
+
+
+def _coordinate_maps(*coords):
+    return FeatureCollection(
+        [FeatureEntry(c, len(c), lambda x, cols=list(c): x[:, cols], coords=c) for c in coords]
+    )
+
+
 def test_run_trials_prefix_matches_shorter_run():
     # trial i depends on (master seed, i) only, also across a chunk boundary.
     # Non-integer atoms, so no sum is exact by luck; with 8 atoms a (B, m)
     # matrix product rounds a row differently for a 9-row and a 3-row chunk.
+    # On a Gaussian design, each trial's Gram and each weight vector's risk.
     xs, ys, ws = canonical_atoms()
-    law = DiscreteLaw(xs=1.1 * xs, ys=0.7 * ys, weights=ws)
-    coll = canonical_collection()
-    prof = build_profile(law, coll)
+    discrete = DiscreteLaw(xs=1.1 * xs, ys=0.7 * ys, weights=ws)
+    cases = [
+        (discrete, canonical_collection(), ["lam_plus", "lam_minus", "delta_plus", "g_sq_hat", "gap_hat", "est_err_hat"]),
+        (_correlated_design(), subset_collection(5, 2), []),
+    ]
     k = ex.TRIAL_CHUNK + 3
-    long = ex.run_trials(law, coll, 25, k + 6, 303, prof, snapshots=True)
-    short = ex.run_trials(law, coll, 25, k, 303, prof, snapshots=True)
-    assert long.t_hat[:k] == short.t_hat
-    for field in ("n_excess", "n_excess_oracle", "singular", "lam_plus", "lam_minus",
-                  "delta_plus", "g_sq_hat", "gap_hat", "est_err_hat"):
-        assert np.array_equal(getattr(long, field)[:k], getattr(short, field))
+    for law, coll, process_fields in cases:
+        prof = build_profile(law, coll) if process_fields else None
+        long = ex.run_trials(law, coll, 25, k + 6, 303, prof, snapshots=bool(process_fields))
+        short = ex.run_trials(law, coll, 25, k, 303, prof, snapshots=bool(process_fields))
+        assert long.t_hat[:k] == short.t_hat
+        for field in ["n_excess", "n_excess_oracle", "singular", *process_fields]:
+            assert np.array_equal(getattr(long, field)[:k], getattr(short, field))
 
 
 def test_run_trials_matches_per_dataset_route(canonical_three):
-    # the count engine against sample_dataset -> erm.solve -> oracle snapshot,
-    # trial by trial, with n below the map dimensions so singular fits occur;
-    # in the last two instances maps share atom columns (coordinate subsets,
-    # and a constant map), and at small n atoms go missing
+    # the moment engine against sample_dataset -> erm.solve, trial by trial,
+    # with n below the map dimensions so singular fits occur.  On discrete
+    # laws excess risks are the profile's and process values the oracle
+    # snapshot's; in the last two discrete instances maps share atom columns
+    # (coordinate subsets, and a constant map), and at small n atoms go
+    # missing.  On a correlated Gaussian design (subsets, and coordinate maps
+    # of mixed dimension) excess risks are the design's closed form
     rng = np.random.default_rng(41)
     instances = [random_instance(rng) for _ in range(8)]
     cube, pairs = ex.bss_instance("discrete", 4, [1.0, -1.0, 0.0, 0.0], 1.0), subset_collection(4, 2)
     instances += [(cube, pairs, build_profile(cube, pairs)), canonical_three]
-    singular_seen = 0
+    design = _correlated_design()
+    mixed = _coordinate_maps((0,), (1, 3), (0, 2, 4), (2, 3, 4), (4,), (1, 2))
+    instances += [(design, subset_collection(5, 2), None), (design, mixed, None)]
+    singular_seen = {"discrete": 0, "generative": 0}
     for case, (law, coll, prof) in enumerate(instances):
-        t0 = prof.least_optimal_index
+        if prof is None:
+            risks = [law.approx_risk(e) for e in coll]
+            t0 = coll.indices()[int(np.argmin(risks))]
+
+            def excess(t, w):
+                return law.risk(coll.entry(t), w) - min(risks)
+        else:
+            t0 = prof.least_optimal_index
+
+            def excess(t, w):
+                return excess_risk(t, w, prof)
         for n in (1, 2, 5, 40):
-            batch = ex.run_trials(law, coll, n, 12, 500 + case, prof, snapshots=True)
+            batch = ex.run_trials(law, coll, n, 12, 500 + case, prof, snapshots=prof is not None)
             for i in range(12):
                 ds = sample_dataset(law, n, (500 + case, i))
                 sol = erm.solve(ds, coll, prof)
-                snap = oracles.snapshot(ds, prof)
                 assert batch.t_hat[i] == sol.index
                 assert bool(batch.singular[i]) == sol.singular
-                singular_seen += sol.singular
-                exc = excess_risk(sol.index, sol.weights, prof)
-                ref = {
-                    "n_excess": n * exc,
-                    "n_excess_oracle": n * excess_risk(t0, sol.record(t0).weights, prof),
-                    "lam_plus": snap.lam_plus_scaled,
-                    "lam_minus": snap.lam_minus_scaled,
-                    "delta_plus": snap.delta_plus_scaled,
-                    "g_sq_hat": snap.g[sol.index] ** 2,
-                    "gap_hat": prof.gap(sol.index),
-                    "est_err_hat": exc - prof.gap(sol.index),
-                }
+                singular_seen[law.kind] += sol.singular
+                exc = excess(sol.index, sol.weights)
+                ref = {"n_excess": n * exc, "n_excess_oracle": n * excess(t0, sol.record(t0).weights)}
+                if prof is not None:
+                    snap = oracles.snapshot(ds, prof)
+                    ref.update(
+                        lam_plus=snap.lam_plus_scaled,
+                        lam_minus=snap.lam_minus_scaled,
+                        delta_plus=snap.delta_plus_scaled,
+                        g_sq_hat=snap.g[sol.index] ** 2,
+                        gap_hat=prof.gap(sol.index),
+                        est_err_hat=exc - prof.gap(sol.index),
+                    )
                 for field, val in ref.items():
                     assert getattr(batch, field)[i] == pytest.approx(val, rel=1e-9, abs=1e-9), field
-    assert singular_seen > 0
+    assert min(singular_seen.values()) > 0
+
+
+def test_run_trials_rejects_a_gaussian_design_map_that_is_not_a_coordinate_selection():
+    total = FeatureEntry((9,), 1, lambda x: x.sum(axis=1, keepdims=True))
+    coll = FeatureCollection([*_coordinate_maps((0,), (1, 2)), total])
+    with pytest.raises(ValueError, match="not a coordinate selection"):
+        ex.run_trials(_correlated_design(), coll, 10, 5, 1)
 
 
 def test_run_trials_peak_memory_on_a_wide_law():
