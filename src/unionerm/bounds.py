@@ -159,7 +159,6 @@ def class_moments(
         subset = tuple(prof.indices() if subset is None else subset)
         if not subset:
             return ClassMoments(0.0, 0.0, 0.0, mode)
-        sigma_sq = max(prof.grad_second_moment(t) for t in subset)
         values = [recs[t].grad_sq for t in subset]
     elif kind == "D":
         subset = tuple(prof.suboptimal() if subset is None else subset)
@@ -167,9 +166,9 @@ def class_moments(
             return ClassMoments(0.0, 0.0, 0.0, mode)
         loss0 = 0.5 * recs[prof.least_optimal_index].resid ** 2
         values = [((0.5 * recs[t].resid ** 2 - loss0) / prof.gap(t) - 1.0) ** 2 for t in subset]
-        sigma_sq = max(float(prof.law.weights @ v) for v in values)
     else:
         raise ValueError(f"unknown class kind {kind!r}")
+    sigma_sq = max(float(prof.law.weights @ v) for v in values)  # for G: the grad_second_moment values
     r_n, r_n_se = _expected_max_sqrt(prof.tables.sample(n, trials, seed, mode), values)
     return ClassMoments(sigma_sq=float(sigma_sq), r_n=r_n, r_n_se=r_n_se, mode=mode)
 

@@ -186,7 +186,7 @@ class DiscreteLaw:
             raise ValueError(f"atom weights sum to {ws.sum()!r}, expected 1 within {WEIGHT_TOL}")
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "weights", ws)
+        object.__setattr__(self, "weights", np.minimum(ws, 1.0))  # a weight > 1 (inside WEIGHT_TOL) fails multinomial
 
     @property
     def support_size(self) -> int:
@@ -210,13 +210,9 @@ class DiscreteLaw:
         return float(out) if np.ndim(out) == 0 else out
 
     def counts(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Atom counts (m,) of n draws: atom j takes the uniforms that fall in
-        [cdf[j-1], cdf[j]) of the normalized cumulative weights, counted on
-        the sorted uniforms without materialising indices."""
-        cdf = self.weights.cumsum()
-        cdf /= cdf[-1]
-        u = np.sort(rng.random(n))
-        return np.diff(np.searchsorted(u, cdf, "left"), prepend=0)
+        """Atom counts (m,) of n i.i.d. draws: one ``rng.multinomial(n,
+        weights)`` call, O(m) whatever n, with no rows materialised."""
+        return rng.multinomial(n, self.weights)
 
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
         """n draws as rows, in atom order: the :meth:`counts` expanded."""
@@ -339,9 +335,9 @@ def exact_expectation(fn, law) -> float | np.ndarray:
 def sample_dataset(law, n: int, seed: tuple[int, int]) -> Dataset:
     """Draw n i.i.d. samples; identical (law, n, seed) is bit-identical.
 
-    On a discrete law the rows come in atom order (the draw is exchangeable,
-    so the order carries no information): :meth:`DiscreteLaw.counts`
-    expanded row by row.
+    On a discrete law the rows are the stream's one multinomial count draw,
+    :meth:`DiscreteLaw.counts`, expanded in atom order (the draw is
+    exchangeable, so the order carries no information).
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
@@ -352,7 +348,7 @@ def sample_dataset(law, n: int, seed: tuple[int, int]) -> Dataset:
 
 
 def sample_counts(law: DiscreteLaw, n: int, seed: tuple[int, int]) -> np.ndarray:
-    """Atom counts (m,) of the dataset ``sample_dataset(law, n, seed)`` draws.
+    """Atom counts (m,) of ``sample_dataset(law, n, seed)``: ``rng_from_seed(*seed).multinomial(n, law.weights)``.
 
     Same stream, same atoms: the counts are the sufficient statistic of that
     dataset for every empirical second moment.

@@ -3,16 +3,16 @@
 For each feature map t the profile stores its atom table phi(t) (the map
 evaluated on the atoms, once, by :func:`unionerm.model.validate_collection`),
 the covariance Sigma(t), its symmetric inverse square root, the risk
-minimizer w_*(t), the per-atom residuals at w_*(t), the attained risk
-R(t, w_*(t)), and the per-atom squared norm of the whitened loss gradient at
-the minimizer with its second moment (their weighted mean).  Across maps it
-stores the optimal risk R_*, the optimal set of indices and the
-suboptimality gap.  These records are the only per-atom population arrays:
-the finite-class moments and the covariance-deviation and quadratic-form
-constants of :mod:`unionerm.bounds` read them, any gradient
-cross-covariance G(t, s) = E[g(t) g(s)^T] is formed on demand from them, and
-the moment table that every trial fit and process value reads
-(:attr:`PopulationProfile.tables`) is built from them.
+minimizer w_*(t), the per-atom residuals at w_*(t) and the attained risk
+R(t, w_*(t)); the per-atom squared norm of the whitened loss gradient at the
+minimizer is formed from these on first read, and its second moment (their
+weighted mean) from that.  Across maps it stores the optimal risk R_*, the
+optimal set of indices and the suboptimality gap.  These records are the
+only per-atom population arrays: the finite-class moments and the
+covariance-deviation and quadratic-form constants of :mod:`unionerm.bounds`
+read them, any gradient cross-covariance G(t, s) = E[g(t) g(s)^T] is formed
+on demand from them, and the moment table that every trial fit and process
+value reads (:attr:`PopulationProfile.tables`) is built from them.
 
 Everything here is an exact finite sum over the atoms of the law; generative
 laws are rejected (their quantities are only ever Monte Carlo estimates and
@@ -61,9 +61,14 @@ class IndexRecord:
     whitener: np.ndarray         # symmetric inverse square root of sigma
     w_star: np.ndarray           # population risk minimizer
     approx_risk: float           # R(t, w_star(t))
-    grad_sq: np.ndarray          # per-atom ||g(t)||^2 in the Sigma(t)^-1 norm, (m,)
-    grad_second_moment: float    # E ||g(t)||^2, the weighted mean of grad_sq
     dim: int
+
+    @cached_property
+    def grad_sq(self) -> np.ndarray:
+        """Per-atom ||g(t)||^2 in the Sigma(t)^-1 norm, (m,), formed on first
+        read and kept, so only a command that reads it holds it."""
+        gw = (self.resid[:, None] * self.phi) @ self.whitener  # whitened per-atom loss gradient
+        return np.sum(gw * gw, axis=1)
 
 
 @dataclass(frozen=True)
@@ -94,7 +99,8 @@ class PopulationProfile:
         return self.records[t].approx_risk
 
     def grad_second_moment(self, t) -> float:
-        return self.records[t].grad_second_moment
+        """E ||g(t)||^2, the weighted mean of the record's grad_sq."""
+        return float(self.law.weights @ self.records[t].grad_sq)
 
     def gap(self, t) -> float:
         return self.records[t].approx_risk - self.r_star
@@ -147,8 +153,6 @@ def profile(law, collection) -> PopulationProfile:
         rhs = phi.T @ (law.weights * law.ys)
         w_star = vecs @ ((vecs.T @ rhs) / vals)
         resid = phi @ w_star - law.ys
-        gw = (resid[:, None] * phi) @ whitener  # whitened per-atom loss gradient
-        grad_sq = np.sum(gw * gw, axis=1)
         records[entry.index] = IndexRecord(
             phi=phi,
             resid=resid,
@@ -156,8 +160,6 @@ def profile(law, collection) -> PopulationProfile:
             whitener=whitener,
             w_star=w_star,
             approx_risk=0.5 * float(law.weights @ resid**2),
-            grad_sq=grad_sq,
-            grad_second_moment=float(law.weights @ grad_sq),
             dim=entry.dim,
         )
     risks = {t: records[t].approx_risk for t in collection.indices()}

@@ -87,6 +87,17 @@ def oracle_solve(dataset, collection, prof):
     return ErmSolution(index=t0, weights=rec.weights, risk=rec.risk, table=(rec,))
 
 
+def sorted_uniform_counts(law, n, rng):
+    """Atom counts (m,) of n draws by binning uniforms: atom j takes the
+    uniforms that fall in [cdf[j-1], cdf[j]) of the normalized cumulative
+    weights, counted on the sorted uniforms.  O(n log n) per draw; the
+    reference sampler of the law that ``DiscreteLaw.counts`` draws from."""
+    cdf = law.weights.cumsum()
+    cdf /= cdf[-1]
+    u = np.sort(rng.random(n))
+    return np.diff(np.searchsorted(u, cdf, "left"), prepend=0)
+
+
 def enum_datasets(law, n):
     """Every ordered dataset of size n with its product probability."""
     m = law.support_size

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,16 +12,19 @@ from unionerm.model import (
     FeatureCollection,
     FeatureEntry,
     GaussianDesignLaw,
+    WEIGHT_TOL,
     exact_expectation,
+    rng_from_seed,
     sample_counts,
     sample_dataset,
     subset_collection,
     _coordinate_classes,
     validate_collection,
 )
+from unionerm.processes import enumerate_product_counts
 
 from conftest import canonical_law, two_atom_law
-from oracles import atoms_of, enum_expectation, validate_collection_loop
+from oracles import atoms_of, enum_expectation, sorted_uniform_counts, validate_collection_loop
 
 
 def test_exact_expectation_constant_is_one():
@@ -111,6 +115,62 @@ def test_sample_counts_is_the_atom_multiset_of_sample_dataset():
             match = np.all(rows[:, None, :] == atoms[None, :, :], axis=2)
             assert np.all(match.sum(axis=1) == 1)
             assert sample_counts(law, n, seed).tolist() == match.sum(axis=0).tolist()
+
+
+def test_sample_counts_is_one_multinomial_draw_of_the_trial_stream():
+    # The declared stream: a discrete dataset of trial (master, i) is one
+    # rng.multinomial(n, weights) call on rng_from_seed(master, i), and its
+    # rows are those counts expanded in atom order.
+    rng = np.random.default_rng(21)
+    laws = [canonical_law(), two_atom_law(), _hypercube_law(), _random_law(rng, 40)]
+    for law in laws:
+        for n, (master, i) in ((1, (3, 0)), (7, (3, 1)), (3001, (11, 9)), (20000, (5, 2))):
+            expected = rng_from_seed(master, i).multinomial(n, law.weights)
+            assert sample_counts(law, n, (master, i)).tolist() == expected.tolist()
+            ds = sample_dataset(law, n, (master, i))
+            idx = np.repeat(np.arange(law.support_size), expected)
+            assert np.array_equal(ds.x, law.xs[idx]) and np.array_equal(ds.y, law.ys[idx])
+
+
+def test_counts_match_exact_count_vector_probabilities():
+    # m = 3 atoms with unequal weights, n = 4: 15 count vectors, whose exact
+    # probabilities aggregate the 81 ordered samples of the enumeration.
+    law = DiscreteLaw(xs=np.array([[0.0], [1.0], [2.0]]), ys=np.zeros(3), weights=np.array([0.5, 0.3, 0.2]))
+    n, draws, n_se = 4, 20_000, 5.0
+    exact = Counter()
+    for c, prob in zip(*enumerate_product_counts(law, n)):
+        exact[tuple(c.tolist())] += prob
+    assert len(exact) == math.comb(n + 2, 2) and sum(exact.values()) == pytest.approx(1.0, abs=1e-15)
+    for sampler in (law.counts, lambda n, rng: sorted_uniform_counts(law, n, rng)):
+        rng = np.random.default_rng(41)
+        seen = Counter(tuple(sampler(n, rng).tolist()) for _ in range(draws))
+        assert set(seen) <= set(exact)
+        for c, prob in exact.items():
+            se = math.sqrt(prob * (1.0 - prob) / draws)
+            assert abs(seen[c] / draws - prob) <= n_se * se, (c, seen[c] / draws, prob)
+
+
+@pytest.mark.parametrize("offset", [9e-13, -9e-13])
+def test_counts_on_edge_weights(offset):
+    # Weights that sum to 1 + offset, inside WEIGHT_TOL: spread over the atoms,
+    # put on a tiny last atom, on one atom above 1, and on a one-atom law.
+    assert abs(offset) < WEIGHT_TOL
+    w = np.array([0.1, 0.2, 0.3, 0.4])
+    cases = [
+        w + offset / 4,
+        np.array([0.6, 0.4 + offset, 1e-300]),
+        np.array([1.0 + offset - 1e-15, 1e-15]),
+        np.array([1.0 + offset]),
+        np.array([1.0]),
+    ]
+    for k, ws in enumerate(cases):
+        law = DiscreteLaw(xs=np.arange(ws.size, dtype=float)[:, None], ys=np.zeros(ws.size), weights=ws)
+        rng = np.random.default_rng(k)
+        for n in (1, 2, 50, 10**6):
+            for counts in (law.counts(n, rng), sample_counts(law, n, (k, n))):
+                assert counts.shape == (ws.size,) and counts.dtype.kind == "i"
+                assert np.all(counts >= 0) and int(counts.sum()) == n
+            assert sample_dataset(law, n, (k, n)).n == n
 
 
 def test_sample_dataset_rejects_empty():

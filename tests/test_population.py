@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -180,6 +182,25 @@ def test_grad_second_moment_consistency(canonical):
         g = prof.g_cross(t, t)
         tr = float(np.trace(np.linalg.solve(prof.sigma(t), g)))
         assert prof.grad_second_moment(t) == pytest.approx(tr, rel=1e-10)
+
+
+def test_grad_sq_is_formed_on_read_per_atom():
+    # A record holds no per-atom gradient norms until they are read; the read
+    # forms g^T Sigma^-1 g per atom, whose weighted mean is the gradient
+    # second moment.
+    rng = np.random.default_rng(12)
+    for _ in range(5):
+        law, coll, prof = random_instance(rng)
+        for entry in coll:
+            t = entry.index
+            rec = prof.records[t]
+            assert "grad_sq" not in {f.name for f in dataclasses.fields(rec)} | set(vars(rec))
+            feat = lambda x: np.atleast_1d(entry(x[None, :])[0])
+            w = enum_optimal_weights(atoms_of(law), feat)
+            grads = [(feat(x) @ w - y) * feat(x) for x, y, _ in atoms_of(law)]
+            loop = [float(g @ np.linalg.solve(rec.sigma, g)) for g in grads]
+            assert rec.grad_sq == pytest.approx(loop, rel=1e-8, abs=1e-12)
+            assert prof.grad_second_moment(t) == float(law.weights @ rec.grad_sq)
 
 
 def test_gradient_mean_vanishes_everywhere():
