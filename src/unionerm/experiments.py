@@ -28,9 +28,9 @@ from .model import (
     FeatureCollection,
     GaussianDesignLaw,
     rng_from_seed,
-    sample_counts,
-    sample_dataset,
+    sample_dataset,  # noqa: F401 -- the benchmark tracer wraps it under this name
     subset_collection,
+    trial_streams,
 )
 from .population import PopulationProfile, excess_risk
 from .processes import snapshot as process_snapshot  # noqa: F401 -- the benchmark tracer wraps it under this name
@@ -143,13 +143,15 @@ def run_trials(
 ) -> TrialBatch:
     """Solve ERM on `trials` independent datasets of size n.
 
-    Trial i draws its dataset from the stream (master_seed, i).  A chunk of
-    ``TRIAL_CHUNK`` trials is one moment row per dataset, from which
-    :class:`unionerm.erm.MomentFit` fits every index.  On a discrete law the
-    row is the atom counts times the atom tables of ``prof`` (the profile of
-    this ``law`` and ``collection``), which with ``snapshots`` also give
-    every process value.  On a Gaussian law (coordinate maps only) it is the
-    joint Gram [X, y]^T [X, y] / n of the rows of ``sample_dataset``.
+    Trial i draws its dataset from the stream (master_seed, i), the one of
+    ``sample_dataset``; a chunk of ``TRIAL_CHUNK`` trials takes its streams
+    from one :func:`unionerm.model.trial_streams` call.  The chunk is one
+    moment row per dataset, from which :class:`unionerm.erm.MomentFit` fits
+    every index.  On a discrete law the row is the atom counts
+    (``law.counts``) times the atom tables of ``prof`` (the profile of this
+    ``law`` and ``collection``), which with ``snapshots`` also give every
+    process value.  On a Gaussian law (coordinate maps only) it is the joint
+    Gram [X, y]^T [X, y] / n of the rows of ``law.sample``.
     Excess risks are exact: the profile's on discrete laws, the design's
     closed form on Gaussian laws.  The benchmark record reuses the solver's
     fit of the a-priori optimal index, which is what refitting it alone
@@ -157,6 +159,8 @@ def run_trials(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if n < 1:
+        raise ValueError("sample size must be at least 1")
     if snapshots and prof is None:
         raise ValueError("snapshots need a population profile")
     if prof is None and law.kind == "discrete":
@@ -169,10 +173,10 @@ def run_trials(
         fits = erm.MomentFit([e.coords for e in collection], y, lambda a, b: a * (y + 1) + b,
                              [np.zeros(e.dim) for e in collection])
 
-        def moments(seeds):
-            zs = (np.column_stack([ds.x, ds.y]) for ds in (sample_dataset(law, n, seed) for seed in seeds))
+        def moments(streams):
+            zs = (np.column_stack(law.sample(n, rng)) for rng in streams)
             grams = np.stack([z.T @ z / n for z in zs])  # R_n(0) = y^T y / 2n for every index
-            return grams.reshape(len(seeds), -1), np.repeat(0.5 * grams[:, y, y:], len(ids), axis=1)
+            return grams.reshape(len(streams), -1), np.repeat(0.5 * grams[:, y, y:], len(ids), axis=1)
 
         def excess(j, w):
             return law.risk(collection.entries[j], w) - r_star
@@ -182,8 +186,8 @@ def run_trials(
         tables = prof.tables
         fits, o = tables.fits, ids.index(prof.least_optimal_index)
 
-        def moments(seeds):
-            rows = tables.moments(np.stack([sample_counts(law, n, seed) for seed in seeds]), n)
+        def moments(streams):
+            rows = tables.moments(np.stack([law.counts(n, rng) for rng in streams]), n)
             return rows, rows[:, tables.loss]
 
         def excess(j, w):
@@ -191,7 +195,7 @@ def run_trials(
 
     parts = []
     for lo in range(0, trials, TRIAL_CHUNK):
-        rows, ref_risk = moments([(master_seed, i) for i in range(lo, min(lo + TRIAL_CHUNK, trials))])
+        rows, ref_risk = moments(trial_streams(master_seed, np.arange(lo, min(lo + TRIAL_CHUNK, trials))))
         weights, risks, singular = fits.fit(rows, ref_risk)
         pick = erm.select(risks)
         # one evaluation per selected index; the oracle's doubles as t_hat's

@@ -98,6 +98,12 @@ def sorted_uniform_counts(law, n, rng):
     return np.diff(np.searchsorted(u, cdf, "left"), prepend=0)
 
 
+def seed_sequence_stream(master, trial):
+    """The reference stream of trial (master, trial): numpy's own
+    SeedSequence hash of the pair, seeding PCG64."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(master), int(trial)))))
+
+
 def enum_datasets(law, n):
     """Every ordered dataset of size n with its product probability."""
     m = law.support_size

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -195,6 +196,30 @@ def test_montecarlo_pathwise(tmp_path):
     assert verdict["clauses"][0]["id"] == "c9_pathwise"
 
 
+MONTECARLO_DIGESTS = {
+    "quantiles": {
+        "quantiles.svg": "db2bac1adfcd9a8e34282bd595ac18462c3e6246429f843b2ac49b1c6b0ee268",
+        "trials_quantiles.csv": "5eda416616293d93329828803f51d5994681ea3bb2b197a45fcf06db0fa57604",
+        "verdict_quantiles.json": "1ef3389f7253ce47d1173f5404271fda885e91b0e08a569eed948314733f2d27",
+    },
+    "pathwise": {
+        "pathwise.csv": "151fd17eb1b0ed3ae00e7980ba7307cf0a01471965de50c42ba6097fb1d6eab2",
+        "verdict_pathwise.json": "a7f8917aec7a00c7dddaed2d14a49df92b9578e61a3e0fc3e12d86f48816a52a",
+    },
+}
+
+
+@pytest.mark.parametrize("command,params", [("quantiles", {"n_grid": [100, 400], "delta": 0.5}), ("pathwise", {"n": 100})])
+def test_montecarlo_outputs_are_pinned(tmp_path, command, params):
+    # sha256 of every file the command writes on a small config: a moved
+    # trial stream changes the bytes
+    cfg = _write(tmp_path, _canonical_config(**params))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--trials", "100", "montecarlo", command]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == MONTECARLO_DIGESTS[command]
+
+
 def test_montecarlo_bss(tmp_path):
     cfg_data = _canonical_config(
         design="discrete", d=3, s=2, w_true=[1.0, 1.0, 0.0], noise_std=1.0,
@@ -247,6 +272,16 @@ def test_threads_flag_is_rejected(tmp_path):
 
 def test_cli_import_loads_no_scipy():
     code = "import sys, unionerm.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+def test_package_import_loads_no_numpy_random():
+    # trial streams build their seed-sequence type on first use, so a set-up
+    # (import, config, profile) never pays for loading numpy.random
+    code = ("import sys; from unionerm import cli, experiments, model, population; "
+            "print([m for m in sys.modules if m.startswith('numpy.random')])")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -33,6 +34,30 @@ def test_run_trials_deterministic_hash(canonical):
     assert a.batch_hash() == b.batch_hash()
     c = ex.run_trials(law, coll, 40, 30, 302, prof)
     assert a.batch_hash() != c.batch_hash()
+
+
+def test_run_trials_batches_are_pinned():
+    # Literal batch hashes of two runs, so any move of a trial stream, of a
+    # chunk's stream derivation or of a fit shows here: the canonical law
+    # over three chunks (the last one ragged) with every process value, and
+    # a Gaussian design of 120 subset maps.
+    law, coll = canonical_law(), canonical_collection()
+    batch = ex.run_trials(law, coll, 2000, 600, 2024, build_profile(law, coll), snapshots=True)
+    assert batch.batch_hash() == "163c07fde1bed5bcd00907e3efaadb386ed77d0a5aca7289ead50bf272425ac8"
+    h = hashlib.sha256()
+    for field in ("lam_plus", "lam_minus", "delta_plus", "g_sq_hat", "gap_hat", "est_err_hat"):
+        h.update(np.ascontiguousarray(getattr(batch, field)).tobytes())
+    assert h.hexdigest() == "35d9bd8005339bf7e0b41a843dfbe7ed677a75a7f49af56d6205de88fb48b594"
+    design = ex.bss_instance("gaussian", 10, [1.0, 1.0, 1.0] + [0.0] * 7, 1.0)
+    batch = ex.run_trials(design, subset_collection(10, 3), 100, 60, 2025)
+    assert batch.batch_hash() == "94235435e55a5bf110039d396e6bc543eea39a2ad763b60d29ff34a76e87105c"
+
+
+def test_run_trials_rejects_empty_datasets(canonical):
+    law, coll, prof = canonical
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="sample size"):
+            ex.run_trials(law, coll, n, 5, 1, prof)
 
 
 def test_run_trials_rejects_profile_of_another_law_or_collection(canonical):

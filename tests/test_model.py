@@ -18,13 +18,14 @@ from unionerm.model import (
     sample_counts,
     sample_dataset,
     subset_collection,
+    trial_streams,
     _coordinate_classes,
     validate_collection,
 )
 from unionerm.processes import enumerate_product_counts
 
 from conftest import canonical_law, two_atom_law
-from oracles import atoms_of, enum_expectation, sorted_uniform_counts, validate_collection_loop
+from oracles import atoms_of, enum_expectation, seed_sequence_stream, sorted_uniform_counts, validate_collection_loop
 
 
 def test_exact_expectation_constant_is_one():
@@ -119,17 +120,49 @@ def test_sample_counts_is_the_atom_multiset_of_sample_dataset():
 
 def test_sample_counts_is_one_multinomial_draw_of_the_trial_stream():
     # The declared stream: a discrete dataset of trial (master, i) is one
-    # rng.multinomial(n, weights) call on rng_from_seed(master, i), and its
-    # rows are those counts expanded in atom order.
+    # rng.multinomial(n, weights) call on the stream of SeedSequence((master,
+    # i)), and its rows are those counts expanded in atom order.
     rng = np.random.default_rng(21)
     laws = [canonical_law(), two_atom_law(), _hypercube_law(), _random_law(rng, 40)]
     for law in laws:
         for n, (master, i) in ((1, (3, 0)), (7, (3, 1)), (3001, (11, 9)), (20000, (5, 2))):
-            expected = rng_from_seed(master, i).multinomial(n, law.weights)
+            expected = seed_sequence_stream(master, i).multinomial(n, law.weights)
             assert sample_counts(law, n, (master, i)).tolist() == expected.tolist()
             ds = sample_dataset(law, n, (master, i))
             idx = np.repeat(np.arange(law.support_size), expected)
             assert np.array_equal(ds.x, law.xs[idx]) and np.array_equal(ds.y, law.ys[idx])
+
+
+STREAM_MASTERS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100]  # 2**100: 4 words, entropy past the pool
+STREAM_TRIALS = [0, 1, 255, 256, 257, 10**6, 2**32 + 1]  # 2**32 + 1: a two-word trial
+
+
+@pytest.mark.parametrize("master", STREAM_MASTERS)
+def test_trial_streams_are_seed_sequence_streams(master):
+    # One chunk holds every trial (one- and two-word ones together) and each
+    # single stream is hashed on Python ints: both give numpy's SeedSequence
+    # words, so PCG64 seeds to the reference state and draws the same values.
+    chunk = trial_streams(master, np.array(STREAM_TRIALS, dtype=np.uint64))
+    assert len(chunk) == len(STREAM_TRIALS)
+    for i, batched in zip(STREAM_TRIALS, chunk):
+        words = np.random.SeedSequence((master, i)).generate_state(4, np.uint64)
+        for rng in (batched, rng_from_seed(master, i)):
+            ref = seed_sequence_stream(master, i)
+            assert np.array_equal(rng.bit_generator._seed_seq.words, words)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert rng.multinomial(1000, [0.2, 0.3, 0.5]).tolist() == ref.multinomial(1000, [0.2, 0.3, 0.5]).tolist()
+            assert rng.standard_normal() == ref.standard_normal()
+
+
+def test_trial_streams_reject_negative_seeds_like_seed_sequence():
+    for master, trial in ((-1, 0), (0, -1), (-(2**40), 3)):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence((master, trial))
+        with pytest.raises(ValueError):
+            rng_from_seed(master, trial)
+        with pytest.raises(ValueError):
+            trial_streams(master, np.array([0, trial]))
+    assert trial_streams(5, np.array([], dtype=np.int64)) == []
 
 
 def test_counts_match_exact_count_vector_probabilities():
