@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,8 +72,7 @@ class IncompleteReportError(ValueError):
         super().__init__(f"missing constituent for report field {field_name!r}")
 
 
-@dataclass(frozen=True)
-class TaggedValue:
+class TaggedValue(NamedTuple):
     """A scalar with provenance: exact enumeration or Monte Carlo estimate."""
 
     value: float
@@ -96,8 +95,7 @@ def c_factor(m) -> float:
 # Class moments
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ClassMoments:
+class ClassMoments(NamedTuple):
     """(sigma^2, r_n) for a finite class: worst centered second moment and
     the expected max over samples and functions of the centered square."""
 
@@ -177,8 +175,7 @@ def class_moments(
 # Finite-class expected-supremum sandwich
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SandwichResult:
+class SandwichResult(NamedTuple):
     lower: float
     upper: float
     estimate: float
@@ -408,8 +405,7 @@ def explicit_complexity(
 # Report assembly
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BoundInputs:
+class BoundInputs(NamedTuple):
     """Constituents for a bound report, with their estimation settings."""
 
     cov_dev_lambda_max: TaggedValue
@@ -449,8 +445,7 @@ def compute_bound_inputs(
     )
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Every closed-form constant, threshold, and excess-risk bound."""
 
     n: int
@@ -480,10 +475,9 @@ class BoundReport:
 
     def to_json_dict(self) -> dict:
         out = {"n": self.n, "delta": self.delta, "k": self.k}
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name, value in zip(self._fields, self):
             if isinstance(value, TaggedValue):
-                out[f.name] = value.to_json()
+                out[name] = value.to_json()
         out["a_values"] = {k: v.to_json() for k, v in self.a_values.items()}
         out["explicit_sets"] = [list(map(str, s)) for s in self.explicit_sets]
         out["expected_sup_sets"] = [list(map(str, s)) for s in self.expected_sup_sets]

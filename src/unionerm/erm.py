@@ -18,7 +18,7 @@ this is the single place where selection nondeterminism is removed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ PIVOT_TOL = 1e-12
 TIE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     index: object
     weights: np.ndarray
     risk: float
@@ -49,8 +48,7 @@ class FitResult:
     singular: bool
 
 
-@dataclass(frozen=True)
-class ErmSolution:
+class ErmSolution(NamedTuple):
     index: object
     weights: np.ndarray
     risk: float

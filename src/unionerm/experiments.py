@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "sample_gaussian_limit",
     "estimate_quantile",
     "ks_statistic",
+    "ks_critical_value",
     "quantile_sandwich_check",
     "bound_validity_sweep",
     "MasterCheckResult",
@@ -58,6 +59,8 @@ __all__ = [
 
 # Trials fitted together; bounds the memory of a batch, whatever `trials` is.
 TRIAL_CHUNK = 256
+# Level of the KS test of the trials' rescaled excess against the limit law.
+KS_ALPHA = 0.05
 
 
 class InsufficientTrialsError(ValueError):
@@ -96,8 +99,7 @@ def _law_fingerprint(law) -> bytes:
     return h.digest()
 
 
-@dataclass(frozen=True)
-class TrialBatch:
+class TrialBatch(NamedTuple):
     """Per-trial outcomes of the solver and the fixed-index benchmark."""
 
     config_hash: str
@@ -330,8 +332,7 @@ def sample_gaussian_limit(prof: PopulationProfile, draws: int, seed: int):
 # Quantiles and distributional checks
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuantileEstimate:
+class QuantileEstimate(NamedTuple):
     level: float
     estimate: float
     ci_lo: float
@@ -380,6 +381,15 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     return float(max(d.max(), np.clip(-d.min(), 0.0, 1.0)))
 
 
+def ks_critical_value(n: int, m: int) -> float:
+    """Asymptotic level-``KS_ALPHA`` critical value of the two-sample KS statistic
+    between independent samples of sizes n and m: K^{-1}(alpha) sqrt((n + m) / (n m)),
+    with K the Kolmogorov distribution's survival function."""
+    from scipy.special import kolmogi  # lazy: keeps scipy off the import path
+
+    return float(kolmogi(KS_ALPHA)) * math.sqrt((n + m) / (n * m))
+
+
 def quantile_sandwich_check(
     batch: TrialBatch,
     z_minus: np.ndarray,
@@ -391,7 +401,10 @@ def quantile_sandwich_check(
     Passes when the order-statistic intervals are consistent with
     0.5 * Q(min) <= n * Q(excess) <= 0.5 * Q(max); for a singleton optimal
     set (z_minus and z_plus agree within ``np.allclose``), also reports the
-    two-sample KS statistic against half the squared norm of the limit.
+    two-sample KS statistic against half the squared norm of the limit, with
+    its level-``KS_ALPHA`` critical value for the two sample sizes, and the
+    KS statistic against the fixed-index benchmark (a paired sample, so it
+    has no such critical value).
     """
     if batch.trials < 50 / delta:
         raise InsufficientTrialsError(
@@ -414,6 +427,7 @@ def quantile_sandwich_check(
     }
     if np.allclose(z_minus, z_plus):
         out["ks_limit"] = ks_statistic(batch.n_excess, 0.5 * z_plus)
+        out["ks_limit_threshold"] = ks_critical_value(batch.trials, len(z_plus))
         out["ks_oracle"] = ks_statistic(batch.n_excess, batch.n_excess_oracle)
     return out
 
@@ -495,8 +509,7 @@ def bound_validity_sweep(
 # Pathwise master-inequality check
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MasterCheckResult:
+class MasterCheckResult(NamedTuple):
     checked: int
     excluded: int
     violations: int
@@ -603,8 +616,7 @@ def recovery_threshold(
     return _fixed_point(step, max_rounds, 100, "recovery threshold"), best_k[-1]
 
 
-@dataclass(frozen=True)
-class BssReport:
+class BssReport(NamedTuple):
     design: str
     d: int
     s: int

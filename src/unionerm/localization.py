@@ -20,7 +20,7 @@ Two complexity functionals are pluggable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bounds import TaggedValue, explicit_complexity
 from .population import PopulationProfile
@@ -90,8 +90,7 @@ def f_map(subset, n: int, delta: float, prof: PopulationProfile, complexity) -> 
     return tuple(t for t in prof.indices() if prof.gap(t) <= cut)
 
 
-@dataclass(frozen=True)
-class LocalizationTrace:
+class LocalizationTrace(NamedTuple):
     """Iterates of the set map with their thresholds.
 
     ``sets`` has length k+1: the full collection followed by the k iterates.

@@ -36,7 +36,7 @@ are the profile's records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -167,8 +167,7 @@ class AtomTables:
         return Snapshot(n=n, **{f: np.concatenate([getattr(s, f) for s in blocks]) for f in fields})
 
 
-@dataclass(frozen=True)
-class Snapshot:
+class Snapshot(NamedTuple):
     """All three processes on B datasets of a discrete law.
 
     ``lam_min`` (B, |T|) is the smallest eigenvalue of each map's whitened
@@ -243,8 +242,7 @@ def enumerate_product_counts(law: DiscreteLaw, n: int):
     return counts, probs
 
 
-@dataclass(frozen=True)
-class CountSample:
+class CountSample(NamedTuple):
     """Datasets of size n from a discrete law, as atom-count chunks (B, m),
     or as the value table of those chunks (one :class:`Snapshot` each).
 

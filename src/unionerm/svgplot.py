@@ -2,7 +2,7 @@
 
 Hand-rolled so that identical inputs produce byte-identical files (no
 library metadata, timestamps or hashed ids), which the CLI relies on for
-diff-stable outputs.
+diff-stable outputs.  The charts return their SVG text; the CLI writes it.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ def _scale(lo: float, hi: float, pix_lo: float, pix_hi: float):
     return lambda v: pix_lo + (v - lo) * k
 
 
-def line_chart(path: str, xs, series: dict, title: str, xlabel: str, ylabel: str) -> str:
-    """Write a multi-series line chart; returns the SVG text."""
+def line_chart(xs, series: dict, title: str, xlabel: str, ylabel: str) -> str:
+    """A multi-series line chart as SVG text."""
     xs = [float(v) for v in xs]
     all_y = [float(y) for ys in series.values() for y in ys if y == y]
     x_lo, x_hi = min(xs), max(xs)
@@ -90,12 +90,11 @@ def line_chart(path: str, xs, series: dict, title: str, xlabel: str, ylabel: str
         c.parts.append(
             f'<text x="{WIDTH - MARGIN_R - 5}" y="{MARGIN_T + 15 + 15 * i}" text-anchor="end" fill="{color}">{label}</text>'
         )
-    text = c.finish()
-    _write(path, text)
-    return text
+    return c.finish()
 
 
-def bar_chart(path: str, labels, values, title: str, xlabel: str, ylabel: str) -> str:
+def bar_chart(labels, values, title: str, xlabel: str, ylabel: str) -> str:
+    """A bar chart as SVG text."""
     values = [float(v) for v in values]
     y_lo, y_hi = min(values + [0.0]), max(values + [0.0])
     sy = _scale(y_lo, y_hi, HEIGHT - MARGIN_B, MARGIN_T)
@@ -119,21 +118,4 @@ def bar_chart(path: str, labels, values, title: str, xlabel: str, ylabel: str) -
     c.parts.append(
         f'<line x1="{MARGIN_L}" y1="{_fmt(sy(0.0))}" x2="{WIDTH - MARGIN_R}" y2="{_fmt(sy(0.0))}" stroke="#333"/>'
     )
-    text = c.finish()
-    _write(path, text)
-    return text
-
-
-def _write(path: str, text: str) -> None:
-    import os
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    return c.finish()

@@ -1,16 +1,30 @@
 import hashlib
+import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from unionerm.cli import CONFIG_SCHEMA, ConfigError, _plain_atoms, load_config, main
+from unionerm import cli, experiments
+from unionerm.cli import CONFIG_SCHEMA, ConfigError, _plain_atoms, _plain_config, load_config, main
 
 from conftest import canonical_atoms
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _bench_workloads():
+    """``bench/workloads.py``, read and never changed here: the benchmark's configs."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def _canonical_config(**params):
@@ -200,7 +214,7 @@ MONTECARLO_DIGESTS = {
     "quantiles": {
         "quantiles.svg": "db2bac1adfcd9a8e34282bd595ac18462c3e6246429f843b2ac49b1c6b0ee268",
         "trials_quantiles.csv": "5eda416616293d93329828803f51d5994681ea3bb2b197a45fcf06db0fa57604",
-        "verdict_quantiles.json": "1ef3389f7253ce47d1173f5404271fda885e91b0e08a569eed948314733f2d27",
+        "verdict_quantiles.json": "c0b842d7526930f5cc79028938e2550272968da599ff765f3b85c9fef39e2261",
     },
     "pathwise": {
         "pathwise.csv": "151fd17eb1b0ed3ae00e7980ba7307cf0a01471965de50c42ba6097fb1d6eab2",
@@ -218,6 +232,34 @@ def test_montecarlo_outputs_are_pinned(tmp_path, command, params):
     assert main(["--config", cfg, "--out", str(out), "--trials", "100", "montecarlo", command]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == MONTECARLO_DIGESTS[command]
+
+
+def _namedtuples_in(node):
+    if isinstance(node, tuple) and hasattr(node, "_fields"):
+        yield type(node).__name__
+    children = node.values() if isinstance(node, dict) else node if isinstance(node, (list, tuple)) else ()
+    for child in children:
+        yield from _namedtuples_in(child)
+
+
+def test_no_result_carrier_reaches_write_json(tmp_path, monkeypatch):
+    # json.dumps would write a NamedTuple carrier as an unlabelled list
+    payloads = []
+    real_write_json = cli.write_json
+    monkeypatch.setattr(cli, "write_json", lambda path, payload: (payloads.append(payload), real_write_json(path, payload)))
+    canonical = _write(tmp_path, _canonical_config(n=200, delta=0.5, trials=300, n_grid=[100, 400]), "canonical.json")
+    validity = _write(tmp_path, _canonical_config(delta=0.5, n_grid=[120], bound="explicit"), "validity.json")
+    bss_cfg = _canonical_config(design="discrete", d=3, s=2, w_true=[1.0, 1.0, 0.0], noise_std=1.0,
+                                n_grid=[50, 100], check_threshold=False)
+    del bss_cfg["law"], bss_cfg["collection"]
+    bss = _write(tmp_path, bss_cfg, "bss.json")
+    runs = [(canonical, ["profile"]), (canonical, ["bounds"]), (canonical, ["localize"])]
+    runs += [(canonical, ["montecarlo", c]) for c in ("quantiles", "consistency", "pathwise")]
+    runs += [(validity, ["montecarlo", "validity"]), (bss, ["montecarlo", "bss"])]
+    for i, (cfg, command) in enumerate(runs):
+        assert main(["--config", cfg, "--out", str(tmp_path / f"o{i}"), "--trials", "150", *command]) == 0
+    assert len(payloads) == len(runs)
+    assert [name for p in payloads for name in _namedtuples_in(p)] == []
 
 
 def test_montecarlo_bss(tmp_path):
@@ -270,21 +312,31 @@ def test_threads_flag_is_rejected(tmp_path):
     assert exc.value.code == 2
 
 
-def test_cli_import_loads_no_scipy():
-    code = "import sys, unionerm.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+SETUP_CODE = """
+import json, sys
+from unionerm import cli, experiments, model, population
+cfg = cli.load_config(sys.argv[1])
+if "law" in cfg:
+    law, collection = cli.build_law(cfg), cli.build_collection(cfg)
+else:  # montecarlo bss builds its instance from the params
+    p = cfg["params"]
+    law = experiments.bss_instance(p["design"], p["d"], p["w_true"], p["noise_std"])
+    collection = model.subset_collection(p["d"], p["s"])
+population.profile(law, collection)
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "jsonschema") or m.startswith("numpy.random"))))
+"""
 
 
-def test_package_import_loads_no_numpy_random():
-    # trial streams build their seed-sequence type on first use, so a set-up
-    # (import, config, profile) never pays for loading numpy.random
-    code = ("import sys; from unionerm import cli, experiments, model, population; "
-            "print([m for m in sys.modules if m.startswith('numpy.random')])")
+@pytest.mark.parametrize("workload", ["mc_canonical", "bounds_localize", "bss_wide"])
+def test_setup_stays_within_its_module_budget(tmp_path, workload):
+    # a set-up (import, load a valid config, build the profile) loads no scipy
+    # (imported inside the interval functions), no numpy.random (trial streams
+    # build their seed-sequence type on first use) and no jsonschema (a valid
+    # config passes the plain check)
+    config = next(iter(_bench_workloads().write_configs(workload, 3, str(tmp_path)).values()))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", SETUP_CODE, config], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == []
 
 
 def test_config_schema_is_a_valid_draft_2020_12_schema():
@@ -345,3 +397,154 @@ def test_load_config_agrees_with_full_atom_validation(tmp_path, kind):
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert str(err.value) == f"config field {exc.json_path}: {exc.message}"
+
+
+# ---------------------------------------------------------------------------
+# The plain config check is sound: what it accepts, the schema accepts
+# ---------------------------------------------------------------------------
+
+def _corpus():
+    """(name, config): every config these tests write, README's example and
+    the benchmark's configs."""
+    readme = (ROOT / "README.md").read_text()
+    example = json.loads(readme.split("A config is a JSON document")[1].split("```json\n")[1].split("```")[0])
+    singleton = _canonical_config()
+    singleton["collection"]["entries"] = [{"id": "A", "coords": [0]}]
+    degenerate = _canonical_config()
+    degenerate["collection"]["entries"].append({"id": "Z", "matrix": [[0.0, 0.0]], "offset": [1]})
+    subsets = _canonical_config(n=200)
+    subsets["collection"] = {"kind": "subsets", "dim": 2, "sparsity": 1}
+    gaussian = _canonical_config(n=200)
+    gaussian["law"] = {"kind": "gaussian_design", "dim": 2, "w_true": [1.0, 0.0], "noise_std": 1.0}
+    bss = _canonical_config(design="discrete", d=3, s=2, w_true=[1.0, 1.0, 0.0], noise_std=1.0, n_grid=[50, 100])
+    del bss["law"], bss["collection"]
+    corpus = [
+        ("canonical", _canonical_config()),
+        ("canonical-params", _canonical_config(n=200, delta=0.1, trials=300, k=1, n_grid=[30, 60], bound="explicit")),
+        ("readme", example),
+        ("singleton", singleton),
+        ("degenerate", degenerate),
+        ("subsets", subsets),
+        ("gaussian-law", gaussian),
+        ("bss", bss),
+    ]
+    corpus += [(f"atoms-{kind}", _bad_atoms(kind)) for kind in ("missing-key", "bool", "nan", "x-ragged")]
+    workloads = _bench_workloads()
+    for workload in workloads.WORKLOADS:
+        corpus += [(f"{workload}-{stem}", cfg) for stem, cfg in workloads.configs(workload, 3).items()]
+    return corpus
+
+
+def _set(node, path, value):
+    """A copy of node with the value at path replaced; containers off the path are shared."""
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if type(node) is dict:
+        return {**node, head: _set(node[head], rest, value)}
+    return [_set(v, rest, value) if i == head else v for i, v in enumerate(node)]
+
+
+def _mutations(cfg):
+    """(label, config) for each one-field mutation of cfg, at every node but
+    the inner items of lists (only the first and the last are mutated) and
+    the values in params (which the schema leaves free): bool,
+    float, negative, zero, NaN or string for an int; a missing key, an extra
+    key or a non-dict for a dict; an empty list or a non-list for a list; an
+    unknown value for a string."""
+    stack = [((), cfg)]
+    while stack:
+        path, node = stack.pop()
+        if type(node) is dict:
+            stack += [(path + (k,), v) for k, v in node.items() if path != ("params",)]
+            news = [[], {**node, "extra": 1}] + [{k: v for k, v in node.items() if k != key} for key in node]
+        elif type(node) is list:
+            stack += [(path + (i,), node[i]) for i in sorted({0, len(node) - 1}) if node]
+            news = [[], {}, "x"]
+        elif type(node) is int:
+            news = [True, float(node), -1, 0, math.nan, "1"]
+        elif type(node) is float:
+            news = [-node, 0.0, math.nan, True]
+        else:
+            news = ["unknown", 1, None]
+        for i, new in enumerate(news):
+            yield f"{'/'.join(map(str, path))}#{i}", _set(cfg, path, new)
+
+
+CORPUS = _corpus()
+
+
+@pytest.mark.parametrize("name,cfg", CORPUS, ids=[name for name, _ in CORPUS])
+def test_plain_config_check_is_sound(tmp_path, name, cfg):
+    # whenever the plain check accepts a config, the schema accepts it too and
+    # load_config returns it as read
+    validator = Draft202012Validator(CONFIG_SCHEMA)
+    path = str(tmp_path / "config.json")
+    for label, mutant in [("as-is", cfg), *_mutations(cfg)]:
+        if _plain_config(mutant):
+            assert next(validator.iter_errors(mutant), None) is None, label
+            Path(path).write_text(json.dumps(mutant))
+            assert json.dumps(load_config(path)) == json.dumps(mutant), label
+
+
+# one config of each shape: atoms, coords, matrix with offset, subsets, a
+# foreign law, no law; the benchmark's hypercube has the canonical law's
+# shapes at 64 times the schema walk
+WORDING_CORPUS = [
+    (name, cfg) for name, cfg in CORPUS
+    if name in ("canonical-params", "readme", "degenerate", "subsets", "gaussian-law", "bss", "atoms-nan")
+]
+
+
+@pytest.mark.parametrize("name,cfg", WORDING_CORPUS, ids=[name for name, _ in WORDING_CORPUS])
+def test_load_config_words_every_error_as_the_schema(tmp_path, name, cfg):
+    # a config the schema rejects raises the schema's best match; one it
+    # accepts is returned as read, whether or not the plain check took it
+    validator = Draft202012Validator(CONFIG_SCHEMA)
+    path = str(tmp_path / "config.json")
+    for label, mutant in [("as-is", cfg), *_mutations(cfg)]:
+        exc = best_match(validator.iter_errors(mutant))
+        Path(path).write_text(json.dumps(mutant))
+        if exc is None:
+            assert json.dumps(load_config(path)) == json.dumps(mutant), label
+        else:
+            with pytest.raises(ConfigError) as err:
+                load_config(path)
+            assert str(err.value) == f"config field {exc.json_path}: {exc.message}", label
+
+
+# ---------------------------------------------------------------------------
+# c7_ks_limit: a two-sample KS test at level 0.05
+# ---------------------------------------------------------------------------
+
+def test_ks_critical_value_matches_the_two_sample_formula():
+    # kolmogi(0.05) = 1.3581; 500 trials against 10 000 limit draws
+    assert experiments.ks_critical_value(500, 10_000) == pytest.approx(1.3580986 * math.sqrt(10_500 / 5e6), rel=1e-6)
+    assert experiments.ks_critical_value(500, 10_000) == pytest.approx(0.0622, abs=1e-4)
+
+
+def test_ks_limit_clause_false_fail_rate_is_near_its_level(tmp_path):
+    # the mc_canonical quantiles config of the benchmark: under the limit law
+    # the clause fails on about 5% of master seeds
+    cfg = _bench_workloads().configs("mc_canonical", 0)["quantiles"]
+    path = _write(tmp_path, cfg)
+    clauses = []
+    for seed in range(1, 61):
+        out = tmp_path / f"s{seed}"
+        assert main(["--config", path, "--out", str(out), "--seed", str(seed), "montecarlo", "quantiles"]) == 0
+        verdict = json.loads((out / "verdict_quantiles.json").read_text())
+        clauses.append(next(c for c in verdict["clauses"] if c["id"] == "c7_ks_limit"))
+    assert {(c["threshold"], c["alpha"]) for c in clauses} == {(experiments.ks_critical_value(500, 10_000), 0.05)}
+    fails = sum(not c["pass"] for c in clauses)
+    assert fails <= 8  # Binomial(60, 0.05) exceeds 8 with probability < 0.01
+
+
+def test_ks_limit_clause_rejects_the_limit_without_its_half(canonical):
+    # against the limit without the 1/2 factor (z doubled, since the check
+    # halves it) the statistic exceeds the critical value on every seed
+    law, coll, prof = canonical
+    for seed in range(1, 21):
+        batch = experiments.run_trials(law, coll, 20_000, 500, seed, prof)
+        z_minus, z_plus = experiments.sample_gaussian_limit(prof, 10_000, seed)
+        verdict = experiments.quantile_sandwich_check(batch, 2.0 * z_minus, 2.0 * z_plus, 0.1)
+        assert verdict["ks_limit"] > verdict["ks_limit_threshold"], seed

@@ -1,3 +1,7 @@
+import contextlib
+import io
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -213,3 +217,18 @@ def test_empirical_excess_identity():
             rhs = -0.5 * float(grad_n @ np.linalg.solve(sigma_n, grad_n))
             assert lhs == pytest.approx(rhs, rel=1e-8, abs=1e-10)
             checked += 1
+
+
+def test_readme_quick_start_runs_as_written():
+    # the README's library example, exactly as printed there: it exercises the
+    # public surface of profile, erm.solve and ErmSolution
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library quick start")[1].split("```python\n")[1].split("```")[0]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(block, "README.md", "exec"), {})
+    first, second = printed.getvalue().splitlines()
+    assert first == "('A',) 0.25"
+    index, excess = second.split()
+    assert index == "A"
+    assert float(excess) == pytest.approx(0.002722817341031661, rel=1e-9)
