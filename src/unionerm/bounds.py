@@ -115,14 +115,17 @@ def _sqrt_with_se(mean_sq: float, se_sq: float) -> tuple[float, float]:
     return root, se_sq / (2.0 * root)
 
 
-def _expected_max_sqrt(sample: CountSample, atom_values: list[np.ndarray]) -> tuple[float, float]:
-    """E[max over (sample, function) of a per-atom value]^{1/2} with SE.
+def _expected_max_sqrt(sample: CountSample, values: list[np.ndarray]) -> tuple[float, float]:
+    """E[max over (sample, function) of a per-category value]^{1/2} with SE.
 
-    The max over a dataset only depends on which atoms are present, so the
-    counts representation is enough.  A row with every atom present takes
-    the overall max; only rows missing an atom are masked.
+    ``values`` hold one value per column of the sample's counts: per atom
+    for a sample of the law, per distinct moment row for a sample of
+    :attr:`AtomTables.sample_law`.  The max over a dataset only depends on
+    which categories are present, so the counts representation is enough.
+    A dataset with every category present takes the overall max; only
+    datasets missing one are masked.
     """
-    worst = np.stack(atom_values, axis=1).max(axis=1)  # (m,) max over functions per atom
+    worst = np.stack(values, axis=1).max(axis=1)  # max over functions per category
 
     def present_max(counts: np.ndarray) -> np.ndarray:
         out = np.full(counts.shape[0], worst.max())
@@ -167,7 +170,9 @@ def class_moments(
     else:
         raise ValueError(f"unknown class kind {kind!r}")
     sigma_sq = max(float(prof.law.weights @ v) for v in values)  # for G: the grad_second_moment values
-    r_n, r_n_se = _expected_max_sqrt(prof.tables.sample(n, trials, seed, mode), values)
+    # each value is a function of the atom's moment row, so the row's first atom stands for its group
+    tables = prof.tables
+    r_n, r_n_se = _expected_max_sqrt(tables.sample(n, trials, seed, mode), [v[tables.rows] for v in values])
     return ClassMoments(sigma_sq=float(sigma_sq), r_n=r_n, r_n_se=r_n_se, mode=mode)
 
 

@@ -24,13 +24,15 @@ trial fits (:class:`unionerm.erm.MomentFit`) and :func:`snapshot`, the
 per-index value table of all three processes, both read.  Every expectation
 over datasets (expected suprema here; class moments and A(S) in
 :mod:`unionerm.bounds`) is one reduction, :meth:`CountSample.mean`, over one
-:func:`count_sample`: Monte Carlo chunks with per-chunk seed streams, or for
-tiny instances the exact enumeration of every dataset with its probability.
-``prof.tables`` keeps the last sample drawn, keyed by (n, trials, seed,
-mode), and its value table, built on first use, of which every expected
-supremum is a column max.  So one command draws each stream and evaluates
-each dataset once.  The tables hold no per-atom population arrays; those
-are the profile's records.
+count sample of the table's distinct rows (:meth:`AtomTables.sample`):
+Monte Carlo chunks with per-chunk seed streams, or for tiny instances the
+exact enumeration of every dataset with its probability.  ``prof.tables``
+keeps the last sample drawn, keyed by (n, trials, seed, mode), and its value
+table, built on first use, of which every expected supremum is a column
+max.  So one command draws each stream and evaluates each dataset once.
+The tables hold no per-atom population arrays; those are the profile's
+records.  Trials (:mod:`unionerm.experiments`) keep their per-atom counts,
+read against the full table.
 """
 
 from __future__ import annotations
@@ -76,8 +78,18 @@ def _batch_rng(seed: int, chunk: int) -> np.random.Generator:
 class AtomTables:
     """The moment table of a discrete law (see the module docstring): a
     dataset's :meth:`moments` are all that ``fits`` (about w_*, with R_n(w_*)
-    in the columns ``loss``) and :meth:`evaluate` read.  Also the last count
-    sample drawn and its value table."""
+    in the columns ``loss``) and :meth:`evaluate` read.  Also the table's
+    distinct rows, over which count samples are drawn, and the last count
+    sample drawn and its value table.
+
+    Atoms whose moment rows are equal are one category for every count
+    sample: ``rows`` holds the first atom of each distinct row, in atom
+    order, and ``sample_law`` the law of those atoms with each group's
+    weights summed (the law itself when no two rows are equal).  Summing
+    multinomial counts over a group gives a multinomial over its summed
+    weight, and a dataset's moments read only those sums, so drawing over
+    ``sample_law`` loses nothing.
+    """
 
     def __init__(self, prof: PopulationProfile):
         law = prof.law
@@ -85,7 +97,7 @@ class AtomTables:
             raise ValueError("atom tables require a discrete law")
         # no reference back to prof, which holds these tables: a cycle would
         # keep every profile and its count sample alive until the cyclic GC
-        self.law, recs = law, prof.records
+        recs = prof.records
         self.indices = prof.indices()        # column order of a Snapshot
         self.suboptimal = prof.suboptimal()  # column order of Snapshot.delta
         self._sub = [self.indices.index(t) for t in self.suboptimal]
@@ -113,16 +125,24 @@ class AtomTables:
             np.multiply(columns[a], columns[b], out=self._moment_columns[:, k])
         for k, t in enumerate(self.indices, len(pairs)):
             np.multiply(0.5, recs[t].resid ** 2, out=self._moment_columns[:, k])
+        self.rows, labels = _distinct_rows(self._moment_columns)
+        if len(self.rows) == law.support_size:
+            self.sample_law, self._row_moments = law, self._moment_columns
+        else:
+            weights = np.bincount(labels, weights=law.weights)
+            self.sample_law = DiscreteLaw(xs=law.xs[self.rows], ys=law.ys[self.rows], weights=weights)
+            self._row_moments = self._moment_columns[self.rows]
 
     def sample(self, n: int, trials: int, seed: int, mode: str) -> CountSample:
-        """The count sample of this law for (n, trials, seed, mode).
+        """The count sample of ``sample_law`` for (n, trials, seed, mode): its
+        chunks count the table's distinct rows, in the order of ``rows``.
 
         The last sample drawn is kept, so consecutive requests for one key
         share a single draw.
         """
         key = (n, trials, seed, mode)
         if self._last is None or self._last[0] != key:
-            self._last = (key, count_sample(self.law, n, trials, seed, mode))
+            self._last = (key, count_sample(self.sample_law, n, trials, seed, mode))
             self._table = None
         return self._last[1]
 
@@ -134,10 +154,13 @@ class AtomTables:
         return self._table
 
     def moments(self, counts: np.ndarray, n: int) -> np.ndarray:
-        """The moments (B, K) of the datasets with atom counts ``counts`` (B, m),
-        one product per dataset (``(b, 1, m) @ table``), so a row's moments
-        do not depend on the other rows."""
-        return ((counts[:, None, :] / n) @ self._moment_columns)[:, 0, :]
+        """The moments (B, K) of the datasets with counts ``counts``: atom
+        counts (B, m) times the table, or the row counts (B, len(rows)) of a
+        :meth:`sample` times its distinct rows (the same table when no two
+        rows are equal).  One product per dataset (``(b, 1, m) @ table``),
+        so a row's moments do not depend on the other rows."""
+        table = self._moment_columns if counts.shape[1] == self._moment_columns.shape[0] else self._row_moments
+        return ((counts[:, None, :] / n) @ table)[:, 0, :]
 
     def evaluate(self, moments: np.ndarray, n: int) -> Snapshot:
         """Every process on the datasets of ``moments`` (B, K) at sample size n:
@@ -156,9 +179,10 @@ class AtomTables:
         return Snapshot(n=n, lam_min=lam_min, lam_minus_scaled=lam_minus, g_sq=g_sq, delta=delta)
 
     def snapshot(self, counts: np.ndarray, n: int) -> Snapshot:
-        """Evaluate every process on the datasets with atom counts ``counts`` (B, m),
-        in blocks of ``TABLE_BLOCK`` rows, which bounds the (b, 1, m)
-        frequency temporary: one :meth:`moments` and :meth:`evaluate` each."""
+        """Evaluate every process on the datasets with atom or row counts
+        ``counts`` (see :meth:`moments`), in blocks of ``TABLE_BLOCK`` rows,
+        which bounds the (b, 1, m) frequency temporary: one :meth:`moments`
+        and :meth:`evaluate` each."""
         blocks = [
             self.evaluate(self.moments(counts[lo:lo + TABLE_BLOCK], n), n)
             for lo in range(0, counts.shape[0], TABLE_BLOCK)
@@ -207,8 +231,33 @@ def snapshot(counts: np.ndarray, n: int, prof: PopulationProfile) -> Snapshot:
     return prof.tables.snapshot(counts, n)
 
 
+def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, labels): the first row of each group of equal rows of
+    ``table``, in row order, and each row's group.
+
+    Rows compare by the bytes of ``block + 0.0``, which equal rows share
+    (adding 0.0 turns -0.0 into 0.0).  A key is the hash of those bytes, so
+    nothing the size of the table is built; groups whose bytes share a hash
+    are told apart by comparing the bytes themselves.
+    """
+    rows, labels = [], np.empty(table.shape[0], dtype=np.intp)
+    seen = {}  # hash of a row's bytes -> the groups with that hash
+    as_bytes = np.dtype((np.void, table.shape[1] * table.itemsize))
+    for lo in range(0, table.shape[0], TABLE_BLOCK):
+        keys = (table[lo:lo + TABLE_BLOCK] + 0.0).view(as_bytes).ravel().tolist()
+        for a, key in enumerate(keys, lo):
+            groups = seen.setdefault(hash(key), [])
+            g = next((g for g in groups if (table[rows[g]] + 0.0).tobytes() == key), None)
+            if g is None:
+                g = len(rows)
+                groups.append(g)
+                rows.append(a)
+            labels[a] = g
+    return np.array(rows, dtype=np.intp), labels
+
+
 def iter_count_batches(law: DiscreteLaw, n: int, trials: int, seed: int):
-    """Yield multinomial atom-count batches, chunked with per-chunk streams.
+    """Yield multinomial count batches over the law's atoms, chunked with per-chunk streams.
 
     Chunking is fixed-size so that the sequence of batches (and therefore
     any order-independent aggregate) is identical no matter how the chunks
@@ -243,8 +292,10 @@ def enumerate_product_counts(law: DiscreteLaw, n: int):
 
 
 class CountSample(NamedTuple):
-    """Datasets of size n from a discrete law, as atom-count chunks (B, m),
-    or as the value table of those chunks (one :class:`Snapshot` each).
+    """Datasets of size n from a discrete law, as count chunks (B, m) over
+    the law's m categories (for :meth:`AtomTables.sample`, the distinct rows
+    of the table), or as the value table of those chunks (one
+    :class:`Snapshot` each).
 
     ``probs`` is None for a Monte Carlo sample, whose rows weigh equally; for
     an exact enumeration it holds the product probability of each row of the

@@ -17,6 +17,7 @@ from unionerm.bounds import QUARTIC_MAX_ITER, QUARTIC_RESTARTS, QUARTIC_TOL
 from unionerm.erm import ErmSolution, fit_linear
 from unionerm.model import (
     SINGULAR_TOL,
+    Dataset,
     DegenerateFeatureError,
     DuplicateClassError,
     FeatureCollection,
@@ -124,39 +125,54 @@ def mc_lambda_max_downward(atoms, weights, n, trials, seed):
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(trials))
 
 
-def enum_expected_sup_gsq(law, collection, prof, n):
-    """Exact E[sup_t G_n^2(t)] by enumerating every size-n dataset."""
+def enum_expected_sup(prof, process, subset, n):
+    """Exact E[max over ``subset`` of one process] by evaluating every ordered
+    dataset of size n atom by atom (``g_sq`` is the squared g process, and
+    ``delta`` is taken against the least optimal index)."""
+    t0 = prof.least_optimal_index
+    value = {
+        "lambda": lambda ds, t: lambda_process(ds, t, prof),
+        "g_sq": lambda ds, t: g_process(ds, t, prof) ** 2,
+        "delta": lambda ds, t: delta_process(ds, t, t0, prof),
+    }[process]
     total = 0.0
-    for xs, ys, prob in enum_datasets(law, n):
-        best = -math.inf
-        for entry in collection:
-            phi = entry(xs)
-            grad = phi.T @ (phi @ prof.w_star(entry.index) - ys) / n
-            wh = prof.whitener(entry.index)
-            best = max(best, n * float(np.sum((wh @ grad) ** 2)))
-        total += prob * best
+    for xs, ys, prob in enum_datasets(prof.law, n):
+        ds = Dataset(x=xs, y=ys)
+        total += prob * max(value(ds, t) for t in subset)
     return total
 
 
-def enum_grad_class_moments(law, collection, n):
-    """(sigma^2, r_n) of the whitened-gradient class over every map, atom by
-    atom: each atom's gradient norm g^T Sigma^{-1} g at w_* by a solve, then
-    r_n^2 = E[max over the drawn atoms and the maps] over every ordered
-    dataset of size n."""
-    atoms = atoms_of(law)
-    norms = []  # per map, one squared norm per atom
-    for entry in collection:
-        feat = lambda x, e=entry: e(x[None, :])[0]
-        sigma, w = enum_sigma(atoms, feat), enum_optimal_weights(atoms, feat)
-        norms.append([])
-        for x, y, _ in atoms:
-            g = (feat(x) @ w - y) * feat(x)
-            norms[-1].append(float(g @ np.linalg.solve(sigma, g)))
-    sigma_sq = max(sum(wt * v for (_, _, wt), v in zip(atoms, vals)) for vals in norms)
+def enum_class_moments(prof, kind, subset, n):
+    """(sigma^2, r_n) of ``class_moments(kind, subset)`` atom by atom.
+
+    Each function's per-atom value comes from solves over the atom list:
+    the whitened gradient norm g^T Sigma^{-1} g at w_* (``"G"``), or the
+    squared centered loss gap ((l_t - l_0) / gap(t) - 1)^2 against the least
+    optimal index (``"D"``).  r_n^2 is E[max over the drawn atoms and the
+    functions] over every ordered dataset of size n."""
+    atoms = atoms_of(prof.law)
+
+    def fit(t):
+        feat = lambda x, e=prof.collection.entry(t): e(x[None, :])[0]
+        return feat, enum_sigma(atoms, feat), enum_optimal_weights(atoms, feat)
+
+    if kind == "G":
+        values = []
+        for t in subset:
+            feat, sigma, w = fit(t)
+            grads = [(feat(x) @ w - y) * feat(x) for x, y, _ in atoms]
+            values.append([float(g @ np.linalg.solve(sigma, g)) for g in grads])
+    else:
+        fits = {t: fit(t) for t in (prof.least_optimal_index, *subset)}
+        loss = {t: [0.5 * (feat(x) @ w - y) ** 2 for x, y, _ in atoms] for t, (feat, _, w) in fits.items()}
+        risk = {t: enum_risk(atoms, feat, w) for t, (feat, _, w) in fits.items()}
+        l0, r0 = loss[prof.least_optimal_index], risk[prof.least_optimal_index]
+        values = [[((lt - la) / (risk[t] - r0) - 1.0) ** 2 for lt, la in zip(loss[t], l0)] for t in subset]
+    sigma_sq = max(sum(wt * v for (_, _, wt), v in zip(atoms, vals)) for vals in values)
     r_sq = 0.0
     for combo in itertools.product(range(len(atoms)), repeat=n):
         prob = math.prod(atoms[a][2] for a in combo)
-        r_sq += prob * max(vals[a] for vals in norms for a in combo)
+        r_sq += prob * max(vals[a] for vals in values for a in combo)
     return sigma_sq, math.sqrt(r_sq)
 
 

@@ -12,7 +12,7 @@ from unionerm.population import profile
 
 from conftest import canonical_law, canonical_three_map_collection, random_instance
 from oracles import (
-    enum_grad_class_moments,
+    enum_class_moments,
     expected_max_presence,
     quadratic_form_variance_grid,
     quadratic_form_variance_sup_loop,
@@ -93,7 +93,7 @@ def test_class_moments_exact_mode_matches_mc(canonical):
 def test_grad_class_exact_moments_match_atom_loop(s):
     law, coll, prof = random_instance(np.random.default_rng(s))
     mom = bounds.class_moments("G", None, prof, n=3, mode="exact")
-    sigma_sq, r_n = enum_grad_class_moments(law, coll, 3)
+    sigma_sq, r_n = enum_class_moments(prof, "G", prof.indices(), 3)
     assert mom.sigma_sq == pytest.approx(sigma_sq, rel=1e-12)
     assert mom.r_n == pytest.approx(r_n, rel=1e-12)
 

@@ -1,9 +1,11 @@
+import inspect
 import statistics
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from unionerm import bounds, processes
 from unionerm.experiments import bss_instance
 from unionerm.model import (
     Dataset,
@@ -19,8 +21,10 @@ from unionerm.processes import (
     TABLE_BLOCK,
     CountSample,
     DeltaUndefinedError,
+    count_sample,
     enumerate_product_counts,
     expected_sup,
+    iter_count_batches,
     snapshot,
 )
 
@@ -32,7 +36,7 @@ from conftest import (
     random_instance,
     symmetric_law_and_collection,
 )
-from oracles import delta_process, enum_expected_sup_gsq, g_process, lambda_process
+from oracles import delta_process, enum_expected_sup, g_process, lambda_process
 
 
 def _unit_scalar_instance():
@@ -228,7 +232,7 @@ def test_expected_sup_requires_enough_trials(canonical):
 def test_exact_mode_matches_independent_enumeration(canonical):
     law, coll, prof = canonical
     for n in (1, 2):
-        ref = enum_expected_sup_gsq(law, coll, prof, n)  # itertools loop oracle
+        ref = enum_expected_sup(prof, "g_sq", prof.indices(), n)  # itertools loop oracle
         lib, _ = expected_sup("g_sq", None, n, prof, mode="exact")
         assert lib == pytest.approx(ref, rel=1e-10)
 
@@ -291,7 +295,9 @@ def test_expected_sup_is_the_mean_of_oracle_maxima(mode, canonical):
     for law, coll, prof in instances:
         n, trials, seed = (3, 150, 0) if mode == "exact" else (9, 150, 23)
         sample = prof.tables.sample(n, trials, seed, mode)
-        counts = np.concatenate(sample.chunks)
+        # the sample counts the table's distinct rows: each row's count goes to its first atom
+        counts = np.zeros((sum(len(c) for c in sample.chunks), law.support_size), dtype=np.int64)
+        counts[:, prof.tables.rows] = np.concatenate(sample.chunks)
         weights = sample.probs if mode == "exact" else np.full(len(counts), 1.0 / len(counts))
         rows = _oracle_rows(law, prof, counts)
         for process in ("lambda", "g_sq", "delta"):
@@ -406,3 +412,141 @@ def test_mean_se_resolves_a_small_spread_on_a_large_offset(sizes):
     _, se = _split_sample(values, sizes)
     assert ref == pytest.approx(1.9245e-6, rel=1e-4)
     assert se == pytest.approx(ref, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# count samples over the table's distinct rows
+# ---------------------------------------------------------------------------
+
+def _merging_profiles():
+    """(profile, distinct rows) of laws whose moment tables have equal rows:
+    the canonical law with a constant map (8 atoms, 7 rows) and two-copy
+    splits of random laws."""
+    yield pytest.param(lambda: (profile(canonical_law(), canonical_three_map_collection()), 7), id="canonical-three")
+    for s in range(3):
+        def split(s=s):
+            law, coll, _ = random_instance(np.random.default_rng(s))
+            twice = DiscreteLaw(
+                xs=np.repeat(law.xs, 2, axis=0), ys=np.repeat(law.ys, 2), weights=np.repeat(law.weights / 2, 2)
+            )
+            return profile(twice, coll), law.support_size
+        yield pytest.param(split, id=f"split-{s}")
+
+
+def _row_groups(prof):
+    """(first atom of each group, each atom's group) of the equal rows of the
+    moment table, by numpy's row sort (which takes -0.0 == 0.0)."""
+    _, first, labels = np.unique(prof.tables._moment_columns, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # groups in first-occurrence order
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[labels.ravel()]
+
+
+@pytest.mark.parametrize("build", list(_merging_profiles()))
+def test_exact_expectations_over_rows_match_per_atom_enumeration(build):
+    prof, rows = build()
+    law, tables = prof.law, prof.tables
+    assert tables.sample_law.support_size == len(tables.rows) == rows < law.support_size
+    n = 3 if law.support_size <= 8 else 2
+    for process in ("lambda", "g_sq", "delta"):
+        pool = prof.suboptimal() if process == "delta" else prof.indices()
+        for subset in _subsets(pool):
+            if not subset:
+                continue
+            got, se = expected_sup(process, subset, n, prof, mode="exact")
+            ref = oracles.enum_expected_sup(prof, process, subset, n)
+            assert se == 0.0
+            assert got == pytest.approx(ref, rel=1e-12, abs=1e-12), (process, subset)
+    for kind, pool in (("G", prof.indices()), ("D", prof.suboptimal())):
+        for subset in _subsets(pool):
+            if not subset:
+                continue
+            mom = bounds.class_moments(kind, subset, prof, n, mode="exact")
+            sigma_sq, r_n = oracles.enum_class_moments(prof, kind, subset, n)
+            assert mom.sigma_sq == pytest.approx(sigma_sq, rel=1e-12, abs=1e-12), (kind, subset)
+            assert mom.r_n == pytest.approx(r_n, rel=1e-12, abs=1e-12), (kind, subset)
+
+
+@pytest.mark.parametrize("s", range(6))
+def test_sample_of_a_law_without_equal_rows_is_the_law_stream(s):
+    law, _, prof = random_instance(np.random.default_rng(s))
+    tables = prof.tables
+    assert tables.sample_law is law
+    assert np.array_equal(tables.rows, np.arange(law.support_size))
+    got = tables.sample(40, 300, 9, "mc")
+    ref = count_sample(law, 40, 300, 9, "mc")
+    assert got.probs is None and len(got.chunks) == len(ref.chunks)
+    assert all(np.array_equal(a, b) for a, b in zip(got.chunks, ref.chunks))
+
+
+@pytest.mark.parametrize("d,s,rows", [(8, 2, 256), (10, 3, 1024)])
+def test_sign_hypercube_samples_over_half_its_atoms(d, s, rows):
+    # (x, eps) and (-x, -eps) have equal moment rows
+    prof = profile(bss_instance("discrete", d, [1.0] * s + [0.0] * (d - s), 1.0), subset_collection(d, s))
+    tables = prof.tables
+    assert prof.law.support_size == 2 * rows
+    assert tables.sample_law.support_size == len(tables.rows) == rows
+    first, labels = _row_groups(prof)
+    assert np.array_equal(tables.rows, first)
+    sums = np.bincount(labels, weights=prof.law.weights)
+    assert np.allclose(tables.sample_law.weights, sums, rtol=1e-15, atol=0.0)
+
+
+def test_distinct_rows_tell_apart_rows_whose_hashes_collide(monkeypatch):
+    rng = np.random.default_rng(4)
+    table = rng.integers(-1, 2, size=(3 * TABLE_BLOCK, 3)).astype(float)  # 27 distinct rows, many repeats
+    table[1, :] = [-0.0, 0.0, -0.0]  # equal to a row of zeros
+    ref_rows, ref_labels = np.unique(table, axis=0, return_index=True, return_inverse=True)[1:]
+    for colliding in (False, True):
+        if colliding:
+            monkeypatch.setattr(processes, "hash", lambda key: 0, raising=False)
+        rows, labels = processes._distinct_rows(table)
+        assert np.array_equal(rows, np.sort(ref_rows))
+        assert np.array_equal(rows[labels], ref_rows[ref_labels.ravel()])
+
+
+def test_count_batch_signature_is_kept():
+    # bound by name by callers that wrap the draw
+    assert list(inspect.signature(iter_count_batches).parameters) == ["law", "n", "trials", "seed"]
+
+
+def _gather_cases():
+    yield pytest.param(lambda: profile(canonical_law(), canonical_three_map_collection()), id="canonical-three")
+    yield pytest.param(
+        lambda: profile(bss_instance("discrete", 8, [1.0, 1.0] + [0.0] * 6, 1.0), subset_collection(8, 2)),
+        id="bss-8",
+    )
+    for s in range(3):
+        yield pytest.param(lambda s=s: random_instance(np.random.default_rng(s))[2], id=f"random-{s}")
+
+
+@pytest.mark.parametrize("build", list(_gather_cases()))
+def test_class_values_are_constant_on_row_groups(build, monkeypatch):
+    prof = build()
+    recs, rows = prof.records, prof.tables.rows
+    first, labels = _row_groups(prof)
+    assert np.array_equal(rows, first)
+    passed = []
+
+    def recording(sample, values):
+        passed.append(values)
+        return real(sample, values)
+
+    real = bounds._expected_max_sqrt
+    monkeypatch.setattr(bounds, "_expected_max_sqrt", recording)
+    loss0 = 0.5 * recs[prof.least_optimal_index].resid ** 2
+    per_atom = {
+        "G": [recs[t].grad_sq for t in prof.indices()],
+        "D": [((0.5 * recs[t].resid ** 2 - loss0) / prof.gap(t) - 1.0) ** 2 for t in prof.suboptimal()],
+    }
+    for kind, values in per_atom.items():
+        if not values:
+            continue
+        bounds.class_moments(kind, None, prof, 30, trials=200, seed=1)
+        gathered = passed.pop()
+        assert len(gathered) == len(values)
+        for v, g in zip(values, gathered):
+            assert np.array_equal(g, v[rows])  # the gather is exact
+            rep = v[rows[labels]]  # each atom's representative value
+            assert np.all(np.abs(v - rep) <= 1e-12 * np.abs(rep)), kind
