@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -40,6 +40,9 @@ from .processes import (
     expected_sup,
     iter_count_batches,  # noqa: F401 -- the benchmark tracer wraps it under this name
 )
+
+if TYPE_CHECKING:
+    from .localization import ClosedFormComplexity, ExpectedSupComplexity
 
 __all__ = [
     "TaggedValue",
@@ -411,7 +414,10 @@ def explicit_complexity(
 # ---------------------------------------------------------------------------
 
 class BoundInputs(NamedTuple):
-    """Constituents for a bound report, with their estimation settings."""
+    """The delta-free constituents of bound reports at one sample size n,
+    with the two complexity sources the localized bounds iterate (A(S) and
+    the expected gradient-norm supremum), built once: every report from these
+    inputs shares their cache, so each subset's A(S) is evaluated once."""
 
     cov_dev_lambda_max: TaggedValue
     quad_form_var_sup: TaggedValue
@@ -419,9 +425,8 @@ class BoundInputs(NamedTuple):
     grad_class_full: ClassMoments
     exp_sup_lambda: tuple[float, float]
     exp_sup_delta: tuple[float, float]
-    trials: int
-    seed: int
-    mode: str = "mc"
+    explicit_cx: ClosedFormComplexity
+    expected_sup_cx: ExpectedSupComplexity
 
 
 def compute_bound_inputs(
@@ -431,6 +436,8 @@ def compute_bound_inputs(
     seed: int = 0,
     mode: str = "mc",
 ) -> BoundInputs:
+    from .localization import ClosedFormComplexity, ExpectedSupComplexity  # late import: localization consumes A(S)
+
     lam_v = TaggedValue(covariance_deviation_lambda_max(prof), "exact", None)
     l_val, l_tag = quadratic_form_variance_sup(prof, seed=seed)
     gap = class_moments("D", None, prof, n, trials=trials, seed=seed, mode=mode)
@@ -444,9 +451,8 @@ def compute_bound_inputs(
         grad_class_full=grad,
         exp_sup_lambda=sup_lam,
         exp_sup_delta=sup_del,
-        trials=trials,
-        seed=seed,
-        mode=mode,
+        explicit_cx=ClosedFormComplexity(prof, n, trials=trials, seed=seed, mode=mode),
+        expected_sup_cx=ExpectedSupComplexity(prof, n, trials=trials, seed=seed, mode=mode),
     )
 
 
@@ -568,12 +574,15 @@ def thresholds_and_bounds(
 ) -> BoundReport:
     """Assemble the full report at sample size n and confidence delta.
 
-    Raises :class:`IncompleteReportError` naming the first field whose
-    constituent is missing.
+    ``inputs`` come from :func:`compute_bound_inputs` at this n.  The two
+    localized excess bounds are the ``final_bound`` of the k-step trace of
+    each of the inputs' complexity sources, with its final complexity's tag.
+    Raises :class:`IncompleteReportError` naming the first missing field.
     """
-    from . import localization  # late import: localization consumes A(S)
+    from .localization import iterate  # late import: localization consumes A(S)
 
-    for fname in ("cov_dev_lambda_max", "quad_form_var_sup", "gap_class", "grad_class_full"):
+    for fname in ("cov_dev_lambda_max", "quad_form_var_sup", "gap_class", "grad_class_full",
+                  "exp_sup_lambda", "exp_sup_delta"):
         if getattr(inputs, fname, None) is None:
             raise IncompleteReportError(fname)
     if not 0.0 < delta < 1.0:
@@ -593,8 +602,6 @@ def thresholds_and_bounds(
     thr_single = single_class_threshold_value(lam_v, l_val, d_max, delta)
     gap = inputs.gap_class
     thr_explicit = explicit_threshold_value(lam_v, l_val, d_max, size_t, delta, gap)
-    if inputs.exp_sup_lambda is None or inputs.exp_sup_delta is None:
-        raise IncompleteReportError("exp_sup_lambda")
     # expected suprema of centered processes may be estimated slightly below
     # zero; flooring at zero is the conservative direction for a threshold
     sl, sl_se = inputs.exp_sup_lambda
@@ -607,18 +614,9 @@ def thresholds_and_bounds(
         + 6.0 / delta**2 * (sd + 3.0 * sd_se)
     )
 
-    explicit_cx = localization.ClosedFormComplexity(
-        prof, n, trials=inputs.trials, seed=inputs.seed, mode=inputs.mode
-    )
-    sup_cx = localization.ExpectedSupComplexity(
-        prof, n, trials=inputs.trials, seed=inputs.seed, mode=inputs.mode
-    )
-    trace_explicit = localization.iterate(n, delta, k, prof, explicit_cx)
-    trace_sup = localization.iterate(n, delta, k, prof, sup_cx)
-    a_final = explicit_cx.value(trace_explicit.sets[-1])
-    sup_final = sup_cx.value(trace_sup.sets[-1])
-    a_values = {subset_key(s): explicit_cx.value(s) for s in trace_explicit.sets}
-    a_values[subset_key(coll.indices())] = explicit_cx.value(coll.indices())
+    trace_explicit = iterate(n, delta, k, prof, inputs.explicit_cx)
+    trace_sup = iterate(n, delta, k, prof, inputs.expected_sup_cx)
+    a_values = {subset_key(s): inputs.explicit_cx.value(s) for s in trace_explicit.sets}
 
     estimated = "estimated"
     notes = (
@@ -652,8 +650,8 @@ def thresholds_and_bounds(
         explicit_threshold=TaggedValue(thr_explicit, estimated, None),
         expected_sup_threshold=TaggedValue(thr_sup, estimated, None),
         single_class_excess_bound=TaggedValue(4.0 / (n * delta) * gsm_best, "exact", None),
-        explicit_excess_bound=TaggedValue(24.0 / (n * delta) * a_final.value, a_final.tag, None),
-        expected_sup_excess_bound=TaggedValue(24.0 / (n * delta) * sup_final.value, sup_final.tag, None),
+        explicit_excess_bound=TaggedValue(trace_explicit.final_bound, trace_explicit.final_complexity.tag, None),
+        expected_sup_excess_bound=TaggedValue(trace_sup.final_bound, trace_sup.final_complexity.tag, None),
         optimal_set_expected_sup_bound=TaggedValue(
             80.0 * (1.0 + math.log(len(prof.t_star))) * max(prof.grad_second_moment(s) for s in prof.t_star),
             "exact",

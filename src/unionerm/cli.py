@@ -36,6 +36,8 @@ import numpy as np
 from . import experiments, localization, svgplot
 from .bounds import (
     compute_bound_inputs,
+    covariance_deviation_lambda_max,
+    quadratic_form_variance_sup,
     resolve_explicit_threshold,
     single_class_threshold_value,
     thresholds_and_bounds,
@@ -255,6 +257,14 @@ def _param(cfg: dict, name: str, default=None, required: bool = False):
     return default
 
 
+def _choice(cfg: dict, name: str, choices: tuple):
+    """params.<name>, one of ``choices``; the first is the default."""
+    value = _param(cfg, name, choices[0])
+    if value not in choices:
+        raise ConfigError(f"config field $.params.{name}: must be {' or '.join(map(repr, choices))}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Atomic writers
 # ---------------------------------------------------------------------------
@@ -366,21 +376,16 @@ def cmd_localize(cfg: dict, out: str, trials_override: int | None) -> int:
     delta = float(_param(cfg, "delta", 0.1))
     trials = int(trials_override or _param(cfg, "trials", 4000))
     seed = int(cfg["seed"])
-    source = _param(cfg, "complexity", "explicit")
-    if source == "explicit":
-        cx = localization.ClosedFormComplexity(prof, n, trials=trials, seed=seed)
-    elif source == "expected_sup":
-        cx = localization.ExpectedSupComplexity(prof, n, trials=trials, seed=seed)
-    else:
-        raise ConfigError("config field $.params.complexity: must be 'explicit' or 'expected_sup'")
+    source = _choice(cfg, "complexity", ("explicit", "expected_sup"))
+    make = localization.ClosedFormComplexity if source == "explicit" else localization.ExpectedSupComplexity
+    cx = make(prof, n, trials=trials, seed=seed)
     k_param = _param(cfg, "k")
     if k_param is None:
-        k, bound, trace = localization.choose_k(n, delta, prof, cx)
-        k_max = 1 + len(prof.suboptimal())
-        sweep = [localization.iterate(n, delta, kk, prof, cx).final_bound for kk in range(1, k_max + 1)]
+        sweep = localization.k_sweep(n, delta, prof, cx)
+        k, bound, trace = localization.best_k(sweep)
         _write_text(os.path.join(out, "localize_ksweep.svg"), svgplot.line_chart(
-            list(range(1, k_max + 1)),
-            {"final bound": sweep},
+            [tr.k for tr in sweep],
+            {"final bound": [tr.final_bound for tr in sweep]},
             "excess bound vs iteration count",
             "k",
             "bound",
@@ -511,16 +516,14 @@ def _mc_consistency(cfg, out, law, collection, prof, trials):
 
 def _mc_validity(cfg, out, law, collection, prof, trials):
     delta = float(_param(cfg, "delta", 0.1))
-    bound_kind = _param(cfg, "bound", "explicit")
+    bound_kind = _choice(cfg, "bound", ("explicit", "single_class"))
     k = _param(cfg, "k")
     seed = int(cfg["seed"])
     n_grid = _param(cfg, "n_grid")
     if n_grid is None:
         if bound_kind == "single_class":
-            inputs = compute_bound_inputs(prof, 1000, trials=2000, seed=seed)
-            thr = single_class_threshold_value(
-                inputs.cov_dev_lambda_max.value, inputs.quad_form_var_sup.value, collection.max_dim, delta
-            )
+            l_val, _ = quadratic_form_variance_sup(prof, seed=seed)
+            thr = single_class_threshold_value(covariance_deviation_lambda_max(prof), l_val, collection.max_dim, delta)
             n_grid = [int(math.ceil(thr))]
         else:
             n_grid = [resolve_explicit_threshold(prof, delta, trials=2000, seed=seed)]
@@ -583,7 +586,7 @@ def _mc_pathwise(cfg, out, law, collection, prof, trials):
 
 def _mc_bss(cfg, out, law, collection, prof, trials):
     seed = int(cfg["seed"])
-    design = _param(cfg, "design", "discrete")
+    design = _choice(cfg, "design", ("discrete", "gaussian"))
     d = int(_param(cfg, "d", required=True))
     s = int(_param(cfg, "s", required=True))
     w_true = _param(cfg, "w_true", required=True)

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import erm
-from .localization import ClosedFormComplexity, iterate
+from .localization import ClosedFormComplexity, iterate, k_sweep
 from .model import (
     DiscreteLaw,
     FeatureCollection,
@@ -468,15 +468,11 @@ def bound_validity_sweep(
             threshold = report.single_class_threshold.value
             k_used = 1
         else:
-            cx = ClosedFormComplexity(prof, n, trials=estimator_trials, seed=_grid_seed(seed, 2000 + i))
-            if k is None:
-                from .localization import choose_k
+            from .localization import choose_k
 
-                k_used, _, trace = choose_k(n, delta, prof, cx)
-            else:
-                k_used = k
-                trace = iterate(n, delta, k, prof, cx)
-            bound = 24.0 / (n * delta) * trace.final_complexity.value
+            cx = ClosedFormComplexity(prof, n, trials=estimator_trials, seed=_grid_seed(seed, 2000 + i))
+            trace = choose_k(n, delta, prof, cx)[2] if k is None else iterate(n, delta, k, prof, cx)
+            k_used, bound = trace.k, trace.final_bound
             report = thresholds_and_bounds(prof, inputs, n, delta, k=k_used)
             threshold = report.explicit_threshold.value
         batch = run_trials(law, collection, n, trials, _grid_seed(seed, i), prof)
@@ -595,19 +591,15 @@ def recovery_threshold(
     gamma = prof.gamma
     if not (0.0 < gamma < float("inf")):
         raise ValueError("recovery threshold needs a positive finite gap")
-    k_max = 1 + len(prof.suboptimal())
     best_k = []
 
     def step(n):
         best = None
         cx = ClosedFormComplexity(prof, n, trials=trials, seed=seed)
-        for k in range(1, k_max + 1):
-            if k == 1:
-                s_prev = tuple(prof.indices())
-            else:
-                # k-1 applications, each at per-step confidence delta/(2k)
-                s_prev = iterate(n, delta * (k - 1) / k, k - 1, prof, cx).final_set
-            val = 4.0 * k / (gamma * delta) * cx.value(s_prev).value
+        for trace in k_sweep(n, delta, prof, cx):
+            k = trace.k
+            # the (k-1)-th iterate, each step at per-step confidence delta/(2k)
+            val = 4.0 * k / (gamma * delta) * cx.value(trace.sets[k - 1]).value
             if best is None or val < best[0]:
                 best = (val, k)
         best_k.append(best[1])

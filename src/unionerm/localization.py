@@ -32,6 +32,8 @@ __all__ = [
     "LocalizationTrace",
     "f_map",
     "iterate",
+    "k_sweep",
+    "best_k",
     "choose_k",
     "collapse_n",
 ]
@@ -77,24 +79,31 @@ class ExpectedSupComplexity:
         return TaggedValue(est + 3.0 * se, tag, se)
 
 
-def f_map(subset, n: int, delta: float, prof: PopulationProfile, complexity) -> tuple:
-    """Sublevel set of the suboptimality at 2 (n delta)^{-1} complexity(S).
+def _step_delta(delta: float, k: int) -> float:
+    """The confidence of each of k steps, delta / (2k)."""
+    return delta / (2.0 * k)
 
-    Indices at the threshold (within a 1e-12 relative tolerance) are
-    included, matching the non-strict inequality in the definition.
-    """
-    subset = tuple(subset)
-    cx = complexity.value(subset).value
-    thr = 2.0 / (n * delta) * cx
+
+def _sublevel(subset, n: int, step_delta: float, prof: PopulationProfile, complexity) -> tuple[float, tuple]:
+    """One step of the map: the threshold 2 (n step_delta)^{-1} complexity(S)
+    and the indices whose suboptimality is at most it; those at it (within a
+    1e-12 relative tolerance) are in, as the definition's inequality is not strict."""
+    thr = 2.0 / (n * step_delta) * complexity.value(subset).value
     cut = thr + INCLUSION_TOL * max(1.0, abs(thr))
-    return tuple(t for t in prof.indices() if prof.gap(t) <= cut)
+    return thr, tuple(t for t in prof.indices() if prof.gap(t) <= cut)
+
+
+def f_map(subset, n: int, delta: float, prof: PopulationProfile, complexity) -> tuple:
+    """Sublevel set of the suboptimality at 2 (n delta)^{-1} complexity(S)."""
+    return _sublevel(tuple(subset), n, delta, prof, complexity)[1]
 
 
 class LocalizationTrace(NamedTuple):
-    """Iterates of the set map with their thresholds.
+    """Iterates of the set map with their thresholds and final bound.
 
     ``sets`` has length k+1: the full collection followed by the k iterates.
     ``thresholds[j]`` is the sublevel threshold that produced ``sets[j+1]``.
+    ``final_bound`` is the excess bound 24 (n delta)^{-1} ``final_complexity``.
     """
 
     n: int
@@ -106,37 +115,31 @@ class LocalizationTrace(NamedTuple):
     final_complexity: TaggedValue
     final_bound: float
 
-    @property
-    def final_set(self) -> tuple:
-        return self.sets[-1]
-
 
 def iterate(n: int, delta: float, k: int, prof: PopulationProfile, complexity) -> LocalizationTrace:
     """Apply the set map k times with per-step confidence delta / (2k).
 
     Stops early at a fixed point (all later iterates are equal) and always
-    contains the optimal set, which has zero suboptimality.
+    contains the optimal set, which has zero suboptimality.  Asks the source
+    once per step and once for the final set; the trace carries the final
+    excess bound, so callers read ``final_bound`` instead of restating it.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    step_delta = delta / (2.0 * k)
+    step_delta = _step_delta(delta, k)
     sets = [tuple(prof.indices())]
     thresholds = []
     fixed_at = None
     for j in range(k):
-        cur = sets[-1]
-        cx = complexity.value(cur).value
-        thr = 2.0 / (n * step_delta) * cx
-        nxt = f_map(cur, n, step_delta, prof, complexity)
+        thr, nxt = _sublevel(sets[-1], n, step_delta, prof, complexity)
         thresholds.append(thr)
-        sets.append(nxt)
-        if nxt == cur:
+        if nxt == sets[-1]:
             fixed_at = j
             # idempotent from here on: pad the remaining steps
-            for _ in range(j + 1, k):
-                thresholds.append(thr)
-                sets.append(nxt)
+            thresholds += [thr] * (k - j - 1)
+            sets += [nxt] * (k - j)
             break
+        sets.append(nxt)
     final_cx = complexity.value(sets[-1])
     return LocalizationTrace(
         n=n,
@@ -150,50 +153,49 @@ def iterate(n: int, delta: float, k: int, prof: PopulationProfile, complexity) -
     )
 
 
-def choose_k(
-    n: int,
-    delta: float,
-    prof: PopulationProfile,
-    complexity,
-) -> tuple[int, float, LocalizationTrace]:
-    """Pick the step count in 1..1 + |suboptimal| minimizing the final excess
-    bound (ties: smallest k)."""
-    best = None
-    for k in range(1, 2 + len(prof.suboptimal())):
-        trace = iterate(n, delta, k, prof, complexity)
-        if best is None or trace.final_bound < best[1]:
-            best = (k, trace.final_bound, trace)
-    return best
+def k_sweep(n: int, delta: float, prof: PopulationProfile, complexity) -> tuple[LocalizationTrace, ...]:
+    """The trace at every step count the choice ranges over, k = 1 .. 1 + |suboptimal|."""
+    return tuple(iterate(n, delta, k, prof, complexity) for k in range(1, 2 + len(prof.suboptimal())))
 
 
-def collapse_n(
-    prof: PopulationProfile,
-    delta: float,
-    complexity_factory,
-    k: int = 1,
-    n_max: int = 10**9,
-) -> int:
+def best_k(sweep) -> tuple[int, float, LocalizationTrace]:
+    """(k, final bound, trace) of the sweep's trace with the smallest final
+    bound; ties go to the smallest k (``min`` keeps the first minimum)."""
+    trace = min(sweep, key=lambda tr: tr.final_bound)
+    return trace.k, trace.final_bound, trace
+
+
+def choose_k(n: int, delta: float, prof: PopulationProfile, complexity) -> tuple[int, float, LocalizationTrace]:
+    """Pick the step count in 1..1 + |suboptimal| whose trace has the smallest
+    ``final_bound`` (ties: smallest k); a caller that also reads the other
+    step counts' traces calls :func:`best_k` on its one :func:`k_sweep`."""
+    return best_k(k_sweep(n, delta, prof, complexity))
+
+
+COLLAPSE_N_MAX = 10**9  # collapse_n's search cap
+
+
+def collapse_n(prof: PopulationProfile, delta: float, complexity_factory) -> int:
     """Smallest n at which one application of the map already yields the
     optimal set: the first-step threshold falls strictly below the gap.
 
     ``complexity_factory(n)`` must return a complexity source bound to n.
-    The threshold 2 complexity(T) / (n delta / 2k) decreases in n, so a
+    The threshold 2 complexity(T) / (n delta / 2) decreases in n, so a
     bracketing search applies.  Only defined for a positive finite gap.
     """
     gamma = prof.gamma
     if not (0.0 < gamma < float("inf")):
         raise ValueError("collapse size needs a positive finite suboptimality gap")
     full = tuple(prof.indices())
-    step_delta = delta / (2.0 * k)
+    step_delta = _step_delta(delta, 1)  # one application of the map: k = 1
 
     def collapses(n: int) -> bool:
-        cx = complexity_factory(n).value(full).value
-        return 2.0 / (n * step_delta) * cx < gamma * (1.0 - 1e-9)
+        return _sublevel(full, n, step_delta, prof, complexity_factory(n))[0] < gamma * (1.0 - 1e-9)
 
     lo, hi = 1, 1
     while not collapses(hi):
         hi *= 2
-        if hi > n_max:
+        if hi > COLLAPSE_N_MAX:
             raise ValueError("no collapse below the search cap")
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -497,20 +497,19 @@ def test_report_thresholds_increase_as_delta_shrinks(canonical):
 
 
 def test_report_missing_constituent_raises(canonical):
+    # the error names the first missing field, not a fixed one
     law, coll, prof = canonical
     inputs = bounds.compute_bound_inputs(prof, 200, trials=400, seed=3)
-    broken = bounds.BoundInputs(
-        cov_dev_lambda_max=inputs.cov_dev_lambda_max,
-        quad_form_var_sup=inputs.quad_form_var_sup,
-        gap_class=inputs.gap_class,
-        grad_class_full=inputs.grad_class_full,
-        exp_sup_lambda=None,
-        exp_sup_delta=None,
-        trials=inputs.trials,
-        seed=inputs.seed,
-    )
-    with pytest.raises(bounds.IncompleteReportError):
-        bounds.thresholds_and_bounds(prof, broken, 200, 0.1)
+    cases = [
+        (("exp_sup_lambda", "exp_sup_delta"), "exp_sup_lambda"),
+        (("exp_sup_delta",), "exp_sup_delta"),
+        (("gap_class", "exp_sup_delta"), "gap_class"),
+    ]
+    for missing, named in cases:
+        broken = inputs._replace(**dict.fromkeys(missing))
+        with pytest.raises(bounds.IncompleteReportError) as err:
+            bounds.thresholds_and_bounds(prof, broken, 200, 0.1)
+        assert err.value.field_name == named
 
 
 def test_resolve_explicit_threshold_warns_when_rounds_run_out(canonical):

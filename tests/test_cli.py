@@ -234,6 +234,78 @@ def test_montecarlo_outputs_are_pinned(tmp_path, command, params):
     assert digests == MONTECARLO_DIGESTS[command]
 
 
+REPORT_DIGESTS = {
+    "bounds": {
+        "bounds.json": "6a2a6c30589f4f47198ca779b47cd09fe3d6dc43ae83cf2cbf461b496db38a71",
+        "thresholds.csv": "115733fb9520b43b548114efc8630f8b8f66aafb5f865ed3782f052d470e7cd1",
+    },
+    "localize": {
+        "localize.svg": "0e8541dca36c8008562460891a62d8e188eecaf47a8c31fc01885271ee6aacd8",
+        "localize_ksweep.svg": "d9abb2af2c4ce1e8b8ae5944917e4c3f2a29a7a3b73bfe48fabcb67c550cfac1",
+        "trace.json": "43bc667f7b9716a615c8cf580154bedb01c3e2dfc14b6429adf729f6ffc210fb",
+        "trace.txt": "3c62da411ba254bf4b7157fde7e03c65ecc800efe55663fbc6a097c3101ccc6a",
+    },
+    "localize_expected_sup": {
+        "localize.svg": "d6b54091352b20d8b1d516bc77894027563c80361ff6e29acd4002deee5a794a",
+        "localize_ksweep.svg": "98e220fd7cd7e3bdfc1eaffeb2e820a396303954244bc96a74f521a327c5ca66",
+        "trace.json": "ffe1306fcf3f32102bedf2f1cd692cf4b897c90126c3bc0f99afe29048d776da",
+        "trace.txt": "1b377aa277f2bbe05860dbb5587e335b1e2ea346b45ad453f77b423f1a09f51f",
+    },
+}
+REPORT_RUNS = [
+    ("bounds", ["bounds"], {"n": 200, "delta": 0.1, "trials": 300, "k": 2}),
+    ("localize", ["localize"], {"n": 200, "delta": 0.1, "trials": 300}),
+    ("localize_expected_sup", ["localize"], {"n": 2000, "delta": 0.1, "trials": 300, "complexity": "expected_sup"}),
+]
+
+
+@pytest.mark.parametrize("name,command,params", REPORT_RUNS, ids=[r[0] for r in REPORT_RUNS])
+def test_bounds_and_localize_outputs_are_pinned(tmp_path, name, command, params):
+    # sha256 of every file the command writes on a small config: a moved
+    # threshold, bound, set or A(S) value changes the bytes
+    cfg = _write(tmp_path, _canonical_config(**params))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), *command]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == REPORT_DIGESTS[name]
+
+
+def test_localize_builds_each_trace_once(tmp_path, monkeypatch):
+    # the step-count choice and the k-sweep chart read one sweep
+    from unionerm import localization
+
+    built, real = [], localization.iterate
+    monkeypatch.setattr(localization, "iterate", lambda n, delta, k, *rest: (built.append(k), real(n, delta, k, *rest))[1])
+    cfg = _write(tmp_path, _canonical_config(n=200, delta=0.1, trials=300))
+    assert main(["--config", cfg, "--out", str(tmp_path / "loc"), "localize"]) == 0
+    assert built == [1, 2]  # k = 1 .. 1 + |suboptimal|, once each
+
+
+def test_bounds_evaluates_each_subset_complexity_once(tmp_path, monkeypatch):
+    # the report at delta and the six rows of the delta grid share one A(S) source
+    from unionerm import localization
+
+    asked, real = [], localization.explicit_complexity
+    monkeypatch.setattr(localization, "explicit_complexity", lambda subset, *a, **kw: (asked.append(subset), real(subset, *a, **kw))[1])
+    cfg = _write(tmp_path, _canonical_config(n=200, delta=0.1, trials=300, k=2))
+    assert main(["--config", cfg, "--out", str(tmp_path / "b"), "bounds"]) == 0
+    assert asked and len(asked) == len(set(asked))
+
+
+def test_validity_bound_outside_its_choices_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, _canonical_config(delta=0.5, n_grid=[120], bound="bogus"))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--trials", "150", "montecarlo", "validity"]) == 2
+    assert "config field $.params.bound" in capsys.readouterr().err
+
+
+def test_bss_design_outside_its_choices_is_a_config_error(tmp_path, capsys):
+    cfg_data = _canonical_config(design="bogus", d=3, s=2, w_true=[1.0, 1.0, 0.0], n_grid=[50])
+    del cfg_data["law"], cfg_data["collection"]
+    cfg = _write(tmp_path, cfg_data)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--trials", "60", "montecarlo", "bss"]) == 2
+    assert "config field $.params.design" in capsys.readouterr().err
+
+
 def _namedtuples_in(node):
     if isinstance(node, tuple) and hasattr(node, "_fields"):
         yield type(node).__name__
