@@ -62,6 +62,7 @@ __all__ = [
     "compute_bound_inputs",
     "thresholds_and_bounds",
     "single_class_threshold_value",
+    "single_class_excess_bound",
     "explicit_threshold_value",
     "resolve_explicit_threshold",
 ]
@@ -505,6 +506,11 @@ def single_class_threshold_value(lam_v: float, l_val: float, d: int, delta: floa
     return (512.0 * lam_v + 6.0) * (1.0 + math.log(d)) + (128.0 * l_val + 11.0) * math.log(2.0 / delta)
 
 
+def single_class_excess_bound(prof: PopulationProfile, n: int, delta: float) -> float:
+    """4 (n delta)^{-1} E||g(t0)||^2, with t0 the least optimal index."""
+    return 4.0 / (n * delta) * prof.grad_second_moment(prof.least_optimal_index)
+
+
 def explicit_threshold_value(
     lam_v: float,
     l_val: float,
@@ -649,7 +655,7 @@ def thresholds_and_bounds(
         single_class_threshold=TaggedValue(thr_single, inputs.quad_form_var_sup.tag, None),
         explicit_threshold=TaggedValue(thr_explicit, estimated, None),
         expected_sup_threshold=TaggedValue(thr_sup, estimated, None),
-        single_class_excess_bound=TaggedValue(4.0 / (n * delta) * gsm_best, "exact", None),
+        single_class_excess_bound=TaggedValue(single_class_excess_bound(prof, n, delta), "exact", None),
         explicit_excess_bound=TaggedValue(trace_explicit.final_bound, trace_explicit.final_complexity.tag, None),
         expected_sup_excess_bound=TaggedValue(trace_sup.final_bound, trace_sup.final_complexity.tag, None),
         optimal_set_expected_sup_bound=TaggedValue(

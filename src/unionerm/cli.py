@@ -51,6 +51,7 @@ from .model import (
     subset_collection,
 )
 from .population import profile as build_profile
+from .processes import EXPECTED_SUP_MIN_TRIALS
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -265,6 +266,36 @@ def _choice(cfg: dict, name: str, choices: tuple):
     return value
 
 
+def _ranged(cfg: dict, name: str, default=None, required: bool = False):
+    """params.<name>, converted and held to its range: ``n``, ``k`` and every
+    ``n_grid`` entry are integers >= 1, ``delta`` and every ``delta_grid``
+    entry lie in (0, 1), and a ``*_grid`` is a non-empty list.  An absent
+    param with no default is None."""
+    value = _param(cfg, name, default, required)
+    if value is None:
+        return None
+    grid = name.endswith("_grid")
+    convert, low, high, wanted = (float, 0, 1, "in (0, 1)") if name.startswith("delta") else (int, 0, math.inf, ">= 1")
+    items = value if grid else [value]
+    try:
+        values = [convert(v) for v in items] if type(items) is list else []
+    except (TypeError, ValueError, OverflowError):
+        values = []
+    if not values or not all(low < v < high for v in values):
+        what = f"a non-empty list of numbers {wanted}" if grid else f"a number {wanted}"
+        raise ConfigError(f"config field $.params.{name}: must be {what}")
+    return values if grid else values[0]
+
+
+def _trials(cfg: dict, trials_override: int | None, default: int, minimum: int, what: str) -> int:
+    """The trial count (``--trials``, else params.trials, else ``default``);
+    below ``minimum`` it is an insufficient-trials error."""
+    trials = int(trials_override or _param(cfg, "trials", default))
+    if trials < minimum:
+        raise experiments.InsufficientTrialsError(f"{what} needs at least {minimum} trials, got {trials}")
+    return trials
+
+
 # ---------------------------------------------------------------------------
 # Atomic writers
 # ---------------------------------------------------------------------------
@@ -351,10 +382,11 @@ def cmd_profile(cfg: dict, out: str) -> int:
 
 def cmd_bounds(cfg: dict, out: str, trials_override: int | None) -> int:
     prof = _profile_of(cfg)
-    n = int(_param(cfg, "n", required=True))
-    delta = float(_param(cfg, "delta", 0.1))
-    k = int(_param(cfg, "k", 1))
-    trials = int(trials_override or _param(cfg, "trials", 4000))
+    n = _ranged(cfg, "n", required=True)
+    delta = _ranged(cfg, "delta", 0.1)
+    k = _ranged(cfg, "k", 1)
+    delta_grid = _ranged(cfg, "delta_grid", [0.01, 0.02, 0.05, 0.1, 0.2, 0.5])
+    trials = _trials(cfg, trials_override, 4000, EXPECTED_SUP_MIN_TRIALS, "command bounds")
     seed = int(cfg["seed"])
     inputs = compute_bound_inputs(prof, n, trials=trials, seed=seed)
     report = thresholds_and_bounds(prof, inputs, n, delta, k=k)
@@ -362,8 +394,8 @@ def cmd_bounds(cfg: dict, out: str, trials_override: int | None) -> int:
     cols = ("single_class_threshold", "explicit_threshold", "expected_sup_threshold",
             "single_class_excess_bound", "explicit_excess_bound", "expected_sup_excess_bound")
     rows = []
-    for dval in _param(cfg, "delta_grid", [0.01, 0.02, 0.05, 0.1, 0.2, 0.5]):
-        r = thresholds_and_bounds(prof, inputs, n, float(dval), k=k)
+    for dval in delta_grid:
+        r = thresholds_and_bounds(prof, inputs, n, dval, k=k)
         rows.append([dval] + [getattr(r, c).value for c in cols])
     write_csv(os.path.join(out, "thresholds.csv"), ["delta", *cols], rows)
     print(f"wrote bounds.json and thresholds.csv (n={n}, delta={delta}, k={k})")
@@ -372,15 +404,16 @@ def cmd_bounds(cfg: dict, out: str, trials_override: int | None) -> int:
 
 def cmd_localize(cfg: dict, out: str, trials_override: int | None) -> int:
     prof = _profile_of(cfg)
-    n = int(_param(cfg, "n", required=True))
-    delta = float(_param(cfg, "delta", 0.1))
-    trials = int(trials_override or _param(cfg, "trials", 4000))
-    seed = int(cfg["seed"])
+    n = _ranged(cfg, "n", required=True)
+    delta = _ranged(cfg, "delta", 0.1)
+    k = _ranged(cfg, "k")
     source = _choice(cfg, "complexity", ("explicit", "expected_sup"))
+    minimum = 1 if source == "explicit" else EXPECTED_SUP_MIN_TRIALS
+    trials = _trials(cfg, trials_override, 4000, minimum, f"command localize with complexity {source}")
+    seed = int(cfg["seed"])
     make = localization.ClosedFormComplexity if source == "explicit" else localization.ExpectedSupComplexity
     cx = make(prof, n, trials=trials, seed=seed)
-    k_param = _param(cfg, "k")
-    if k_param is None:
+    if k is None:
         sweep = localization.k_sweep(n, delta, prof, cx)
         k, bound, trace = localization.best_k(sweep)
         _write_text(os.path.join(out, "localize_ksweep.svg"), svgplot.line_chart(
@@ -391,7 +424,6 @@ def cmd_localize(cfg: dict, out: str, trials_override: int | None) -> int:
             "bound",
         ))
     else:
-        k = int(k_param)
         trace = localization.iterate(n, delta, k, prof, cx)
         bound = trace.final_bound
     payload = {
@@ -431,8 +463,8 @@ def cmd_localize(cfg: dict, out: str, trials_override: int | None) -> int:
 
 
 def _mc_quantiles(cfg, out, law, collection, prof, trials):
-    n_grid = [int(v) for v in _param(cfg, "n_grid", required=True)]
-    delta = float(_param(cfg, "delta", 0.1))
+    n_grid = _ranged(cfg, "n_grid", required=True)
+    delta = _ranged(cfg, "delta", 0.1)
     draws = int(_param(cfg, "draws", max(trials, 10_000)))
     seed = int(cfg["seed"])
     if trials < 50 / delta:
@@ -490,7 +522,7 @@ def _mc_quantiles(cfg, out, law, collection, prof, trials):
 
 
 def _mc_consistency(cfg, out, law, collection, prof, trials):
-    n_grid = [int(v) for v in _param(cfg, "n_grid", required=True)]
+    n_grid = _ranged(cfg, "n_grid", required=True)
     seed = int(cfg["seed"])
     rows = experiments.consistency_curve(law, collection, n_grid, trials, seed, prof)
     write_csv(
@@ -515,11 +547,11 @@ def _mc_consistency(cfg, out, law, collection, prof, trials):
 
 
 def _mc_validity(cfg, out, law, collection, prof, trials):
-    delta = float(_param(cfg, "delta", 0.1))
+    delta = _ranged(cfg, "delta", 0.1)
     bound_kind = _choice(cfg, "bound", ("explicit", "single_class"))
-    k = _param(cfg, "k")
+    k = _ranged(cfg, "k")
     seed = int(cfg["seed"])
-    n_grid = _param(cfg, "n_grid")
+    n_grid = _ranged(cfg, "n_grid")
     if n_grid is None:
         if bound_kind == "single_class":
             l_val, _ = quadratic_form_variance_sup(prof, seed=seed)
@@ -527,10 +559,8 @@ def _mc_validity(cfg, out, law, collection, prof, trials):
             n_grid = [int(math.ceil(thr))]
         else:
             n_grid = [resolve_explicit_threshold(prof, delta, trials=2000, seed=seed)]
-    n_grid = [int(v) for v in n_grid]
     result = experiments.bound_validity_sweep(
-        law, collection, delta, n_grid, trials, seed, prof,
-        bound_kind=bound_kind, k=None if k is None else int(k),
+        law, collection, delta, n_grid, trials, seed, prof, bound_kind=bound_kind, k=k,
     )
     write_csv(
         os.path.join(out, "validity.csv"),
@@ -556,7 +586,7 @@ def _mc_validity(cfg, out, law, collection, prof, trials):
 
 
 def _mc_pathwise(cfg, out, law, collection, prof, trials):
-    n = int(_param(cfg, "n", required=True))
+    n = _ranged(cfg, "n", required=True)
     slack = float(_param(cfg, "slack", 1e-8))
     seed = int(cfg["seed"])
     batch = experiments.run_trials(law, collection, n, trials, seed, prof, snapshots=True)
@@ -591,8 +621,8 @@ def _mc_bss(cfg, out, law, collection, prof, trials):
     s = int(_param(cfg, "s", required=True))
     w_true = _param(cfg, "w_true", required=True)
     noise_std = float(_param(cfg, "noise_std", 1.0))
-    n_grid = [int(v) for v in _param(cfg, "n_grid", required=True)]
-    delta = float(_param(cfg, "delta", 0.1))
+    n_grid = _ranged(cfg, "n_grid", required=True)
+    delta = _ranged(cfg, "delta", 0.1)
     report = experiments.bss_study(
         design, d, s, w_true, noise_std, n_grid, trials, seed, delta=delta,
         check_threshold=bool(_param(cfg, "check_threshold", design == "discrete")),
@@ -650,11 +680,7 @@ _MC_MIN_TRIALS = {"quantiles": 100, "consistency": 10, "validity": 100, "pathwis
 
 
 def cmd_montecarlo(cfg: dict, out: str, sub: str, trials_override: int | None) -> int:
-    trials = int(trials_override or _param(cfg, "trials", 1000))
-    if trials < _MC_MIN_TRIALS[sub]:
-        raise experiments.InsufficientTrialsError(
-            f"subcommand {sub} needs at least {_MC_MIN_TRIALS[sub]} trials, got {trials}"
-        )
+    trials = _trials(cfg, trials_override, 1000, _MC_MIN_TRIALS[sub], f"subcommand {sub}")
     prof = None if sub == "bss" else _profile_of(cfg)
     law, collection = (None, None) if prof is None else (prof.law, prof.collection)
     payload = _MC_SUBCOMMANDS[sub](cfg, out, law, collection, prof, trials)

@@ -21,8 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import erm
-from .localization import ClosedFormComplexity, iterate, k_sweep
+from . import bounds, erm
+from .localization import ClosedFormComplexity, choose_k, iterate, k_sweep
 from .model import (
     DiscreteLaw,
     FeatureCollection,
@@ -34,7 +34,8 @@ from .model import (
 )
 from .population import PopulationProfile, excess_risk
 from .processes import snapshot as process_snapshot  # noqa: F401 -- the benchmark tracer wraps it under this name
-from .bounds import _fixed_point, compute_bound_inputs, thresholds_and_bounds
+from .bounds import _fixed_point
+from .bounds import compute_bound_inputs, thresholds_and_bounds  # noqa: F401 -- the benchmark tracer wraps them under these names
 
 __all__ = [
     "InsufficientTrialsError",
@@ -450,31 +451,38 @@ def bound_validity_sweep(
 ) -> dict:
     """Empirical violation frequency of an excess bound along an n-grid.
 
-    For each n the bound and its threshold are computed from the profile;
-    rows at or above the threshold must have violation rate at most
+    Each row computes only the threshold and bound it reports, from their
+    formulas in :mod:`unionerm.bounds`.  The covariance deviation is exact and
+    shared by every row.  Row i computes the quadratic-form variance sup and,
+    for ``explicit``, the gap class at seed ``_grid_seed(seed, 1000 + i)``;
+    the ``explicit`` bound is the final bound of the trace (k steps, or the
+    best k when ``k`` is None) of A(S) at seed ``_grid_seed(seed, 2000 + i)``;
+    the ``single_class`` bound is exact.  The trials use ``_grid_seed(seed, i)``.
+    Rows at or above the threshold must have violation rate at most
     delta + 2 binomial SE (singular trials count as violations), rows below
     are informational.
     """
     if bound_kind not in ("single_class", "explicit"):
         raise ValueError(f"unknown bound kind {bound_kind!r}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must lie in (0, 1)")
+    coll = prof.collection
+    lam_v = bounds.covariance_deviation_lambda_max(prof)
     rows = []
     all_pass = True
     for i, n in enumerate(n_grid):
         n = int(n)
-        inputs = compute_bound_inputs(prof, n, trials=estimator_trials, seed=_grid_seed(seed, 1000 + i))
+        constituent_seed = _grid_seed(seed, 1000 + i)
+        l_val, _ = bounds.quadratic_form_variance_sup(prof, seed=constituent_seed)
         if bound_kind == "single_class":
-            report = thresholds_and_bounds(prof, inputs, n, delta, k=1)
-            bound = report.single_class_excess_bound.value
-            threshold = report.single_class_threshold.value
-            k_used = 1
+            k_used, bound = 1, bounds.single_class_excess_bound(prof, n, delta)
+            threshold = bounds.single_class_threshold_value(lam_v, l_val, coll.max_dim, delta)
         else:
-            from .localization import choose_k
-
             cx = ClosedFormComplexity(prof, n, trials=estimator_trials, seed=_grid_seed(seed, 2000 + i))
             trace = choose_k(n, delta, prof, cx)[2] if k is None else iterate(n, delta, k, prof, cx)
             k_used, bound = trace.k, trace.final_bound
-            report = thresholds_and_bounds(prof, inputs, n, delta, k=k_used)
-            threshold = report.explicit_threshold.value
+            gap = bounds.class_moments("D", None, prof, n, trials=estimator_trials, seed=constituent_seed)
+            threshold = bounds.explicit_threshold_value(lam_v, l_val, coll.max_dim, len(coll), delta, gap)
         batch = run_trials(law, collection, n, trials, _grid_seed(seed, i), prof)
         viol = int(np.sum((batch.n_excess / n > bound) | batch.singular))
         rate = viol / trials

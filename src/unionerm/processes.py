@@ -60,6 +60,7 @@ __all__ = [
 CHUNK = 16384
 TABLE_BLOCK = 256  # rows per block of AtomTables.snapshot
 MAX_EXACT_DATASETS = 250_000
+EXPECTED_SUP_MIN_TRIALS = 100  # the fewest Monte Carlo rows an expected supremum is estimated from
 
 
 class DeltaUndefinedError(ValueError):
@@ -374,8 +375,8 @@ def expected_sup(
     subset = _resolve_subset(process, subset, prof)
     if not subset:
         return 0.0, 0.0
-    if mode == "mc" and trials < 100:
-        raise ValueError("Monte Carlo expected suprema need at least 100 trials")
+    if mode == "mc" and trials < EXPECTED_SUP_MIN_TRIALS:
+        raise ValueError(f"Monte Carlo expected suprema need at least {EXPECTED_SUP_MIN_TRIALS} trials")
     tables = prof.tables
     order = tables.suboptimal if process == "delta" else tables.indices
     cols = [order.index(t) for t in subset]

@@ -133,6 +133,41 @@ def test_insufficient_trials_exits_4(tmp_path):
     assert code == 4
 
 
+OUT_OF_RANGE = [
+    (["bounds"], {"n": 200, "k": 0}, "k"),
+    (["bounds"], {"n": 200, "delta": 1.5}, "delta"),
+    (["bounds"], {"n": 0}, "n"),
+    (["bounds"], {"n": 200, "delta_grid": [0.1, 1.0]}, "delta_grid"),
+    (["localize"], {"n": 200, "delta": 0.0}, "delta"),
+    (["localize"], {"n": -5}, "n"),
+    (["montecarlo", "validity"], {"n_grid": [120], "k": 0}, "k"),
+    (["montecarlo", "validity"], {"n_grid": [120], "delta": 2.0}, "delta"),
+    (["montecarlo", "validity"], {"n_grid": [0]}, "n_grid"),
+    (["montecarlo", "quantiles"], {"n_grid": [100], "delta": 1.5}, "delta"),
+    (["montecarlo", "pathwise"], {"n": 0}, "n"),
+    (["montecarlo", "consistency"], {"n_grid": []}, "n_grid"),
+]
+
+
+@pytest.mark.parametrize("command,params,name", OUT_OF_RANGE, ids=[f"{c[-1]}-{k}" for c, p, k in OUT_OF_RANGE])
+def test_out_of_range_param_is_a_config_error(tmp_path, capsys, command, params, name):
+    # n, k and n_grid entries >= 1, delta and delta_grid entries in (0, 1), grids non-empty
+    cfg = _write(tmp_path, _canonical_config(trials=100, **params))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), *command]) == 2
+    assert f"config field $.params.{name}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,params,code", [
+    (["bounds"], {"n": 200}, 4),
+    (["localize"], {"n": 200, "complexity": "expected_sup"}, 4),
+    (["localize"], {"n": 200}, 0),  # A(S) has no floor of its own
+], ids=["bounds", "localize_expected_sup", "localize_explicit"])
+def test_expected_sup_needs_100_trials(tmp_path, capsys, command, params, code):
+    cfg = _write(tmp_path, _canonical_config(trials=50, **params))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), *command]) == code
+    assert ("needs at least 100 trials, got 50" in capsys.readouterr().err) == (code == 4)
+
+
 def test_bounds_deterministic_json(tmp_path):
     cfg = _write(tmp_path, _canonical_config(n=200, delta=0.1, trials=300))
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -211,27 +246,52 @@ def test_montecarlo_pathwise(tmp_path):
 
 
 MONTECARLO_DIGESTS = {
-    "quantiles": {
+    "quantiles-params0": {
         "quantiles.svg": "db2bac1adfcd9a8e34282bd595ac18462c3e6246429f843b2ac49b1c6b0ee268",
         "trials_quantiles.csv": "5eda416616293d93329828803f51d5994681ea3bb2b197a45fcf06db0fa57604",
         "verdict_quantiles.json": "c0b842d7526930f5cc79028938e2550272968da599ff765f3b85c9fef39e2261",
     },
-    "pathwise": {
+    "pathwise-params1": {
         "pathwise.csv": "151fd17eb1b0ed3ae00e7980ba7307cf0a01471965de50c42ba6097fb1d6eab2",
         "verdict_pathwise.json": "a7f8917aec7a00c7dddaed2d14a49df92b9578e61a3e0fc3e12d86f48816a52a",
+    },
+    "validity_explicit_grid": {
+        "validity.csv": "06b42b0ca512f758fe9b770c68a3e1e67ba9db9b61b886605c285a03685a3b3a",
+        "validity.svg": "e23c57a8ec3f02cd23455fc43adf50fd4621de6a9e7bcb9deaed85302494e623",
+        "verdict_validity.json": "f98665f5e58b2328dcd77caf789e13ce0fe961ab07b4250dc61ef068e65bd547",
+    },
+    "validity_explicit_k2": {
+        "validity.csv": "a2d5da036b0f7f9245d94d80c6402696bb24c5b3aecc460b264d7d1c4b827a62",
+        "validity.svg": "09fb8a5d5e10fec88daa0da49bf6877dc29b368ecd62392916cc275e52424ab8",
+        "verdict_validity.json": "b04bee80b58935bed973dd0709427b931f5cbc58f3dae373910f1c9939bfc538",
+    },
+    "validity_single_class_default_grid": {
+        "validity.csv": "8baf065e20ca8445bb72e518ac7adb516b45ae05876b06ab2328f6449a2b23e6",
+        "validity.svg": "4674625e069758c882a77befb532ea7aa4eb844f1b7e885f048df41b044e3e01",
+        "verdict_validity.json": "9bd4e4471f2ca5a3c3f542c91f89c9fb7f81c53f922f8ee44c816f47cb15bab8",
     },
 }
 
 
-@pytest.mark.parametrize("command,params", [("quantiles", {"n_grid": [100, 400], "delta": 0.5}), ("pathwise", {"n": 100})])
-def test_montecarlo_outputs_are_pinned(tmp_path, command, params):
+MONTECARLO_RUNS = [
+    # the first two ids are the ones pytest generated before the validity runs joined
+    pytest.param("quantiles", {"n_grid": [100, 400], "delta": 0.5}, id="quantiles-params0"),
+    pytest.param("pathwise", {"n": 100}, id="pathwise-params1"),
+    pytest.param("validity", {"n_grid": [16, 120], "delta": 0.5}, id="validity_explicit_grid"),
+    pytest.param("validity", {"n_grid": [50, 400], "delta": 0.5, "k": 2}, id="validity_explicit_k2"),
+    pytest.param("validity", {"delta": 0.5, "bound": "single_class"}, id="validity_single_class_default_grid"),
+]
+
+
+@pytest.mark.parametrize("command,params", MONTECARLO_RUNS)
+def test_montecarlo_outputs_are_pinned(tmp_path, request, command, params):
     # sha256 of every file the command writes on a small config: a moved
-    # trial stream changes the bytes
+    # trial stream, threshold or bound changes the bytes
     cfg = _write(tmp_path, _canonical_config(**params))
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out), "--trials", "100", "montecarlo", command]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
-    assert digests == MONTECARLO_DIGESTS[command]
+    assert digests == MONTECARLO_DIGESTS[request.node.callspec.id]
 
 
 REPORT_DIGESTS = {

@@ -346,6 +346,34 @@ def test_validity_sweep_single_class(canonical):
     assert row["rate"] <= 0.1 + 2 * math.sqrt(0.1 * 0.9 / 1000)
 
 
+def test_validity_sweep_reads_formulas_and_draws_each_count_sample_once(monkeypatch):
+    # a row computes its threshold and bound from their formulas, never a whole
+    # report; an explicit row draws its gap class's sample and its A(S) sample
+    # once each, and a single-class row draws none
+    from unionerm import processes
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the validity sweep built a bound report")
+
+    monkeypatch.setattr(ex, "compute_bound_inputs", refuse)
+    monkeypatch.setattr(ex, "thresholds_and_bounds", refuse)
+    keys, real = [], processes.count_sample
+    monkeypatch.setattr(
+        processes, "count_sample",
+        lambda law, n, trials, seed, mode: (keys.append((n, trials, seed)), real(law, n, trials, seed, mode))[1],
+    )
+    law, coll = canonical_law(), canonical_collection()
+    prof = build_profile(law, coll)  # a fresh profile holds no earlier test's count sample
+    grid, seed = [50, 400], 7
+    ex.bound_validity_sweep(law, coll, 0.5, grid, 100, seed, prof, bound_kind="explicit", estimator_trials=400)
+    assert sorted(keys) == sorted(
+        (n, 400, ex._grid_seed(seed, base + i)) for i, n in enumerate(grid) for base in (1000, 2000)
+    )
+    keys.clear()
+    ex.bound_validity_sweep(law, coll, 0.5, grid, 100, seed, prof, bound_kind="single_class", estimator_trials=400)
+    assert keys == []
+
+
 def test_pathwise_check_noiseless(realizable):
     law, coll, prof = realizable
     batch = ex.run_trials(law, coll, 25, 200, 320, prof, snapshots=True)
