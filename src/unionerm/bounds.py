@@ -16,7 +16,9 @@ Naming of the main quantities (all scalars unless noted):
 * class moments ``(sigma^2, r_n)`` for the two finite function classes the
   bounds consume: the whitened-gradient class over an index subset, and the
   normalized loss-gap class over the suboptimal indices (mean one, so the
-  centered second moment is used).
+  centered second moment is used).  Both are exact on a discrete law: r_n is
+  the expected maximum of n i.i.d. draws of one per-atom envelope, a closed
+  form in the atoms' weights.
 * the set function ``A(S) = c(|S|)^2 (sigma_G(S) + c(|S|) r_n_G(S)/sqrt(n))^2``.
 
 Every estimated quantity carries a standard error, and every threshold that
@@ -35,7 +37,7 @@ import numpy as np
 from .model import DiscreteLaw
 from .population import PopulationProfile
 from .processes import (
-    CountSample,
+    _distinct_rows,
     count_sample,
     expected_sup,
     iter_count_batches,  # noqa: F401 -- the benchmark tracer wraps it under this name
@@ -101,15 +103,11 @@ def c_factor(m) -> float:
 
 class ClassMoments(NamedTuple):
     """(sigma^2, r_n) for a finite class: worst centered second moment and
-    the expected max over samples and functions of the centered square."""
+    the root of the expected max over samples and functions of the centered
+    square, both exact."""
 
-    sigma_sq: float            # exact
-    r_n: float                 # estimated unless mode == "exact"
-    r_n_se: float
-    mode: str
-
-    def r_n_conservative(self) -> float:
-        return self.r_n + 3.0 * self.r_n_se
+    sigma_sq: float
+    r_n: float
 
 
 def _sqrt_with_se(mean_sq: float, se_sq: float) -> tuple[float, float]:
@@ -119,37 +117,28 @@ def _sqrt_with_se(mean_sq: float, se_sq: float) -> tuple[float, float]:
     return root, se_sq / (2.0 * root)
 
 
-def _expected_max_sqrt(sample: CountSample, values: list[np.ndarray]) -> tuple[float, float]:
-    """E[max over (sample, function) of a per-category value]^{1/2} with SE.
+def _expected_max_sqrt(weights: np.ndarray, values: list[np.ndarray], n: int) -> float:
+    """E[max over n i.i.d. atoms and the functions of a per-atom value]^{1/2}, exactly.
 
-    ``values`` hold one value per column of the sample's counts: per atom
-    for a sample of the law, per distinct moment row for a sample of
-    :attr:`AtomTables.sample_law`.  The max over a dataset only depends on
-    which categories are present, so the counts representation is enough.
-    A dataset with every category present takes the overall max; only
-    datasets missing one are masked.
+    ``values`` hold one value per atom of the law with ``weights``.  The max
+    over functions is one per-atom envelope W, and the max of n i.i.d.
+    draws has CDF F^n (David & Nagaraja, Order Statistics, 2003, 2.1): with
+    the atoms ranked by W in descending order (a stable sort) and T_k the
+    mass ranked below k, E[max] = sum_k W_(k) (T_{k-1}^n - T_k^n).  The tail
+    masses are normalized by their total, so T_0 = 1 and the probabilities
+    telescope to 1; rounding cannot carry a mean of W outside [min W, max W],
+    so the sum is clamped there.
     """
-    worst = np.stack(values, axis=1).max(axis=1)  # max over functions per category
-
-    def present_max(counts: np.ndarray) -> np.ndarray:
-        out = np.full(counts.shape[0], worst.max())
-        gaps = counts.min(axis=1) == 0
-        if gaps.any():
-            out[gaps] = np.where(counts[gaps] > 0, worst[None, :], -np.inf).max(axis=1)
-        return out
-
-    return _sqrt_with_se(*sample.mean(present_max))
+    envelope = np.stack(values, axis=1).max(axis=1)
+    order = np.argsort(-envelope, kind="stable")
+    ranked = envelope[order]
+    tail = np.cumsum(weights[order][::-1])[::-1]  # mass ranked at or below k
+    tail = np.append(tail, 0.0) / tail[0]
+    mean = float(ranked @ (tail[:-1] ** n - tail[1:] ** n))
+    return math.sqrt(min(max(mean, ranked[-1]), ranked[0]))
 
 
-def class_moments(
-    kind: str,
-    subset,
-    prof: PopulationProfile,
-    n: int,
-    trials: int = 10_000,
-    seed: int = 0,
-    mode: str = "mc",
-) -> ClassMoments:
+def class_moments(kind: str, subset, prof: PopulationProfile, n: int) -> ClassMoments:
     """Moments of the gradient class over a subset, or of the loss-gap class.
 
     ``kind="G"``: functions are the whitened gradients at the minimizers,
@@ -157,27 +146,26 @@ def class_moments(
     ``kind="D"``: functions are the loss differences against the least
     optimal index, normalized by their population gap (mean one), one per
     suboptimal index; requires a nonempty suboptimal set unless empty-class
-    output (0, 0) is acceptable.
+    output (0, 0) is acceptable.  Both moments are exact sums over the law's
+    atoms; r_n is the closed form of :func:`_expected_max_sqrt`.
     """
     recs = prof.records
     if kind == "G":
         subset = tuple(prof.indices() if subset is None else subset)
         if not subset:
-            return ClassMoments(0.0, 0.0, 0.0, mode)
+            return ClassMoments(0.0, 0.0)
         values = [recs[t].grad_sq for t in subset]
     elif kind == "D":
         subset = tuple(prof.suboptimal() if subset is None else subset)
         if not subset:
-            return ClassMoments(0.0, 0.0, 0.0, mode)
+            return ClassMoments(0.0, 0.0)
         loss0 = 0.5 * recs[prof.least_optimal_index].resid ** 2
         values = [((0.5 * recs[t].resid ** 2 - loss0) / prof.gap(t) - 1.0) ** 2 for t in subset]
     else:
         raise ValueError(f"unknown class kind {kind!r}")
-    sigma_sq = max(float(prof.law.weights @ v) for v in values)  # for G: the grad_second_moment values
-    # each value is a function of the atom's moment row, so the row's first atom stands for its group
-    tables = prof.tables
-    r_n, r_n_se = _expected_max_sqrt(tables.sample(n, trials, seed, mode), [v[tables.rows] for v in values])
-    return ClassMoments(sigma_sq=float(sigma_sq), r_n=r_n, r_n_se=r_n_se, mode=mode)
+    weights = prof.law.weights
+    sigma_sq = max(float(weights @ v) for v in values)  # for G: the grad_second_moment values
+    return ClassMoments(sigma_sq=float(sigma_sq), r_n=_expected_max_sqrt(weights, values, n))
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +179,6 @@ class SandwichResult(NamedTuple):
     se: float
     sigma: float
     r_n: float
-    r_n_se: float
 
     def holds(self, slack_mult: float = 3.0) -> bool:
         return (self.lower <= self.estimate + slack_mult * self.se) and (
@@ -212,7 +199,8 @@ def finite_sup_sandwich(
     ``atom_values`` is one per-atom value array per function, shape (m,) or
     (m, k); functions are centered internally by their exact means, and
     ``E_n(f) = sqrt(n) (mean_n f - E f)``.  Returns the closed-form lower and
-    upper bounds together with the Monte Carlo value they must sandwich:
+    upper bounds, whose r_n is exact, together with the Monte Carlo value
+    they must sandwich:
 
         lower = sigma/2 + r_n/(4 sqrt(n))
         upper = c(|F|) sigma + c(|F|)^2 r_n / sqrt(n)
@@ -233,7 +221,7 @@ def finite_sup_sandwich(
     sigma_sq = max(float(law.weights @ np.sum(v**2, axis=1)) for v in centered)
     sigma = math.sqrt(sigma_sq)
     sq_norms = [np.sum(v**2, axis=1) for v in centered]
-    r_n, r_n_se = _expected_max_sqrt(count_sample(law, n, trials, seed + 1, mode), sq_norms)
+    r_n = _expected_max_sqrt(law.weights, sq_norms, n)
 
     def batch_max(counts: np.ndarray) -> np.ndarray:
         out = np.full(counts.shape[0], -np.inf)
@@ -251,7 +239,6 @@ def finite_sup_sandwich(
         se=se,
         sigma=sigma,
         r_n=r_n,
-        r_n_se=r_n_se,
     )
 
 
@@ -357,8 +344,10 @@ def quadratic_form_variance_sup(prof: PopulationProfile, seed: int = 0) -> tuple
     ci, cj = np.nonzero(block[:, None] == block)  # the pairs' stacked coordinates
     scatter = np.eye(total)[ci]  # adds each pair's term to its first coordinate
     stacked = np.hstack(psi)
-    pairs, inverse = np.unique(stacked[:, ci] * stacked[:, cj], axis=0, return_inverse=True)
-    merged = np.bincount(inverse.ravel(), weights=weights, minlength=pairs.shape[0])
+    products = np.ascontiguousarray(stacked[:, ci] * stacked[:, cj])
+    rows, labels = _distinct_rows(products)
+    pairs = products[rows]
+    merged = np.bincount(labels, weights=weights, minlength=rows.size)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), 3))))
     gauss = rng.standard_normal((QUARTIC_RESTARTS, total))
     v = np.vstack([np.eye(total), gauss / np.linalg.norm(gauss, axis=1, keepdims=True)])
@@ -385,29 +374,20 @@ def quadratic_form_variance_sup(prof: PopulationProfile, seed: int = 0) -> tuple
 # The explicit set function A(S)
 # ---------------------------------------------------------------------------
 
-def explicit_complexity(
-    subset,
-    prof: PopulationProfile,
-    n: int,
-    trials: int = 10_000,
-    seed: int = 0,
-    mode: str = "mc",
-) -> TaggedValue:
-    """A(S) = c(|S|)^2 (sigma_G(S) + c(|S|) r_n_G(S)/sqrt(n))^2.
+def explicit_complexity(subset, prof: PopulationProfile, n: int) -> TaggedValue:
+    """A(S) = c(|S|)^2 (sigma_G(S) + c(|S|) r_n_G(S)/sqrt(n))^2, exact.
 
-    The r_n constituent is a Monte Carlo estimate, of which estimate + 3 SE
-    enters the formula.  All subsets evaluated with the same seed share
-    their sample paths, which preserves monotonicity of A under inclusion
-    exactly, not just in expectation.
+    Both constituents are exact (:func:`class_moments`), and the envelope of
+    a superset is pointwise at least that of the subset, so A is monotone
+    under inclusion.
     """
     subset = tuple(subset)
     if not subset:
         return TaggedValue(0.0, "exact", None)
-    mom = class_moments("G", subset, prof, n, trials=trials, seed=seed, mode=mode)
+    mom = class_moments("G", subset, prof, n)
     cf = c_factor(len(subset))
-    val = cf**2 * (math.sqrt(mom.sigma_sq) + cf * mom.r_n_conservative() / math.sqrt(n)) ** 2
-    tag = "exact" if mom.mode == "exact" else "estimated"
-    return TaggedValue(float(val), tag, None)
+    val = cf**2 * (math.sqrt(mom.sigma_sq) + cf * mom.r_n / math.sqrt(n)) ** 2
+    return TaggedValue(float(val), "exact", None)
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +421,8 @@ def compute_bound_inputs(
 
     lam_v = TaggedValue(covariance_deviation_lambda_max(prof), "exact", None)
     l_val, l_tag = quadratic_form_variance_sup(prof, seed=seed)
-    gap = class_moments("D", None, prof, n, trials=trials, seed=seed, mode=mode)
-    grad = class_moments("G", None, prof, n, trials=trials, seed=seed, mode=mode)
+    gap = class_moments("D", None, prof, n)
+    grad = class_moments("G", None, prof, n)
     sup_lam = expected_sup("lambda", None, n, prof, trials=trials, seed=seed, mode=mode)
     sup_del = expected_sup("delta", None, n, prof, trials=trials, seed=seed, mode=mode)
     return BoundInputs(
@@ -452,7 +432,7 @@ def compute_bound_inputs(
         grad_class_full=grad,
         exp_sup_lambda=sup_lam,
         exp_sup_delta=sup_del,
-        explicit_cx=ClosedFormComplexity(prof, n, trials=trials, seed=seed, mode=mode),
+        explicit_cx=ClosedFormComplexity(prof, n),
         expected_sup_cx=ExpectedSupComplexity(prof, n, trials=trials, seed=seed, mode=mode),
     )
 
@@ -523,31 +503,26 @@ def explicit_threshold_value(
         (512.0 * lam_v + 6.0) * (1.0 + math.log(d * size_t))
         + (128.0 * l_val + 11.0) * math.log(6.0 / delta)
         + 24.0 / delta * c_factor(size_t) * gap.sigma_sq
-        + 10.0 / math.sqrt(delta) * c_factor(size_t) ** 2 * gap.r_n_conservative()
+        + 10.0 / math.sqrt(delta) * c_factor(size_t) ** 2 * gap.r_n
     )
 
 
-def resolve_explicit_threshold(
-    prof: PopulationProfile,
-    delta: float,
-    trials: int = 4000,
-    seed: int = 0,
-    rounds: int = 8,
-) -> int:
+def resolve_explicit_threshold(prof: PopulationProfile, delta: float, seed: int = 0, rounds: int = 8) -> int:
     """Smallest integer n with n >= explicit threshold evaluated at n.
 
     The threshold's r_n constituent depends on the sample size itself (it is
-    an expected maximum over the n draws), so the fixed point is found by
-    repeated substitution; r_n grows slower than sqrt(n), which makes the
-    iteration contract.  If ``rounds`` substitutions do not reach it, the last
-    iterate is returned with a RuntimeWarning naming the last two iterates.
+    an expected maximum over the n draws, exact), so the fixed point is found
+    by repeated substitution; r_n grows slower than sqrt(n), which makes the
+    iteration contract.  ``seed`` seeds the quadratic-form variance sup.  If
+    ``rounds`` substitutions do not reach it, the last iterate is returned
+    with a RuntimeWarning naming the last two iterates.
     """
     coll = prof.collection
     lam_v = covariance_deviation_lambda_max(prof)
     l_val, _ = quadratic_form_variance_sup(prof, seed=seed)
 
     def step(n):
-        gap = class_moments("D", None, prof, n, trials=trials, seed=seed)
+        gap = class_moments("D", None, prof, n)
         return int(math.ceil(explicit_threshold_value(lam_v, l_val, coll.max_dim, len(coll), delta, gap)))
 
     return _fixed_point(step, rounds, 200, "explicit threshold")
@@ -642,18 +617,14 @@ def thresholds_and_bounds(
         cov_dev_lambda_max=inputs.cov_dev_lambda_max,
         quad_form_var_sup=inputs.quad_form_var_sup,
         sigma_sq_gap_class=TaggedValue(gap.sigma_sq, "exact", None),
-        r_n_gap_class=TaggedValue(gap.r_n, "exact" if gap.mode == "exact" else estimated, gap.r_n_se),
+        r_n_gap_class=TaggedValue(gap.r_n, "exact", None),
         sigma_grad_class=TaggedValue(inputs.grad_class_full.sigma_sq, "exact", None),
-        r_n_grad_class=TaggedValue(
-            inputs.grad_class_full.r_n,
-            "exact" if inputs.grad_class_full.mode == "exact" else estimated,
-            inputs.grad_class_full.r_n_se,
-        ),
+        r_n_grad_class=TaggedValue(inputs.grad_class_full.r_n, "exact", None),
         exp_sup_lambda=TaggedValue(sl, estimated, sl_se),
         exp_sup_delta=TaggedValue(sd, estimated, sd_se),
         a_values=a_values,
         single_class_threshold=TaggedValue(thr_single, inputs.quad_form_var_sup.tag, None),
-        explicit_threshold=TaggedValue(thr_explicit, estimated, None),
+        explicit_threshold=TaggedValue(thr_explicit, inputs.quad_form_var_sup.tag, None),
         expected_sup_threshold=TaggedValue(thr_sup, estimated, None),
         single_class_excess_bound=TaggedValue(single_class_excess_bound(prof, n, delta), "exact", None),
         explicit_excess_bound=TaggedValue(trace_explicit.final_bound, trace_explicit.final_complexity.tag, None),

@@ -267,8 +267,8 @@ def _choice(cfg: dict, name: str, choices: tuple):
 
 
 def _ranged(cfg: dict, name: str, default=None, required: bool = False):
-    """params.<name>, converted and held to its range: ``n``, ``k`` and every
-    ``n_grid`` entry are integers >= 1, ``delta`` and every ``delta_grid``
+    """params.<name>, converted and held to its range: ``n``, ``k``, ``d``, ``s``
+    and every ``n_grid`` entry are integers >= 1, ``delta`` and every ``delta_grid``
     entry lie in (0, 1), and a ``*_grid`` is a non-empty list.  An absent
     param with no default is None."""
     value = _param(cfg, name, default, required)
@@ -290,7 +290,7 @@ def _ranged(cfg: dict, name: str, default=None, required: bool = False):
 def _trials(cfg: dict, trials_override: int | None, default: int, minimum: int, what: str) -> int:
     """The trial count (``--trials``, else params.trials, else ``default``);
     below ``minimum`` it is an insufficient-trials error."""
-    trials = int(trials_override or _param(cfg, "trials", default))
+    trials = int(trials_override if trials_override is not None else _param(cfg, "trials", default))
     if trials < minimum:
         raise experiments.InsufficientTrialsError(f"{what} needs at least {minimum} trials, got {trials}")
     return trials
@@ -408,11 +408,11 @@ def cmd_localize(cfg: dict, out: str, trials_override: int | None) -> int:
     delta = _ranged(cfg, "delta", 0.1)
     k = _ranged(cfg, "k")
     source = _choice(cfg, "complexity", ("explicit", "expected_sup"))
-    minimum = 1 if source == "explicit" else EXPECTED_SUP_MIN_TRIALS
-    trials = _trials(cfg, trials_override, 4000, minimum, f"command localize with complexity {source}")
-    seed = int(cfg["seed"])
-    make = localization.ClosedFormComplexity if source == "explicit" else localization.ExpectedSupComplexity
-    cx = make(prof, n, trials=trials, seed=seed)
+    if source == "explicit":
+        cx = localization.ClosedFormComplexity(prof, n)  # exact: reads no trials
+    else:
+        trials = _trials(cfg, trials_override, 4000, EXPECTED_SUP_MIN_TRIALS, f"command localize with complexity {source}")
+        cx = localization.ExpectedSupComplexity(prof, n, trials=trials, seed=int(cfg["seed"]))
     if k is None:
         sweep = localization.k_sweep(n, delta, prof, cx)
         k, bound, trace = localization.best_k(sweep)
@@ -558,7 +558,7 @@ def _mc_validity(cfg, out, law, collection, prof, trials):
             thr = single_class_threshold_value(covariance_deviation_lambda_max(prof), l_val, collection.max_dim, delta)
             n_grid = [int(math.ceil(thr))]
         else:
-            n_grid = [resolve_explicit_threshold(prof, delta, trials=2000, seed=seed)]
+            n_grid = [resolve_explicit_threshold(prof, delta, seed=seed)]
     result = experiments.bound_validity_sweep(
         law, collection, delta, n_grid, trials, seed, prof, bound_kind=bound_kind, k=k,
     )
@@ -617,9 +617,14 @@ def _mc_pathwise(cfg, out, law, collection, prof, trials):
 def _mc_bss(cfg, out, law, collection, prof, trials):
     seed = int(cfg["seed"])
     design = _choice(cfg, "design", ("discrete", "gaussian"))
-    d = int(_param(cfg, "d", required=True))
-    s = int(_param(cfg, "s", required=True))
+    d = _ranged(cfg, "d", required=True)
+    s = _ranged(cfg, "s", required=True)
     w_true = _param(cfg, "w_true", required=True)
+    if type(w_true) is not list or len(w_true) != d or not all(type(v) in (int, float) for v in w_true):
+        raise ConfigError(f"config field $.params.w_true: must be a list of d = {d} numbers")
+    nonzeros = sum(v != 0 for v in w_true)
+    if s != nonzeros:
+        raise ConfigError(f"config field $.params.s: must be the number of nonzeros of w_true ({nonzeros}), got {s}")
     noise_std = float(_param(cfg, "noise_std", 1.0))
     n_grid = _ranged(cfg, "n_grid", required=True)
     delta = _ranged(cfg, "delta", 0.1)

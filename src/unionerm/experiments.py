@@ -447,17 +447,16 @@ def bound_validity_sweep(
     prof: PopulationProfile,
     bound_kind: str = "explicit",
     k: int | None = None,
-    estimator_trials: int = 4000,
 ) -> dict:
     """Empirical violation frequency of an excess bound along an n-grid.
 
     Each row computes only the threshold and bound it reports, from their
     formulas in :mod:`unionerm.bounds`.  The covariance deviation is exact and
-    shared by every row.  Row i computes the quadratic-form variance sup and,
-    for ``explicit``, the gap class at seed ``_grid_seed(seed, 1000 + i)``;
-    the ``explicit`` bound is the final bound of the trace (k steps, or the
-    best k when ``k`` is None) of A(S) at seed ``_grid_seed(seed, 2000 + i)``;
-    the ``single_class`` bound is exact.  The trials use ``_grid_seed(seed, i)``.
+    shared by every row.  Row i computes the quadratic-form variance sup at
+    seed ``_grid_seed(seed, 1000 + i)``; the gap class of the ``explicit``
+    threshold is exact, and so are the ``single_class`` bound and the
+    ``explicit`` bound, the final bound of the trace (k steps, or the best k
+    when ``k`` is None) of A(S).  The trials use ``_grid_seed(seed, i)``.
     Rows at or above the threshold must have violation rate at most
     delta + 2 binomial SE (singular trials count as violations), rows below
     are informational.
@@ -472,16 +471,15 @@ def bound_validity_sweep(
     all_pass = True
     for i, n in enumerate(n_grid):
         n = int(n)
-        constituent_seed = _grid_seed(seed, 1000 + i)
-        l_val, _ = bounds.quadratic_form_variance_sup(prof, seed=constituent_seed)
+        l_val, _ = bounds.quadratic_form_variance_sup(prof, seed=_grid_seed(seed, 1000 + i))
         if bound_kind == "single_class":
             k_used, bound = 1, bounds.single_class_excess_bound(prof, n, delta)
             threshold = bounds.single_class_threshold_value(lam_v, l_val, coll.max_dim, delta)
         else:
-            cx = ClosedFormComplexity(prof, n, trials=estimator_trials, seed=_grid_seed(seed, 2000 + i))
+            cx = ClosedFormComplexity(prof, n)
             trace = choose_k(n, delta, prof, cx)[2] if k is None else iterate(n, delta, k, prof, cx)
             k_used, bound = trace.k, trace.final_bound
-            gap = bounds.class_moments("D", None, prof, n, trials=estimator_trials, seed=constituent_seed)
+            gap = bounds.class_moments("D", None, prof, n)
             threshold = bounds.explicit_threshold_value(lam_v, l_val, coll.max_dim, len(coll), delta, gap)
         batch = run_trials(law, collection, n, trials, _grid_seed(seed, i), prof)
         viol = int(np.sum((batch.n_excess / n > bound) | batch.singular))
@@ -580,13 +578,7 @@ def bss_instance(design: str, d: int, w_true, noise_std: float):
     raise ValueError(f"unknown design {design!r}")
 
 
-def recovery_threshold(
-    prof: PopulationProfile,
-    delta: float,
-    trials: int = 4000,
-    seed: int = 0,
-    max_rounds: int = 8,
-) -> tuple[int, int]:
+def recovery_threshold(prof: PopulationProfile, delta: float, max_rounds: int = 8) -> tuple[int, int]:
     """Sample size above which support recovery holds with confidence delta.
 
     Solves n > min_k 4 k (gamma delta)^{-1} A(iterate_{k-1}(T)) where the
@@ -603,7 +595,7 @@ def recovery_threshold(
 
     def step(n):
         best = None
-        cx = ClosedFormComplexity(prof, n, trials=trials, seed=seed)
+        cx = ClosedFormComplexity(prof, n)
         for trace in k_sweep(n, delta, prof, cx):
             k = trace.k
             # the (k-1)-th iterate, each step at per-step confidence delta/(2k)
@@ -639,7 +631,6 @@ def bss_study(
     trials: int,
     seed: int,
     delta: float = 0.1,
-    threshold_trials: int = 2000,
     check_threshold: bool = True,
 ) -> BssReport:
     """Support recovery and rescaled-excess trend for best-subset selection.
@@ -692,7 +683,7 @@ def bss_study(
     n_thr = k_thr = None
     rec_at_thr = None
     if design == "discrete" and check_threshold:
-        n_thr, k_thr = recovery_threshold(prof, delta, trials=threshold_trials, seed=seed)
+        n_thr, k_thr = recovery_threshold(prof, delta)
         batch = run_trials(law, collection, n_thr, trials, _grid_seed(seed, 10_000), prof)
         rec_at_thr = sum(1 for t in batch.t_hat if t == support) / trials
     return BssReport(

@@ -9,9 +9,9 @@ delta / (2k) per step.
 
 Two complexity functionals are pluggable:
 
-* ``ClosedFormComplexity`` — the closed-form set function A(S), fully
-  computable (its r_n constituent is estimated with a shared seed across
-  subsets, so monotonicity under inclusion holds exactly).
+* ``ClosedFormComplexity`` — the closed-form set function A(S), exact on a
+  discrete law (its r_n constituent is the closed-form expected maximum, so
+  it draws no sample and is monotone under inclusion).
 * ``ExpectedSupComplexity`` — the Monte Carlo estimate of the expected
   supremum of the squared gradient-norm process over S, plus 3 standard
   errors (the conservative direction), also on shared sample paths.  Not
@@ -42,23 +42,17 @@ INCLUSION_TOL = 1e-12
 
 
 class ClosedFormComplexity:
-    """Closed-form A(S) at a fixed sample size, cached per subset."""
+    """Closed-form A(S) at a fixed sample size, exact and cached per subset."""
 
-    def __init__(self, prof: PopulationProfile, n: int, trials: int = 10_000,
-                 seed: int = 0, mode: str = "mc"):
+    def __init__(self, prof: PopulationProfile, n: int):
         self.prof = prof
         self.n = int(n)
-        self.trials = trials
-        self.seed = seed
-        self.mode = mode
         self._cache: dict[tuple, TaggedValue] = {}
 
     def value(self, subset) -> TaggedValue:
         key = tuple(sorted(subset, key=str))
         if key not in self._cache:
-            self._cache[key] = explicit_complexity(
-                key, self.prof, self.n, trials=self.trials, seed=self.seed, mode=self.mode
-            )
+            self._cache[key] = explicit_complexity(key, self.prof, self.n)
         return self._cache[key]
 
 

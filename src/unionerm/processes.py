@@ -21,12 +21,13 @@ z = [distinct atom columns of every map, y] that some map's Sigma_n or
 Phi^T y reads, then each index's pointwise loss at w_*.  One product per
 dataset gives every index's Sigma_n, Phi^T y / n and R_n(w_*), which the
 trial fits (:class:`unionerm.erm.MomentFit`) and :func:`snapshot`, the
-per-index value table of all three processes, both read.  Every expectation
-over datasets (expected suprema here; class moments and A(S) in
-:mod:`unionerm.bounds`) is one reduction, :meth:`CountSample.mean`, over one
-count sample of the table's distinct rows (:meth:`AtomTables.sample`):
-Monte Carlo chunks with per-chunk seed streams, or for tiny instances the
-exact enumeration of every dataset with its probability.  ``prof.tables``
+per-index value table of all three processes, both read.  Every expected
+supremum is one reduction, :meth:`CountSample.mean`, over one count sample
+of the table's distinct rows (:meth:`AtomTables.sample`): Monte Carlo
+chunks with per-chunk seed streams, or for tiny instances the exact
+enumeration of every dataset with its probability.  (Class moments and
+A(S) in :mod:`unionerm.bounds` draw nothing: their expected maximum over
+the n draws is a closed form in the atoms' weights.)  ``prof.tables``
 keeps the last sample drawn, keyed by (n, trials, seed, mode), and its value
 table, built on first use, of which every expected supremum is a column
 max.  So one command draws each stream and evaluates each dataset once.

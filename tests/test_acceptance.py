@@ -142,16 +142,16 @@ def test_criterion_05_localization_contraction(canonical):
         n = int(rng.integers(10, 10_000))
         delta = float(rng.uniform(0.01, 0.5))
         k = int(rng.integers(1, 5))
-        cx = loc.ClosedFormComplexity(prof, n, trials=200, seed=case)
+        cx = loc.ClosedFormComplexity(prof, n)
         tr = loc.iterate(n, delta, k, prof, cx)
         star = set(prof.t_star)
         for a, b in zip(tr.sets, tr.sets[1:]):
             nest_ok = nest_ok and set(b) <= set(a) and star <= set(b)
     _, _, prof = canonical
-    n0 = loc.collapse_n(prof, 0.1, lambda n: loc.ClosedFormComplexity(prof, n, trials=1000, seed=55))
+    n0 = loc.collapse_n(prof, 0.1, lambda n: loc.ClosedFormComplexity(prof, n))
     collapse_ok = True
     for n in (n0, 2 * n0):
-        tr = loc.iterate(n, 0.1, 1, prof, loc.ClosedFormComplexity(prof, n, trials=1000, seed=55))
+        tr = loc.iterate(n, 0.1, 1, prof, loc.ClosedFormComplexity(prof, n))
         collapse_ok = collapse_ok and tr.sets[-1] == prof.t_star
     _report("C5", nest_ok and collapse_ok, f"nesting on 100 cases, collapse at n0={n0} and {2 * n0}")
 
@@ -202,8 +202,8 @@ def test_criterion_08_bound_validity(canonical):
     rate_a = float(np.mean((batch_a.n_excess / n_a > bound_a) | batch_a.singular))
     ok_a = rate_a <= delta + 2 * se
     # (b) two-map collection at the explicit threshold with the chosen k
-    n_b = bounds.resolve_explicit_threshold(prof, delta, trials=4000, seed=81)
-    cx = loc.ClosedFormComplexity(prof, n_b, trials=4000, seed=82)
+    n_b = bounds.resolve_explicit_threshold(prof, delta, seed=81)
+    cx = loc.ClosedFormComplexity(prof, n_b)
     k_star, bound_b, trace = loc.choose_k(n_b, delta, prof, cx)
     batch_b = ex.run_trials(law, coll, n_b, trials, 809, prof)
     rate_b = float(np.mean((batch_b.n_excess / n_b > bound_b) | batch_b.singular))
@@ -267,7 +267,7 @@ def test_criterion_11_best_subset_recovery():
     report = ex.bss_study(
         "discrete", 4, 2, [1.0, 1.0, 0.0, 0.0], 1.0,
         n_grid=[25, 100, 400, 1600], trials=1000, seed=1111,
-        delta=0.1, threshold_trials=2000,
+        delta=0.1,
     )
     ok_rec = report.recovery_at_threshold is not None and report.recovery_at_threshold >= 0.9
     ok_trend = report.ratio_nonincreasing

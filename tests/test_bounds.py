@@ -41,7 +41,7 @@ def test_c_factor_rejects_zero():
 
 def test_grad_class_moments_zero_in_noiseless_case(realizable):
     law, coll, prof = realizable
-    mom = bounds.class_moments("G", ["full"], prof, n=4, trials=200, seed=0)
+    mom = bounds.class_moments("G", ["full"], prof, n=4)
     assert mom.sigma_sq == pytest.approx(0.0, abs=1e-20)
     assert mom.r_n == pytest.approx(0.0, abs=1e-10)
 
@@ -58,14 +58,14 @@ def test_gap_class_zero_variance_when_gap_deterministic():
     )
     prof = profile(law, coll)
     # loss gap = 0.5(w_b x2 - x1)^2 with w_b = 0: constant 0.5 on the sign support
-    mom = bounds.class_moments("D", None, prof, n=3, trials=200, seed=0)
+    mom = bounds.class_moments("D", None, prof, n=3)
     assert mom.sigma_sq == pytest.approx(0.0, abs=1e-12)
     assert mom.r_n == pytest.approx(0.0, abs=1e-8)
 
 
 def test_gap_class_moments_canonical_exact(canonical):
     law, coll, prof = canonical
-    mom = bounds.class_moments("D", None, prof, n=4, trials=500, seed=1)
+    mom = bounds.class_moments("D", None, prof, n=4)
     # variance of the normalized loss gap, enumerated per atom:
     # gap values per atom are (0.5 u^2 - u eps) / 0.25 with u = 2 x2 - x1
     w = law.weights
@@ -77,25 +77,58 @@ def test_gap_class_moments_canonical_exact(canonical):
 
 def test_class_moments_empty_class(symmetric):
     _, _, prof = symmetric
-    mom = bounds.class_moments("D", None, prof, n=4, trials=200, seed=0)
+    mom = bounds.class_moments("D", None, prof, n=4)
     assert (mom.sigma_sq, mom.r_n) == (0.0, 0.0)
 
 
 def test_class_moments_exact_mode_matches_mc(canonical):
+    # the closed-form r_n against the masked max over a Monte Carlo count sample
     law, coll, prof = canonical
-    exact = bounds.class_moments("G", None, prof, n=2, mode="exact")
-    mc = bounds.class_moments("G", None, prof, n=2, trials=1_000_000, seed=2)
-    assert abs(mc.r_n - exact.r_n) <= 4 * max(mc.r_n_se, 1e-12)
-    assert exact.sigma_sq == mc.sigma_sq  # both exact by enumeration
+    exact = bounds.class_moments("G", None, prof, n=2)
+    sample = processes.count_sample(law, 2, 1_000_000, 2, "mc")
+    mean, se = expected_max_presence(sample, [prof.records[t].grad_sq for t in prof.indices()])
+    assert abs(exact.r_n**2 - mean) <= 4 * max(se, 1e-12)
+
+
+def _assert_class_moments_match_atom_loop(s, kind):
+    # the closed-form r_n against E[max] summed over every ordered dataset, n = 1..4
+    law, coll, prof = random_instance(np.random.default_rng(s))
+    pool = prof.indices() if kind == "G" else prof.suboptimal()
+    for n in range(1, 5):
+        mom = bounds.class_moments(kind, None, prof, n)
+        sigma_sq, r_n = enum_class_moments(prof, kind, pool, n)
+        assert mom.sigma_sq == pytest.approx(sigma_sq, rel=1e-12), n
+        assert mom.r_n == pytest.approx(r_n, rel=1e-12), n
 
 
 @pytest.mark.parametrize("s", range(8))
 def test_grad_class_exact_moments_match_atom_loop(s):
-    law, coll, prof = random_instance(np.random.default_rng(s))
-    mom = bounds.class_moments("G", None, prof, n=3, mode="exact")
-    sigma_sq, r_n = enum_class_moments(prof, "G", prof.indices(), 3)
-    assert mom.sigma_sq == pytest.approx(sigma_sq, rel=1e-12)
-    assert mom.r_n == pytest.approx(r_n, rel=1e-12)
+    _assert_class_moments_match_atom_loop(s, "G")
+
+
+@pytest.mark.parametrize("s", range(8))
+def test_gap_class_exact_moments_match_atom_loop(s):
+    _assert_class_moments_match_atom_loop(s, "D")
+
+
+def test_closed_form_expected_max_stays_in_range_at_huge_n():
+    # n = 10^9 with atom weights spanning 12 decades: the result is finite, in
+    # the envelope's range, and agrees with the layer-cake form
+    # E[max] = min W + sum_k (W_(k) - W_(k+1)) (1 - T_k^n), taken in log space
+    rng = np.random.default_rng(12)
+    weights = np.logspace(-12, 0, 40)
+    weights /= weights.sum()
+    values = [rng.uniform(0.0, 5.0, size=40) for _ in range(3)]
+    envelope = np.max(values, axis=0)
+    ranked = np.argsort(-envelope)
+    below = np.cumsum(weights[ranked][::-1])[::-1][1:]  # T_k, k = 1 .. m - 1
+    gaps = envelope[ranked][:-1] - envelope[ranked][1:]
+    ref = envelope.min() + float(gaps @ -np.expm1(1e9 * np.log(below)))
+    for order in (np.arange(40), np.argsort(envelope), ranked):
+        r_n = bounds._expected_max_sqrt(weights[order], [v[order] for v in values], 10**9)
+        assert math.isfinite(r_n)
+        assert math.sqrt(envelope.min()) <= r_n <= math.sqrt(envelope.max())
+        assert r_n**2 == pytest.approx(ref, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -149,25 +182,16 @@ def test_reused_count_sample_matches_fresh_profile():
     law, coll = canonical_law(), canonical_three_map_collection()
     shared = profile(law, coll)
     args = dict(trials=500, seed=3)
-    reused = [
-        processes.expected_sup("lambda", None, 40, shared, **args),
-        bounds.class_moments("D", None, shared, 40, **args),
-        processes.expected_sup("delta", None, 40, shared, **args),
-        bounds.class_moments("G", ["A", "C"], shared, 40, **args),
-    ]
-    fresh = [
-        processes.expected_sup("lambda", None, 40, profile(law, coll), **args),
-        bounds.class_moments("D", None, profile(law, coll), 40, **args),
-        processes.expected_sup("delta", None, 40, profile(law, coll), **args),
-        bounds.class_moments("G", ["A", "C"], profile(law, coll), 40, **args),
-    ]
+    asks = [("lambda", None), ("g_sq", ["A", "C"]), ("delta", None), ("g_sq", None)]
+    reused = [processes.expected_sup(process, subset, 40, shared, **args) for process, subset in asks]
+    fresh = [processes.expected_sup(process, subset, 40, profile(law, coll), **args) for process, subset in asks]
     assert reused == fresh  # exact float equality
     assert shared.tables.sample(40, 500, 3, "mc") is shared.tables.sample(40, 500, 3, "mc")
 
 
 def test_profile_with_count_sample_is_freed_without_cyclic_gc():
     prof = profile(canonical_law(), canonical_three_map_collection())
-    bounds.class_moments("G", None, prof, 40, trials=500, seed=3)
+    prof.tables.sample(40, 500, 3, "mc")  # the count sample alone, no value table
     ref = weakref.ref(prof)
     gc.disable()
     try:
@@ -408,8 +432,9 @@ def test_quartic_sup_invariant_under_atom_split(s):
 
 
 @pytest.mark.parametrize("n,gap_rows", [(5, "all"), (3500, "some"), (40_000, "none")])
-def test_expected_max_presence_shortcut_matches_masked_max(n, gap_rows):
-    # rows missing an atom are masked, full rows take the overall max
+def test_expected_max_closed_form_matches_masked_max(n, gap_rows):
+    # the Monte Carlo reference masks every atom a row misses; once every row
+    # holds every atom, it is the overall max, which the closed form rounds to
     prof = profile(bss_instance("discrete", 8, [1.0, 1.0] + [0.0] * 6, 1.0), subset_collection(8, 2))
     sample = processes.count_sample(prof.law, n, 1000, 4, "mc")
     assert prof.law.support_size == 512
@@ -422,8 +447,11 @@ def test_expected_max_presence_shortcut_matches_masked_max(n, gap_rows):
         [np.sum(grad_w[t] ** 2, axis=1) for t in prof.indices()],
         [((0.5 * recs[t].resid ** 2 - loss0) / prof.gap(t) - 1.0) ** 2 for t in prof.suboptimal()[:3]],
     ):
-        got = bounds._expected_max_sqrt(sample, values)
-        assert got == bounds._sqrt_with_se(*expected_max_presence(sample, values))
+        got = bounds._expected_max_sqrt(prof.law.weights, values, n)
+        root, se = bounds._sqrt_with_se(*expected_max_presence(sample, values))
+        assert abs(got - root) <= 4.0 * se
+        if gap_rows == "none":
+            assert got == root
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +461,7 @@ def test_expected_max_presence_shortcut_matches_masked_max(n, gap_rows):
 def test_explicit_complexity_empty_and_noiseless(realizable):
     law, coll, prof = realizable
     assert bounds.explicit_complexity([], prof, 10).value == 0.0
-    val = bounds.explicit_complexity(["full"], prof, 10, trials=200, seed=0)
+    val = bounds.explicit_complexity(["full"], prof, 10)
     assert val.value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -444,7 +472,7 @@ def test_explicit_complexity_monotone_chains():
         ids = list(prof.indices())
         rng.shuffle(ids)
         chain = [tuple(sorted(ids[:k], key=str)) for k in (1, 2, 4)]
-        vals = [bounds.explicit_complexity(s, prof, 25, trials=400, seed=9).value for s in chain]
+        vals = [bounds.explicit_complexity(s, prof, 25).value for s in chain]
         assert vals[0] <= vals[1] + 1e-12 <= vals[2] + 2e-12
 
 
@@ -463,7 +491,7 @@ def test_report_formula_example(canonical):
 def test_report_noiseless_singleton_complexity_zero(realizable):
     law, coll, prof = realizable
     # optimal class is noiseless: A({t_*}) = 0
-    val = bounds.explicit_complexity([prof.least_optimal_index], prof, 100, trials=200, seed=0)
+    val = bounds.explicit_complexity([prof.least_optimal_index], prof, 100)
     assert val.value == 0.0
 
 
@@ -515,13 +543,13 @@ def test_report_missing_constituent_raises(canonical):
 def test_resolve_explicit_threshold_warns_when_rounds_run_out(canonical):
     _, _, prof = canonical
     with pytest.warns(RuntimeWarning, match="explicit threshold fixed point not reached in 1 rounds"):
-        bounds.resolve_explicit_threshold(prof, 0.1, trials=500, seed=4, rounds=1)
+        bounds.resolve_explicit_threshold(prof, 0.1, seed=4, rounds=1)
 
 
 def test_resolve_explicit_threshold_self_consistent(canonical):
     law, coll, prof = canonical
-    n = bounds.resolve_explicit_threshold(prof, 0.1, trials=2000, seed=4)
-    gap = bounds.class_moments("D", None, prof, n, trials=2000, seed=4)
+    n = bounds.resolve_explicit_threshold(prof, 0.1, seed=4)
+    gap = bounds.class_moments("D", None, prof, n)
     lam_v = bounds.covariance_deviation_lambda_max(prof)
     l_val, _ = bounds.quadratic_form_variance_sup(prof, seed=4)
     thr = bounds.explicit_threshold_value(lam_v, l_val, 1, 2, 0.1, gap)

@@ -119,6 +119,14 @@ def test_readme_config_example_runs(tmp_path):
     assert "optimal set = {A}" in (out / "profile.txt").read_text()
 
 
+def test_readme_quick_start_runs_as_written():
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Library quick start")[1].split("```python\n")[1].split("```")[0]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[0] == "('A',) 0.25"
+
+
 def test_degenerate_collection_exits_3(tmp_path):
     cfg_data = _canonical_config()
     cfg_data["collection"]["entries"].append({"id": "Z", "matrix": [[0.0, 0.0]]})
@@ -166,6 +174,18 @@ def test_expected_sup_needs_100_trials(tmp_path, capsys, command, params, code):
     cfg = _write(tmp_path, _canonical_config(trials=50, **params))
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), *command]) == code
     assert ("needs at least 100 trials, got 50" in capsys.readouterr().err) == (code == 4)
+
+
+ZERO_TRIALS = [(["bounds"], "command bounds", 100), (["localize"], "command localize with complexity expected_sup", 100)]
+ZERO_TRIALS += [(["montecarlo", sub], f"subcommand {sub}", floor) for sub, floor in cli._MC_MIN_TRIALS.items()]
+
+
+@pytest.mark.parametrize("command,what,floor", ZERO_TRIALS, ids=[c[-1] for c, _, _ in ZERO_TRIALS])
+def test_zero_trials_override_hits_the_floor(tmp_path, capsys, command, what, floor):
+    # --trials 0 overrides params.trials; it is not taken for "no override"
+    cfg = _write(tmp_path, _canonical_config(trials=300, n=200, n_grid=[100], complexity="expected_sup"))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--trials", "0", *command]) == 4
+    assert f"{what} needs at least {floor} trials, got 0" in capsys.readouterr().err
 
 
 def test_bounds_deterministic_json(tmp_path):
@@ -256,14 +276,14 @@ MONTECARLO_DIGESTS = {
         "verdict_pathwise.json": "a7f8917aec7a00c7dddaed2d14a49df92b9578e61a3e0fc3e12d86f48816a52a",
     },
     "validity_explicit_grid": {
-        "validity.csv": "06b42b0ca512f758fe9b770c68a3e1e67ba9db9b61b886605c285a03685a3b3a",
+        "validity.csv": "c13bddc5e9c3b736ba84816e1ece2cae33f5f81156dbf2f0b167d7a10347bc6c",
         "validity.svg": "e23c57a8ec3f02cd23455fc43adf50fd4621de6a9e7bcb9deaed85302494e623",
-        "verdict_validity.json": "f98665f5e58b2328dcd77caf789e13ce0fe961ab07b4250dc61ef068e65bd547",
+        "verdict_validity.json": "090bbce3a38ca499610239e5965f0a2bab86169e2b50f53aa3ec2c32180bf8cb",
     },
     "validity_explicit_k2": {
-        "validity.csv": "a2d5da036b0f7f9245d94d80c6402696bb24c5b3aecc460b264d7d1c4b827a62",
+        "validity.csv": "b270324d57db2c2bd3b5ed9a89a683a1fba251a62beb9ab42f387eb0870810a1",
         "validity.svg": "09fb8a5d5e10fec88daa0da49bf6877dc29b368ecd62392916cc275e52424ab8",
-        "verdict_validity.json": "b04bee80b58935bed973dd0709427b931f5cbc58f3dae373910f1c9939bfc538",
+        "verdict_validity.json": "1bacfc208128609d2f5a2db71a48beb8438b74fdbfac1117be45eda6f02aceb8",
     },
     "validity_single_class_default_grid": {
         "validity.csv": "8baf065e20ca8445bb72e518ac7adb516b45ae05876b06ab2328f6449a2b23e6",
@@ -296,7 +316,7 @@ def test_montecarlo_outputs_are_pinned(tmp_path, request, command, params):
 
 REPORT_DIGESTS = {
     "bounds": {
-        "bounds.json": "6a2a6c30589f4f47198ca779b47cd09fe3d6dc43ae83cf2cbf461b496db38a71",
+        "bounds.json": "f00357c32fd6ac1da947a7d43320e481f2a61fc507b71006efa012ca5d100c48",
         "thresholds.csv": "115733fb9520b43b548114efc8630f8b8f66aafb5f865ed3782f052d470e7cd1",
     },
     "localize": {
@@ -364,6 +384,33 @@ def test_bss_design_outside_its_choices_is_a_config_error(tmp_path, capsys):
     cfg = _write(tmp_path, cfg_data)
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--trials", "60", "montecarlo", "bss"]) == 2
     assert "config field $.params.design" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params,name", [
+    ({"d": 3, "s": 0, "w_true": [1.0, 1.0, 0.0]}, "s"),
+    ({"d": 3, "s": 4, "w_true": [1.0, 1.0, 0.0]}, "s"),
+    ({"d": 3, "s": 1, "w_true": [1, 0]}, "w_true"),
+    ({"d": 0, "s": 1, "w_true": []}, "d"),
+], ids=["s_zero", "s_above_support", "w_true_short", "d_zero"])
+def test_bss_instance_params_are_config_errors(tmp_path, capsys, params, name):
+    cfg_data = _canonical_config(design="discrete", n_grid=[50], **params)
+    del cfg_data["law"], cfg_data["collection"]
+    cfg = _write(tmp_path, cfg_data)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--trials", "60", "montecarlo", "bss"]) == 2
+    assert f"config field $.params.{name}:" in capsys.readouterr().err
+
+
+def test_localize_draws_no_count_sample_and_bounds_draws_one(tmp_path, monkeypatch):
+    # A(S) and the class moments are closed forms: only the expected suprema draw
+    from unionerm import processes
+
+    drawn, real = [], processes.count_sample
+    monkeypatch.setattr(processes, "count_sample", lambda *args: (drawn.append(args[1:]), real(*args))[1])
+    cfg = _write(tmp_path, _canonical_config(n=200, delta=0.1, trials=300, k=2))
+    assert main(["--config", cfg, "--out", str(tmp_path / "loc"), "localize"]) == 0
+    assert drawn == []
+    assert main(["--config", cfg, "--out", str(tmp_path / "b"), "bounds"]) == 0
+    assert drawn == [(200, 300, 19, "mc")]
 
 
 def _namedtuples_in(node):

@@ -325,7 +325,7 @@ def test_sandwich_check_degenerate_zero_noise(realizable):
 def test_validity_sweep_noiseless_zero_violations(realizable):
     law, coll, prof = realizable
     out = ex.bound_validity_sweep(
-        law, coll, 0.1, [60], 300, 318, prof, bound_kind="explicit", estimator_trials=400
+        law, coll, 0.1, [60], 300, 318, prof, bound_kind="explicit"
     )
     assert out["rows"][0]["violations"] == 0
     assert out["pass"]
@@ -339,7 +339,7 @@ def test_validity_sweep_single_class(canonical):
     coll = FeatureCollection([FeatureEntry("A", 1, lambda x: x[:, [0]], coords=(0,))])
     prof = build_profile(law, coll)
     out = ex.bound_validity_sweep(
-        law, coll, 0.1, [400], 1000, 319, prof, bound_kind="single_class", estimator_trials=400
+        law, coll, 0.1, [400], 1000, 319, prof, bound_kind="single_class"
     )
     row = out["rows"][0]
     assert row["above_threshold"]
@@ -348,8 +348,7 @@ def test_validity_sweep_single_class(canonical):
 
 def test_validity_sweep_reads_formulas_and_draws_each_count_sample_once(monkeypatch):
     # a row computes its threshold and bound from their formulas, never a whole
-    # report; an explicit row draws its gap class's sample and its A(S) sample
-    # once each, and a single-class row draws none
+    # report; the gap class and A(S) are closed forms, so no row draws a count sample
     from unionerm import processes
 
     def refuse(*args, **kwargs):
@@ -365,13 +364,9 @@ def test_validity_sweep_reads_formulas_and_draws_each_count_sample_once(monkeypa
     law, coll = canonical_law(), canonical_collection()
     prof = build_profile(law, coll)  # a fresh profile holds no earlier test's count sample
     grid, seed = [50, 400], 7
-    ex.bound_validity_sweep(law, coll, 0.5, grid, 100, seed, prof, bound_kind="explicit", estimator_trials=400)
-    assert sorted(keys) == sorted(
-        (n, 400, ex._grid_seed(seed, base + i)) for i, n in enumerate(grid) for base in (1000, 2000)
-    )
-    keys.clear()
-    ex.bound_validity_sweep(law, coll, 0.5, grid, 100, seed, prof, bound_kind="single_class", estimator_trials=400)
-    assert keys == []
+    for kind in ("explicit", "single_class"):
+        ex.bound_validity_sweep(law, coll, 0.5, grid, 100, seed, prof, bound_kind=kind)
+        assert keys == [], kind
 
 
 def test_pathwise_check_noiseless(realizable):
@@ -456,7 +451,7 @@ def test_bss_rejects_wrong_sparsity():
 def test_recovery_threshold_warns_when_rounds_run_out():
     prof = build_profile(ex.bss_instance("discrete", 4, [1.0, 1.0, 0.0, 0.0], 1.0), subset_collection(4, 2))
     with pytest.warns(RuntimeWarning, match="recovery threshold fixed point not reached in 1 rounds"):
-        ex.recovery_threshold(prof, 0.1, trials=200, seed=0, max_rounds=1)
+        ex.recovery_threshold(prof, 0.1, max_rounds=1)
 
 
 def test_binomial_ci_basic():

@@ -18,10 +18,6 @@ class _FixedComplexity:
         return TaggedValue(0.0 if not tuple(subset) else self._v, "exact", None)
 
 
-def _explicit(prof, n, trials=400, seed=0):
-    return loc.ClosedFormComplexity(prof, n, trials=trials, seed=seed)
-
-
 def test_f_map_vacuous_threshold_returns_everything(canonical_three):
     _, _, prof = canonical_three
     # gaps are {0, 0.25, 1.25}: a huge complexity keeps every index
@@ -60,7 +56,7 @@ def test_f_map_includes_boundary_index(canonical_three):
 def test_iterate_k1_matches_f_map(canonical_three):
     _, _, prof = canonical_three
     n = 200
-    cx = _explicit(prof, n)
+    cx = loc.ClosedFormComplexity(prof, n)
     tr = loc.iterate(n, 0.2, 1, prof, cx)
     assert len(tr.sets) == 2
     assert tr.sets[1] == loc.f_map(prof.indices(), n, 0.1, prof, cx)  # delta/2k = 0.1
@@ -73,7 +69,7 @@ def test_iterate_nesting_and_optimal_containment_random():
         n = int(rng.integers(10, 10_000))
         delta = float(rng.uniform(0.01, 0.5))
         k = int(rng.integers(1, 5))
-        tr = loc.iterate(n, delta, k, prof, _explicit(prof, n, trials=200, seed=trial))
+        tr = loc.iterate(n, delta, k, prof, loc.ClosedFormComplexity(prof, n))
         star = set(prof.t_star)
         for a, b in zip(tr.sets, tr.sets[1:]):
             assert set(b) <= set(a)
@@ -86,7 +82,7 @@ def test_iterate_nesting_and_optimal_containment_random():
 def test_iterate_fixed_point_is_idempotent(canonical_three):
     _, _, prof = canonical_three
     n = 500
-    cx = _explicit(prof, n)
+    cx = loc.ClosedFormComplexity(prof, n)
     tr = loc.iterate(n, 0.1, 5, prof, cx)
     if tr.fixed_point_at is not None:
         j = tr.fixed_point_at
@@ -100,7 +96,7 @@ def test_f_map_from_full_set_equals_restriction_to_previous(canonical_three):
     # previous iterate once iteration starts at the full collection
     _, _, prof = canonical_three
     n = 300
-    cx = _explicit(prof, n)
+    cx = loc.ClosedFormComplexity(prof, n)
     tr = loc.iterate(n, 0.2, 3, prof, cx)
     for j in range(1, len(tr.sets)):
         prev = tr.sets[j - 1]
@@ -112,7 +108,7 @@ def test_f_map_from_full_set_equals_restriction_to_previous(canonical_three):
 def test_delta_monotonicity(canonical_three):
     _, _, prof = canonical_three
     n = 400
-    cx = _explicit(prof, n)
+    cx = loc.ClosedFormComplexity(prof, n)
     small = loc.iterate(n, 0.05, 2, prof, cx)
     large = loc.iterate(n, 0.5, 2, prof, cx)
     for s_small, s_large in zip(small.sets, large.sets):
@@ -121,20 +117,20 @@ def test_delta_monotonicity(canonical_three):
 
 def test_collapse_n_yields_optimal_set(canonical):
     _, _, prof = canonical
-    n0 = loc.collapse_n(prof, 0.1, lambda n: _explicit(prof, n, trials=1000, seed=5))
+    n0 = loc.collapse_n(prof, 0.1, lambda n: loc.ClosedFormComplexity(prof, n))
     for n in (n0, 2 * n0):
-        tr = loc.iterate(n, 0.1, 1, prof, _explicit(prof, n, trials=1000, seed=5))
+        tr = loc.iterate(n, 0.1, 1, prof, loc.ClosedFormComplexity(prof, n))
         assert tr.sets[-1] == prof.t_star
 
 
 def test_choose_k_trivial_cases(canonical, symmetric):
     _, _, prof_sym = symmetric
     # every map optimal: k_max = 1, best k = 1
-    k, bound, tr = loc.choose_k(10, 0.1, prof_sym, _explicit(prof_sym, 10))
+    k, bound, tr = loc.choose_k(10, 0.1, prof_sym, loc.ClosedFormComplexity(prof_sym, 10))
     assert k == 1
     _, _, prof = canonical
-    n0 = loc.collapse_n(prof, 0.1, lambda n: _explicit(prof, n, trials=500, seed=6))
-    k, bound, tr = loc.choose_k(2 * n0, 0.1, prof, _explicit(prof, 2 * n0, trials=500, seed=6))
+    n0 = loc.collapse_n(prof, 0.1, lambda n: loc.ClosedFormComplexity(prof, n))
+    k, bound, tr = loc.choose_k(2 * n0, 0.1, prof, loc.ClosedFormComplexity(prof, 2 * n0))
     assert k == 1  # the first step already reaches the optimal set
     assert tr.sets[-1] == prof.t_star
 
@@ -142,7 +138,7 @@ def test_choose_k_trivial_cases(canonical, symmetric):
 def test_choose_k_exhaustive_argmin(canonical_three):
     _, _, prof = canonical_three
     n = 150
-    cx = _explicit(prof, n, trials=500, seed=7)
+    cx = loc.ClosedFormComplexity(prof, n)
     k_star, bound, _ = loc.choose_k(n, 0.1, prof, cx)
     bounds_by_k = [loc.iterate(n, 0.1, k, prof, cx).final_bound for k in range(1, 4)]
     assert bound == pytest.approx(min(bounds_by_k), rel=1e-12)
