@@ -9,10 +9,12 @@ Naming of the main quantities (all scalars unless noted):
 * quadratic-form variance supremum — the worst variance of a unit-norm
   quadratic form of the stacked whitened features,
   ``sup E[(sum_t <v_t, psi_t(X)>^2 - 1)^2]`` over ``sum_t ||v_t||^2 = 1``.
-  A nonconvex quartic; maximized by one batched shifted power iteration from
-  every basis vector and 64 seeded random starts (the tests hold it against a
-  dense angular grid in total dimension <= 3 and against its closed form on
-  the sign hypercube).
+  A nonconvex quartic whose sup is the largest of its single-block sups
+  (Minkowski); each block of dimension <= 2 has a closed form, and only
+  blocks of dimension >= 3 run a batched shifted power iteration from every
+  basis vector and 64 seeded random starts (the tests hold it against the
+  whole-vector ascent, a dense angular grid in total dimension <= 3 and its
+  value 1 on the sign hypercube).
 * class moments ``(sigma^2, r_n)`` for the two finite function classes the
   bounds consume: the whitened-gradient class over an index subset, and the
   normalized loss-gap class over the suboptimal indices (mean one, so the
@@ -314,15 +316,87 @@ def covariance_deviation_lambda_max_mc(law, collection, draws: int = 10**6, seed
 # Quadratic-form variance supremum
 # ---------------------------------------------------------------------------
 
-# Every start is one row of a batch; the batch stops when no start gained more
-# than QUARTIC_TOL * max(1, |F|) in its last step, or after QUARTIC_MAX_ITER steps.
+# The ascent that blocks of dimension >= 3 keep: every start is one row of a
+# batch; the batch stops when no start gained more than QUARTIC_TOL * max(1, |F|)
+# in its last step, or after QUARTIC_MAX_ITER steps.
 QUARTIC_RESTARTS = 64
 QUARTIC_TOL = 1e-8
 QUARTIC_MAX_ITER = 2000
 
 
 def quadratic_form_variance_sup(prof: PopulationProfile, seed: int = 0) -> tuple[float, str]:
-    """Maximize F(v) = E[(sum_t <v_t, psi_t(X)>^2 - 1)^2] over the unit sphere.
+    """L = sup F(v), F(v) = E[(sum_t <v_t, psi_t(X)>^2 - 1)^2] over the unit sphere.
+
+    L is the largest single-block sup.  Write v_t = sqrt(a_t) u_t with u_t a
+    unit vector of block t, so sum_t a_t = 1, and q_t = <u_t, psi_t>^2 - 1;
+    since sum_t a_t = 1, F(v) = E[(sum_t a_t q_t)^2].  By Minkowski,
+    F(v)^{1/2} <= sum_t a_t E[q_t^2]^{1/2} <= max_t L_t^{1/2}, with L_t the
+    sup of E[q_t^2] over block t's unit sphere, and a v on one block attains
+    L_t.  So L = max_t L_t, each computed on its own block:
+
+    * d_t = 1: L_t = E[(psi^2 - 1)^2] (= E psi^4 - 1, as E psi^2 = 1).
+    * d_t = 2: with u = (cos theta, sin theta) and phi = 2 theta,
+      q = alpha + beta cos phi + gamma sin phi, where alpha = |psi|^2/2 - 1,
+      beta = (psi_1^2 - psi_2^2)/2 and gamma = psi_1 psi_2.  With G the 3x3
+      moment matrix of (alpha, beta, gamma) and c = (1, cos phi, sin phi),
+      E[q^2] = c^T G c, a trigonometric polynomial of degree 2, evaluated at
+      every critical angle (:func:`_pair_block_sups`).  Exact.
+    * d_t >= 3: the shifted power ascent (:func:`_ascent_sup`) over those
+      blocks' coordinates, seeded by ``seed``; it keeps no other block.
+
+    Returns (L, tag): ``"exact"`` when every d_t <= 2, else the ascent's tag.
+    """
+    weights = prof.law.weights
+    psi = [rec.phi @ rec.whitener for rec in prof.records.values()]
+    sups, tag = [], "exact"
+    lines = [p[:, 0] for p in psi if p.shape[1] == 1]
+    if lines:
+        sups.append(weights @ (np.stack(lines, axis=1) ** 2 - 1.0) ** 2)
+    planes = [p for p in psi if p.shape[1] == 2]
+    if planes:
+        sups.append(_pair_block_sups(weights, np.stack(planes)))
+    wide = [p for p in psi if p.shape[1] >= 3]
+    if wide:
+        val, tag = _ascent_sup(weights, wide, seed)
+        sups.append([val])
+    return float(np.concatenate(sups).max()), tag
+
+
+def _pair_block_sups(weights: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """max over phi of c^T G c for each block of ``psi`` (B, m, 2), exactly.
+
+    Expanded, c^T G c = a0 + a1 cos phi + b1 sin phi + a2 cos 2phi + b2 sin 2phi
+    with a1 = 2 G01, b1 = 2 G02, a2 = (G11 - G22)/2, b2 = G12, and its
+    derivative is Re(c1 z + 2 c2 z^2) at z = e^{i phi}, c_k = b_k + i a_k.
+    On |z| = 1, Re(w) = (w + conj(w))/2 with conj(z) = 1/z, so times 2 z^2
+    the critical angles are those of the unit-modulus roots of
+    2 c2 z^4 + c1 z^3 + conj(c1) z + 2 conj(c2), found for every block at
+    once as the eigenvalues of its companion matrix.  The polynomial is
+    evaluated at the angle of every root and of a1 + i b1, the first
+    harmonic's peak: extra angles cannot raise the max above the sup, and
+    when c2 = 0 (the quartic drops degree; G11 = G22 and G12 = 0) the
+    polynomial is a0 plus its first harmonic, which peaks there.
+    """
+    sq = psi**2
+    feats = np.stack([0.5 * (sq[..., 0] + sq[..., 1]) - 1.0, 0.5 * (sq[..., 0] - sq[..., 1]),
+                      psi[..., 0] * psi[..., 1]], axis=-1)
+    gram = np.einsum("a,bai,baj->bij", weights, feats, feats)
+    c1 = 2.0 * gram[:, 0, 2] + 2.0j * gram[:, 0, 1]
+    lead = 2.0 * gram[:, 1, 2] + 1.0j * (gram[:, 1, 1] - gram[:, 2, 2])  # 2 c2
+    lead = np.where(lead != 0.0, lead, 1.0)  # c2 = 0: any finite roots are spare angles
+    companion = np.zeros((len(gram), 4, 4), dtype=complex)
+    companion[:, 0, 0] = -c1 / lead
+    companion[:, 0, 2] = -np.conj(c1) / lead
+    companion[:, 0, 3] = -np.conj(lead) / lead
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    peak = 2.0 * gram[:, 0, 1] + 2.0j * gram[:, 0, 2]
+    phi = np.angle(np.concatenate([np.linalg.eigvals(companion), peak[:, None]], axis=1))
+    c = np.stack([np.ones(phi.shape), np.cos(phi), np.sin(phi)], axis=-1)  # (B, 5, 3)
+    return np.einsum("bki,bij,bkj->bk", c, gram, c).max(axis=1)
+
+
+def _ascent_sup(weights: np.ndarray, psi: list[np.ndarray], seed: int) -> tuple[float, str]:
+    """Maximize F over the stacked coordinates of the blocks ``psi``.
 
     On the sphere F(v) = E[(v^T M v)^2] with M = blockdiag_t(psi_t psi_t^T) - I,
     a homogeneous quartic, so the shifted symmetric higher-order power method
@@ -331,14 +405,12 @@ def quadratic_form_variance_sup(prof: PopulationProfile, seed: int = 0) -> tuple
     shift alpha = 3 E[max(max_t | |psi_t|^2 - 1 |, 1)^2] is at least 3 times
     E[||M||^2], which bounds the method's beta, so no start ever loses value;
     and v^T(step) = F(v) + alpha > 0, so the normalization never divides by
-    zero.  Starts: every coordinate basis vector (so single-block candidates
-    are always probed), then QUARTIC_RESTARTS Gaussian directions seeded by
-    ``seed``.  Returns (best value, method tag); the tag records
-    non-convergence.  Each step is two products with one pair table, the
-    atoms' block-diagonal products psi_ti psi_tj, merged over equal rows.
+    zero.  Starts: every coordinate basis vector, then QUARTIC_RESTARTS
+    Gaussian directions seeded by ``seed``.  Returns (best value, method
+    tag); the tag records non-convergence.  Each step is two products with
+    one pair table, the atoms' block-diagonal products psi_ti psi_tj, merged
+    over equal rows.
     """
-    weights = prof.law.weights
-    psi = [rec.phi @ rec.whitener for rec in prof.records.values()]
     block = np.repeat(np.arange(len(psi)), [p.shape[1] for p in psi])
     total = block.size
     ci, cj = np.nonzero(block[:, None] == block)  # the pairs' stacked coordinates
@@ -513,7 +585,8 @@ def resolve_explicit_threshold(prof: PopulationProfile, delta: float, seed: int 
     The threshold's r_n constituent depends on the sample size itself (it is
     an expected maximum over the n draws, exact), so the fixed point is found
     by repeated substitution; r_n grows slower than sqrt(n), which makes the
-    iteration contract.  ``seed`` seeds the quadratic-form variance sup.  If
+    iteration contract.  ``seed`` seeds the quadratic-form variance sup's
+    ascent, which only blocks of dimension >= 3 run.  If
     ``rounds`` substitutions do not reach it, the last iterate is returned
     with a RuntimeWarning naming the last two iterates.
     """

@@ -269,16 +269,23 @@ def _choice(cfg: dict, name: str, choices: tuple):
 def _ranged(cfg: dict, name: str, default=None, required: bool = False):
     """params.<name>, converted and held to its range: ``n``, ``k``, ``d``, ``s``
     and every ``n_grid`` entry are integers >= 1, ``delta`` and every ``delta_grid``
-    entry lie in (0, 1), and a ``*_grid`` is a non-empty list.  An absent
-    param with no default is None."""
+    entry lie in (0, 1), ``noise_std`` is a finite number > 0, and a ``*_grid``
+    is a non-empty list.  Only JSON numbers pass: a string or a boolean does
+    not.  An absent param with no default is None."""
     value = _param(cfg, name, default, required)
     if value is None:
         return None
     grid = name.endswith("_grid")
-    convert, low, high, wanted = (float, 0, 1, "in (0, 1)") if name.startswith("delta") else (int, 0, math.inf, ">= 1")
+    if name.startswith("delta"):
+        convert, low, high, wanted = float, 0, 1, "in (0, 1)"
+    elif name == "noise_std":
+        convert, low, high, wanted = float, 0, math.inf, "> 0"
+    else:
+        convert, low, high, wanted = int, 0, math.inf, ">= 1"
     items = value if grid else [value]
     try:
-        values = [convert(v) for v in items] if type(items) is list else []
+        numbers = type(items) is list and all(type(v) in (int, float) for v in items)
+        values = [convert(v) for v in items] if numbers else []
     except (TypeError, ValueError, OverflowError):
         values = []
     if not values or not all(low < v < high for v in values):
@@ -625,7 +632,7 @@ def _mc_bss(cfg, out, law, collection, prof, trials):
     nonzeros = sum(v != 0 for v in w_true)
     if s != nonzeros:
         raise ConfigError(f"config field $.params.s: must be the number of nonzeros of w_true ({nonzeros}), got {s}")
-    noise_std = float(_param(cfg, "noise_std", 1.0))
+    noise_std = _ranged(cfg, "noise_std", 1.0)
     n_grid = _ranged(cfg, "n_grid", required=True)
     delta = _ranged(cfg, "delta", 0.1)
     report = experiments.bss_study(

@@ -166,13 +166,14 @@ class AtomTables:
 
     def evaluate(self, moments: np.ndarray, n: int) -> Snapshot:
         """Every process on the datasets of ``moments`` (B, K) at sample size n:
-        lambda_n from W Sigma_n W (one ``eigvalsh`` per feature dimension),
-        g_n from W (Sigma_n w_* - Phi^T y / n), delta_n from the loss columns."""
+        lambda_n from W Sigma_n W (the eigenvalues of one stack per feature
+        dimension, :func:`_eigvalsh`), g_n from W (Sigma_n w_* - Phi^T y / n),
+        delta_n from the loss columns."""
         b = moments.shape[0]
         lam_min, g_sq = np.empty((b, len(self.indices))), np.empty((b, len(self.indices)))
         lam_minus = np.full(b, -np.inf)
         for (js, _, sigma_n, _, grad), whitener in zip(self.fits.grams(moments), self._whiteners):
-            ends = np.linalg.eigvalsh(whitener @ sigma_n @ whitener)
+            ends = _eigvalsh(whitener @ sigma_n @ whitener)
             lam_min[:, js] = ends[:, :, 0]
             np.maximum(lam_minus, ends[:, :, -1].max(axis=1) - 1.0, out=lam_minus)
             g_sq[:, js] = n * np.sum((whitener @ grad[..., None])[..., 0] ** 2, axis=2)
@@ -191,6 +192,29 @@ class AtomTables:
         ]
         fields = ("lam_min", "lam_minus_scaled", "g_sq", "delta")
         return Snapshot(n=n, **{f: np.concatenate([getattr(s, f) for s in blocks]) for f in fields})
+
+
+def _eigvalsh(mats: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a stack of symmetric matrices (..., d, d),
+    read from the lower triangle as ``np.linalg.eigvalsh`` reads them.
+
+    A 2 x 2 [[a, b], [b, c]] has (a + c)/2 +- hypot((a - c)/2, b), in the form
+    of LAPACK's dlae2: the eigenvalue of larger magnitude takes the sign of
+    a + c, so nothing cancels, and the other is det / that one, written
+    (far / big) near - (b / big) b with far, near the diagonal entries of
+    larger and smaller magnitude, so a c - b^2 is never formed.  Other
+    dimensions go to ``eigvalsh``.
+    """
+    if mats.shape[-1] != 2:
+        return np.linalg.eigvalsh(mats)
+    a, b, c = mats[..., 0, 0], mats[..., 1, 0], mats[..., 1, 1]
+    trace = a + c
+    big = 0.5 * (trace + np.copysign(np.hypot(a - c, 2.0 * b), trace))
+    swap = np.abs(a) < np.abs(c)
+    far, near = np.where(swap, c, a), np.where(swap, a, c)
+    safe = np.where(big == 0.0, 1.0, big)  # big = 0 only for the zero matrix
+    small = (far / safe) * near - (b / safe) * b
+    return np.stack([np.minimum(small, big), np.maximum(small, big)], axis=-1)
 
 
 class Snapshot(NamedTuple):

@@ -336,7 +336,7 @@ def test_quartic_sup_zero_for_deterministic_unit_form():
     prof = profile(law, coll)
     val, tag = bounds.quadratic_form_variance_sup(prof, seed=0)
     assert val == pytest.approx(0.0, abs=1e-12)
-    assert tag.startswith("estimated")
+    assert tag == "exact"  # a one-dimensional block is a closed form
 
 
 @pytest.mark.parametrize("d", [4, 6])
@@ -348,7 +348,7 @@ def test_quartic_sup_closed_form_on_sign_hypercube(d, seed):
     prof = profile(bss_instance("discrete", d, w_true, 1.0), subset_collection(d, 2))
     val, tag = bounds.quadratic_form_variance_sup(prof, seed=seed)
     assert val == pytest.approx(1.0, abs=1e-9)
-    assert tag == "estimated:ascent"
+    assert tag == "exact"  # every block has dimension 2: the seed reaches nothing
 
 
 def test_quartic_sup_matches_grid_oracle(canonical):
@@ -370,6 +370,53 @@ def test_quartic_sup_matches_grid_oracle_dim3():
     grid = quadratic_form_variance_grid(law, coll, prof, resolution=5e-3)
     assert val >= grid - 1e-9
     assert val == pytest.approx(grid, rel=2e-2, abs=2e-2)
+
+
+def test_quartic_sup_matches_grid_oracle_on_a_plane_block():
+    rng = np.random.default_rng(31)
+    while True:
+        law, coll, prof = random_instance(rng, n_maps=1)
+        if coll.dims == (2,):
+            break
+    val, tag = bounds.quadratic_form_variance_sup(prof, seed=0)
+    grid = quadratic_form_variance_grid(law, coll, prof, resolution=1e-4)
+    assert tag == "exact"
+    assert val >= grid - 1e-12 * grid
+    assert val == pytest.approx(grid, rel=1e-6)
+
+
+def _plane_grid_max(weights, psi, resolution=1e-4):
+    theta = np.arange(0.0, math.pi, resolution)
+    q = (psi @ np.stack([np.cos(theta), np.sin(theta)])) ** 2 - 1.0  # (m, angles)
+    return float((weights @ q**2).max())
+
+
+@pytest.mark.parametrize("psi,weights,expected", [
+    # (2,0), (0,2), (1,1), (1,-1): G11 = G22, G12 = 0, no first harmonic either: F = 1 everywhere
+    ([[2.0, 0.0], [0.0, 2.0], [1.0, 1.0], [1.0, -1.0]], [0.1, 0.1, 0.4, 0.4], 1.0),
+    # (2,0), (1,1), (1,-1): the quartic term vanishes, the first harmonic peaks at u = (1, 0)
+    ([[2.0, 0.0], [1.0, 1.0], [1.0, -1.0]], [0.2, 0.4, 0.4], 1.8),
+], ids=["constant", "first-harmonic-only"])
+def test_plane_block_sup_when_the_quartic_drops_degree(psi, weights, expected):
+    psi, weights = np.array(psi), np.array(weights)
+    sq = psi**2
+    beta, gamma = 0.5 * (sq[:, 0] - sq[:, 1]), psi[:, 0] * psi[:, 1]
+    assert weights @ beta**2 == weights @ gamma**2 and weights @ (beta * gamma) == 0.0  # c2 = 0 exactly
+    val = bounds._pair_block_sups(weights, psi[None])[0]
+    assert val == pytest.approx(expected, rel=1e-15)
+    assert val >= _plane_grid_max(weights, psi) - 1e-12
+
+
+def test_quartic_sup_of_a_rotation_invariant_plane_block():
+    # three atoms at 120 degrees: whitened, every unit direction has the same
+    # variance 1/2, and G11 = G22, G12 = 0 hold only up to rounding
+    angles = 2.0 * math.pi * np.arange(3) / 3.0
+    xs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    law = DiscreteLaw(xs=xs, ys=np.array([1.0, -0.5, 0.25]), weights=np.full(3, 1.0 / 3.0))
+    prof = profile(law, FeatureCollection([FeatureEntry("plane", 2, lambda x: x)]))
+    val, tag = bounds.quadratic_form_variance_sup(prof, seed=0)
+    assert tag == "exact"
+    assert val == pytest.approx(0.5, rel=1e-12)
 
 
 def test_quartic_sup_dominates_single_block_restriction():
@@ -411,10 +458,13 @@ def _quartic_cases():
 
 @pytest.mark.parametrize("build,seed", list(_quartic_cases()))
 def test_quartic_sup_matches_per_block_loop(build, seed):
+    # the loop is the whole-vector ascent over every block at once: the
+    # single-block sups must match its value and never fall below it
     prof = build()
     val, tag = bounds.quadratic_form_variance_sup(prof, seed=seed)
     ref, ref_tag = quadratic_form_variance_sup_loop(prof, seed=seed)
-    assert tag == ref_tag
+    assert tag == ("exact" if prof.collection.max_dim <= 2 else ref_tag)
+    assert val >= ref - 1e-12 * max(1.0, abs(ref))
     assert abs(val - ref) <= 1e-12 * max(1.0, abs(ref))
 
 
@@ -427,7 +477,7 @@ def test_quartic_sup_invariant_under_atom_split(s):
     )
     val, tag = bounds.quadratic_form_variance_sup(prof, seed=1)
     split_val, split_tag = bounds.quadratic_form_variance_sup(profile(split, coll), seed=1)
-    assert split_tag == tag
+    assert split_tag == tag == "exact"
     assert abs(split_val - val) <= 1e-12 * max(1.0, abs(val))
 
 

@@ -119,14 +119,6 @@ def test_readme_config_example_runs(tmp_path):
     assert "optimal set = {A}" in (out / "profile.txt").read_text()
 
 
-def test_readme_quick_start_runs_as_written():
-    readme = (ROOT / "README.md").read_text()
-    block = readme.split("## Library quick start")[1].split("```python\n")[1].split("```")[0]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", block], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.splitlines()[0] == "('A',) 0.25"
-
-
 def test_degenerate_collection_exits_3(tmp_path):
     cfg_data = _canonical_config()
     cfg_data["collection"]["entries"].append({"id": "Z", "matrix": [[0.0, 0.0]]})
@@ -162,6 +154,19 @@ def test_out_of_range_param_is_a_config_error(tmp_path, capsys, command, params,
     # n, k and n_grid entries >= 1, delta and delta_grid entries in (0, 1), grids non-empty
     cfg = _write(tmp_path, _canonical_config(trials=100, **params))
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), *command]) == 2
+    assert f"config field $.params.{name}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params,name", [
+    ({"n": True}, "n"),
+    ({"n": "200"}, "n"),
+    ({"n": 200, "delta": "0.1"}, "delta"),
+    ({"n": 200, "delta_grid": [0.1, False]}, "delta_grid"),
+], ids=["n-bool", "n-string", "delta-string", "delta_grid-bool"])
+def test_param_that_is_not_a_json_number_is_a_config_error(tmp_path, capsys, params, name):
+    # true and "200" would convert to 1 and 200, but neither is a JSON number
+    cfg = _write(tmp_path, _canonical_config(trials=100, **params))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "bounds"]) == 2
     assert f"config field $.params.{name}:" in capsys.readouterr().err
 
 
@@ -316,7 +321,7 @@ def test_montecarlo_outputs_are_pinned(tmp_path, request, command, params):
 
 REPORT_DIGESTS = {
     "bounds": {
-        "bounds.json": "f00357c32fd6ac1da947a7d43320e481f2a61fc507b71006efa012ca5d100c48",
+        "bounds.json": "147b86af1efa50aca570804c934c88f075b4d0c2f8414e0c3a3f74086283236a",
         "thresholds.csv": "115733fb9520b43b548114efc8630f8b8f66aafb5f865ed3782f052d470e7cd1",
     },
     "localize": {
@@ -391,7 +396,11 @@ def test_bss_design_outside_its_choices_is_a_config_error(tmp_path, capsys):
     ({"d": 3, "s": 4, "w_true": [1.0, 1.0, 0.0]}, "s"),
     ({"d": 3, "s": 1, "w_true": [1, 0]}, "w_true"),
     ({"d": 0, "s": 1, "w_true": []}, "d"),
-], ids=["s_zero", "s_above_support", "w_true_short", "d_zero"])
+    ({"d": 3, "s": 2, "w_true": [1.0, 1.0, 0.0], "noise_std": 0}, "noise_std"),
+    ({"d": 3, "s": 2, "w_true": [1.0, 1.0, 0.0], "noise_std": -1}, "noise_std"),
+    ({"d": 3, "s": 2, "w_true": [1.0, 1.0, 0.0], "noise_std": "loud"}, "noise_std"),
+], ids=["s_zero", "s_above_support", "w_true_short", "d_zero", "noise_std_zero", "noise_std_negative",
+        "noise_std_not_a_number"])
 def test_bss_instance_params_are_config_errors(tmp_path, capsys, params, name):
     cfg_data = _canonical_config(design="discrete", n_grid=[50], **params)
     del cfg_data["law"], cfg_data["collection"]

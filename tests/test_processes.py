@@ -388,6 +388,33 @@ def test_value_table_matches_per_index_loop(build):
         assert np.all(np.abs(x - y) <= 1e-12 * np.maximum(1.0, np.abs(y))), field
 
 
+def _sym_stack(a, b, c):
+    return np.stack([np.stack([a, b], axis=-1), np.stack([b, c], axis=-1)], axis=-2)
+
+
+def _two_by_two_cases():
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(1000, 28, 2, 2))
+    yield pytest.param(x @ np.swapaxes(x, -1, -2), id="psd-1000x28")
+    y = rng.normal(size=(500, 2, 2))
+    yield pytest.param(y + np.swapaxes(y, -1, -2), id="indefinite")
+    a = rng.uniform(0.5, 2.0, 500)
+    yield pytest.param(_sym_stack(a, 1e-9 * rng.normal(size=500), a + 1e-10 * rng.normal(size=500)), id="b~0,a~c")
+    yield pytest.param(_sym_stack(a, 0.0 * a, a), id="scalar-multiple-of-identity")
+    v = rng.normal(size=(500, 2))
+    yield pytest.param(v[:, :, None] * v[:, None, :] + 1e-12 * np.eye(2), id="near-rank-one")
+    yield pytest.param(_sym_stack(a, -a, -a), id="zero-trace")
+    yield pytest.param(np.zeros((3, 2, 2)), id="zero")
+
+
+@pytest.mark.parametrize("mats", list(_two_by_two_cases()))
+def test_two_by_two_eigenvalues_match_eigvalsh(mats):
+    ref = np.linalg.eigvalsh(mats)
+    got = processes._eigvalsh(mats)
+    scale = np.abs(ref).max(axis=-1, keepdims=True)
+    assert np.all(np.abs(got - ref) <= 1e-12 * scale)
+
+
 # ---------------------------------------------------------------------------
 # the sample reducer's standard error
 # ---------------------------------------------------------------------------
