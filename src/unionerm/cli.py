@@ -8,11 +8,10 @@ Subcommands:
 * ``montecarlo``  — Monte Carlo verdicts: ``quantiles``, ``consistency``,
                     ``validity``, ``pathwise``, ``bss``
 
-Configs are JSON documents checked against ``CONFIG_SCHEMA`` before any
-computation; the master seed is mandatory (there is no wall-clock default).
-A valid config passes a plain structural check that accepts only configs
-the schema accepts; jsonschema is loaded only for a config that fails it,
-to word the error (or to accept a valid config the check is too strict for).
+Configs are JSON documents that ``check_config`` walks before any
+computation: it states every structural rule and, in ``PARAM_RULES``, the
+rule of every param a command reads, and names the broken field as
+``$.path``.  The master seed is mandatory (there is no wall-clock default).
 All outputs are deterministic functions of (config, seed overrides) and are
 written atomically (temp file + rename).
 
@@ -65,129 +64,175 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Config schema and builders
+# Config rules and builders
 # ---------------------------------------------------------------------------
 
-_NUMBER = {"type": "number"}
-_LAW_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"const": "discrete"},
-        "atoms": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["x", "y", "w"],
-                "properties": {
-                    "x": {"type": "array", "items": _NUMBER, "minItems": 1},
-                    "y": _NUMBER,
-                    "w": {"type": "number", "exclusiveMinimum": 0},
-                },
-            },
-        },
-    },
-    "required": ["kind", "atoms"],
-}
-_COLLECTION_SCHEMA = {
-    "type": "object",
-    "oneOf": [
-        {
-            "properties": {
-                "kind": {"const": "explicit"},
-                "entries": {
-                    "type": "array",
-                    "minItems": 1,
-                    "items": {
-                        "type": "object",
-                        "required": ["id"],
-                        "properties": {
-                            "id": {},
-                            "coords": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-                            "matrix": {"type": "array"},
-                            "offset": {"type": "array", "items": _NUMBER},
-                        },
-                    },
-                },
-            },
-            "required": ["kind", "entries"],
-        },
-        {
-            "properties": {
-                "kind": {"const": "subsets"},
-                "dim": {"type": "integer", "minimum": 1},
-                "sparsity": {"type": "integer", "minimum": 1},
-            },
-            "required": ["kind", "dim", "sparsity"],
-        },
-    ],
-}
-# _plain_config restates these rules for valid configs: a tightened rule (a new
-# bound, enum or type) must be mirrored there; test_plain_config_check_is_sound guards it.
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["seed"],
-    "properties": {
-        "seed": {"type": "integer", "minimum": 0},
-        "law": _LAW_SCHEMA,
-        "collection": _COLLECTION_SCHEMA,
-        "params": {"type": "object"},
-    },
+def _integer(v) -> bool:
+    """A JSON integer: an int, or a float of integral value; never a bool."""
+    return type(v) is int or type(v) is float and v.is_integer()
+
+
+def _number(v) -> bool:
+    """A JSON number (NaN and the infinities included); never a bool."""
+    return type(v) is int or type(v) is float
+
+
+def _grid(rule, wanted):
+    holds, _, read = rule
+    return lambda v: type(v) is list and len(v) > 0 and all(map(holds, v)), wanted, read and (lambda v: [*map(read, v)])
+
+
+def _one_of(*choices):
+    return lambda v: type(v) is str and v in choices, " or ".join(map(repr, choices)), None
+
+
+_COUNT = (lambda v: _integer(v) and v >= 1, "an integer >= 1", int)
+_LEVEL = (lambda v: _number(v) and 0 < v < 1, "a number in (0, 1)", None)
+
+# Every param a command reads, as (holds, wanted, read): check_config rejects a
+# value that does not hold, and _param returns read(value) (an integral float
+# as an int), or the value itself when read is None.
+PARAM_RULES = {
+    **dict.fromkeys(("n", "k", "d", "s", "draws"), _COUNT),
+    "n_grid": _grid(_COUNT, "a non-empty list of integers >= 1"),
+    "trials": (_integer, "an integer", int),  # its floor depends on the command: _trials
+    "delta": _LEVEL,
+    "delta_grid": _grid(_LEVEL, "a non-empty list of numbers in (0, 1)"),
+    "noise_std": (lambda v: _number(v) and 0 < v < math.inf, "a finite number > 0", None),
+    "slack": (lambda v: _number(v) and 0 <= v < math.inf, "a finite number >= 0", None),
+    "check_threshold": (lambda v: type(v) is bool, "true or false", None),
+    "bound": _one_of("explicit", "single_class"),
+    "complexity": _one_of("explicit", "expected_sup"),
+    "design": _one_of("discrete", "gaussian"),
+    "w_true": (lambda v: type(v) is list and all(_number(x) and math.isfinite(x) for x in v), "a list of finite numbers", None),
 }
 
 
-def _plain_atoms(cfg) -> bool:
-    """True when law.atoms is a list of dicts whose x are equal-length non-empty
-    lists of finite numbers and whose y and w > 0 are finite numbers: every such
-    list passes the atom schema, so it need not be walked atom by atom."""
-    try:
-        atoms = cfg["law"]["atoms"]
-        rows = [[a["w"], a["y"], *a["x"]] for a in atoms if type(a) is dict and type(a["x"]) is list]
-        if len(rows) != len(atoms) or not {type(c) for row in rows for c in row} <= {int, float}:
-            return False
-        table = np.array(rows, dtype=float)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        return False
-    return table.ndim == 2 and table.shape[1] > 2 and bool(np.isfinite(table).all() and (table[:, 0] > 0).all())
+def _config_errors(cfg):
+    """(path, message) for every broken config rule.  Below a broken node
+    nothing is checked: its own error is shallower, so it is the one named.
+    Finite atoms of equal length summing to one are ``DiscreteLaw``'s checks."""
+    if type(cfg) is not dict:
+        yield (), f"{cfg!r} is not of type 'object'"
+        return
+    seed = cfg.get("seed")
+    if "seed" not in cfg:
+        yield (), "'seed' is a required property"
+    elif not _integer(seed):
+        yield ("seed",), f"{seed!r} is not of type 'integer'"
+    elif seed < 0:
+        yield ("seed",), f"{seed!r} is less than the minimum of 0"
+    if "law" in cfg:
+        yield from _law_errors(cfg["law"])
+    if "collection" in cfg:
+        yield from _collection_errors(cfg["collection"])
+    params = cfg.get("params", {})
+    if type(params) is not dict:
+        yield ("params",), f"{params!r} is not of type 'object'"
+        return
+    for name, value in params.items():  # a param no command reads is free
+        if name in PARAM_RULES and not PARAM_RULES[name][0](value):
+            yield ("params", name), f"must be {PARAM_RULES[name][1]}, got {value!r}"
 
 
-def _plain_entry(e) -> bool:
-    """True when e is an explicit entry that the entry schema accepts."""
-    return (
-        type(e) is dict
-        and "id" in e
-        and all(type(e[k]) is list for k in ("coords", "matrix", "offset") if k in e)
-        and all(type(c) is int and c >= 0 for c in e.get("coords", ()))
-        and all(type(v) in (int, float) for v in e.get("offset", ()))
-    )
+def _law_errors(law):
+    if type(law) is not dict:
+        yield ("law",), f"{law!r} is not of type 'object'"
+        return
+    for key in ("kind", "atoms"):
+        if key not in law:
+            yield ("law",), f"{key!r} is a required property"
+    if "kind" in law and law["kind"] != "discrete":
+        yield ("law", "kind"), "'discrete' was expected"
+    atoms = law.get("atoms", [])
+    if type(atoms) is not list:
+        yield ("law", "atoms"), f"{atoms!r} is not of type 'array'"
+        return
+    if not atoms and "atoms" in law:
+        yield ("law", "atoms"), "[] should be non-empty"
+    # one inline chain per atom, as a law may have thousands; a message is formed only for a broken rule
+    for i, atom in enumerate(atoms):
+        if type(atom) is not dict:
+            yield ("law", "atoms", i), f"{atom!r} is not of type 'object'"
+            continue
+        if "x" not in atom or "y" not in atom or "w" not in atom:
+            yield ("law", "atoms", i), f"{next(k for k in 'xyw' if k not in atom)!r} is a required property"
+            continue
+        x, y, w = atom["x"], atom["y"], atom["w"]
+        if type(x) is not list:
+            yield ("law", "atoms", i, "x"), f"{x!r} is not of type 'array'"
+        elif not x:
+            yield ("law", "atoms", i, "x"), "[] should be non-empty"
+        for j, v in enumerate(x if type(x) is list else ()):
+            if type(v) is not float and type(v) is not int:
+                yield ("law", "atoms", i, "x", j), f"{v!r} is not of type 'number'"
+        if type(y) is not float and type(y) is not int:
+            yield ("law", "atoms", i, "y"), f"{y!r} is not of type 'number'"
+        if type(w) is not float and type(w) is not int:
+            yield ("law", "atoms", i, "w"), f"{w!r} is not of type 'number'"
+        elif w <= 0:  # NaN passes here and fails in DiscreteLaw
+            yield ("law", "atoms", i, "w"), f"{w!r} is less than or equal to the minimum of 0"
 
 
-def _plain_collection(coll) -> bool:
-    """True when coll is a plain ``subsets`` or ``explicit`` collection: the
-    kinds differ, so exactly one ``oneOf`` branch of the schema matches."""
+def _collection_errors(coll):
+    """The rules of the collection's ``kind``: ``subsets`` or ``explicit``."""
     if type(coll) is not dict:
-        return False
-    if coll.get("kind") == "subsets":
-        return all(type(coll.get(k)) is int and coll[k] >= 1 for k in ("dim", "sparsity"))
-    entries = coll.get("entries")
-    return coll.get("kind") == "explicit" and type(entries) is list and len(entries) > 0 and all(map(_plain_entry, entries))
+        yield ("collection",), f"{coll!r} is not of type 'object'"
+        return
+    kind, entries = coll.get("kind"), coll.get("entries")
+    if "kind" not in coll:
+        yield ("collection",), "'kind' is a required property"
+    elif kind == "subsets":
+        for key in ("dim", "sparsity"):
+            if key not in coll:
+                yield ("collection",), f"{key!r} is a required property"
+            elif not _integer(coll[key]):
+                yield ("collection", key), f"{coll[key]!r} is not of type 'integer'"
+            elif coll[key] < 1:
+                yield ("collection", key), f"{coll[key]!r} is less than the minimum of 1"
+    elif kind != "explicit":
+        yield ("collection", "kind"), f"{kind!r} is not one of ['explicit', 'subsets']"
+    elif "entries" not in coll:
+        yield ("collection",), "'entries' is a required property"
+    elif type(entries) is not list:
+        yield ("collection", "entries"), f"{entries!r} is not of type 'array'"
+    elif not entries:
+        yield ("collection", "entries"), "[] should be non-empty"
+    for i, entry in enumerate(entries if kind == "explicit" and type(entries) is list else ()):
+        at = ("collection", "entries", i)
+        if type(entry) is not dict:
+            yield at, f"{entry!r} is not of type 'object'"
+            continue
+        if "id" not in entry:
+            yield at, "'id' is a required property"
+        for key in ("coords", "matrix", "offset"):
+            if type(entry.get(key, [])) is not list:
+                yield at + (key,), f"{entry[key]!r} is not of type 'array'"
+        for j, c in enumerate(entry["coords"] if type(entry.get("coords")) is list else ()):
+            if not _integer(c):
+                yield at + ("coords", j), f"{c!r} is not of type 'integer'"
+            elif c < 0:
+                yield at + ("coords", j), f"{c!r} is less than the minimum of 0"
+        for j, v in enumerate(entry["offset"] if type(entry.get("offset")) is list else ()):
+            if not _number(v):
+                yield at + ("offset", j), f"{v!r} is not of type 'number'"
 
 
-def _plain_config(cfg) -> bool:
-    """A structural check of ``CONFIG_SCHEMA`` in plain Python.
+def _relevance(error):
+    """Shallower errors first, then later siblings.  A collection error ranks
+    as ``$.collection`` itself: its kind is one of two alternatives."""
+    path = error[0]
+    rank = path[:1] if path[:1] == ("collection",) else path
+    return -len(rank), rank
 
-    Sound, not complete: every config it accepts the schema accepts, but it
-    asks for exact types (an int seed, not 1.0) and for finite atoms with
-    equal-length x, so a few schema-valid configs fail it and go to the
-    full validator.
-    """
-    if type(cfg) is not dict or type(cfg.get("seed")) is not int or cfg["seed"] < 0:
-        return False
-    if "params" in cfg and type(cfg["params"]) is not dict:
-        return False
-    if "law" in cfg and not (type(cfg["law"]) is dict and cfg["law"].get("kind") == "discrete" and _plain_atoms(cfg)):
-        return False
-    return "collection" not in cfg or _plain_collection(cfg["collection"])
+
+def check_config(cfg) -> None:
+    """Raise ConfigError naming the most relevant broken config rule, if any."""
+    errors = list(_config_errors(cfg))
+    if errors:
+        path, message = max(errors, key=_relevance)
+        where = "".join(f"[{p}]" if type(p) is int else f".{p}" for p in path)
+        raise ConfigError(f"config field ${where}: {message}")
 
 
 def load_config(path: str) -> dict:
@@ -196,13 +241,7 @@ def load_config(path: str) -> dict:
             cfg = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not _plain_config(cfg):
-        from jsonschema import Draft202012Validator  # lazy: a config that passes the plain check never loads it
-        from jsonschema.exceptions import best_match
-
-        exc = best_match(Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg))
-        if exc is not None:
-            raise ConfigError(f"config field {exc.json_path}: {exc.message}") from exc
+    check_config(cfg)
     return cfg
 
 
@@ -210,11 +249,8 @@ def build_law(cfg: dict):
     if "law" not in cfg:
         raise ConfigError("config field $.law: required for this command")
     atoms = cfg["law"]["atoms"]
-    xs = np.array([a["x"] for a in atoms], dtype=float)
-    ys = np.array([a["y"] for a in atoms], dtype=float)
-    ws = np.array([a["w"] for a in atoms], dtype=float)
-    try:
-        return DiscreteLaw(xs=xs, ys=ys, weights=ws)
+    try:  # DiscreteLaw's value checks, and numpy's for x of unequal lengths
+        return DiscreteLaw(xs=[a["x"] for a in atoms], ys=[a["y"] for a in atoms], weights=[a["w"] for a in atoms])
     except ValueError as exc:
         raise ConfigError(f"config field $.law: {exc}") from exc
 
@@ -245,59 +281,22 @@ def build_collection(cfg: dict) -> FeatureCollection:
         raise ConfigError(f"config field $.collection: {exc}") from exc
 
 
-def _profile_of(cfg: dict):
-    return build_profile(build_law(cfg), build_collection(cfg))
-
-
 def _param(cfg: dict, name: str, default=None, required: bool = False):
+    """params.<name> as check_config proved it (read by its rule in
+    ``PARAM_RULES``), else ``default``."""
     params = cfg.get("params", {})
     if name in params:
-        return params[name]
+        read = PARAM_RULES[name][2]
+        return params[name] if read is None else read(params[name])
     if required:
         raise ConfigError(f"config field $.params.{name}: required for this command")
     return default
 
 
-def _choice(cfg: dict, name: str, choices: tuple):
-    """params.<name>, one of ``choices``; the first is the default."""
-    value = _param(cfg, name, choices[0])
-    if value not in choices:
-        raise ConfigError(f"config field $.params.{name}: must be {' or '.join(map(repr, choices))}")
-    return value
-
-
-def _ranged(cfg: dict, name: str, default=None, required: bool = False):
-    """params.<name>, converted and held to its range: ``n``, ``k``, ``d``, ``s``
-    and every ``n_grid`` entry are integers >= 1, ``delta`` and every ``delta_grid``
-    entry lie in (0, 1), ``noise_std`` is a finite number > 0, and a ``*_grid``
-    is a non-empty list.  Only JSON numbers pass: a string or a boolean does
-    not.  An absent param with no default is None."""
-    value = _param(cfg, name, default, required)
-    if value is None:
-        return None
-    grid = name.endswith("_grid")
-    if name.startswith("delta"):
-        convert, low, high, wanted = float, 0, 1, "in (0, 1)"
-    elif name == "noise_std":
-        convert, low, high, wanted = float, 0, math.inf, "> 0"
-    else:
-        convert, low, high, wanted = int, 0, math.inf, ">= 1"
-    items = value if grid else [value]
-    try:
-        numbers = type(items) is list and all(type(v) in (int, float) for v in items)
-        values = [convert(v) for v in items] if numbers else []
-    except (TypeError, ValueError, OverflowError):
-        values = []
-    if not values or not all(low < v < high for v in values):
-        what = f"a non-empty list of numbers {wanted}" if grid else f"a number {wanted}"
-        raise ConfigError(f"config field $.params.{name}: must be {what}")
-    return values if grid else values[0]
-
-
 def _trials(cfg: dict, trials_override: int | None, default: int, minimum: int, what: str) -> int:
     """The trial count (``--trials``, else params.trials, else ``default``);
     below ``minimum`` it is an insufficient-trials error."""
-    trials = int(trials_override if trials_override is not None else _param(cfg, "trials", default))
+    trials = trials_override if trials_override is not None else _param(cfg, "trials", default)
     if trials < minimum:
         raise experiments.InsufficientTrialsError(f"{what} needs at least {minimum} trials, got {trials}")
     return trials
@@ -349,7 +348,7 @@ def write_csv(path: str, header: list[str], rows) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_profile(cfg: dict, out: str) -> int:
-    prof = _profile_of(cfg)
+    prof = build_profile(build_law(cfg), build_collection(cfg))
     payload = {
         "r_star": prof.r_star,
         "t_star": [str(t) for t in prof.t_star],
@@ -388,11 +387,11 @@ def cmd_profile(cfg: dict, out: str) -> int:
 
 
 def cmd_bounds(cfg: dict, out: str, trials_override: int | None) -> int:
-    prof = _profile_of(cfg)
-    n = _ranged(cfg, "n", required=True)
-    delta = _ranged(cfg, "delta", 0.1)
-    k = _ranged(cfg, "k", 1)
-    delta_grid = _ranged(cfg, "delta_grid", [0.01, 0.02, 0.05, 0.1, 0.2, 0.5])
+    prof = build_profile(build_law(cfg), build_collection(cfg))
+    n = _param(cfg, "n", required=True)
+    delta = _param(cfg, "delta", 0.1)
+    k = _param(cfg, "k", 1)
+    delta_grid = _param(cfg, "delta_grid", [0.01, 0.02, 0.05, 0.1, 0.2, 0.5])
     trials = _trials(cfg, trials_override, 4000, EXPECTED_SUP_MIN_TRIALS, "command bounds")
     seed = int(cfg["seed"])
     inputs = compute_bound_inputs(prof, n, trials=trials, seed=seed)
@@ -410,11 +409,11 @@ def cmd_bounds(cfg: dict, out: str, trials_override: int | None) -> int:
 
 
 def cmd_localize(cfg: dict, out: str, trials_override: int | None) -> int:
-    prof = _profile_of(cfg)
-    n = _ranged(cfg, "n", required=True)
-    delta = _ranged(cfg, "delta", 0.1)
-    k = _ranged(cfg, "k")
-    source = _choice(cfg, "complexity", ("explicit", "expected_sup"))
+    prof = build_profile(build_law(cfg), build_collection(cfg))
+    n = _param(cfg, "n", required=True)
+    delta = _param(cfg, "delta", 0.1)
+    k = _param(cfg, "k")
+    source = _param(cfg, "complexity", "explicit")
     if source == "explicit":
         cx = localization.ClosedFormComplexity(prof, n)  # exact: reads no trials
     else:
@@ -470,9 +469,9 @@ def cmd_localize(cfg: dict, out: str, trials_override: int | None) -> int:
 
 
 def _mc_quantiles(cfg, out, law, collection, prof, trials):
-    n_grid = _ranged(cfg, "n_grid", required=True)
-    delta = _ranged(cfg, "delta", 0.1)
-    draws = int(_param(cfg, "draws", max(trials, 10_000)))
+    n_grid = _param(cfg, "n_grid", required=True)
+    delta = _param(cfg, "delta", 0.1)
+    draws = _param(cfg, "draws", max(trials, 10_000))
     seed = int(cfg["seed"])
     if trials < 50 / delta:
         raise experiments.InsufficientTrialsError(
@@ -529,7 +528,7 @@ def _mc_quantiles(cfg, out, law, collection, prof, trials):
 
 
 def _mc_consistency(cfg, out, law, collection, prof, trials):
-    n_grid = _ranged(cfg, "n_grid", required=True)
+    n_grid = _param(cfg, "n_grid", required=True)
     seed = int(cfg["seed"])
     rows = experiments.consistency_curve(law, collection, n_grid, trials, seed, prof)
     write_csv(
@@ -554,11 +553,11 @@ def _mc_consistency(cfg, out, law, collection, prof, trials):
 
 
 def _mc_validity(cfg, out, law, collection, prof, trials):
-    delta = _ranged(cfg, "delta", 0.1)
-    bound_kind = _choice(cfg, "bound", ("explicit", "single_class"))
-    k = _ranged(cfg, "k")
+    delta = _param(cfg, "delta", 0.1)
+    bound_kind = _param(cfg, "bound", "explicit")
+    k = _param(cfg, "k")
     seed = int(cfg["seed"])
-    n_grid = _ranged(cfg, "n_grid")
+    n_grid = _param(cfg, "n_grid")
     if n_grid is None:
         if bound_kind == "single_class":
             l_val, _ = quadratic_form_variance_sup(prof, seed=seed)
@@ -593,8 +592,8 @@ def _mc_validity(cfg, out, law, collection, prof, trials):
 
 
 def _mc_pathwise(cfg, out, law, collection, prof, trials):
-    n = _ranged(cfg, "n", required=True)
-    slack = float(_param(cfg, "slack", 1e-8))
+    n = _param(cfg, "n", required=True)
+    slack = _param(cfg, "slack", 1e-8)
     seed = int(cfg["seed"])
     batch = experiments.run_trials(law, collection, n, trials, seed, prof, snapshots=True)
     res = experiments.pathwise_master_check(batch, prof, slack=slack)
@@ -623,21 +622,21 @@ def _mc_pathwise(cfg, out, law, collection, prof, trials):
 
 def _mc_bss(cfg, out, law, collection, prof, trials):
     seed = int(cfg["seed"])
-    design = _choice(cfg, "design", ("discrete", "gaussian"))
-    d = _ranged(cfg, "d", required=True)
-    s = _ranged(cfg, "s", required=True)
+    design = _param(cfg, "design", "discrete")
+    d = _param(cfg, "d", required=True)
+    s = _param(cfg, "s", required=True)
     w_true = _param(cfg, "w_true", required=True)
-    if type(w_true) is not list or len(w_true) != d or not all(type(v) in (int, float) for v in w_true):
+    if len(w_true) != d:
         raise ConfigError(f"config field $.params.w_true: must be a list of d = {d} numbers")
     nonzeros = sum(v != 0 for v in w_true)
     if s != nonzeros:
         raise ConfigError(f"config field $.params.s: must be the number of nonzeros of w_true ({nonzeros}), got {s}")
-    noise_std = _ranged(cfg, "noise_std", 1.0)
-    n_grid = _ranged(cfg, "n_grid", required=True)
-    delta = _ranged(cfg, "delta", 0.1)
+    noise_std = _param(cfg, "noise_std", 1.0)
+    n_grid = _param(cfg, "n_grid", required=True)
+    delta = _param(cfg, "delta", 0.1)
     report = experiments.bss_study(
         design, d, s, w_true, noise_std, n_grid, trials, seed, delta=delta,
-        check_threshold=bool(_param(cfg, "check_threshold", design == "discrete")),
+        check_threshold=_param(cfg, "check_threshold", design == "discrete"),
     )
     write_csv(
         os.path.join(out, "bss.csv"),
@@ -693,7 +692,7 @@ _MC_MIN_TRIALS = {"quantiles": 100, "consistency": 10, "validity": 100, "pathwis
 
 def cmd_montecarlo(cfg: dict, out: str, sub: str, trials_override: int | None) -> int:
     trials = _trials(cfg, trials_override, 1000, _MC_MIN_TRIALS[sub], f"subcommand {sub}")
-    prof = None if sub == "bss" else _profile_of(cfg)
+    prof = None if sub == "bss" else build_profile(build_law(cfg), build_collection(cfg))
     law, collection = (None, None) if prof is None else (prof.law, prof.collection)
     payload = _MC_SUBCOMMANDS[sub](cfg, out, law, collection, prof, trials)
     status = "PASS" if payload.get("pass", True) else "FAIL"

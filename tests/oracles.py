@@ -423,3 +423,74 @@ def pathwise_master_check(batch, slack):
         if sub > rhs1 + slack or est > hi2 + slack or est < lo2 - slack:
             violations += 1
     return checked, batch.trials - checked, violations, worst
+
+
+# ---------------------------------------------------------------------------
+# The config schema: the oracle for cli.check_config's structural rules
+# ---------------------------------------------------------------------------
+
+_NUMBER = {"type": "number"}
+_LAW_SCHEMA = {
+    "type": "object",
+    "properties": {
+        "kind": {"const": "discrete"},
+        "atoms": {
+            "type": "array",
+            "minItems": 1,
+            "items": {
+                "type": "object",
+                "required": ["x", "y", "w"],
+                "properties": {
+                    "x": {"type": "array", "items": _NUMBER, "minItems": 1},
+                    "y": _NUMBER,
+                    "w": {"type": "number", "exclusiveMinimum": 0},
+                },
+            },
+        },
+    },
+    "required": ["kind", "atoms"],
+}
+_COLLECTION_SCHEMA = {
+    "type": "object",
+    "oneOf": [
+        {
+            "properties": {
+                "kind": {"const": "explicit"},
+                "entries": {
+                    "type": "array",
+                    "minItems": 1,
+                    "items": {
+                        "type": "object",
+                        "required": ["id"],
+                        "properties": {
+                            "id": {},
+                            "coords": {"type": "array", "items": {"type": "integer", "minimum": 0}},
+                            "matrix": {"type": "array"},
+                            "offset": {"type": "array", "items": _NUMBER},
+                        },
+                    },
+                },
+            },
+            "required": ["kind", "entries"],
+        },
+        {
+            "properties": {
+                "kind": {"const": "subsets"},
+                "dim": {"type": "integer", "minimum": 1},
+                "sparsity": {"type": "integer", "minimum": 1},
+            },
+            "required": ["kind", "dim", "sparsity"],
+        },
+    ],
+}
+# Draft 2020-12; the params are left free here (cli.PARAM_RULES states them)
+CONFIG_SCHEMA = {
+    "type": "object",
+    "required": ["seed"],
+    "properties": {
+        "seed": {"type": "integer", "minimum": 0},
+        "law": _LAW_SCHEMA,
+        "collection": _COLLECTION_SCHEMA,
+        "params": {"type": "object"},
+    },
+}

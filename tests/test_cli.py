@@ -12,9 +12,10 @@ from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
 from unionerm import cli, experiments
-from unionerm.cli import CONFIG_SCHEMA, ConfigError, _plain_atoms, _plain_config, load_config, main
+from unionerm.cli import ConfigError, load_config, main
 
 from conftest import canonical_atoms
+from oracles import CONFIG_SCHEMA
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -100,6 +101,14 @@ def test_nan_atom_weight_exits_2(tmp_path, capsys):
     assert "config field $.law: atom weights must be strictly positive" in capsys.readouterr().err
 
 
+def test_ragged_atom_inputs_exit_2(tmp_path, capsys):
+    cfg_data = _canonical_config()
+    cfg_data["law"]["atoms"][3]["x"].append(1.0)
+    cfg = _write(tmp_path, cfg_data)
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "profile"]) == 2
+    assert "config field $.law: setting an array element with a sequence" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["profile"], ["bounds"], ["localize"], ["montecarlo", "quantiles"]])
 def test_gaussian_design_law_is_a_config_error(tmp_path, capsys, command):
     # population quantities need a discrete law; montecarlo bss builds its own
@@ -157,16 +166,47 @@ def test_out_of_range_param_is_a_config_error(tmp_path, capsys, command, params,
     assert f"config field $.params.{name}:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("params,name", [
+NOT_A_JSON_NUMBER = [
     ({"n": True}, "n"),
     ({"n": "200"}, "n"),
     ({"n": 200, "delta": "0.1"}, "delta"),
     ({"n": 200, "delta_grid": [0.1, False]}, "delta_grid"),
-], ids=["n-bool", "n-string", "delta-string", "delta_grid-bool"])
+    ({"n": 200.7}, "n"),
+    ({"n": 200, "n_grid": [50, 50.5]}, "n_grid"),
+]
+
+
+@pytest.mark.parametrize("params,name", NOT_A_JSON_NUMBER, ids=[
+    "n-bool", "n-string", "delta-string", "delta_grid-bool", "n-fraction", "n_grid-fraction"])
 def test_param_that_is_not_a_json_number_is_a_config_error(tmp_path, capsys, params, name):
-    # true and "200" would convert to 1 and 200, but neither is a JSON number
+    # true and "200" would convert to 1 and 200, but neither is a JSON number;
+    # 200.7 is not an integer (200.0 is)
     cfg = _write(tmp_path, _canonical_config(trials=100, **params))
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "bounds"]) == 2
+    assert f"config field $.params.{name}:" in capsys.readouterr().err
+
+
+_BSS = {"design": "discrete", "d": 3, "s": 2, "w_true": [1.0, 1.0, 0.0], "n_grid": [50]}
+BROKEN_PARAMS = [
+    (["montecarlo", "pathwise"], {"n": 100, "trials": "abc"}, "trials"),
+    (["montecarlo", "pathwise"], {"n": 100, "trials": 150.9}, "trials"),
+    (["montecarlo", "quantiles"], {"n_grid": [100], "delta": 0.5, "draws": "x"}, "draws"),
+    (["montecarlo", "quantiles"], {"n_grid": [100], "delta": 0.5, "draws": -5}, "draws"),
+    (["montecarlo", "pathwise"], {"n": 100, "slack": "x"}, "slack"),
+    (["montecarlo", "pathwise"], {"n": 100, "slack": math.nan}, "slack"),
+    (["montecarlo", "bss"], {**_BSS, "check_threshold": "false"}, "check_threshold"),
+    (["montecarlo", "bss"], {**_BSS, "w_true": [1.0, "1", 0.0]}, "w_true"),
+    (["localize"], {"n": 200, "complexity": "bogus"}, "complexity"),
+    (["profile"], {"n": 0}, "n"),  # every param is checked at load, whatever the command reads
+]
+
+
+@pytest.mark.parametrize("command,params,name", BROKEN_PARAMS, ids=[
+    "trials-string", "trials-fraction", "draws-string", "draws-negative", "slack-string", "slack-nan",
+    "check_threshold-string", "w_true-string-entry", "complexity-bogus", "profile-n-zero"])
+def test_broken_param_is_a_config_error(tmp_path, capsys, command, params, name):
+    cfg = _write(tmp_path, _canonical_config(**params))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), *command]) == 2
     assert f"config field $.params.{name}:" in capsys.readouterr().err
 
 
@@ -391,7 +431,7 @@ def test_bss_design_outside_its_choices_is_a_config_error(tmp_path, capsys):
     assert "config field $.params.design" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("params,name", [
+BSS_INSTANCE = [
     ({"d": 3, "s": 0, "w_true": [1.0, 1.0, 0.0]}, "s"),
     ({"d": 3, "s": 4, "w_true": [1.0, 1.0, 0.0]}, "s"),
     ({"d": 3, "s": 1, "w_true": [1, 0]}, "w_true"),
@@ -399,14 +439,24 @@ def test_bss_design_outside_its_choices_is_a_config_error(tmp_path, capsys):
     ({"d": 3, "s": 2, "w_true": [1.0, 1.0, 0.0], "noise_std": 0}, "noise_std"),
     ({"d": 3, "s": 2, "w_true": [1.0, 1.0, 0.0], "noise_std": -1}, "noise_std"),
     ({"d": 3, "s": 2, "w_true": [1.0, 1.0, 0.0], "noise_std": "loud"}, "noise_std"),
-], ids=["s_zero", "s_above_support", "w_true_short", "d_zero", "noise_std_zero", "noise_std_negative",
-        "noise_std_not_a_number"])
+]
+
+
+@pytest.mark.parametrize("params,name", BSS_INSTANCE, ids=[
+    "s_zero", "s_above_support", "w_true_short", "d_zero", "noise_std_zero", "noise_std_negative",
+    "noise_std_not_a_number"])
 def test_bss_instance_params_are_config_errors(tmp_path, capsys, params, name):
     cfg_data = _canonical_config(design="discrete", n_grid=[50], **params)
     del cfg_data["law"], cfg_data["collection"]
     cfg = _write(tmp_path, cfg_data)
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--trials", "60", "montecarlo", "bss"]) == 2
     assert f"config field $.params.{name}:" in capsys.readouterr().err
+
+
+def test_every_param_rule_has_a_broken_case():
+    # bound and design have their own tests above
+    named = {case[-1] for case in OUT_OF_RANGE + NOT_A_JSON_NUMBER + BROKEN_PARAMS + BSS_INSTANCE}
+    assert named | {"bound", "design"} == set(cli.PARAM_RULES)
 
 
 def test_localize_draws_no_count_sample_and_bounds_draws_one(tmp_path, monkeypatch):
@@ -519,8 +569,8 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "
 def test_setup_stays_within_its_module_budget(tmp_path, workload):
     # a set-up (import, load a valid config, build the profile) loads no scipy
     # (imported inside the interval functions), no numpy.random (trial streams
-    # build their seed-sequence type on first use) and no jsonschema (a valid
-    # config passes the plain check)
+    # build their seed-sequence type on first use) and no jsonschema (the
+    # config rules are plain Python; the schema is only the tests' oracle)
     config = next(iter(_bench_workloads().write_configs(workload, 3, str(tmp_path)).values()))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", SETUP_CODE, config], env=env, capture_output=True, text=True, check=True)
@@ -577,8 +627,6 @@ def test_load_config_agrees_with_full_atom_validation(tmp_path, kind):
     cfg = _bad_atoms(kind)
     exc = best_match(Draft202012Validator(CONFIG_SCHEMA).iter_errors(cfg))
     path = _write(tmp_path, cfg)
-    # the three configs with clean atoms skip the per-atom walk; the rest get the full validator
-    assert _plain_atoms(json.loads(json.dumps(cfg))) == (kind in ("clean", "seed-missing", "gaussian-kind"))
     if exc is None:
         assert json.dumps(load_config(path)) == json.dumps(cfg)
     else:
@@ -588,7 +636,7 @@ def test_load_config_agrees_with_full_atom_validation(tmp_path, kind):
 
 
 # ---------------------------------------------------------------------------
-# The plain config check is sound: what it accepts, the schema accepts
+# check_config against the schema oracle
 # ---------------------------------------------------------------------------
 
 def _corpus():
@@ -662,32 +710,21 @@ def _mutations(cfg):
 CORPUS = _corpus()
 
 
+# (schema path, check_config path) where the schema's oneOf over the two
+# collection kinds names another field than the rules of the given kind:
+COLLECTION_DISPATCH = {
+    ("$.collection", "$.collection.kind"),  # an unknown kind: it fails both branches alike
+    ("$.collection.kind", "$.collection"),  # explicit without entries: the subsets branch's const is deeper
+    ("$.collection.kind", "$.collection.sparsity"),  # a bad subsets sparsity: the explicit branch's const sorts first
+}
+
+
 @pytest.mark.parametrize("name,cfg", CORPUS, ids=[name for name, _ in CORPUS])
-def test_plain_config_check_is_sound(tmp_path, name, cfg):
-    # whenever the plain check accepts a config, the schema accepts it too and
-    # load_config returns it as read
-    validator = Draft202012Validator(CONFIG_SCHEMA)
-    path = str(tmp_path / "config.json")
-    for label, mutant in [("as-is", cfg), *_mutations(cfg)]:
-        if _plain_config(mutant):
-            assert next(validator.iter_errors(mutant), None) is None, label
-            Path(path).write_text(json.dumps(mutant))
-            assert json.dumps(load_config(path)) == json.dumps(mutant), label
-
-
-# one config of each shape: atoms, coords, matrix with offset, subsets, a
-# foreign law, no law; the benchmark's hypercube has the canonical law's
-# shapes at 64 times the schema walk
-WORDING_CORPUS = [
-    (name, cfg) for name, cfg in CORPUS
-    if name in ("canonical-params", "readme", "degenerate", "subsets", "gaussian-law", "bss", "atoms-nan")
-]
-
-
-@pytest.mark.parametrize("name,cfg", WORDING_CORPUS, ids=[name for name, _ in WORDING_CORPUS])
 def test_load_config_words_every_error_as_the_schema(tmp_path, name, cfg):
-    # a config the schema rejects raises the schema's best match; one it
-    # accepts is returned as read, whether or not the plain check took it
+    # load_config accepts exactly the configs the schema accepts and returns
+    # them as read; it rejects any other with the schema's best match, save
+    # that under the collection's choice of kind it names the field that the
+    # given kind's rules break
     validator = Draft202012Validator(CONFIG_SCHEMA)
     path = str(tmp_path / "config.json")
     for label, mutant in [("as-is", cfg), *_mutations(cfg)]:
@@ -695,10 +732,26 @@ def test_load_config_words_every_error_as_the_schema(tmp_path, name, cfg):
         Path(path).write_text(json.dumps(mutant))
         if exc is None:
             assert json.dumps(load_config(path)) == json.dumps(mutant), label
+            continue
+        with pytest.raises(ConfigError) as err:
+            load_config(path)
+        if exc.validator == "oneOf" or exc.parent is not None:
+            named = str(err.value).split(": ")[0].removeprefix("config field ")
+            assert named == exc.json_path or (exc.json_path, named) in COLLECTION_DISPATCH, label
         else:
-            with pytest.raises(ConfigError) as err:
-                load_config(path)
             assert str(err.value) == f"config field {exc.json_path}: {exc.message}", label
+
+
+def test_collection_errors_name_the_field_of_their_kind(tmp_path):
+    cfg = _canonical_config()
+    cfg["collection"] = {"kind": "subsets", "dim": 2, "sparsity": 0}
+    with pytest.raises(ConfigError) as err:
+        load_config(_write(tmp_path, cfg))
+    assert str(err.value) == "config field $.collection.sparsity: 0 is less than the minimum of 1"
+    cfg["collection"] = {"kind": "explicit"}
+    with pytest.raises(ConfigError) as err:
+        load_config(_write(tmp_path, cfg))
+    assert str(err.value) == "config field $.collection: 'entries' is a required property"
 
 
 # ---------------------------------------------------------------------------
