@@ -720,19 +720,35 @@ COLLECTION_DISPATCH = {
 
 
 @pytest.mark.parametrize("name,cfg", CORPUS, ids=[name for name, _ in CORPUS])
+def test_plain_config_check_is_sound(tmp_path, name, cfg):
+    # the plain check accepts exactly the configs the schema accepts, and
+    # load_config returns those as read
+    validator = Draft202012Validator(CONFIG_SCHEMA)
+    path = str(tmp_path / "config.json")
+    for label, mutant in [("as-is", cfg), *_mutations(cfg)]:
+        schema_accepts = next(validator.iter_errors(mutant), None) is None
+        try:
+            cli.check_config(mutant)
+        except ConfigError:
+            assert not schema_accepts, label
+            continue
+        assert schema_accepts, label
+        Path(path).write_text(json.dumps(mutant))
+        assert json.dumps(load_config(path)) == json.dumps(mutant), label
+
+
+@pytest.mark.parametrize("name,cfg", CORPUS, ids=[name for name, _ in CORPUS])
 def test_load_config_words_every_error_as_the_schema(tmp_path, name, cfg):
-    # load_config accepts exactly the configs the schema accepts and returns
-    # them as read; it rejects any other with the schema's best match, save
-    # that under the collection's choice of kind it names the field that the
-    # given kind's rules break
+    # load_config rejects a config the schema rejects with the schema's best
+    # match, save that under the collection's choice of kind it names the
+    # field that the given kind's rules break
     validator = Draft202012Validator(CONFIG_SCHEMA)
     path = str(tmp_path / "config.json")
     for label, mutant in [("as-is", cfg), *_mutations(cfg)]:
         exc = best_match(validator.iter_errors(mutant))
-        Path(path).write_text(json.dumps(mutant))
         if exc is None:
-            assert json.dumps(load_config(path)) == json.dumps(mutant), label
             continue
+        Path(path).write_text(json.dumps(mutant))
         with pytest.raises(ConfigError) as err:
             load_config(path)
         if exc.validator == "oneOf" or exc.parent is not None:
