@@ -108,6 +108,13 @@ PARAM_RULES = {
 }
 
 
+def _seed_error(seed) -> str | None:
+    """What breaks the master seed's rule, a JSON integer >= 0, if anything."""
+    if not _integer(seed):
+        return f"{seed!r} is not of type 'integer'"
+    return f"{seed!r} is less than the minimum of 0" if seed < 0 else None
+
+
 def _config_errors(cfg):
     """(path, message) for every broken config rule.  Below a broken node
     nothing is checked: its own error is shallower, so it is the one named.
@@ -115,13 +122,10 @@ def _config_errors(cfg):
     if type(cfg) is not dict:
         yield (), f"{cfg!r} is not of type 'object'"
         return
-    seed = cfg.get("seed")
     if "seed" not in cfg:
         yield (), "'seed' is a required property"
-    elif not _integer(seed):
-        yield ("seed",), f"{seed!r} is not of type 'integer'"
-    elif seed < 0:
-        yield ("seed",), f"{seed!r} is less than the minimum of 0"
+    elif seed_error := _seed_error(cfg["seed"]):
+        yield ("seed",), seed_error
     if "law" in cfg:
         yield from _law_errors(cfg["law"])
     if "collection" in cfg:
@@ -725,7 +729,9 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg["seed"] = int(args.seed)
+            if seed_error := _seed_error(args.seed):
+                raise ConfigError(f"--seed: {seed_error}")
+            cfg["seed"] = args.seed
         os.makedirs(args.out, exist_ok=True)
         if args.command == "profile":
             return cmd_profile(cfg, args.out)

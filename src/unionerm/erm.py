@@ -91,6 +91,14 @@ def least_squares(sigma_n: np.ndarray, rhs: np.ndarray):
     return w, ~np.all(keep, axis=-1)
 
 
+def gram(moments: np.ndarray, cols: np.ndarray, w_ref: np.ndarray):
+    """Sigma_n (B, k, d, d), Phi^T y / n (B, k, d) and grad = Sigma_n w_ref -
+    Phi^T y / n of the k maps of one :attr:`MomentFit.groups` entry."""
+    both = moments[:, cols]
+    sigma_n, rhs = both[..., :-1], both[..., -1]
+    return sigma_n, rhs, (sigma_n @ w_ref[..., None])[..., 0] - rhs
+
+
 class MomentFit:
     """Least squares of every index from the moment rows (B, K) of B datasets.
 
@@ -112,13 +120,6 @@ class MomentFit:
             cols = [[[pair(a, b) for b in maps[j]] + [pair(a, y)] for a in maps[j]] for j in js]
             self.groups.append((js, np.array(cols), np.stack([w_ref[j] for j in js])))
 
-    def grams(self, moments: np.ndarray):
-        """Per feature dimension: positions, w_ref, Sigma_n, Phi^T y / n, grad."""
-        for js, cols, w_ref in self.groups:
-            both = moments[:, cols]
-            sigma_n, rhs = both[..., :-1], both[..., -1]
-            yield js, w_ref, sigma_n, rhs, (sigma_n @ w_ref[..., None])[..., 0] - rhs
-
     def fit(self, moments: np.ndarray, ref_risk: np.ndarray):
         """Fit every index, given the risks ``ref_risk`` (B, |T|) at w_ref:
         one batched :func:`least_squares` per feature dimension.  Returns one
@@ -127,7 +128,8 @@ class MomentFit:
         weights = [None] * self.size
         risks = np.array(ref_risk)
         singular = np.zeros(moments.shape[0], dtype=bool)
-        for js, w_ref, sigma_n, rhs, grad in self.grams(moments):
+        for js, cols, w_ref in self.groups:
+            sigma_n, rhs, grad = gram(moments, cols, w_ref)
             w, sing = least_squares(sigma_n, rhs)
             diff = w - w_ref
             risks[:, js] += np.sum(diff * (grad + 0.5 * (sigma_n @ diff[..., None])[..., 0]), axis=2)

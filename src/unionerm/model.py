@@ -302,6 +302,14 @@ class FeatureCollection:
     def mixed_dims(self) -> bool:
         return len(set(self.dims)) > 1
 
+    def by_dim(self) -> dict:
+        """``{d: indices of the maps of dimension d}``, in order of first
+        appearance and of the collection: the stacks of every batched pass."""
+        groups = {}
+        for e in self.entries:
+            groups.setdefault(e.dim, []).append(e.index)
+        return groups
+
 
 # ---------------------------------------------------------------------------
 # Laws
@@ -572,25 +580,29 @@ def _coordinate_classes(law, tables: dict, collection: FeatureCollection):
 def validate_collection(law, collection: FeatureCollection) -> dict:
     """Check a collection against a discrete law; return its atom tables.
 
-    Rejects degenerate maps (singular population covariance on the support)
-    and pairs of maps inducing the same linear class, detected by comparing
-    column spaces of the atom-evaluated feature matrices (for coordinate
-    selections of full-rank inputs: their coordinate sets).  Those matrices,
+    Evaluates every map, then rejects degenerate maps (non-finite on the
+    atoms, or of singular population covariance: one batched ``eigvalsh``
+    per feature dimension; the first in collection order raises) and pairs
+    of maps inducing the same linear class, detected by comparing column
+    spaces of the atom-evaluated feature matrices (for coordinate selections
+    of full-rank inputs: their coordinate sets).  Those matrices,
     ``{index: phi (m, d_t)}``, are returned: they are the only evaluation of
     each map that later layers read.
     """
     if getattr(law, "kind", None) != "discrete":
         raise ValueError("collection validation requires a discrete law")
-    tables = {}
-    for entry in collection:
-        phi = entry(law.xs)
-        if not np.all(np.isfinite(phi)):
-            raise DegenerateFeatureError(entry.index, "non-finite feature values")
-        sigma = (phi * law.weights[:, None]).T @ phi
-        lam_min = float(np.linalg.eigvalsh(sigma)[0])
-        if lam_min <= SINGULAR_TOL:
-            raise DegenerateFeatureError(entry.index, f"lambda_min={lam_min:.3e}")
-        tables[entry.index] = phi
+    tables = {entry.index: entry(law.xs) for entry in collection}
+    finite = {t: bool(np.all(np.isfinite(phi))) for t, phi in tables.items()}
+    lam_min = {}
+    for ids in collection.by_dim().values():
+        if ids := [t for t in ids if finite[t]]:
+            phi = np.stack([tables[t] for t in ids])
+            lam_min.update(zip(ids, np.linalg.eigvalsh((phi * law.weights[:, None]).swapaxes(1, 2) @ phi)[:, 0]))
+    for t in tables:
+        if not finite[t]:
+            raise DegenerateFeatureError(t, "non-finite feature values")
+        if lam_min[t] <= SINGULAR_TOL:
+            raise DegenerateFeatureError(t, f"lambda_min={lam_min[t]:.3e}")
     ids = collection.indices()
     classes = _coordinate_classes(law, tables, collection)
     if classes is not None:

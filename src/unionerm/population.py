@@ -1,13 +1,16 @@
 """Exact population quantities for discrete laws.
 
 For each feature map t the profile stores its atom table phi(t) (the map
-evaluated on the atoms, once, by :func:`unionerm.model.validate_collection`),
-the covariance Sigma(t), its symmetric inverse square root, the risk
-minimizer w_*(t), the per-atom residuals at w_*(t) and the attained risk
-R(t, w_*(t)); the per-atom squared norm of the whitened loss gradient at the
-minimizer is formed from these on first read, and its second moment (their
-weighted mean) from that.  Across maps it stores the optimal risk R_*, the
-optimal set of indices and the suboptimality gap.  These records are the
+evaluated on the atoms, once, by
+:func:`unionerm.model.validate_collection`), the covariance Sigma(t), its
+symmetric inverse square root, the risk minimizer w_*(t), the per-atom
+residuals at w_*(t) and the attained risk R(t, w_*(t)); the per-atom squared
+norm of the whitened loss gradient at the minimizer is formed from these on
+first read, and its second moment (their weighted mean) from that.  Across
+maps it stores the optimal risk R_*, the optimal set of indices and the
+suboptimality gap.  The records of the maps of one feature dimension take
+one batched pass per step over their stacked atom tables, which makes per
+map the BLAS or LAPACK call of a loop over the maps.  These records are the
 only per-atom population arrays: the finite-class moments and the
 covariance-deviation and quadratic-form constants of :mod:`unionerm.bounds`
 read them, any gradient cross-covariance G(t, s) = E[g(t) g(s)^T] is formed
@@ -26,13 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import (
-    SINGULAR_TOL,
-    DegenerateFeatureError,
-    DiscreteLaw,
-    FeatureCollection,
-    validate_collection,
-)
+from .model import DiscreteLaw, FeatureCollection, validate_collection
 
 __all__ = [
     "IndexRecord",
@@ -141,27 +138,20 @@ def profile(law, collection) -> PopulationProfile:
     """
     law = _check_discrete(law)
     phis = validate_collection(law, collection)
-    records = {}
-    for entry in collection:
-        phi = phis[entry.index]
-        sigma = (phi * law.weights[:, None]).T @ phi
-        sigma = 0.5 * (sigma + sigma.T)
-        vals, vecs = np.linalg.eigh(sigma)
-        if vals[0] <= SINGULAR_TOL:
-            raise DegenerateFeatureError(entry.index, f"lambda_min={vals[0]:.3e}")
-        whitener = (vecs / np.sqrt(vals)) @ vecs.T
-        rhs = phi.T @ (law.weights * law.ys)
-        w_star = vecs @ ((vecs.T @ rhs) / vals)
-        resid = phi @ w_star - law.ys
-        records[entry.index] = IndexRecord(
-            phi=phi,
-            resid=resid,
-            sigma=sigma,
-            whitener=whitener,
-            w_star=w_star,
-            approx_risk=0.5 * float(law.weights @ resid**2),
-            dim=entry.dim,
-        )
+    records = dict.fromkeys(collection.indices())
+    for dim, ids in collection.by_dim().items():
+        phi = np.stack([phis[t] for t in ids])  # (k, m, d): one pass per step over the k maps
+        sigma = (phi * law.weights[:, None]).swapaxes(1, 2) @ phi
+        sigma = 0.5 * (sigma + sigma.swapaxes(1, 2))
+        vals, vecs = np.linalg.eigh(sigma)  # validation proved vals > SINGULAR_TOL
+        whitener = (vecs / np.sqrt(vals)[:, None, :]) @ vecs.swapaxes(1, 2)
+        rhs = phi.swapaxes(1, 2) @ (law.weights * law.ys)
+        w_star = (vecs @ ((vecs.swapaxes(1, 2) @ rhs[..., None]) / vals[..., None]))[..., 0]
+        resid = (phi @ w_star[..., None])[..., 0] - law.ys
+        risk = 0.5 * (resid[:, None, :] ** 2 @ law.weights[:, None])[:, 0, 0]
+        for j, t in enumerate(ids):
+            records[t] = IndexRecord(phi=phis[t], resid=resid[j], sigma=sigma[j], whitener=whitener[j],
+                                     w_star=w_star[j], approx_risk=float(risk[j]), dim=dim)
     risks = {t: records[t].approx_risk for t in collection.indices()}
     r_star = min(risks.values())
     tol = OPT_TOL * max(1.0, r_star)

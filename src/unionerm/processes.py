@@ -21,13 +21,14 @@ z = [distinct atom columns of every map, y] that some map's Sigma_n or
 Phi^T y reads, then each index's pointwise loss at w_*.  One product per
 dataset gives every index's Sigma_n, Phi^T y / n and R_n(w_*), which the
 trial fits (:class:`unionerm.erm.MomentFit`) and :func:`snapshot`, the
-per-index value table of all three processes, both read.  Every expected
-supremum is one reduction, :meth:`CountSample.mean`, over one count sample
-of the table's distinct rows (:meth:`AtomTables.sample`): Monte Carlo
-chunks with per-chunk seed streams, or for tiny instances the exact
-enumeration of every dataset with its probability.  (Class moments and
-A(S) in :mod:`unionerm.bounds` draw nothing: their expected maximum over
-the n draws is a closed form in the atoms' weights.)  ``prof.tables``
+per-index value table of all three processes, both read; for d_t <= 2 the
+table is elementwise in the moment columns, with no per-index LAPACK call.
+Every expected supremum is one reduction, :meth:`CountSample.mean`, over
+one count sample of the table's distinct rows (:meth:`AtomTables.sample`):
+Monte Carlo chunks with per-chunk seed streams, or for tiny instances the
+exact enumeration of every dataset with its probability.  (Class moments
+and A(S) in :mod:`unionerm.bounds` draw nothing: their expected maximum
+over the n draws is a closed form in the atoms' weights.)  ``prof.tables``
 keeps the last sample drawn, keyed by (n, trials, seed, mode), and its value
 table, built on first use, of which every expected supremum is a column
 max.  So one command draws each stream and evaluates each dataset once.
@@ -38,12 +39,14 @@ read against the full table.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import NamedTuple
 
 import numpy as np
 
-from .erm import MomentFit
+from .erm import MomentFit, gram
 from .model import DiscreteLaw
 from .population import PopulationProfile
 
@@ -90,7 +93,8 @@ class AtomTables:
     weights summed (the law itself when no two rows are equal).  Summing
     multinomial counts over a group gives a multinomial over its summed
     weight, and a dataset's moments read only those sums, so drawing over
-    ``sample_law`` loses nothing.
+    ``sample_law`` loses nothing.  Both are built on first read, so trials,
+    which count atoms, never merge rows.
     """
 
     def __init__(self, prof: PopulationProfile):
@@ -100,6 +104,7 @@ class AtomTables:
         # no reference back to prof, which holds these tables: a cycle would
         # keep every profile and its count sample alive until the cyclic GC
         recs = prof.records
+        self._law = law
         self.indices = prof.indices()        # column order of a Snapshot
         self.suboptimal = prof.suboptimal()  # column order of Snapshot.delta
         self._sub = [self.indices.index(t) for t in self.suboptimal]
@@ -127,13 +132,20 @@ class AtomTables:
             np.multiply(columns[a], columns[b], out=self._moment_columns[:, k])
         for k, t in enumerate(self.indices, len(pairs)):
             np.multiply(0.5, recs[t].resid ** 2, out=self._moment_columns[:, k])
-        self.rows, labels = _distinct_rows(self._moment_columns)
-        if len(self.rows) == law.support_size:
-            self.sample_law, self._row_moments = law, self._moment_columns
-        else:
-            weights = np.bincount(labels, weights=law.weights)
-            self.sample_law = DiscreteLaw(xs=law.xs[self.rows], ys=law.ys[self.rows], weights=weights)
-            self._row_moments = self._moment_columns[self.rows]
+
+    @functools.cached_property
+    def _merged(self) -> tuple:
+        """(rows, sample_law, the table's rows ``rows``): the equal rows merged
+        (:func:`_distinct_rows`) on first read."""
+        law, table = self._law, self._moment_columns
+        rows, labels = _distinct_rows(table)
+        if len(rows) == law.support_size:
+            return rows, law, table
+        weights = np.bincount(labels, weights=law.weights)
+        return rows, DiscreteLaw(xs=law.xs[rows], ys=law.ys[rows], weights=weights), table[rows]
+
+    rows = property(lambda self: self._merged[0])
+    sample_law = property(lambda self: self._merged[1])
 
     def sample(self, n: int, trials: int, seed: int, mode: str) -> CountSample:
         """The count sample of ``sample_law`` for (n, trials, seed, mode): its
@@ -161,22 +173,22 @@ class AtomTables:
         :meth:`sample` times its distinct rows (the same table when no two
         rows are equal).  One product per dataset (``(b, 1, m) @ table``),
         so a row's moments do not depend on the other rows."""
-        table = self._moment_columns if counts.shape[1] == self._moment_columns.shape[0] else self._row_moments
+        table = self._moment_columns if counts.shape[1] == self._moment_columns.shape[0] else self._merged[2]
         return ((counts[:, None, :] / n) @ table)[:, 0, :]
 
     def evaluate(self, moments: np.ndarray, n: int) -> Snapshot:
         """Every process on the datasets of ``moments`` (B, K) at sample size n:
-        lambda_n from W Sigma_n W (the eigenvalues of one stack per feature
-        dimension, :func:`_eigvalsh`), g_n from W (Sigma_n w_* - Phi^T y / n),
-        delta_n from the loss columns."""
+        lambda_n from the extreme eigenvalues of W Sigma_n W, g_n from
+        W (Sigma_n w_* - Phi^T y / n), one pass per feature dimension
+        (:func:`_whitened`), and delta_n from the loss columns."""
         b = moments.shape[0]
         lam_min, g_sq = np.empty((b, len(self.indices))), np.empty((b, len(self.indices)))
         lam_minus = np.full(b, -np.inf)
-        for (js, _, sigma_n, _, grad), whitener in zip(self.fits.grams(moments), self._whiteners):
-            ends = _eigvalsh(whitener @ sigma_n @ whitener)
-            lam_min[:, js] = ends[:, :, 0]
-            np.maximum(lam_minus, ends[:, :, -1].max(axis=1) - 1.0, out=lam_minus)
-            g_sq[:, js] = n * np.sum((whitener @ grad[..., None])[..., 0] ** 2, axis=2)
+        for (js, cols, w_ref), whitener in zip(self.fits.groups, self._whiteners):
+            lo, hi, grad_sq = _whitened(moments, cols, w_ref, whitener)
+            lam_min[:, js] = lo
+            np.maximum(lam_minus, hi.max(axis=1) - 1.0, out=lam_minus)
+            g_sq[:, js] = n * grad_sq
         loss = moments[:, self.loss]
         delta = np.sqrt(n) * (1.0 - (loss[:, self._sub] - loss[:, [self._s0]]) / self._gaps)
         return Snapshot(n=n, lam_min=lam_min, lam_minus_scaled=lam_minus, g_sq=g_sq, delta=delta)
@@ -194,27 +206,50 @@ class AtomTables:
         return Snapshot(n=n, **{f: np.concatenate([getattr(s, f) for s in blocks]) for f in fields})
 
 
-def _eigvalsh(mats: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a stack of symmetric matrices (..., d, d),
-    read from the lower triangle as ``np.linalg.eigvalsh`` reads them.
+def _whitened(moments: np.ndarray, cols: np.ndarray, w_ref: np.ndarray, whitener: np.ndarray):
+    """(lo, hi, |W grad|^2), each (B, k), for the k maps of one dimension d
+    and the moment columns ``cols`` (k, d, d + 1) of :class:`MomentFit`: the
+    extreme eigenvalues of W Sigma_n W, and grad = Sigma_n w_ref - Phi^T y / n.
+    For d <= 2 every entry is a (B, k) array, summed in the order of the
+    products (W Sigma_n) W and W grad, with the eigenvalues of :func:`_eig2`."""
+    d = w_ref.shape[1]
+    if d > 2:
+        sigma_n, _, grad = gram(moments, cols, w_ref)
+        grad_w = (whitener @ grad[..., None])[..., 0]
+        ends = np.linalg.eigvalsh(whitener @ sigma_n @ whitener)
+        return ends[..., 0], ends[..., -1], np.sum(grad_w**2, axis=2)
+    sig = [[moments[:, cols[:, i, j]] for j in range(d)] for i in range(d)]  # symmetric: row j is column j
+    w = whitener.transpose(1, 2, 0)  # w[i, j] (k,)
+    grad = [_dot(sig[i], w_ref.T) - moments[:, cols[:, i, d]] for i in range(d)]
+    ws = [[_dot(w[i], sig[j]) for j in range(d)] for i in range(d)]
+    m = [[_dot(ws[i], w[:, j]) for j in range(i + 1)] for i in range(d)]  # lower triangle
+    lo, hi = (m[0][0], m[0][0]) if d == 1 else _eig2(m[0][0], m[1][0], m[1][1])
+    grad_w = [_dot(w[i], grad) for i in range(d)]
+    return lo, hi, _dot(grad_w, grad_w)
 
-    A 2 x 2 [[a, b], [b, c]] has (a + c)/2 +- hypot((a - c)/2, b), in the form
-    of LAPACK's dlae2: the eigenvalue of larger magnitude takes the sign of
-    a + c, so nothing cancels, and the other is det / that one, written
+
+def _dot(xs, ys):
+    """x_0 y_0 + x_1 y_1 + ..., summed left to right."""
+    return functools.reduce(operator.add, map(operator.mul, xs, ys))
+
+
+def _eig2(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(smaller, larger) eigenvalue of the symmetric 2 x 2 [[a, b], [b, c]],
+    elementwise.
+
+    They are (a + c)/2 +- hypot((a - c)/2, b), in the form of LAPACK's
+    dlae2: the eigenvalue of larger magnitude takes the sign of a + c, so
+    nothing cancels, and the other is det / that one, written
     (far / big) near - (b / big) b with far, near the diagonal entries of
-    larger and smaller magnitude, so a c - b^2 is never formed.  Other
-    dimensions go to ``eigvalsh``.
+    larger and smaller magnitude, so a c - b^2 is never formed.
     """
-    if mats.shape[-1] != 2:
-        return np.linalg.eigvalsh(mats)
-    a, b, c = mats[..., 0, 0], mats[..., 1, 0], mats[..., 1, 1]
     trace = a + c
     big = 0.5 * (trace + np.copysign(np.hypot(a - c, 2.0 * b), trace))
     swap = np.abs(a) < np.abs(c)
     far, near = np.where(swap, c, a), np.where(swap, a, c)
     safe = np.where(big == 0.0, 1.0, big)  # big = 0 only for the zero matrix
     small = (far / safe) * near - (b / safe) * b
-    return np.stack([np.minimum(small, big), np.maximum(small, big)], axis=-1)
+    return np.minimum(small, big), np.maximum(small, big)
 
 
 class Snapshot(NamedTuple):

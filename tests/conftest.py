@@ -124,6 +124,31 @@ def random_instance(rng, n_maps=None, degenerate_ok=False):
     raise RuntimeError("could not build a valid random instance")
 
 
+def bench_law_cases():
+    """The benchmark's laws with their collections, as builders: the canonical
+    law and the sign hypercubes of bounds_localize (d = 8, s = 2) and bss_wide
+    (d = 10, s = 3)."""
+    from unionerm.experiments import bss_instance
+    from unionerm.model import subset_collection
+
+    yield pytest.param(lambda: (canonical_law(), canonical_collection()), id="canonical")
+    for d, s in ((8, 2), (10, 3)):
+        def build(d=d, s=s):
+            return bss_instance("discrete", d, [1.0] * s + [0.0] * (d - s), 1.0), subset_collection(d, s)
+        yield pytest.param(build, id=f"hypercube-{d}-{s}")
+
+
+def mixed_dim_instance(rng, dims=(1, 2, 3, 3, 2, 1)):
+    """A random discrete law on 10 atoms in R^4 with one random linear map
+    per entry of ``dims``: general whiteners, every dimension stack mixed."""
+    xs = rng.normal(size=(10, 4))
+    w = rng.uniform(0.2, 1.0, size=10)
+    law = DiscreteLaw(xs=xs, ys=rng.normal(size=10), weights=w / w.sum())
+    mats = [rng.normal(size=(d, 4)) for d in dims]
+    coll = FeatureCollection([FeatureEntry(f"m{j}", a.shape[0], (lambda x, a=a: x @ a.T)) for j, a in enumerate(mats)])
+    return law, coll
+
+
 @pytest.fixture(scope="session")
 def canonical():
     law = canonical_law()

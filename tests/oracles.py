@@ -23,6 +23,7 @@ from unionerm.model import (
     FeatureCollection,
     _column_space_rank,
 )
+from unionerm.population import IndexRecord
 from unionerm.processes import TABLE_BLOCK, DeltaUndefinedError, Snapshot
 
 
@@ -309,6 +310,43 @@ def validate_collection_loop(law, collection):
             if ranks[a] == ranks[b] == _column_space_rank(np.hstack([tables[a], tables[b]])):
                 raise DuplicateClassError(a, b)
     return tables
+
+
+def profile_loop(law, collection):
+    """``profile``'s records one map at a time: per map its own Sigma(t),
+    ``eigh``, whitener, w_*(t), residuals and risk, in collection order."""
+    records = {}
+    for entry in collection:
+        phi = entry(law.xs)
+        sigma = (phi * law.weights[:, None]).T @ phi
+        sigma = 0.5 * (sigma + sigma.T)
+        vals, vecs = np.linalg.eigh(sigma)
+        if vals[0] <= SINGULAR_TOL:
+            raise DegenerateFeatureError(entry.index, f"lambda_min={vals[0]:.3e}")
+        rhs = phi.T @ (law.weights * law.ys)
+        w_star = vecs @ ((vecs.T @ rhs) / vals)
+        resid = phi @ w_star - law.ys
+        records[entry.index] = IndexRecord(
+            phi=phi,
+            resid=resid,
+            sigma=sigma,
+            whitener=(vecs / np.sqrt(vals)) @ vecs.T,
+            w_star=w_star,
+            approx_risk=0.5 * float(law.weights @ resid**2),
+            dim=entry.dim,
+        )
+    return records
+
+
+def covariance_deviation_lambda_max_loop(prof):
+    """max_t lambda_max(E[(psi_t psi_t^T - I)^2]) one record at a time."""
+    best = 0.0
+    for rec in prof.records.values():
+        psi = rec.phi @ rec.whitener
+        dev = psi[:, :, None] * psi[:, None, :] - np.eye(psi.shape[1])[None, :, :]
+        vmat = np.tensordot(prof.law.weights, dev @ dev, axes=(0, 0))
+        best = max(best, float(np.linalg.eigvalsh(vmat)[-1]))
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ from unionerm.experiments import bss_instance
 from unionerm.model import DiscreteLaw, FeatureCollection, FeatureEntry, GaussianDesignLaw, subset_collection
 from unionerm.population import profile
 
-from conftest import canonical_law, canonical_three_map_collection, random_instance
+from conftest import bench_law_cases, canonical_law, canonical_three_map_collection, mixed_dim_instance, random_instance
 from oracles import (
+    covariance_deviation_lambda_max_loop,
     enum_class_moments,
     expected_max_presence,
     quadratic_form_variance_grid,
@@ -317,6 +318,22 @@ def test_cov_dev_intercept_lower_bound(s):
     prof = profile(law, coll)
     val = bounds.covariance_deviation_lambda_max(prof)
     assert val >= s - 1 - 1e-12
+
+
+@pytest.mark.parametrize("build", list(bench_law_cases()))
+def test_cov_dev_equals_the_per_map_loop_on_bench_laws(build):
+    prof = profile(*build())
+    assert bounds.covariance_deviation_lambda_max(prof) == covariance_deviation_lambda_max_loop(prof)
+
+
+@pytest.mark.parametrize("block", [bounds.COV_DEV_BLOCK, 1, 50])
+@pytest.mark.parametrize("seed", range(4))
+def test_cov_dev_matches_the_per_map_loop_on_mixed_dimensions(monkeypatch, seed, block):
+    # a block of 1 entry still takes one map; 50 entries take 1 or 2 maps of 10 atoms
+    monkeypatch.setattr(bounds, "COV_DEV_BLOCK", block)
+    prof = profile(*mixed_dim_instance(np.random.default_rng(seed)))
+    ref = covariance_deviation_lambda_max_loop(prof)
+    assert bounds.covariance_deviation_lambda_max(prof) == pytest.approx(ref, rel=1e-12)
 
 
 def test_cov_dev_mc_gaussian_smoke():

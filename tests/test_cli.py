@@ -536,6 +536,16 @@ def test_seed_override_changes_outputs(tmp_path):
     assert csv1.splitlines()[0] == csv2.splitlines()[0]
 
 
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
+    # the override obeys the config's seed rule: exit 2, naming --seed, and no output
+    cfg = _write(tmp_path, _canonical_config(n=300, trials=20))
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out), "--seed", "-1", "montecarlo", "pathwise"]) == 2
+    assert capsys.readouterr().err.strip() == "config error: --seed: -1 is less than the minimum of 0"
+    assert not out.exists()
+    assert main(["--config", cfg, "--out", str(out), "--seed", "0", "montecarlo", "pathwise"]) == 0
+
+
 def test_no_temp_files_left_behind(tmp_path):
     cfg = _write(tmp_path, _canonical_config(n=100, delta=0.2, trials=200))
     out = tmp_path / "out"

@@ -341,6 +341,22 @@ def test_validate_collection_matches_pairwise_loop(name, law, coll, coordinate_r
     assert all(np.array_equal(got[t], ref[t]) for t in ref)
 
 
+@pytest.mark.parametrize("first,second", [("degenerate", "non-finite"), ("non-finite", "degenerate")])
+def test_validation_raises_for_the_first_offending_map(first, second):
+    maps = {
+        "degenerate": lambda x: 1e-9 * x[:, [1]],
+        "non-finite": lambda x: np.where(x[:, [0]] > 1.5, np.inf, x[:, [0]]),
+    }
+    law = canonical_law()
+    coll = FeatureCollection(
+        [FeatureEntry("a", 1, maps[first]), FeatureEntry("b", 2, lambda x: x), FeatureEntry("c", 1, maps[second])]
+    )
+    with pytest.raises(DegenerateFeatureError) as got:
+        validate_collection(law, coll)
+    assert got.value.index == "a"
+    assert ("lambda_min=" if first == "degenerate" else "non-finite feature values") in str(got.value)
+
+
 def test_validation_cases_cover_accept_and_reject():
     pairs = {}
     for name, law, coll, _ in _validation_cases():

@@ -11,15 +11,18 @@ from unionerm.model import (
     GaussianDesignLaw,
     exact_expectation,
 )
+from unionerm.experiments import bss_instance
+from unionerm.model import subset_collection
 from unionerm.population import excess_risk, profile
 
-from conftest import canonical_collection, canonical_law, random_instance
+from conftest import bench_law_cases, canonical_collection, canonical_law, mixed_dim_instance, random_instance
 from oracles import (
     atoms_of,
     enum_grad_cross,
     enum_optimal_weights,
     enum_risk,
     enum_sigma,
+    profile_loop,
 )
 
 
@@ -281,3 +284,58 @@ def test_profile_keeps_atom_tables_and_residuals(canonical):
         rec = prof.records[entry.index]
         assert np.array_equal(rec.phi, entry(law.xs))
         assert np.array_equal(rec.resid, rec.phi @ rec.w_star - law.ys)
+
+
+_RECORD_ARRAYS = ("phi", "sigma", "whitener", "w_star", "resid")
+
+
+@pytest.mark.parametrize("build", list(bench_law_cases()))
+def test_profile_records_equal_the_per_map_loop_on_bench_laws(build):
+    # each batched step makes the per-map BLAS and LAPACK call of the loop
+    law, coll = build()
+    prof, ref = profile(law, coll), profile_loop(law, coll)
+    assert list(prof.records) == list(ref) == list(coll.indices())
+    for t, rec in ref.items():
+        got = prof.records[t]
+        assert all(np.array_equal(getattr(got, f), getattr(rec, f)) for f in _RECORD_ARRAYS), t
+        assert got.approx_risk == rec.approx_risk and got.dim == rec.dim, t
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_profile_records_match_the_per_map_loop_on_mixed_dimensions(seed):
+    law, coll = mixed_dim_instance(np.random.default_rng(seed))
+    prof, ref = profile(law, coll), profile_loop(law, coll)
+    assert list(prof.records) == list(ref)
+    for t, rec in ref.items():
+        got = prof.records[t]
+        for f in _RECORD_ARRAYS:
+            x, y = getattr(got, f), getattr(rec, f)
+            assert x.shape == y.shape and np.all(np.abs(x - y) <= 1e-12 * np.abs(y).max()), (t, f)
+        assert got.approx_risk == pytest.approx(rec.approx_risk, rel=1e-12), t
+
+
+def _counting(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_profile_and_value_table_make_one_lapack_call_per_dimension(monkeypatch):
+    # |T| = 28 maps of dimension 2: one eigh for the profile, one eigvalsh for
+    # validation, and none for the value table (closed-form 2 x 2 eigenvalues)
+    law, coll = bss_instance("discrete", 8, [1.0, 1.0] + [0.0] * 6, 1.0), subset_collection(8, 2)
+    eigh = _counting(monkeypatch, np.linalg, "eigh")
+    eigvalsh = _counting(monkeypatch, np.linalg, "eigvalsh")
+    prof = profile(law, coll)
+    assert eigh == [(28, 2, 2)] and eigvalsh == [(28, 2, 2)]
+    tables = prof.tables
+    eigvalsh.clear()
+    counts = np.random.default_rng(0).multinomial(500, law.weights, size=300)
+    tables.snapshot(counts, 500)
+    assert eigvalsh == [] and eigh == [(28, 2, 2)]

@@ -33,6 +33,7 @@ from conftest import (
     canonical_atoms,
     canonical_law,
     canonical_three_map_collection,
+    mixed_dim_instance,
     random_instance,
     symmetric_law_and_collection,
 )
@@ -370,6 +371,17 @@ def _value_table_cases():
         return profile(canonical_law(), FeatureCollection([FeatureEntry("A", 1, lambda x: x[:, [0]])]))
 
     yield pytest.param(mixed, id="mixed-1-3")
+
+    def non_identity(dims):
+        def build():
+            prof = profile(*mixed_dim_instance(np.random.default_rng(11), dims))
+            assert all(not np.allclose(r.whitener, np.eye(r.dim)) for r in prof.records.values())
+            return prof
+        return build
+
+    yield pytest.param(non_identity((1, 1, 1)), id="dim-1")
+    yield pytest.param(non_identity((2, 2, 2)), id="dim-2-non-identity-whitener")
+    yield pytest.param(non_identity((1, 2, 3, 2, 1)), id="mixed-1-2-3")
     yield pytest.param(single, id="single-index")
     yield pytest.param(lambda: profile(*symmetric_law_and_collection()), id="all-optimal")
 
@@ -410,7 +422,7 @@ def _two_by_two_cases():
 @pytest.mark.parametrize("mats", list(_two_by_two_cases()))
 def test_two_by_two_eigenvalues_match_eigvalsh(mats):
     ref = np.linalg.eigvalsh(mats)
-    got = processes._eigvalsh(mats)
+    got = np.stack(processes._eig2(mats[..., 0, 0], mats[..., 1, 0], mats[..., 1, 1]), axis=-1)
     scale = np.abs(ref).max(axis=-1, keepdims=True)
     assert np.all(np.abs(got - ref) <= 1e-12 * scale)
 
@@ -518,6 +530,24 @@ def test_sign_hypercube_samples_over_half_its_atoms(d, s, rows):
     assert np.array_equal(tables.rows, first)
     sums = np.bincount(labels, weights=prof.law.weights)
     assert np.allclose(tables.sample_law.weights, sums, rtol=1e-15, atol=0.0)
+
+
+def test_rows_are_merged_on_the_first_count_sample_only(monkeypatch):
+    # trials draw over atoms and read the full table: they never merge rows
+    from unionerm.experiments import run_trials
+
+    merges = []
+    real = processes._distinct_rows
+    monkeypatch.setattr(processes, "_distinct_rows", lambda table: merges.append(1) or real(table))
+    prof = profile(bss_instance("discrete", 8, [1.0, 1.0] + [0.0] * 6, 1.0), subset_collection(8, 2))
+    run_trials(prof.law, prof.collection, 50, 20, 3, prof, snapshots=True)
+    assert merges == []
+    sample = prof.tables.sample(50, 200, 3, "mc")
+    assert merges == [1] and len(prof.tables.rows) == 256
+    ref = count_sample(prof.tables.sample_law, 50, 200, 3, "mc")
+    assert all(np.array_equal(a, b) for a, b in zip(sample.chunks, ref.chunks))
+    prof.tables.sample(50, 100, 4, "mc")
+    assert merges == [1]
 
 
 def test_distinct_rows_tell_apart_rows_whose_hashes_collide(monkeypatch):
