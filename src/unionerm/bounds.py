@@ -272,24 +272,19 @@ def matrix_bernstein_bound(mean_z, v, n: int, d: int | None = None) -> float:
 # Covariance-deviation second moment
 # ---------------------------------------------------------------------------
 
-COV_DEV_BLOCK = 1 << 18  # entries of the (maps, m, d, d) deviation stack held at once
-
-
 def covariance_deviation_lambda_max(prof: PopulationProfile) -> float:
     """max_t lambda_max(E[(psi_t psi_t^T - I)^2]), exact on a discrete law:
-    per feature dimension, blocks of maps form their matrices with the
-    products of a per-map loop, and all take one batched ``eigvalsh``."""
+    each stack of maps of one dimension (:meth:`FeatureCollection.stacks`)
+    forms its matrices with the products of a per-map loop and takes one
+    batched ``eigvalsh``."""
     weights = prof.law.weights
     best = 0.0
-    for d, ids in prof.collection.by_dim().items():
-        step = max(1, COV_DEV_BLOCK // (weights.size * d * d))
-        vmats = []
-        for lo in range(0, len(ids), step):
-            recs = [prof.records[t] for t in ids[lo:lo + step]]
-            psi = np.stack([r.phi for r in recs]) @ np.stack([r.whitener for r in recs])
-            dev = psi[..., :, None] * psi[..., None, :] - np.eye(d)
-            vmats.append(weights @ (dev @ dev).reshape(len(recs), weights.size, d * d))
-        best = max(best, float(np.linalg.eigvalsh(np.concatenate(vmats).reshape(-1, d, d))[:, -1].max()))
+    for d, ids in prof.collection.stacks(weights.size):
+        recs = [prof.records[t] for t in ids]
+        psi = np.stack([r.phi for r in recs]) @ np.stack([r.whitener for r in recs])
+        dev = psi[..., :, None] * psi[..., None, :] - np.eye(d)
+        vmat = weights @ (dev @ dev).reshape(len(ids), weights.size, d * d)
+        best = max(best, float(np.linalg.eigvalsh(vmat.reshape(-1, d, d))[:, -1].max()))
     return best
 
 

@@ -49,6 +49,9 @@ SINGULAR_TOL = 1e-10
 # Discrete-law weights must sum to one within this tolerance.
 WEIGHT_TOL = 1e-12
 
+# Atom-table entries (maps x atoms x dimension) a batched per-map pass stacks at once.
+STACK_ENTRIES = 1 << 16
+
 
 class DegenerateFeatureError(ValueError):
     """A feature map whose population covariance is singular on the support."""
@@ -302,13 +305,18 @@ class FeatureCollection:
     def mixed_dims(self) -> bool:
         return len(set(self.dims)) > 1
 
-    def by_dim(self) -> dict:
-        """``{d: indices of the maps of dimension d}``, in order of first
-        appearance and of the collection: the stacks of every batched pass."""
+    def stacks(self, m: int):
+        """Yield (d, indices) for the maps of each dimension d, dimensions in
+        order of first appearance and indices in collection order, in blocks
+        of at most ``STACK_ENTRIES // (m d)`` maps (at least one): the stacks
+        over which a per-map pass on m atoms is batched."""
         groups = {}
         for e in self.entries:
             groups.setdefault(e.dim, []).append(e.index)
-        return groups
+        for d, ids in groups.items():
+            step = max(1, STACK_ENTRIES // (m * d))
+            for lo in range(0, len(ids), step):
+                yield d, ids[lo:lo + step]
 
 
 # ---------------------------------------------------------------------------
@@ -582,19 +590,19 @@ def validate_collection(law, collection: FeatureCollection) -> dict:
 
     Evaluates every map, then rejects degenerate maps (non-finite on the
     atoms, or of singular population covariance: one batched ``eigvalsh``
-    per feature dimension; the first in collection order raises) and pairs
-    of maps inducing the same linear class, detected by comparing column
-    spaces of the atom-evaluated feature matrices (for coordinate selections
-    of full-rank inputs: their coordinate sets).  Those matrices,
-    ``{index: phi (m, d_t)}``, are returned: they are the only evaluation of
-    each map that later layers read.
+    per stack of :meth:`FeatureCollection.stacks`; the first in collection
+    order raises) and pairs of maps inducing the same linear class, detected
+    by comparing column spaces of the atom-evaluated feature matrices (for
+    coordinate selections of full-rank inputs: their coordinate sets).
+    Those matrices, ``{index: phi (m, d_t)}``, are returned: they are the
+    only evaluation of each map that later layers read.
     """
     if getattr(law, "kind", None) != "discrete":
         raise ValueError("collection validation requires a discrete law")
     tables = {entry.index: entry(law.xs) for entry in collection}
     finite = {t: bool(np.all(np.isfinite(phi))) for t, phi in tables.items()}
     lam_min = {}
-    for ids in collection.by_dim().values():
+    for _, ids in collection.stacks(law.support_size):
         if ids := [t for t in ids if finite[t]]:
             phi = np.stack([tables[t] for t in ids])
             lam_min.update(zip(ids, np.linalg.eigvalsh((phi * law.weights[:, None]).swapaxes(1, 2) @ phi)[:, 0]))

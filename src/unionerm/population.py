@@ -8,14 +8,15 @@ residuals at w_*(t) and the attained risk R(t, w_*(t)); the per-atom squared
 norm of the whitened loss gradient at the minimizer is formed from these on
 first read, and its second moment (their weighted mean) from that.  Across
 maps it stores the optimal risk R_*, the optimal set of indices and the
-suboptimality gap.  The records of the maps of one feature dimension take
-one batched pass per step over their stacked atom tables, which makes per
-map the BLAS or LAPACK call of a loop over the maps.  These records are the
-only per-atom population arrays: the finite-class moments and the
-covariance-deviation and quadratic-form constants of :mod:`unionerm.bounds`
-read them, any gradient cross-covariance G(t, s) = E[g(t) g(s)^T] is formed
-on demand from them, and the moment table that every trial fit and process
-value reads (:attr:`PopulationProfile.tables`) is built from them.
+suboptimality gap.  The records of each stack of maps of one dimension
+(:meth:`unionerm.model.FeatureCollection.stacks`) take one batched pass per
+step, which makes per map the BLAS or LAPACK call of a loop over the maps.
+These records are the only per-atom population arrays: the finite-class
+moments and the covariance-deviation and quadratic-form constants of
+:mod:`unionerm.bounds` read them, any gradient cross-covariance G(t, s) =
+E[g(t) g(s)^T] is formed on demand from them, and the moment table that
+every trial fit and process value reads (:attr:`PopulationProfile.tables`)
+is built from them.
 
 Everything here is an exact finite sum over the atoms of the law; generative
 laws are rejected (their quantities are only ever Monte Carlo estimates and
@@ -139,7 +140,7 @@ def profile(law, collection) -> PopulationProfile:
     law = _check_discrete(law)
     phis = validate_collection(law, collection)
     records = dict.fromkeys(collection.indices())
-    for dim, ids in collection.by_dim().items():
+    for dim, ids in collection.stacks(law.support_size):
         phi = np.stack([phis[t] for t in ids])  # (k, m, d): one pass per step over the k maps
         sigma = (phi * law.weights[:, None]).swapaxes(1, 2) @ phi
         sigma = 0.5 * (sigma + sigma.swapaxes(1, 2))

@@ -5,9 +5,16 @@ import weakref
 import numpy as np
 import pytest
 
-from unionerm import bounds, localization, processes
+from unionerm import bounds, localization, model, processes
 from unionerm.experiments import bss_instance
-from unionerm.model import DiscreteLaw, FeatureCollection, FeatureEntry, GaussianDesignLaw, subset_collection
+from unionerm.model import (
+    STACK_ENTRIES,
+    DiscreteLaw,
+    FeatureCollection,
+    FeatureEntry,
+    GaussianDesignLaw,
+    subset_collection,
+)
 from unionerm.population import profile
 
 from conftest import bench_law_cases, canonical_law, canonical_three_map_collection, mixed_dim_instance, random_instance
@@ -326,11 +333,11 @@ def test_cov_dev_equals_the_per_map_loop_on_bench_laws(build):
     assert bounds.covariance_deviation_lambda_max(prof) == covariance_deviation_lambda_max_loop(prof)
 
 
-@pytest.mark.parametrize("block", [bounds.COV_DEV_BLOCK, 1, 50])
+@pytest.mark.parametrize("entries", [STACK_ENTRIES, 1, 40])
 @pytest.mark.parametrize("seed", range(4))
-def test_cov_dev_matches_the_per_map_loop_on_mixed_dimensions(monkeypatch, seed, block):
-    # a block of 1 entry still takes one map; 50 entries take 1 or 2 maps of 10 atoms
-    monkeypatch.setattr(bounds, "COV_DEV_BLOCK", block)
+def test_cov_dev_matches_the_per_map_loop_on_mixed_dimensions(monkeypatch, seed, entries):
+    # a stack of 1 entry still takes one map; 40 entries take 1 to 4 maps of 10 atoms
+    monkeypatch.setattr(model, "STACK_ENTRIES", entries)
     prof = profile(*mixed_dim_instance(np.random.default_rng(seed)))
     ref = covariance_deviation_lambda_max_loop(prof)
     assert bounds.covariance_deviation_lambda_max(prof) == pytest.approx(ref, rel=1e-12)

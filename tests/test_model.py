@@ -22,9 +22,10 @@ from unionerm.model import (
     _coordinate_classes,
     validate_collection,
 )
+from unionerm import model
 from unionerm.processes import enumerate_product_counts
 
-from conftest import canonical_law, two_atom_law
+from conftest import canonical_law, mixed_dim_instance, two_atom_law
 from oracles import atoms_of, enum_expectation, seed_sequence_stream, sorted_uniform_counts, validate_collection_loop
 
 
@@ -339,6 +340,19 @@ def test_validate_collection_matches_pairwise_loop(name, law, coll, coordinate_r
     got = validate_collection(law, coll)
     assert got.keys() == ref.keys()
     assert all(np.array_equal(got[t], ref[t]) for t in ref)
+
+
+@pytest.mark.parametrize("entries", [1, 40, 60, model.STACK_ENTRIES])
+def test_stacks_split_each_dimension_in_collection_order(monkeypatch, entries):
+    monkeypatch.setattr(model, "STACK_ENTRIES", entries)
+    _, coll = mixed_dim_instance(np.random.default_rng(0), dims=(1, 2, 3, 3, 2, 1, 1, 3, 2, 1))
+    blocks = list(coll.stacks(10))
+    assert all(ids and (len(ids) == 1 or len(ids) * 10 * d <= entries) for d, ids in blocks)
+    assert [d for d, _ in blocks] == sorted((d for d, _ in blocks), key=[1, 2, 3].index)
+    for dim in (1, 2, 3):
+        joined = [t for d, ids in blocks if d == dim for t in ids]
+        assert joined == [e.index for e in coll if e.dim == dim]
+    assert len(blocks) == {1: 10, 40: 6, 60: 4}.get(entries, 3)
 
 
 @pytest.mark.parametrize("first,second", [("degenerate", "non-finite"), ("non-finite", "degenerate")])

@@ -3,16 +3,18 @@ import dataclasses
 import numpy as np
 import pytest
 
+from unionerm import model
+from unionerm.experiments import bss_instance
 from unionerm.model import (
+    STACK_ENTRIES,
     DegenerateFeatureError,
     DiscreteLaw,
     FeatureCollection,
     FeatureEntry,
     GaussianDesignLaw,
     exact_expectation,
+    subset_collection,
 )
-from unionerm.experiments import bss_instance
-from unionerm.model import subset_collection
 from unionerm.population import excess_risk, profile
 
 from conftest import bench_law_cases, canonical_collection, canonical_law, mixed_dim_instance, random_instance
@@ -301,8 +303,11 @@ def test_profile_records_equal_the_per_map_loop_on_bench_laws(build):
         assert got.approx_risk == rec.approx_risk and got.dim == rec.dim, t
 
 
+@pytest.mark.parametrize("entries", [STACK_ENTRIES, 1, 40])
 @pytest.mark.parametrize("seed", range(8))
-def test_profile_records_match_the_per_map_loop_on_mixed_dimensions(seed):
+def test_profile_records_match_the_per_map_loop_on_mixed_dimensions(monkeypatch, seed, entries):
+    # a stack of 1 entry still takes one map; 40 entries take 1 to 4 maps of 10 atoms
+    monkeypatch.setattr(model, "STACK_ENTRIES", entries)
     law, coll = mixed_dim_instance(np.random.default_rng(seed))
     prof, ref = profile(law, coll), profile_loop(law, coll)
     assert list(prof.records) == list(ref)
