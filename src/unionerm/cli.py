@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -331,19 +332,30 @@ def write_json(path: str, payload) -> None:
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
+    if isinstance(obj, np.generic):
         return obj.item()
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def write_csv(path: str, header: list[str], rows) -> None:
+def write_csv(path: str, columns: dict) -> None:
+    """Write the table ``{header: column}``, columns of one length.
+
+    Each float64 array cell is written as its ``repr`` (the bytes of its
+    ``str``), formed once per distinct bit pattern across the table's float64
+    columns, as per-trial tables repeat many values; any other array goes
+    through ``tolist()``, and a list, range or iterator is written as it is."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) and c.dtype != np.float64 else c for c in columns.values()]
+    if floats := [j for j, c in enumerate(cols) if isinstance(c, np.ndarray)]:
+        bits, inverse = np.unique(np.concatenate([cols[j] for j in floats]).view(np.int64), return_inverse=True)
+        text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)[inverse]
+        for j, part in zip(floats, np.split(text, len(floats))):
+            cols[j] = part.tolist()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
+    writer.writerow(columns)
+    writer.writerows(zip(*cols, strict=True))
     _write_text(path, buf.getvalue())
 
 
@@ -403,11 +415,9 @@ def cmd_bounds(cfg: dict, out: str, trials_override: int | None) -> int:
     write_json(os.path.join(out, "bounds.json"), report.to_json_dict())
     cols = ("single_class_threshold", "explicit_threshold", "expected_sup_threshold",
             "single_class_excess_bound", "explicit_excess_bound", "expected_sup_excess_bound")
-    rows = []
-    for dval in delta_grid:
-        r = thresholds_and_bounds(prof, inputs, n, dval, k=k)
-        rows.append([dval] + [getattr(r, c).value for c in cols])
-    write_csv(os.path.join(out, "thresholds.csv"), ["delta", *cols], rows)
+    grid = [thresholds_and_bounds(prof, inputs, n, dval, k=k) for dval in delta_grid]
+    write_csv(os.path.join(out, "thresholds.csv"),
+              {"delta": delta_grid, **{c: [getattr(r, c).value for r in grid] for c in cols}})
     print(f"wrote bounds.json and thresholds.csv (n={n}, delta={delta}, k={k})")
     return EXIT_OK
 
@@ -491,14 +501,10 @@ def _mc_quantiles(cfg, out, law, collection, prof, trials):
         rows.append([n, q.estimate, q.ci_lo, q.ci_hi])
     final = batches[n_grid[-1]]
     verdict = experiments.quantile_sandwich_check(final, z_minus, z_plus, delta)
-    write_csv(
-        os.path.join(out, "trials_quantiles.csv"),
-        ["trial", "t_hat", "n_excess", "n_excess_oracle", "singular"],
-        [
-            [i, str(final.t_hat[i]), final.n_excess[i], final.n_excess_oracle[i], int(final.singular[i])]
-            for i in range(final.trials)
-        ],
-    )
+    write_csv(os.path.join(out, "trials_quantiles.csv"), {
+        "trial": range(final.trials), "t_hat": map(str, final.t_hat), "n_excess": final.n_excess,
+        "n_excess_oracle": final.n_excess_oracle, "singular": final.singular.astype(np.int8),
+    })
     clauses = [
         {"id": "c7_sandwich", "pass": verdict["pass"], "value": verdict["excess_quantile"].estimate},
     ]
@@ -535,11 +541,8 @@ def _mc_consistency(cfg, out, law, collection, prof, trials):
     n_grid = _param(cfg, "n_grid", required=True)
     seed = int(cfg["seed"])
     rows = experiments.consistency_curve(law, collection, n_grid, trials, seed, prof)
-    write_csv(
-        os.path.join(out, "consistency.csv"),
-        ["n", "p_miss", "se", "ci_lo", "ci_hi", "trials"],
-        [[r["n"], r["p_miss"], r["se"], r["ci_lo"], r["ci_hi"], r["trials"]] for r in rows],
-    )
+    write_csv(os.path.join(out, "consistency.csv"),
+              {c: [r[c] for r in rows] for c in ("n", "p_miss", "se", "ci_lo", "ci_hi", "trials")})
     final = rows[-1]
     clauses = [
         {"id": "c6_final_leq_first", "pass": final["p_miss"] <= rows[0]["p_miss"] + 2 * (final["se"] + rows[0]["se"]), "value": final["p_miss"]},
@@ -572,14 +575,10 @@ def _mc_validity(cfg, out, law, collection, prof, trials):
     result = experiments.bound_validity_sweep(
         law, collection, delta, n_grid, trials, seed, prof, bound_kind=bound_kind, k=k,
     )
-    write_csv(
-        os.path.join(out, "validity.csv"),
-        ["n", "k", "threshold", "above_threshold", "bound", "violations", "rate", "allowed", "pass"],
-        [
-            [r["n"], r["k"], r["threshold"], int(r["above_threshold"]), r["bound"], r["violations"], r["rate"], r["allowed"], int(r["pass"])]
-            for r in result["rows"]
-        ],
-    )
+    cols = ("n", "k", "threshold", "above_threshold", "bound", "violations", "rate", "allowed", "pass")
+    flags = ("above_threshold", "pass")
+    write_csv(os.path.join(out, "validity.csv"),
+              {c: [int(r[c]) if c in flags else r[c] for r in result["rows"]] for c in cols})
     clauses = [
         {"id": "c8_validity", "pass": result["pass"], "value": max(r["rate"] for r in result["rows"])}
     ]
@@ -601,15 +600,9 @@ def _mc_pathwise(cfg, out, law, collection, prof, trials):
     seed = int(cfg["seed"])
     batch = experiments.run_trials(law, collection, n, trials, seed, prof, snapshots=True)
     res = experiments.pathwise_master_check(batch, prof, slack=slack)
-    write_csv(
-        os.path.join(out, "pathwise.csv"),
-        ["trial", "t_hat", "lam_plus", "lam_minus", "delta_plus", "g_sq_hat", "gap_hat", "est_err_hat"],
-        [
-            [i, str(batch.t_hat[i]), batch.lam_plus[i], batch.lam_minus[i], batch.delta_plus[i],
-             batch.g_sq_hat[i], batch.gap_hat[i], batch.est_err_hat[i]]
-            for i in range(batch.trials)
-        ],
-    )
+    cols = ("lam_plus", "lam_minus", "delta_plus", "g_sq_hat", "gap_hat", "est_err_hat")
+    write_csv(os.path.join(out, "pathwise.csv"),
+              {"trial": range(batch.trials), "t_hat": map(str, batch.t_hat), **{c: getattr(batch, c) for c in cols}})
     payload = {
         "n": n,
         "trials": trials,
@@ -642,14 +635,12 @@ def _mc_bss(cfg, out, law, collection, prof, trials):
         design, d, s, w_true, noise_std, n_grid, trials, seed, delta=delta,
         check_threshold=_param(cfg, "check_threshold", design == "discrete"),
     )
-    write_csv(
-        os.path.join(out, "bss.csv"),
-        ["n", "recovery", "ci_lo", "ci_hi", "a_n", "a_n_se", "singular_rate"],
-        [
-            [r["n"], r["recovery"], r["recovery_ci"][0], r["recovery_ci"][1], r["a_n"], r["a_n_se"], r["singular_rate"]]
-            for r in report.rows
-        ],
-    )
+    rows = report.rows
+    write_csv(os.path.join(out, "bss.csv"), {
+        "n": [r["n"] for r in rows], "recovery": [r["recovery"] for r in rows],
+        "ci_lo": [r["recovery_ci"][0] for r in rows], "ci_hi": [r["recovery_ci"][1] for r in rows],
+        **{c: [r[c] for r in rows] for c in ("a_n", "a_n_se", "singular_rate")},
+    })
     clauses = [
         {"id": "c11_ratio_trend", "pass": report.ratio_nonincreasing, "value": report.rows[-1]["a_n"]},
     ]
@@ -708,7 +699,10 @@ def cmd_montecarlo(cfg: dict, out: str, sub: str, trials_override: int | None) -
 # Entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later ``main`` call:
+    it does not depend on the arguments, and parsing does not change it."""
     parser = argparse.ArgumentParser(prog="unionerm", description=__doc__)
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
     parser.add_argument("--out", required=True, help="output directory")

@@ -585,7 +585,7 @@ def _coordinate_classes(law, tables: dict, collection: FeatureCollection):
     return {entry.index: frozenset(entry.coords) for entry in collection}
 
 
-def validate_collection(law, collection: FeatureCollection) -> dict:
+def validate_collection(law, collection: FeatureCollection, stacks: list | None = None) -> dict:
     """Check a collection against a discrete law; return its atom tables.
 
     Evaluates every map, then rejects degenerate maps (non-finite on the
@@ -595,17 +595,22 @@ def validate_collection(law, collection: FeatureCollection) -> dict:
     by comparing column spaces of the atom-evaluated feature matrices (for
     coordinate selections of full-rank inputs: their coordinate sets).
     Those matrices, ``{index: phi (m, d_t)}``, are returned: they are the
-    only evaluation of each map that later layers read.
+    only evaluation of each map that later layers read.  If ``stacks`` is a
+    list, each stack's ``(d, indices, phi (k, m, d), (phi w)^T phi (k, d, d))``
+    is appended to it, so that the profile does not form them again.
     """
     if getattr(law, "kind", None) != "discrete":
         raise ValueError("collection validation requires a discrete law")
     tables = {entry.index: entry(law.xs) for entry in collection}
     finite = {t: bool(np.all(np.isfinite(phi))) for t, phi in tables.items()}
     lam_min = {}
-    for _, ids in collection.stacks(law.support_size):
+    for dim, ids in collection.stacks(law.support_size):
         if ids := [t for t in ids if finite[t]]:
             phi = np.stack([tables[t] for t in ids])
-            lam_min.update(zip(ids, np.linalg.eigvalsh((phi * law.weights[:, None]).swapaxes(1, 2) @ phi)[:, 0]))
+            gram = (phi * law.weights[:, None]).swapaxes(1, 2) @ phi
+            lam_min.update(zip(ids, np.linalg.eigvalsh(gram)[:, 0]))
+            if stacks is not None:
+                stacks.append((dim, ids, phi, gram))
     for t in tables:
         if not finite[t]:
             raise DegenerateFeatureError(t, "non-finite feature values")

@@ -1,8 +1,8 @@
 """Exact population quantities for discrete laws.
 
-For each feature map t the profile stores its atom table phi(t) (the map
-evaluated on the atoms, once, by
-:func:`unionerm.model.validate_collection`), the covariance Sigma(t), its
+For each feature map t the profile stores its atom table phi(t) and the
+covariance Sigma(t) (both formed once, by
+:func:`unionerm.model.validate_collection`), the covariance's
 symmetric inverse square root, the risk minimizer w_*(t), the per-atom
 residuals at w_*(t) and the attained risk R(t, w_*(t)); the per-atom squared
 norm of the whitened loss gradient at the minimizer is formed from these on
@@ -138,12 +138,11 @@ def profile(law, collection) -> PopulationProfile:
     symmetric constructions survive rescaling of the target.
     """
     law = _check_discrete(law)
-    phis = validate_collection(law, collection)
+    stacks = []
+    phis = validate_collection(law, collection, stacks)
     records = dict.fromkeys(collection.indices())
-    for dim, ids in collection.stacks(law.support_size):
-        phi = np.stack([phis[t] for t in ids])  # (k, m, d): one pass per step over the k maps
-        sigma = (phi * law.weights[:, None]).swapaxes(1, 2) @ phi
-        sigma = 0.5 * (sigma + sigma.swapaxes(1, 2))
+    for dim, ids, phi, gram in stacks:  # phi (k, m, d): one pass per step over the k maps
+        sigma = 0.5 * (gram + gram.swapaxes(1, 2))
         vals, vecs = np.linalg.eigh(sigma)  # validation proved vals > SINGULAR_TOL
         whitener = (vecs / np.sqrt(vals)[:, None, :]) @ vecs.swapaxes(1, 2)
         rhs = phi.swapaxes(1, 2) @ (law.weights * law.ys)

@@ -7,6 +7,8 @@ with the library is a genuine two-route check and not a tautology.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import math
 from dataclasses import dataclass
@@ -461,6 +463,17 @@ def pathwise_master_check(batch, slack):
         if sub > rhs1 + slack or est > hi2 + slack or est < lo2 - slack:
             violations += 1
     return checked, batch.trials - checked, violations, worst
+
+
+def csv_rows_text(header, rows):
+    """The text of a CSV table written one row at a time, each cell as it
+    is given (a NumPy scalar through its own ``str``)."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------

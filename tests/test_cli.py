@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
@@ -15,7 +16,7 @@ from unionerm import cli, experiments
 from unionerm.cli import ConfigError, load_config, main
 
 from conftest import canonical_atoms
-from oracles import CONFIG_SCHEMA
+from oracles import CONFIG_SCHEMA, csv_rows_text
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -359,6 +360,40 @@ def test_montecarlo_outputs_are_pinned(tmp_path, request, command, params):
     assert digests == MONTECARLO_DIGESTS[request.node.callspec.id]
 
 
+HYPERCUBE_DIGESTS = {
+    "quantiles": {
+        "quantiles.svg": "b79a3974b69b40b68b5c80f7519bce86fae485ab202b83c1058f8a3a2bdd486f",
+        "trials_quantiles.csv": "742229d96950b0bc4c07da7d26b763bda85bc3dd8ca2bcac307c14bb82c84a5a",
+        "verdict_quantiles.json": "2207173cce68344561058f177941e2c825548ba15e75df26a89af9864e3eadf8",
+    },
+    "pathwise": {
+        "pathwise.csv": "496b58492cffa2f37a9ed4cdf521a22c4a0c17fdc85cab0b9937d684ee28e38a",
+        "verdict_pathwise.json": "048c605fcb2180c1a787e18ca54f4bab7285c99ee9e807bda9ddc649dd03a1f1",
+    },
+}
+HYPERCUBE_RUNS = [
+    ("quantiles", {"n_grid": [100, 400], "delta": 0.5}, "trials_quantiles.csv"),
+    ("pathwise", {"n": 100}, "pathwise.csv"),
+]
+
+
+@pytest.mark.parametrize("command,params,table", HYPERCUBE_RUNS, ids=[r[0] for r in HYPERCUBE_RUNS])
+def test_montecarlo_outputs_on_subsets_are_pinned(tmp_path, command, params, table):
+    # the ids of a subsets collection, such as (0, 1), hold a comma: the
+    # per-trial tables quote them
+    cfg = {
+        "seed": 23,
+        "law": _bench_workloads().hypercube_law(3, (0, 1)),
+        "collection": {"kind": "subsets", "dim": 3, "sparsity": 2},
+        "params": params,
+    }
+    out = tmp_path / "out"
+    assert main(["--config", _write(tmp_path, cfg), "--out", str(out), "--trials", "100", "montecarlo", command]) == 0
+    assert ',"(0, 1)",' in (out / table).read_text()
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert digests == HYPERCUBE_DIGESTS[command]
+
+
 REPORT_DIGESTS = {
     "bounds": {
         "bounds.json": "147b86af1efa50aca570804c934c88f075b4d0c2f8414e0c3a3f74086283236a",
@@ -544,6 +579,79 @@ def test_negative_seed_override_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.strip() == "config error: --seed: -1 is less than the minimum of 0"
     assert not out.exists()
     assert main(["--config", cfg, "--out", str(out), "--seed", "0", "montecarlo", "pathwise"]) == 0
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path):
+    # main reuses one parser: an override, or a parse that exits 2, must not
+    # reach the next call
+    cfg = _write(tmp_path, _canonical_config(n_grid=[40, 80], trials=100))
+    plain = ["--config", cfg, "montecarlo", "consistency"]
+    assert main(["--out", str(tmp_path / "first"), *plain]) == 0
+    assert main(["--out", str(tmp_path / "override"), "--seed", "99", "--trials", "150", *plain]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path / "bad"), "--seed", "5", "--trials", "many", *plain])
+    assert exc.value.code == 2
+    assert main(["--out", str(tmp_path / "again"), *plain]) == 0
+    first, override, again = (json.loads((tmp_path / d / "verdict_consistency.json").read_text())
+                              for d in ("first", "override", "again"))
+    assert [r["trials"] for r in override["rows"]] == [150, 150]
+    assert override != first
+    assert again == first
+    assert (tmp_path / "again" / "consistency.csv").read_bytes() == (tmp_path / "first" / "consistency.csv").read_bytes()
+    assert not (tmp_path / "bad").exists()
+    assert cli.make_parser() is cli.make_parser()
+
+
+def test_json_payload_takes_every_numpy_scalar(tmp_path):
+    payload = {"flag": np.bool_(True), "half": np.float32(0.5), "small": np.int8(-3), "arr": np.arange(2)}
+    cli.write_json(str(tmp_path / "p.json"), payload)
+    assert json.loads((tmp_path / "p.json").read_text()) == {"flag": True, "half": 0.5, "small": -3, "arr": [0, 1]}
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli.write_json(str(tmp_path / "q.json"), {"x": object()})
+
+
+def test_column_writer_matches_the_per_cell_writer(tmp_path):
+    # write_csv forms the repr of each distinct float64 bit pattern once; the
+    # old writer passed NumPy scalars cell by cell: same bytes
+    rng = np.random.default_rng(5)
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 2.2250738585072014e-308, 1e16, 1e-5, 0.1, 1 / 3]
+    bits = rng.integers(0, 2**64, size=20_000, dtype=np.uint64, endpoint=False).view(np.float64)
+    lattice = np.round(rng.standard_normal(2000), 2)  # repeated values, as in the per-trial tables
+    values = np.concatenate([special, bits, lattice, rng.standard_normal(2000) * 10.0 ** rng.integers(-20, 20, 2000)])
+    ids = [(0, 1), (0, 2), (1, 2), "A", ("x", 3)]
+    t_hat = tuple(ids[j] for j in rng.integers(0, len(ids), values.size))
+    singular = rng.random(values.size) < 0.3
+    counts = rng.integers(-10**12, 10**12, values.size)
+    path = tmp_path / "t.csv"
+    cli.write_csv(str(path), {
+        "trial": range(values.size), "t_hat": map(str, t_hat), "value": values, "neg": -values,
+        "count": counts, "singular": singular.astype(np.int8), "listed": list(values), "again": values[::-1].copy(),
+    })
+    expected = csv_rows_text(
+        ["trial", "t_hat", "value", "neg", "count", "singular", "listed", "again"],
+        ([i, str(t_hat[i]), values[i], -values[i], counts[i], int(singular[i]), values[i], values[-1 - i]]
+         for i in range(values.size)),
+    )
+    text = path.read_text()
+    assert text == expected
+    assert len(set(values.view(np.int64))) < values.size  # the bit-pattern dedupe is exercised
+    assert '"(0, 1)"' in text and ",nan," in text and ",-0.0," in text and ",5e-324," in text and ",1e+16," in text
+
+
+@pytest.mark.parametrize("columns", [
+    {"a": [1, 2], "b": [1]},
+    {"a": np.zeros(2), "b": np.ones(3)},
+    {"a": np.zeros(2), "b": range(3)},
+], ids=["lists", "float-arrays", "array-and-range"])
+def test_column_writer_rejects_ragged_columns(tmp_path, columns):
+    with pytest.raises(ValueError):
+        cli.write_csv(str(tmp_path / "t.csv"), columns)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_column_writer_writes_an_empty_table_as_its_header(tmp_path):
+    cli.write_csv(str(tmp_path / "t.csv"), {"trial": range(0), "x": np.zeros(0), "y": np.zeros(0), "id": []})
+    assert (tmp_path / "t.csv").read_text() == "trial,x,y,id\n"
 
 
 def test_no_temp_files_left_behind(tmp_path):

@@ -355,6 +355,21 @@ def test_stacks_split_each_dimension_in_collection_order(monkeypatch, entries):
     assert len(blocks) == {1: 10, 40: 6, 60: 4}.get(entries, 3)
 
 
+@pytest.mark.parametrize("entries", [40, model.STACK_ENTRIES])
+def test_validation_hands_each_stack_and_its_covariance_on(monkeypatch, entries):
+    # the profile reads these instead of stacking and forming (phi w)^T phi again
+    monkeypatch.setattr(model, "STACK_ENTRIES", entries)
+    law, coll = mixed_dim_instance(np.random.default_rng(3), dims=(1, 2, 3, 3, 2, 1, 1, 3, 2, 1))
+    stacks = []
+    tables = validate_collection(law, coll, stacks)
+    assert [(d, ids) for d, ids, _, _ in stacks] == list(coll.stacks(law.support_size))
+    for _, ids, phi, gram in stacks:
+        for j, t in enumerate(ids):
+            assert np.array_equal(phi[j], tables[t])
+            np.testing.assert_allclose(gram[j], (tables[t] * law.weights[:, None]).T @ tables[t], rtol=1e-13, atol=1e-15)
+    assert validate_collection(law, coll).keys() == tables.keys()
+
+
 @pytest.mark.parametrize("first,second", [("degenerate", "non-finite"), ("non-finite", "degenerate")])
 def test_validation_raises_for_the_first_offending_map(first, second):
     maps = {
