@@ -465,6 +465,17 @@ def pathwise_master_check(batch, slack):
     return checked, batch.trials - checked, violations, worst
 
 
+def scipy_binom_ppf(q, n, p):
+    """scipy's ``binom.ppf`` rule: ceil of ``bdtrik``, stepped down once when
+    ``bdtr`` says the index below already covers q."""
+    from scipy.special import bdtr, bdtrik
+
+    j = min(max(math.ceil(bdtrik(q, n, p)), 0), n)
+    if j > 0 and bdtr(j - 1, n, p) >= q:
+        j -= 1
+    return j
+
+
 def csv_rows_text(header, rows):
     """The text of a CSV table written one row at a time, each cell as it
     is given (a NumPy scalar through its own ``str``)."""

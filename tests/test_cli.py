@@ -695,6 +695,35 @@ def test_setup_stays_within_its_module_budget(tmp_path, workload):
     assert json.loads(out.stdout) == []
 
 
+COMMANDS_CODE = """
+import json, sys
+from unionerm import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+"""
+
+
+@pytest.mark.parametrize("workload", ["mc_canonical", "bounds_localize"])
+def test_commands_off_the_clopper_pearson_path_never_load_scipy(tmp_path, workload):
+    # only consistency, validity and bss (Clopper-Pearson intervals) may load
+    # scipy; every other command runs on the workload's configs without it
+    bench = _bench_workloads()
+    paths = bench.write_configs(workload, 3, str(tmp_path))
+    if workload == "mc_canonical":
+        plan = [("quantiles", ["profile"]), ("quantiles", ["montecarlo", "quantiles"]), ("pathwise", ["bounds"]),
+                ("pathwise", ["localize"]), ("pathwise", ["montecarlo", "pathwise"])]
+    else:  # the hypercube's config with the quantile study's params beside it
+        cfg = json.loads(Path(paths["bounds_localize"]).read_text())
+        cfg["params"] = {"n_grid": [bench.BL_N], "delta": bench.BL_DELTA, "trials": 500}
+        paths["quantiles"] = _write(tmp_path, cfg)
+        plan = [("bounds_localize", [command]) for command in ("profile", "bounds", "localize")]
+        plan += [("quantiles", ["montecarlo", "quantiles"]), ("bounds_localize", ["montecarlo", "pathwise"])]
+    argvs = [["--config", paths[stem], "--out", str(tmp_path / f"out{i}"), *command] for i, (stem, command) in enumerate(plan)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", COMMANDS_CODE, json.dumps(argvs)], env=env, capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [[0] * len(plan), []]
+
+
 def test_config_schema_is_a_valid_draft_2020_12_schema():
     Draft202012Validator.check_schema(CONFIG_SCHEMA)
 

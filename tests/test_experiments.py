@@ -1,5 +1,7 @@
 import hashlib
 import math
+import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -506,6 +508,62 @@ def test_binom_ppf_is_the_smallest_index_covering_q_at_cdf_values():
         q = float(bdtr(k, n, p))
         j = ex._binom_ppf(q, n, p)
         assert bdtr(j, n, p) >= q and (j == 0 or bdtr(j - 1, n, p) < q)
+
+
+def test_binom_ppf_matches_the_scipy_rule_at_random_levels_and_sizes():
+    # q = alpha/2 and 1 - alpha/2 as estimate_quantile asks, n up to 10^6,
+    # levels in the bulk and within 1e-6 of 0 and of 1
+    rng = np.random.default_rng(24)
+    for _ in range(1500):
+        n = int(np.exp(rng.uniform(0.0, math.log(1e6))))
+        edge = 10.0 ** rng.uniform(-6.0, -0.5)
+        level = float(rng.choice([edge, 1.0 - edge, rng.uniform(0.01, 0.99)]))
+        alpha = 1.0 - float(rng.choice([0.5, 0.8, 0.9, 0.95, 0.99, 0.999]))
+        for q in (alpha / 2.0, 1.0 - alpha / 2.0):
+            assert ex._binom_ppf(q, n, level) == oracles.scipy_binom_ppf(q, n, level), (q, n, level)
+
+
+def test_binom_ppf_matches_the_scipy_rule_within_rounding_of_a_cdf_value():
+    # q a few n ulps from a cdf value, where only the error bands decide; near
+    # 1 with tiny p, scipy's rounding of 1 - p moves its cdf by up to n ulps
+    from scipy.special import bdtr
+
+    rng = np.random.default_rng(25)
+    for _ in range(300):
+        n = int(np.exp(rng.uniform(0.0, math.log(1e5))))
+        p = float(rng.choice([10.0 ** rng.uniform(-15.0, -3.0), rng.uniform(0.01, 0.99)]))
+        k = int(np.clip(round(n * p + rng.uniform(-6.0, 6.0) * math.sqrt(n * p * (1 - p))), 0, n - 1))
+        cdf = float(bdtr(k, n, p))
+        for steps in rng.integers(-3 * n - 200, 3 * n + 200, size=4):
+            q = cdf + int(steps) * 2.0**-53 * (1.0 if cdf > 0.5 else cdf)
+            if 0.0 < q < 1.0:
+                assert ex._binom_ppf(q, n, p) == oracles.scipy_binom_ppf(q, n, p), (q, n, p)
+
+
+def test_workload_quantile_intervals_are_decided_without_scipy(monkeypatch):
+    # the sizes `montecarlo quantiles` meets: 500 trials, 10 000 limit draws
+    alpha = 1.0 - 0.95
+    want = {n: [oracles.scipy_binom_ppf(q, n, 0.9) for q in (alpha / 2.0, 1.0 - alpha / 2.0)] for n in (500, 10_000)}
+    for name in ["scipy", *(m for m in sys.modules if m.startswith("scipy."))]:
+        monkeypatch.setitem(sys.modules, name, None)  # any scipy import now raises
+    for n, (lo, hi) in want.items():
+        q = ex.estimate_quantile(np.arange(n, dtype=float), 0.9, 0.95)
+        assert (q.ci_lo, q.ci_hi) == (min(max(lo, 1), n) - 1, min(max(hi + 1, 1), n) - 1)
+
+
+@pytest.mark.parametrize("conf", [-0.2, 0.0, 1.0, 1.5, math.nan])
+def test_interval_functions_reject_conf_outside_the_unit_interval(conf):
+    msg = re.escape(f"conf must be in (0, 1), got {conf!r}")
+    with pytest.raises(ValueError, match=msg):
+        ex.estimate_quantile(np.arange(100.0), 0.9, conf)
+    with pytest.raises(ValueError, match=msg):
+        ex.binomial_ci(5, 10, conf)
+
+
+def test_ks_constant_is_scipy_kolmogi_at_the_test_level():
+    from scipy.special import kolmogi
+
+    assert ex._KS_SURVIVAL_INVERSE == float(kolmogi(ex.KS_ALPHA))
 
 
 def test_ks_statistic_matches_scipy_ks_2samp():
