@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .model import DiscreteLaw
+from .model import DESIGN_MC_TAG, QUARTIC_TAG, DiscreteLaw, stream
 from .population import PopulationProfile
 from .processes import (
     _distinct_rows,
@@ -300,19 +300,11 @@ def covariance_deviation_lambda_max_mc(law, collection, draws: int = 10**6, seed
         whitener = (vecs / np.sqrt(vals)) @ vecs.T
         d = entry.dim
         acc = np.zeros((d, d))
-        done = 0
-        chunk_idx = 0
-        while done < draws:
-            b = min(MC_CHUNK, draws - done)
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence((int(seed), int(chunk_idx), 2)))
-            )
-            x, _ = law.sample(b, rng)
+        for chunk_idx, lo in enumerate(range(0, draws, MC_CHUNK)):
+            x, _ = law.sample(min(MC_CHUNK, draws - lo), stream(seed, chunk_idx, DESIGN_MC_TAG))
             psi = entry(x) @ whitener
             outer = psi[:, :, None] * psi[:, None, :] - np.eye(d)[None, :, :]
             acc += np.einsum("aij,ajk->ik", outer, outer)
-            done += b
-            chunk_idx += 1
         best = max(best, float(np.linalg.eigvalsh(acc / draws)[-1]))
     return best
 
@@ -425,8 +417,7 @@ def _ascent_sup(weights: np.ndarray, psi: list[np.ndarray], seed: int) -> tuple[
     rows, labels = _distinct_rows(products)
     pairs = products[rows]
     merged = np.bincount(labels, weights=weights, minlength=rows.size)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), 3))))
-    gauss = rng.standard_normal((QUARTIC_RESTARTS, total))
+    gauss = stream(seed, QUARTIC_TAG).standard_normal((QUARTIC_RESTARTS, total))
     v = np.vstack([np.eye(total), gauss / np.linalg.norm(gauss, axis=1, keepdims=True)])
     sq_max = np.max([np.sum(p**2, axis=1) for p in psi], axis=0)
     alpha = 3.0 * float(weights @ np.maximum(np.abs(sq_max - 1.0), 1.0) ** 2)

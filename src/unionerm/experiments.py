@@ -2,11 +2,12 @@
 
 Conventions used throughout:
 
-* every trial is reproducible from (master seed, trial index), and its
-  values do not depend on how trials are chunked; a trial is one moment row
-  (a discrete law's atom counts times the profile's moment table, a Gaussian
-  design's joint Gram), from which :class:`unionerm.erm.MomentFit` fits
-  every index;
+* every trial is reproducible from (master seed, trial index): trial i is
+  draw i % TRIAL_CHUNK of chunk i // TRIAL_CHUNK's stream, so its values do
+  not depend on how many trials run or in what order chunks are drawn; a
+  trial is one moment row (a discrete law's atom counts times the profile's
+  moment table, a Gaussian design's joint Gram), from which
+  :class:`unionerm.erm.MomentFit` fits every index;
 * every reported probability carries a binomial confidence interval;
 * quantiles are order statistics with binomial-method confidence intervals;
 * trials whose solver hit a singular sample covariance are flagged, never
@@ -26,11 +27,13 @@ from .localization import ClosedFormComplexity, choose_k, iterate, k_sweep
 from .model import (
     DiscreteLaw,
     FeatureCollection,
+    GRID_TAG,
     GaussianDesignLaw,
+    TRIAL_TAG,
     rng_from_seed,
     sample_dataset,  # noqa: F401 -- the benchmark tracer wraps it under this name
+    stream,
     subset_collection,
-    trial_streams,
 )
 from .population import PopulationProfile, excess_risk
 from .processes import snapshot as process_snapshot  # noqa: F401 -- the benchmark tracer wraps it under this name
@@ -58,7 +61,10 @@ __all__ = [
 ]
 
 
-# Trials fitted together; bounds the memory of a batch, whatever `trials` is.
+# Trials fitted together, from one stream; bounds the memory of a batch,
+# whatever `trials` is.  Part of the stream contract: trial i is draw
+# i % TRIAL_CHUNK of chunk i // TRIAL_CHUNK, so changing it moves the trials
+# outside the first chunk.
 TRIAL_CHUNK = 256
 # Level of the KS test of the trials' rescaled excess against the limit law.
 KS_ALPHA = 0.05
@@ -161,15 +167,17 @@ def run_trials(
 ) -> TrialBatch:
     """Solve ERM on `trials` independent datasets of size n.
 
-    Trial i draws its dataset from the stream (master_seed, i), the one of
-    ``sample_dataset``; a chunk of ``TRIAL_CHUNK`` trials takes its streams
-    from one :func:`unionerm.model.trial_streams` call.  The chunk is one
-    moment row per dataset, from which :class:`unionerm.erm.MomentFit` fits
-    every index.  On a discrete law the row is the atom counts
-    (``law.counts``) times the atom tables of ``prof`` (the profile of this
-    ``law`` and ``collection``), which with ``snapshots`` also give every
-    process value.  On a Gaussian law (coordinate maps only) it is the joint
-    Gram [X, y]^T [X, y] / n of the rows of ``law.sample``.
+    Chunk c, trials c TRIAL_CHUNK onwards, draws its datasets from the one
+    stream ``model.stream(master_seed, c, TRIAL_TAG)``, so trial i is draw
+    i % TRIAL_CHUNK of chunk i // TRIAL_CHUNK, whatever ``trials`` is and
+    in whatever order chunks are drawn.  The chunk is one moment row per
+    dataset, from which :class:`unionerm.erm.MomentFit` fits every index.
+    On a discrete law the rows are one ``rng.multinomial(n, weights,
+    size=b)`` count draw times the atom tables of ``prof`` (the profile of
+    this ``law`` and ``collection``), which with ``snapshots`` also give
+    every process value.  On a Gaussian law (coordinate maps only) the row
+    is the joint Gram [X, y]^T [X, y] / n of one ``law.sample`` call, trial
+    after trial on the chunk's stream.
     Excess risks are exact: the profile's on discrete laws, the design's
     closed form on Gaussian laws.  The benchmark record reuses the solver's
     fit of the a-priori optimal index, which is what refitting it alone
@@ -191,10 +199,10 @@ def run_trials(
         fits = erm.MomentFit([e.coords for e in collection], y, lambda a, b: a * (y + 1) + b,
                              [np.zeros(e.dim) for e in collection])
 
-        def moments(streams):
-            zs = (np.column_stack(law.sample(n, rng)) for rng in streams)
+        def moments(rng, b):
+            zs = (np.column_stack(law.sample(n, rng)) for _ in range(b))
             grams = np.stack([z.T @ z / n for z in zs])  # R_n(0) = y^T y / 2n for every index
-            return grams.reshape(len(streams), -1), np.repeat(0.5 * grams[:, y, y:], len(ids), axis=1)
+            return grams.reshape(b, -1), np.repeat(0.5 * grams[:, y, y:], len(ids), axis=1)
 
         def excess(j, w):
             return law.risk(collection.entries[j], w) - r_star
@@ -204,22 +212,22 @@ def run_trials(
         tables = prof.tables
         fits, o = tables.fits, ids.index(prof.least_optimal_index)
 
-        def moments(streams):
-            rows = tables.moments(np.stack([law.counts(n, rng) for rng in streams]), n)
+        def moments(rng, b):
+            rows = tables.moments(rng.multinomial(n, law.weights, size=b), n)
             return rows, rows[:, tables.loss]
 
         def excess(j, w):
             return excess_risk(ids[j], w, prof)
 
     parts = []
-    for lo in range(0, trials, TRIAL_CHUNK):
-        rows, ref_risk = moments(trial_streams(master_seed, np.arange(lo, min(lo + TRIAL_CHUNK, trials))))
+    for c, lo in enumerate(range(0, trials, TRIAL_CHUNK)):
+        rows, ref_risk = moments(stream(master_seed, c, TRIAL_TAG), min(TRIAL_CHUNK, trials - lo))
         weights, risks, singular = fits.fit(rows, ref_risk)
         pick = erm.select(risks)
         # one evaluation per selected index; the oracle's doubles as t_hat's
         exc_o = excess(o, weights[o])
         exc = exc_o.copy()
-        for j in np.unique(pick):
+        for j in np.flatnonzero(np.bincount(pick)):  # np.unique would load numpy.ma
             if j != o:
                 exc[pick == j] = excess(j, weights[j][pick == j])
         part = {"pick": pick, "n_excess": n * exc, "n_excess_oracle": n * exc_o, "singular": singular}
@@ -250,7 +258,7 @@ def run_trials(
 
 
 def _grid_seed(seed: int, idx: int) -> int:
-    return int(np.random.SeedSequence((int(seed), int(idx), 4)).generate_state(1)[0])
+    return int(stream(seed, idx, GRID_TAG).bit_generator.seed_seq.generate_state(1)[0])
 
 
 def consistency_curve(

@@ -17,7 +17,6 @@ a deterministic tie-break is needed.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import warnings
@@ -40,7 +39,7 @@ __all__ = [
     "subset_collection",
     "validate_collection",
     "rng_from_seed",
-    "trial_streams",
+    "stream",
 ]
 
 # Eigenvalue floor below which a population covariance is considered singular.
@@ -76,155 +75,28 @@ class DuplicateClassError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Trial streams
+# Streams
 # ---------------------------------------------------------------------------
 
-# numpy's SeedSequence, O'Neill's seed_seq design for PCG: its pool size and
-# hashmix/mix constants, fixed by numpy's stream-compatibility policy.
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_MASK32 = 0xFFFFFFFF
+# Last seed words that give each kind of derived stream its own namespace:
+# (seed, chunk, tag) for chunked draws, (seed, idx, GRID_TAG) for the seeds of
+# a grid's rows and (seed, QUARTIC_TAG) for the quartic's random starts.
+COUNT_BATCH_TAG = 1  # processes.iter_count_batches
+DESIGN_MC_TAG = 2  # bounds.covariance_deviation_lambda_max_mc
+QUARTIC_TAG = 3  # the quartic ascent's random starts in bounds
+GRID_TAG = 4  # experiments._grid_seed
+TRIAL_TAG = 5  # the trial chunks of experiments.run_trials
 
 
-def _uint32_words(value: int) -> list[int]:
-    """A non-negative int as numpy coerces it into seed entropy: its 32-bit
-    words, least significant first, ``[0]`` for zero."""
-    value = int(value)
-    if 0 <= value <= _MASK32:
-        return [value]
-    if value < 0:
-        raise ValueError("expected non-negative integer")
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-def _hash_keys(init: int, mult: int, count: int) -> list[tuple[int, int]]:
-    """(xor, mult) of ``count`` successive hashmix calls: each xors the
-    running hash constant in, steps it, and multiplies by the new one."""
-    consts = [init]
-    for _ in range(count):
-        consts.append((consts[-1] * mult) & _MASK32)
-    return list(zip(consts, consts[1:]))
-
-
-def _hashmix(value, xor: int, mult: int):
-    value = ((value ^ xor) * mult) & _MASK32
-    return value ^ (value >> 16)
-
-
-@functools.cache
-def _mix_schedule(n_words: int):
-    """SeedSequence's ``mix_entropy`` on ``n_words`` entropy words.
-
-    Returns the (xor, mult) keys that hash the words into the pool, the
-    pool's hashed zero padding when there are fewer than four words, and the
-    (src, dst, xor, mult) steps that then mix hashmix(word src) into pool
-    word dst: every pool word into every other, then every word past the
-    pool into each pool word.
-    """
-    pairs = [(src, dst) for src in range(_POOL_SIZE) for dst in range(_POOL_SIZE) if src != dst]
-    pairs += [(src, dst) for src in range(_POOL_SIZE, n_words) for dst in range(_POOL_SIZE)]
-    keys = _hash_keys(_INIT_A, _MULT_A, _POOL_SIZE + len(pairs))
-    fill = keys[:min(n_words, _POOL_SIZE)]
-    padding = [_hashmix(0, *key) for key in keys[len(fill):_POOL_SIZE]]
-    return fill, padding, [(*pair, *key) for pair, key in zip(pairs, keys[_POOL_SIZE:])]
-
-
-def _state_schedule() -> list[tuple]:
-    """``generate_state(4, np.uint64)`` hashes 8 uint32 words off the pool,
-    cycling it, and pairs them little-endian: for each uint64 word, the
-    (pool word, xor, mult) of its low half and then of its high half."""
-    keys = _hash_keys(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
-    return [(i % _POOL_SIZE, *keys[i], (i + 1) % _POOL_SIZE, *keys[i + 1]) for i in range(0, 2 * _POOL_SIZE, 2)]
-
-
-_STATE_KEYS = _state_schedule()
-
-
-def _seed_state(entropy: list, mask=_MASK32, mix_l=_MIX_MULT_L, mix_r=(1 << 32) - _MIX_MULT_R) -> list:
-    """``SeedSequence(entropy).generate_state(4, np.uint64)`` as four words.
-
-    ``entropy`` lists the seed's 32-bit words in numpy's order; each is a
-    Python int or, for a chunk of seeds of equal word count, a uint64 array.
-    Every product is of two words below 2^32, and ``mix``'s difference
-    L x - R y is taken as (L x mod 2^32) + (2^32 - R) y, so a uint64 array
-    never wraps.  The hashes are written out in the loops, and the constants
-    bound as locals: a single stream runs this on Python ints, where a
-    function call per hash costs about a third more.
-    """
-    fill, padding, steps = _mix_schedule(len(entropy))
-    words = [*entropy, *padding]  # words[:4] become the pool
-    for i, (xor, mult) in enumerate(fill):
-        value = ((words[i] ^ xor) * mult) & mask
-        words[i] = value ^ (value >> 16)
-    for src, dst, xor, mult in steps:
-        value = ((words[src] ^ xor) * mult) & mask
-        value = (((mix_l * words[dst]) & mask) + mix_r * (value ^ (value >> 16))) & mask
-        words[dst] = value ^ (value >> 16)
-    state = []
-    for lo_src, lo_xor, lo_mult, hi_src, hi_xor, hi_mult in _STATE_KEYS:
-        lo = ((words[lo_src] ^ lo_xor) * lo_mult) & mask
-        hi = ((words[hi_src] ^ hi_xor) * hi_mult) & mask
-        state.append((lo ^ (lo >> 16)) | ((hi ^ (hi >> 16)) << 32))
-    return state
-
-
-@functools.cache
-def _stream_seed_type() -> type:
-    """The seed sequence of a trial stream, defined on first use: importing
-    the package then does not load ``numpy.random`` (~15 ms of a set-up)."""
-
-    class StreamSeed(np.random.bit_generator.ISeedSequence):
-        """The seed state PCG64 asks its seed sequence for, computed in advance."""
-
-        def __init__(self, words: np.ndarray):
-            self.words = words
-
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != _POOL_SIZE or dtype is not np.uint64:
-                raise ValueError("a trial stream holds the 4 uint64 words of PCG64's seed only")
-            return self.words
-
-    return StreamSeed
-
-
-def _generator(words: np.ndarray) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(_stream_seed_type()(words)))
-
-
-def trial_streams(master_seed: int, trials) -> list[np.random.Generator]:
-    """The streams of the trials ``trials`` (1-d integers) of ``master_seed``.
-
-    Stream i is bit-identical to ``Generator(PCG64(SeedSequence((master_seed,
-    i))))``, the stream of :func:`rng_from_seed`: the seed words of the
-    whole chunk are hashed in one pass on uint64 arrays, and PCG64 seeds
-    itself from them.
-    """
-    trials = np.asarray(trials)
-    if trials.ndim != 1 or trials.dtype.kind not in "iu":
-        raise ValueError("trials must be a 1-d array of integers")
-    if trials.size and trials.min() < 0:
-        raise ValueError("expected non-negative integer")
-    trials = trials.astype(np.uint64)
-    master, low, high = _uint32_words(master_seed), trials & _MASK32, trials >> 32
-    words = np.empty((trials.size, _POOL_SIZE), dtype=np.uint64)
-    for wide in (False, True):  # a trial of 2^32 or more is two entropy words
-        rows = (high > 0) == wide
-        if rows.any():
-            words[rows] = np.stack(_seed_state(master + [low[rows]] + [high[rows]] * wide), axis=1)
-    return [_generator(w) for w in words]
+def stream(*key: int) -> np.random.Generator:
+    """numpy's stream of the key words, ``Generator(PCG64(SeedSequence(key)))``
+    (``numpy.random`` loads on the first call, not at import)."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(tuple(int(k) for k in key))))
 
 
 def rng_from_seed(master_seed: int, trial: int = 0) -> np.random.Generator:
-    """The stream of (master seed, trial index), one trial of
-    :func:`trial_streams`: the same hash on Python ints, bit-identical to
-    ``Generator(PCG64(SeedSequence((master_seed, trial))))``."""
-    entropy = _uint32_words(master_seed) + _uint32_words(trial)
-    return _generator(np.array(_seed_state(entropy), dtype=np.uint64))
+    """The stream of (master seed, trial index), the one :func:`sample_dataset` draws from."""
+    return stream(master_seed, trial)
 
 
 # ---------------------------------------------------------------------------
@@ -498,9 +370,9 @@ def exact_expectation(fn, law) -> float | np.ndarray:
 
 
 def sample_dataset(law, n: int, seed: tuple[int, int]) -> Dataset:
-    """Draw n i.i.d. samples from the stream ``rng_from_seed(*seed)``, which
-    is trial ``seed[1]`` of ``run_trials`` under master seed ``seed[0]``;
-    identical (law, n, seed) is bit-identical.
+    """Draw n i.i.d. samples from the stream ``rng_from_seed(*seed)``;
+    identical (law, n, seed) is bit-identical.  This is not a trial of
+    ``run_trials``, whose chunks of trials draw from chunk streams.
 
     On a discrete law the rows are the stream's one multinomial count draw,
     :meth:`DiscreteLaw.counts`, expanded in atom order (the draw is
@@ -518,9 +390,7 @@ def sample_counts(law: DiscreteLaw, n: int, seed: tuple[int, int]) -> np.ndarray
     """Atom counts (m,) of ``sample_dataset(law, n, seed)``: ``rng_from_seed(*seed).multinomial(n, law.weights)``.
 
     Same stream, same atoms: the counts are the sufficient statistic of that
-    dataset for every empirical second moment, and trial ``seed[1]`` of
-    ``run_trials`` under master seed ``seed[0]`` draws them from the same
-    stream out of its chunk's :func:`trial_streams`.
+    dataset for every empirical second moment.
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")

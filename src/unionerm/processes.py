@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .erm import MomentFit, gram
-from .model import DiscreteLaw
+from .model import COUNT_BATCH_TAG, DiscreteLaw, stream
 from .population import PopulationProfile
 
 __all__ = [
@@ -69,11 +69,6 @@ EXPECTED_SUP_MIN_TRIALS = 100  # the fewest Monte Carlo rows an expected supremu
 
 class DeltaUndefinedError(ValueError):
     """The risk-gap process is undefined for optimal indices."""
-
-
-def _batch_rng(seed: int, chunk: int) -> np.random.Generator:
-    # distinct namespace from per-trial dataset streams
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(seed), int(chunk), 1))))
 
 
 # ---------------------------------------------------------------------------
@@ -324,14 +319,8 @@ def iter_count_batches(law: DiscreteLaw, n: int, trials: int, seed: int):
     any order-independent aggregate) is identical no matter how the chunks
     are scheduled.
     """
-    done = 0
-    chunk_idx = 0
-    while done < trials:
-        b = min(CHUNK, trials - done)
-        rng = _batch_rng(seed, chunk_idx)
-        yield rng.multinomial(n, law.weights, size=b)
-        done += b
-        chunk_idx += 1
+    for chunk_idx, lo in enumerate(range(0, trials, CHUNK)):
+        yield stream(seed, chunk_idx, COUNT_BATCH_TAG).multinomial(n, law.weights, size=min(CHUNK, trials - lo))
 
 
 def enumerate_product_counts(law: DiscreteLaw, n: int):

@@ -17,8 +17,10 @@ import numpy as np
 
 from unionerm.bounds import QUARTIC_MAX_ITER, QUARTIC_RESTARTS, QUARTIC_TOL
 from unionerm.erm import ErmSolution, fit_linear
+from unionerm.experiments import TRIAL_CHUNK
 from unionerm.model import (
     SINGULAR_TOL,
+    TRIAL_TAG,
     Dataset,
     DegenerateFeatureError,
     DuplicateClassError,
@@ -102,10 +104,33 @@ def sorted_uniform_counts(law, n, rng):
     return np.diff(np.searchsorted(u, cdf, "left"), prepend=0)
 
 
-def seed_sequence_stream(master, trial):
-    """The reference stream of trial (master, trial): numpy's own
-    SeedSequence hash of the pair, seeding PCG64."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((int(master), int(trial)))))
+def seed_sequence_stream(*key):
+    """The reference stream of the key words, such as (master, trial) of
+    ``sample_dataset``: numpy's own SeedSequence hash of them, seeding PCG64."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(tuple(int(k) for k in key))))
+
+
+def chunk_counts(law, n, master, chunk, size):
+    """Atom counts (size, m) of the first ``size`` trials of chunk ``chunk``
+    of ``run_trials`` under ``master``: one multinomial draw on numpy's
+    SeedSequence stream of (master, chunk, TRIAL_TAG)."""
+    return seed_sequence_stream(master, chunk, TRIAL_TAG).multinomial(n, law.weights, size=size)
+
+
+def trial_dataset(law, n, master, trial):
+    """Trial ``trial`` of ``run_trials`` under ``master`` as a dataset of rows:
+    draw trial % TRIAL_CHUNK of chunk trial // TRIAL_CHUNK, after the
+    chunk's earlier draws.  On a discrete law that draw is a row of the
+    chunk's counts, expanded in atom order; on a Gaussian design it is one
+    ``law.sample`` call."""
+    chunk, pos = divmod(int(trial), TRIAL_CHUNK)
+    if law.kind == "discrete":
+        idx = np.repeat(np.arange(law.support_size), chunk_counts(law, n, master, chunk, pos + 1)[pos])
+        return Dataset(x=law.xs[idx], y=law.ys[idx])
+    rng = seed_sequence_stream(master, chunk, TRIAL_TAG)
+    for _ in range(pos + 1):
+        x, y = law.sample(n, rng)
+    return Dataset(x=x, y=y)
 
 
 def enum_datasets(law, n):

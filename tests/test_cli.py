@@ -313,13 +313,13 @@ def test_montecarlo_pathwise(tmp_path):
 
 MONTECARLO_DIGESTS = {
     "quantiles-params0": {
-        "quantiles.svg": "db2bac1adfcd9a8e34282bd595ac18462c3e6246429f843b2ac49b1c6b0ee268",
-        "trials_quantiles.csv": "5eda416616293d93329828803f51d5994681ea3bb2b197a45fcf06db0fa57604",
-        "verdict_quantiles.json": "c0b842d7526930f5cc79028938e2550272968da599ff765f3b85c9fef39e2261",
+        "quantiles.svg": "1d23f6fea6f11fabd159b0f4325227057ee459c9ecda5472c36c162fc4b40b3c",
+        "trials_quantiles.csv": "2e173853e07c9340473ba75a6d57f536b587fa7009cf7007c9fd4ef87fcfae8e",
+        "verdict_quantiles.json": "78870076d7bdacf5df717720334e320b9b082351ab64ba4609c194b0cbb8583b",
     },
     "pathwise-params1": {
-        "pathwise.csv": "151fd17eb1b0ed3ae00e7980ba7307cf0a01471965de50c42ba6097fb1d6eab2",
-        "verdict_pathwise.json": "a7f8917aec7a00c7dddaed2d14a49df92b9578e61a3e0fc3e12d86f48816a52a",
+        "pathwise.csv": "ed1da888d9c25ac1434a40453fe8c8949c877955c7f35479ec67fa29d423f81c",
+        "verdict_pathwise.json": "4c21be7eaafb707c62321d476431ebfcee3fa4d43202c1753014d5d656b1b3f7",
     },
     "validity_explicit_grid": {
         "validity.csv": "c13bddc5e9c3b736ba84816e1ece2cae33f5f81156dbf2f0b167d7a10347bc6c",
@@ -362,13 +362,13 @@ def test_montecarlo_outputs_are_pinned(tmp_path, request, command, params):
 
 HYPERCUBE_DIGESTS = {
     "quantiles": {
-        "quantiles.svg": "b79a3974b69b40b68b5c80f7519bce86fae485ab202b83c1058f8a3a2bdd486f",
-        "trials_quantiles.csv": "742229d96950b0bc4c07da7d26b763bda85bc3dd8ca2bcac307c14bb82c84a5a",
-        "verdict_quantiles.json": "2207173cce68344561058f177941e2c825548ba15e75df26a89af9864e3eadf8",
+        "quantiles.svg": "ef49a7b34bfce748f73dd8d47ea2a2aa9c7cb50583a7205d6eb655b8b1d2e717",
+        "trials_quantiles.csv": "dd15859b81eafb5cea537f9473c4d38caf47aa11928d966fc5dac5c265b051e4",
+        "verdict_quantiles.json": "163850987318b19e000ad6b609b88db2cd3d635a295879d2a6aaeb70c88ad890",
     },
     "pathwise": {
-        "pathwise.csv": "496b58492cffa2f37a9ed4cdf521a22c4a0c17fdc85cab0b9937d684ee28e38a",
-        "verdict_pathwise.json": "048c605fcb2180c1a787e18ca54f4bab7285c99ee9e807bda9ddc649dd03a1f1",
+        "pathwise.csv": "e388698425cc7e929da1f3a44b9bb1605865ff9810e98036bc0aa6e46ffbe364",
+        "verdict_pathwise.json": "e7aeb22996d595219057328ea4a188e902f52f999b7fd947c15192fb6fdc87b5",
     },
 }
 HYPERCUBE_RUNS = [
@@ -686,9 +686,9 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "
 @pytest.mark.parametrize("workload", ["mc_canonical", "bounds_localize", "bss_wide"])
 def test_setup_stays_within_its_module_budget(tmp_path, workload):
     # a set-up (import, load a valid config, build the profile) loads no scipy
-    # (imported inside the interval functions), no numpy.random (trial streams
-    # build their seed-sequence type on first use) and no jsonschema (the
-    # config rules are plain Python; the schema is only the tests' oracle)
+    # (imported inside the interval functions), no numpy.random (streams are
+    # built on first use) and no jsonschema (the config rules are plain
+    # Python; the schema is only the tests' oracle)
     config = next(iter(_bench_workloads().write_configs(workload, 3, str(tmp_path)).values()))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", SETUP_CODE, config], env=env, capture_output=True, text=True, check=True)
@@ -699,14 +699,15 @@ COMMANDS_CODE = """
 import json, sys
 from unionerm import cli
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([codes, sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])]))
 """
 
 
 @pytest.mark.parametrize("workload", ["mc_canonical", "bounds_localize"])
 def test_commands_off_the_clopper_pearson_path_never_load_scipy(tmp_path, workload):
     # only consistency, validity and bss (Clopper-Pearson intervals) may load
-    # scipy; every other command runs on the workload's configs without it
+    # scipy; every other command runs on the workload's configs without it,
+    # and without numpy.ma (~1 MB, which np.unique of a plain array loads)
     bench = _bench_workloads()
     paths = bench.write_configs(workload, 3, str(tmp_path))
     if workload == "mc_canonical":

@@ -13,7 +13,6 @@ from unionerm.model import (
     FeatureCollection,
     FeatureEntry,
     GaussianDesignLaw,
-    sample_dataset,
     subset_collection,
 )
 from unionerm.population import excess_risk, profile as build_profile
@@ -45,14 +44,14 @@ def test_run_trials_batches_are_pinned():
     # a Gaussian design of 120 subset maps.
     law, coll = canonical_law(), canonical_collection()
     batch = ex.run_trials(law, coll, 2000, 600, 2024, build_profile(law, coll), snapshots=True)
-    assert batch.batch_hash() == "163c07fde1bed5bcd00907e3efaadb386ed77d0a5aca7289ead50bf272425ac8"
+    assert batch.batch_hash() == "aa3deb41e5ee5cce0659a5d7e519a16e15192d3c3632b63bcc34ac9b3f7e5f94"
     h = hashlib.sha256()
     for field in ("lam_plus", "lam_minus", "delta_plus", "g_sq_hat", "gap_hat", "est_err_hat"):
         h.update(np.ascontiguousarray(getattr(batch, field)).tobytes())
-    assert h.hexdigest() == "35d9bd8005339bf7e0b41a843dfbe7ed677a75a7f49af56d6205de88fb48b594"
+    assert h.hexdigest() == "2ec6b05d45079aeccce6e3b7aee2cad7003e762d1a00acf9e25993bcaec95063"
     design = ex.bss_instance("gaussian", 10, [1.0, 1.0, 1.0] + [0.0] * 7, 1.0)
     batch = ex.run_trials(design, subset_collection(10, 3), 100, 60, 2025)
-    assert batch.batch_hash() == "94235435e55a5bf110039d396e6bc543eea39a2ad763b60d29ff34a76e87105c"
+    assert batch.batch_hash() == "9a3c061810624c550bc525ba0fe9cdc725003a897f594c229a781e0e23e54332"
 
 
 def test_run_trials_rejects_empty_datasets(canonical):
@@ -104,12 +103,12 @@ def test_run_trials_prefix_matches_shorter_run():
 
 
 def test_run_trials_matches_per_dataset_route(canonical_three):
-    # the moment engine against sample_dataset -> erm.solve, trial by trial,
-    # with n below the map dimensions so singular fits occur.  On discrete
-    # laws excess risks are the profile's and process values the oracle
-    # snapshot's; in the last two discrete instances maps share atom columns
-    # (coordinate subsets, and a constant map), and at small n atoms go
-    # missing.  On a correlated Gaussian design (subsets, and coordinate maps
+    # the moment engine against the trial's rows (oracles.trial_dataset) ->
+    # erm.solve, trial by trial, with n below the map dimensions so singular
+    # fits occur.  On discrete laws excess risks are the profile's and
+    # process values the oracle snapshot's; in the last two discrete
+    # instances maps share atom columns (coordinate subsets, and a constant
+    # map), and at small n atoms go missing.  On a correlated Gaussian design (subsets, and coordinate maps
     # of mixed dimension) excess risks are the design's closed form
     rng = np.random.default_rng(41)
     instances = [random_instance(rng) for _ in range(8)]
@@ -134,7 +133,7 @@ def test_run_trials_matches_per_dataset_route(canonical_three):
         for n in (1, 2, 5, 40):
             batch = ex.run_trials(law, coll, n, 12, 500 + case, prof, snapshots=prof is not None)
             for i in range(12):
-                ds = sample_dataset(law, n, (500 + case, i))
+                ds = oracles.trial_dataset(law, n, 500 + case, i)
                 sol = erm.solve(ds, coll, prof)
                 assert batch.t_hat[i] == sol.index
                 assert bool(batch.singular[i]) == sol.singular
@@ -187,11 +186,35 @@ def test_run_trials_peak_memory_on_a_wide_law():
     assert peak - held < 6 * trials * law.support_size * 8
 
 
+def test_run_trials_chunks_drawn_in_reverse_order_give_its_bytes(canonical, monkeypatch):
+    # chunk c reads its own stream only: a batch fitted from the chunks'
+    # counts drawn last chunk first (three chunks, the last one ragged) is
+    # run_trials' batch byte for byte, every process value included
+    law, coll, prof = canonical
+    n, trials, master = 40, 2 * ex.TRIAL_CHUNK + 7, 312
+    ref = ex.run_trials(law, coll, n, trials, master, prof, snapshots=True)
+    sizes = [min(ex.TRIAL_CHUNK, trials - lo) for lo in range(0, trials, ex.TRIAL_CHUNK)]
+    drawn = {c: oracles.chunk_counts(law, n, master, c, sizes[c]) for c in reversed(range(len(sizes)))}
+    tables, fed = prof.tables, []
+    real = tables.moments
+
+    def moments(counts, size):
+        fed.append(counts.shape[0])
+        return real(drawn[len(fed) - 1], size)
+
+    monkeypatch.setattr(tables, "moments", moments)
+    batch = ex.run_trials(law, coll, n, trials, master, prof, snapshots=True)
+    assert fed == sizes
+    assert batch.batch_hash() == ref.batch_hash() and batch.t_hat == ref.t_hat
+    for field in ("n_excess", "n_excess_oracle", "singular", "lam_plus", "lam_minus", "delta_plus", "g_sq_hat", "gap_hat", "est_err_hat"):
+        assert getattr(batch, field).tobytes() == getattr(ref, field).tobytes(), field
+
+
 def test_run_trials_oracle_record_matches_oracle_solve(canonical):
     law, coll, prof = canonical
     batch = ex.run_trials(law, coll, 30, 5, 304, prof)
     for trial in range(5):
-        ds = sample_dataset(law, 30, (304, trial))
+        ds = oracles.trial_dataset(law, 30, 304, trial)
         osol = oracles.oracle_solve(ds, coll, prof)
         ref = 30 * excess_risk(osol.index, osol.weights, prof)
         assert batch.n_excess_oracle[trial] == pytest.approx(ref, rel=1e-12)

@@ -17,8 +17,8 @@ from unionerm.model import (
     rng_from_seed,
     sample_counts,
     sample_dataset,
+    stream,
     subset_collection,
-    trial_streams,
     _coordinate_classes,
     validate_collection,
 )
@@ -140,16 +140,13 @@ STREAM_TRIALS = [0, 1, 255, 256, 257, 10**6, 2**32 + 1]  # 2**32 + 1: a two-word
 
 @pytest.mark.parametrize("master", STREAM_MASTERS)
 def test_trial_streams_are_seed_sequence_streams(master):
-    # One chunk holds every trial (one- and two-word ones together) and each
-    # single stream is hashed on Python ints: both give numpy's SeedSequence
-    # words, so PCG64 seeds to the reference state and draws the same values.
-    chunk = trial_streams(master, np.array(STREAM_TRIALS, dtype=np.uint64))
-    assert len(chunk) == len(STREAM_TRIALS)
-    for i, batched in zip(STREAM_TRIALS, chunk):
-        words = np.random.SeedSequence((master, i)).generate_state(4, np.uint64)
-        for rng in (batched, rng_from_seed(master, i)):
-            ref = seed_sequence_stream(master, i)
-            assert np.array_equal(rng.bit_generator._seed_seq.words, words)
+    # The stream of sample_dataset's (master, i) and that of run_trials'
+    # chunk i are numpy's SeedSequence streams of (master, i) and (master, i,
+    # TRIAL_TAG), for masters past one word and two-word indices too: PCG64
+    # seeds to the reference state and draws the same values.
+    for i in STREAM_TRIALS:
+        for rng, key in ((rng_from_seed(master, i), (master, i)), (stream(master, i, model.TRIAL_TAG), (master, i, 5))):
+            ref = seed_sequence_stream(*key)
             assert rng.bit_generator.state == ref.bit_generator.state
             assert rng.multinomial(1000, [0.2, 0.3, 0.5]).tolist() == ref.multinomial(1000, [0.2, 0.3, 0.5]).tolist()
             assert rng.standard_normal() == ref.standard_normal()
@@ -162,8 +159,16 @@ def test_trial_streams_reject_negative_seeds_like_seed_sequence():
         with pytest.raises(ValueError):
             rng_from_seed(master, trial)
         with pytest.raises(ValueError):
-            trial_streams(master, np.array([0, trial]))
-    assert trial_streams(5, np.array([], dtype=np.int64)) == []
+            stream(master, trial, model.TRIAL_TAG)
+
+
+def test_stream_tags_are_distinct():
+    # the last key word of each kind of derived stream: count batches, the
+    # design's Monte Carlo, the quartic's starts, grid seeds and trial chunks
+    tags = [model.COUNT_BATCH_TAG, model.DESIGN_MC_TAG, model.QUARTIC_TAG, model.GRID_TAG, model.TRIAL_TAG]
+    assert tags == [1, 2, 3, 4, 5]
+    draws = {stream(7, 0, tag).integers(2**63) for tag in tags}
+    assert len(draws) == len(tags)
 
 
 def test_counts_match_exact_count_vector_probabilities():
