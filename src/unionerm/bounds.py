@@ -38,12 +38,7 @@ import numpy as np
 
 from .model import DESIGN_MC_TAG, QUARTIC_TAG, DiscreteLaw, stream
 from .population import PopulationProfile
-from .processes import (
-    _distinct_rows,
-    count_sample,
-    expected_sup,
-    iter_count_batches,  # noqa: F401 -- the benchmark tracer wraps it under this name
-)
+from .processes import _distinct_rows, chunk_mean, expected_sup, iter_count_batches
 
 if TYPE_CHECKING:
     from .localization import ClosedFormComplexity, ExpectedSupComplexity
@@ -194,7 +189,6 @@ def finite_sup_sandwich(
     n: int,
     trials: int = 10_000,
     seed: int = 0,
-    mode: str = "mc",
 ) -> SandwichResult:
     """Two-sided bound on E[max_f ||E_n(f)||^2]^{1/2} for a finite class.
 
@@ -207,6 +201,10 @@ def finite_sup_sandwich(
         lower = sigma/2 + r_n/(4 sqrt(n))
         upper = c(|F|) sigma + c(|F|)^2 r_n / sqrt(n)
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     if law.kind != "discrete":
         raise ValueError("the sandwich check needs a discrete law")
     if len(atom_values) == 0:
@@ -232,7 +230,7 @@ def finite_sup_sandwich(
             np.maximum(out, n * np.sum(mean**2, axis=1), out=out)
         return out
 
-    est, se = _sqrt_with_se(*count_sample(law, n, trials, seed, mode).mean(batch_max))
+    est, se = _sqrt_with_se(*chunk_mean(iter_count_batches(law, n, trials, seed), batch_max))
     cf = c_factor(len(atom_values))
     return SandwichResult(
         lower=0.5 * sigma + 0.25 * r_n / math.sqrt(n),
@@ -293,6 +291,8 @@ MC_CHUNK = 65536  # draws per seed stream of covariance_deviation_lambda_max_mc
 
 def covariance_deviation_lambda_max_mc(law, collection, draws: int = 10**6, seed: int = 0) -> float:
     """Monte Carlo variant for generative laws with known feature covariance."""
+    if draws < 1:
+        raise ValueError("draws must be at least 1")
     best = 0.0
     for entry in collection:
         sigma = law.feature_covariance(entry)
@@ -483,7 +483,6 @@ def compute_bound_inputs(
     n: int,
     trials: int = 10_000,
     seed: int = 0,
-    mode: str = "mc",
 ) -> BoundInputs:
     from .localization import ClosedFormComplexity, ExpectedSupComplexity  # late import: localization consumes A(S)
 
@@ -491,8 +490,8 @@ def compute_bound_inputs(
     l_val, l_tag = quadratic_form_variance_sup(prof, seed=seed)
     gap = class_moments("D", None, prof, n)
     grad = class_moments("G", None, prof, n)
-    sup_lam = expected_sup("lambda", None, n, prof, trials=trials, seed=seed, mode=mode)
-    sup_del = expected_sup("delta", None, n, prof, trials=trials, seed=seed, mode=mode)
+    sup_lam = expected_sup("lambda", None, n, prof, trials=trials, seed=seed)
+    sup_del = expected_sup("delta", None, n, prof, trials=trials, seed=seed)
     return BoundInputs(
         cov_dev_lambda_max=lam_v,
         quad_form_var_sup=TaggedValue(l_val, l_tag, None),
@@ -501,7 +500,7 @@ def compute_bound_inputs(
         exp_sup_lambda=sup_lam,
         exp_sup_delta=sup_del,
         explicit_cx=ClosedFormComplexity(prof, n),
-        expected_sup_cx=ExpectedSupComplexity(prof, n, trials=trials, seed=seed, mode=mode),
+        expected_sup_cx=ExpectedSupComplexity(prof, n, trials=trials, seed=seed),
     )
 
 

@@ -519,10 +519,7 @@ def _mc_quantiles(cfg, out, law, collection, prof, trials):
         "quantiles": rows,
         "half_min_quantile": verdict["half_min_quantile"],
         "half_max_quantile": verdict["half_max_quantile"],
-        "clauses": clauses,
-        "pass": all(c["pass"] for c in clauses),
     }
-    write_json(os.path.join(out, "verdict_quantiles.json"), payload)
     _write_text(os.path.join(out, "quantiles.svg"), svgplot.line_chart(
         n_grid,
         {
@@ -534,7 +531,7 @@ def _mc_quantiles(cfg, out, law, collection, prof, trials):
         "n",
         "n * quantile",
     ))
-    return payload
+    return payload, clauses
 
 
 def _mc_consistency(cfg, out, law, collection, prof, trials):
@@ -547,8 +544,6 @@ def _mc_consistency(cfg, out, law, collection, prof, trials):
     clauses = [
         {"id": "c6_final_leq_first", "pass": final["p_miss"] <= rows[0]["p_miss"] + 2 * (final["se"] + rows[0]["se"]), "value": final["p_miss"]},
     ]
-    payload = {"rows": rows, "clauses": clauses, "pass": all(c["pass"] for c in clauses)}
-    write_json(os.path.join(out, "verdict_consistency.json"), payload)
     _write_text(os.path.join(out, "consistency.svg"), svgplot.line_chart(
         [r["n"] for r in rows],
         {"P(suboptimal index)": [r["p_miss"] for r in rows]},
@@ -556,7 +551,7 @@ def _mc_consistency(cfg, out, law, collection, prof, trials):
         "n",
         "miss probability",
     ))
-    return payload
+    return {"rows": rows}, clauses
 
 
 def _mc_validity(cfg, out, law, collection, prof, trials):
@@ -582,8 +577,6 @@ def _mc_validity(cfg, out, law, collection, prof, trials):
     clauses = [
         {"id": "c8_validity", "pass": result["pass"], "value": max(r["rate"] for r in result["rows"])}
     ]
-    payload = {**result, "clauses": clauses}
-    write_json(os.path.join(out, "verdict_validity.json"), payload)
     _write_text(os.path.join(out, "validity.svg"), svgplot.bar_chart(
         [str(r["n"]) for r in result["rows"]],
         [r["rate"] for r in result["rows"]],
@@ -591,7 +584,7 @@ def _mc_validity(cfg, out, law, collection, prof, trials):
         "n",
         "rate",
     ))
-    return payload
+    return result, clauses
 
 
 def _mc_pathwise(cfg, out, law, collection, prof, trials):
@@ -610,11 +603,8 @@ def _mc_pathwise(cfg, out, law, collection, prof, trials):
         "excluded": res.excluded,
         "violations": res.violations,
         "worst_slack": res.worst_slack,
-        "clauses": [{"id": "c9_pathwise", "pass": res.ok, "value": res.violations}],
-        "pass": res.ok,
     }
-    write_json(os.path.join(out, "verdict_pathwise.json"), payload)
-    return payload
+    return payload, [{"id": "c9_pathwise", "pass": res.ok, "value": res.violations}]
 
 
 def _mc_bss(cfg, out, law, collection, prof, trials):
@@ -657,10 +647,7 @@ def _mc_bss(cfg, out, law, collection, prof, trials):
         "n_threshold": report.n_threshold,
         "threshold_k": report.threshold_k,
         "rows": list(report.rows),
-        "clauses": clauses,
-        "pass": all(c["pass"] for c in clauses),
     }
-    write_json(os.path.join(out, "verdict_bss.json"), payload)
     _write_text(os.path.join(out, "bss.svg"), svgplot.line_chart(
         [r["n"] for r in report.rows],
         {
@@ -671,9 +658,10 @@ def _mc_bss(cfg, out, law, collection, prof, trials):
         "n",
         "recovery / ratio",
     ))
-    return payload
+    return payload, clauses
 
 
+# each returns (verdict payload, clauses); cmd_montecarlo writes verdict_<sub>.json
 _MC_SUBCOMMANDS = {
     "quantiles": _mc_quantiles,
     "consistency": _mc_consistency,
@@ -689,9 +677,10 @@ def cmd_montecarlo(cfg: dict, out: str, sub: str, trials_override: int | None) -
     trials = _trials(cfg, trials_override, 1000, _MC_MIN_TRIALS[sub], f"subcommand {sub}")
     prof = None if sub == "bss" else build_profile(build_law(cfg), build_collection(cfg))
     law, collection = (None, None) if prof is None else (prof.law, prof.collection)
-    payload = _MC_SUBCOMMANDS[sub](cfg, out, law, collection, prof, trials)
-    status = "PASS" if payload.get("pass", True) else "FAIL"
-    print(f"montecarlo {sub}: {status}")
+    payload, clauses = _MC_SUBCOMMANDS[sub](cfg, out, law, collection, prof, trials)
+    ok = all(c["pass"] for c in clauses)
+    write_json(os.path.join(out, f"verdict_{sub}.json"), {**payload, "clauses": clauses, "pass": ok})
+    print(f"montecarlo {sub}: {'PASS' if ok else 'FAIL'}")
     return EXIT_OK
 
 

@@ -14,8 +14,9 @@ Two complexity functionals are pluggable:
   it draws no sample and is monotone under inclusion).
 * ``ExpectedSupComplexity`` — the Monte Carlo estimate of the expected
   supremum of the squared gradient-norm process over S, plus 3 standard
-  errors (the conservative direction), also on shared sample paths.  Not
-  cached: a value is a column max of the sample's value table, built once.
+  errors (the conservative direction), tagged ``estimated``.  Every subset
+  reads the one count sample of (n, trials, seed); not cached: a value is a
+  column max of that sample's value table, built once.
 """
 
 from __future__ import annotations
@@ -59,18 +60,15 @@ class ClosedFormComplexity:
 class ExpectedSupComplexity:
     """Monte Carlo E[sup over S of the squared gradient-norm process] + 3 SE."""
 
-    def __init__(self, prof: PopulationProfile, n: int, trials: int = 10_000,
-                 seed: int = 0, mode: str = "mc"):
+    def __init__(self, prof: PopulationProfile, n: int, trials: int = 10_000, seed: int = 0):
         self.prof = prof
         self.n = int(n)
         self.trials = trials
         self.seed = seed
-        self.mode = mode
 
     def value(self, subset) -> TaggedValue:
-        est, se = expected_sup("g_sq", subset, self.n, self.prof, trials=self.trials, seed=self.seed, mode=self.mode)
-        tag = "exact" if self.mode == "exact" else "estimated"
-        return TaggedValue(est + 3.0 * se, tag, se)
+        est, se = expected_sup("g_sq", subset, self.n, self.prof, trials=self.trials, seed=self.seed)
+        return TaggedValue(est + 3.0 * se, "estimated", se)
 
 
 def _step_delta(delta: float, k: int) -> float:

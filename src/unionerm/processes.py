@@ -23,15 +23,14 @@ dataset gives every index's Sigma_n, Phi^T y / n and R_n(w_*), which the
 trial fits (:class:`unionerm.erm.MomentFit`) and :func:`snapshot`, the
 per-index value table of all three processes, both read; for d_t <= 2 the
 table is elementwise in the moment columns, with no per-index LAPACK call.
-Every expected supremum is one reduction, :meth:`CountSample.mean`, over
-one count sample of the table's distinct rows (:meth:`AtomTables.sample`):
-Monte Carlo chunks with per-chunk seed streams, or for tiny instances the
-exact enumeration of every dataset with its probability.  (Class moments
-and A(S) in :mod:`unionerm.bounds` draw nothing: their expected maximum
-over the n draws is a closed form in the atoms' weights.)  ``prof.tables``
-keeps the last sample drawn, keyed by (n, trials, seed, mode), and its value
-table, built on first use, of which every expected supremum is a column
-max.  So one command draws each stream and evaluates each dataset once.
+Every expected supremum is one reduction, :func:`chunk_mean`, over the
+value table of one Monte Carlo count sample of the table's distinct rows
+(:meth:`AtomTables.table`), drawn in chunks with per-chunk seed streams.
+(Class moments and A(S) in :mod:`unionerm.bounds` draw nothing: their
+expected maximum over the n draws is a closed form in the atoms' weights.)
+``prof.tables`` keeps the value table of the last sample drawn, keyed by
+(n, trials, seed), of which every expected supremum is a column max.  So
+one command draws each stream and evaluates each dataset once.
 The tables hold no per-atom population arrays; those are the profile's
 records.  Trials (:mod:`unionerm.experiments`) keep their per-atom counts,
 read against the full table.
@@ -55,15 +54,12 @@ __all__ = [
     "snapshot",
     "expected_sup",
     "AtomTables",
-    "CountSample",
-    "count_sample",
+    "chunk_mean",
     "iter_count_batches",
-    "enumerate_product_counts",
 ]
 
 CHUNK = 16384
 TABLE_BLOCK = 256  # rows per block of AtomTables.snapshot
-MAX_EXACT_DATASETS = 250_000
 EXPECTED_SUP_MIN_TRIALS = 100  # the fewest Monte Carlo rows an expected supremum is estimated from
 
 
@@ -79,8 +75,8 @@ class AtomTables:
     """The moment table of a discrete law (see the module docstring): a
     dataset's :meth:`moments` are all that ``fits`` (about w_*, with R_n(w_*)
     in the columns ``loss``) and :meth:`evaluate` read.  Also the table's
-    distinct rows, over which count samples are drawn, and the last count
-    sample drawn and its value table.
+    distinct rows, over which count samples are drawn, and the value table
+    of the last count sample drawn.
 
     Atoms whose moment rows are equal are one category for every count
     sample: ``rows`` holds the first atom of each distinct row, in atom
@@ -105,8 +101,7 @@ class AtomTables:
         self._sub = [self.indices.index(t) for t in self.suboptimal]
         self._s0 = self.indices.index(prof.least_optimal_index)
         self._gaps = np.array([prof.gap(t) for t in self.suboptimal])
-        self._last = None   # (key, CountSample) of the last sample drawn
-        self._table = None  # its value table, built on first use
+        self._last = None  # (key, value table) of the last count sample drawn
         slots, pairs = {}, {}  # atom column -> (slot, column); slot pair -> table column
 
         def slot(col):
@@ -142,32 +137,28 @@ class AtomTables:
     rows = property(lambda self: self._merged[0])
     sample_law = property(lambda self: self._merged[1])
 
-    def sample(self, n: int, trials: int, seed: int, mode: str) -> CountSample:
-        """The count sample of ``sample_law`` for (n, trials, seed, mode): its
-        chunks count the table's distinct rows, in the order of ``rows``.
+    def table(self, n: int, trials: int, seed: int) -> tuple:
+        """The value table of the count sample (n, trials, seed): one
+        :class:`Snapshot` per chunk of :func:`iter_count_batches` over
+        ``sample_law``, whose rows count the table's distinct rows, in the
+        order of ``rows``.
 
-        The last sample drawn is kept, so consecutive requests for one key
-        share a single draw.
+        The last table built is kept, so consecutive requests for one key
+        share a single draw and a single evaluation.
         """
-        key = (n, trials, seed, mode)
+        key = (n, trials, seed)
         if self._last is None or self._last[0] != key:
-            self._last = (key, count_sample(self.sample_law, n, trials, seed, mode))
-            self._table = None
+            chunks = iter_count_batches(self.sample_law, n, trials, seed)
+            self._last = (key, tuple(self.snapshot(c, n) for c in chunks))
         return self._last[1]
-
-    def table(self, n: int, trials: int, seed: int, mode: str) -> CountSample:
-        """:meth:`sample` with each chunk replaced by its :class:`Snapshot`, built on first use."""
-        sample = self.sample(n, trials, seed, mode)
-        if self._table is None:
-            self._table = CountSample(tuple(self.snapshot(c, n) for c in sample.chunks), sample.probs)
-        return self._table
 
     def moments(self, counts: np.ndarray, n: int) -> np.ndarray:
         """The moments (B, K) of the datasets with counts ``counts``: atom
         counts (B, m) times the table, or the row counts (B, len(rows)) of a
-        :meth:`sample` times its distinct rows (the same table when no two
-        rows are equal).  One product per dataset (``(b, 1, m) @ table``),
-        so a row's moments do not depend on the other rows."""
+        count sample of ``sample_law`` times its distinct rows (the same
+        table when no two rows are equal).  One product per dataset
+        (``(b, 1, m) @ table``), so a row's moments do not depend on the
+        other rows."""
         table = self._moment_columns if counts.shape[1] == self._moment_columns.shape[0] else self._merged[2]
         return ((counts[:, None, :] / n) @ table)[:, 0, :]
 
@@ -323,73 +314,27 @@ def iter_count_batches(law: DiscreteLaw, n: int, trials: int, seed: int):
         yield stream(seed, chunk_idx, COUNT_BATCH_TAG).multinomial(n, law.weights, size=min(CHUNK, trials - lo))
 
 
-def enumerate_product_counts(law: DiscreteLaw, n: int):
-    """All datasets of size n from a discrete law, as (counts, probability).
+def chunk_mean(chunks, fn) -> tuple[float, float]:
+    """(mean, standard error) of ``fn(chunk) -> (B,)`` over the rows of every chunk.
 
-    Enumerates the m^n ordered samples via their atom-count multiset with
-    multinomial weights; exact product-measure expectations contract against
-    the returned probabilities.
+    Sums accumulate chunk by chunk, in chunk order.  The variance does not
+    cancel: each chunk's squared deviations are taken about its own mean
+    (refined by a second pass) and merged in chunk order by the pairwise
+    update of Chan et al., so constant values give exactly 0.
     """
-    m = law.support_size
-    if m**n > MAX_EXACT_DATASETS:
-        raise ValueError(f"exact enumeration needs {m**n} datasets, above the cap {MAX_EXACT_DATASETS}")
-    grids = np.indices((m,) * n).reshape(n, -1).T  # (m^n, n) ordered samples
-    counts = np.zeros((grids.shape[0], m), dtype=np.int64)
-    for i in range(n):
-        np.add.at(counts, (np.arange(grids.shape[0]), grids[:, i]), 1)
-    probs = np.prod(law.weights[grids], axis=1)
-    return counts, probs
-
-
-class CountSample(NamedTuple):
-    """Datasets of size n from a discrete law, as count chunks (B, m) over
-    the law's m categories (for :meth:`AtomTables.sample`, the distinct rows
-    of the table), or as the value table of those chunks (one
-    :class:`Snapshot` each).
-
-    ``probs`` is None for a Monte Carlo sample, whose rows weigh equally; for
-    an exact enumeration it holds the product probability of each row of the
-    single chunk.
-    """
-
-    chunks: tuple
-    probs: np.ndarray | None
-
-    def mean(self, fn) -> tuple[float, float]:
-        """(mean, standard error) of ``fn(chunk) -> (B,)`` over the sample.
-
-        The standard error is 0 for an exact enumeration.  Monte Carlo sums
-        accumulate chunk by chunk, in chunk order.  The variance does not
-        cancel: each chunk's squared deviations are taken about its own mean
-        (refined by a second pass) and merged in chunk order by the pairwise
-        update of Chan et al., so constant values give exactly 0.
-        """
-        if self.probs is not None:
-            return float(self.probs @ fn(self.chunks[0])), 0.0
-        rows, total, mean, m2 = 0, 0.0, 0.0, 0.0
-        for chunk in self.chunks:
-            vals = fn(chunk)
-            b = vals.shape[0]
-            s = float(np.sum(vals))
-            mu = s / b
-            mu += float(np.sum(vals - mu)) / b
-            gap = mu - mean
-            rows += b
-            total += s
-            mean += gap * (b / rows)
-            m2 += float(np.sum((vals - mu) ** 2)) + gap * gap * (rows - b) * (b / rows)
-        return total / rows, math.sqrt(m2 / rows / rows)
-
-
-def count_sample(law: DiscreteLaw, n: int, trials: int, seed: int, mode: str) -> CountSample:
-    """Draw the ``trials`` Monte Carlo datasets of one seed (``mode="mc"``),
-    or enumerate every dataset exactly (``mode="exact"``, tiny instances)."""
-    if mode == "exact":
-        counts, probs = enumerate_product_counts(law, n)
-        return CountSample((counts,), probs)
-    if mode != "mc":
-        raise ValueError(f"unknown mode {mode!r}")
-    return CountSample(tuple(iter_count_batches(law, n, trials, seed)), None)
+    rows, total, mean, m2 = 0, 0.0, 0.0, 0.0
+    for chunk in chunks:
+        vals = fn(chunk)
+        b = vals.shape[0]
+        s = float(np.sum(vals))
+        mu = s / b
+        mu += float(np.sum(vals - mu)) / b
+        gap = mu - mean
+        rows += b
+        total += s
+        mean += gap * (b / rows)
+        m2 += float(np.sum((vals - mu) ** 2)) + gap * gap * (rows - b) * (b / rows)
+    return total / rows, math.sqrt(m2 / rows / rows)
 
 
 def _resolve_subset(process: str, subset, prof: PopulationProfile):
@@ -410,24 +355,21 @@ def expected_sup(
     prof: PopulationProfile,
     trials: int = 10_000,
     seed: int = 0,
-    mode: str = "mc",
 ) -> tuple[float, float]:
     """Estimate E[sup over the subset] of one process at sample size n.
 
-    Returns (estimate, standard error).  ``mode="exact"`` enumerates the
-    product measure (tiny instances only) and returns a zero standard error.
-    The supremum over an empty subset is 0 with no uncertainty; any other
-    is a column max of the sample's value table (:meth:`AtomTables.table`).
+    Returns (estimate, standard error).  The supremum over an empty subset
+    is 0 with no uncertainty; any other is a column max of the sample's
+    value table (:meth:`AtomTables.table`).
     """
     if process not in ("lambda", "g_sq", "delta"):
         raise ValueError(f"unknown process {process!r}")
     subset = _resolve_subset(process, subset, prof)
     if not subset:
         return 0.0, 0.0
-    if mode == "mc" and trials < EXPECTED_SUP_MIN_TRIALS:
+    if trials < EXPECTED_SUP_MIN_TRIALS:
         raise ValueError(f"Monte Carlo expected suprema need at least {EXPECTED_SUP_MIN_TRIALS} trials")
     tables = prof.tables
     order = tables.suboptimal if process == "delta" else tables.indices
     cols = [order.index(t) for t in subset]
-    table = tables.table(n, trials, seed, mode)
-    return table.mean(lambda snap: snap.values(process)[:, cols].max(axis=1))
+    return chunk_mean(tables.table(n, trials, seed), lambda snap: snap.values(process)[:, cols].max(axis=1))

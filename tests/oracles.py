@@ -23,12 +23,13 @@ from unionerm.model import (
     TRIAL_TAG,
     Dataset,
     DegenerateFeatureError,
+    DiscreteLaw,
     DuplicateClassError,
     FeatureCollection,
     _column_space_rank,
 )
 from unionerm.population import IndexRecord
-from unionerm.processes import TABLE_BLOCK, DeltaUndefinedError, Snapshot
+from unionerm.processes import TABLE_BLOCK, DeltaUndefinedError, Snapshot, chunk_mean
 
 
 def enum_expectation(atoms, fn):
@@ -131,6 +132,39 @@ def trial_dataset(law, n, master, trial):
     for _ in range(pos + 1):
         x, y = law.sample(n, rng)
     return Dataset(x=x, y=y)
+
+
+MAX_EXACT_DATASETS = 250_000
+
+
+def enumerate_product_counts(law: DiscreteLaw, n: int):
+    """All datasets of size n from a discrete law, as (counts, probability).
+
+    Enumerates the m^n ordered samples via their atom-count multiset with
+    multinomial weights; exact product-measure expectations contract against
+    the returned probabilities.
+    """
+    m = law.support_size
+    if m**n > MAX_EXACT_DATASETS:
+        raise ValueError(f"exact enumeration needs {m**n} datasets, above the cap {MAX_EXACT_DATASETS}")
+    grids = np.indices((m,) * n).reshape(n, -1).T  # (m^n, n) ordered samples
+    counts = np.zeros((grids.shape[0], m), dtype=np.int64)
+    for i in range(n):
+        np.add.at(counts, (np.arange(grids.shape[0]), grids[:, i]), 1)
+    probs = np.prod(law.weights[grids], axis=1)
+    return counts, probs
+
+
+def exact_expected_sup(prof, process, subset, n):
+    """Exact E[max over ``subset`` of one process] on the library's value
+    table: every dataset of size n over the rows of ``prof.tables.sample_law``
+    (:func:`enumerate_product_counts`), evaluated by ``tables.snapshot``, its
+    maximum weighted by its product probability."""
+    tables = prof.tables
+    counts, probs = enumerate_product_counts(tables.sample_law, n)
+    order = tables.suboptimal if process == "delta" else tables.indices
+    values = tables.snapshot(counts, n).values(process)[:, [order.index(t) for t in subset]]
+    return float(probs @ values.max(axis=1))
 
 
 def enum_datasets(law, n):
@@ -309,11 +343,11 @@ def table_snapshot_loop(prof, counts, n):
     return Snapshot(n=n, lam_min=lam_min, lam_minus_scaled=lam_minus, g_sq=g_sq, delta=delta)
 
 
-def expected_max_presence(sample, atom_values):
-    """(mean, SE) of the max over present atoms of the per-atom max value,
-    masking every absent atom of every row."""
+def expected_max_presence(chunks, atom_values):
+    """(mean, SE) over the count chunks' rows of the max over present atoms
+    of the per-atom max value, masking every absent atom of every row."""
     worst = np.stack(atom_values, axis=1).max(axis=1)
-    return sample.mean(lambda counts: np.where(counts > 0, worst[None, :], -np.inf).max(axis=1))
+    return chunk_mean(chunks, lambda counts: np.where(counts > 0, worst[None, :], -np.inf).max(axis=1))
 
 
 def validate_collection_loop(law, collection):

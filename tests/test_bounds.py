@@ -93,8 +93,8 @@ def test_class_moments_exact_mode_matches_mc(canonical):
     # the closed-form r_n against the masked max over a Monte Carlo count sample
     law, coll, prof = canonical
     exact = bounds.class_moments("G", None, prof, n=2)
-    sample = processes.count_sample(law, 2, 1_000_000, 2, "mc")
-    mean, se = expected_max_presence(sample, [prof.records[t].grad_sq for t in prof.indices()])
+    chunks = processes.iter_count_batches(law, 2, 1_000_000, 2)
+    mean, se = expected_max_presence(chunks, [prof.records[t].grad_sq for t in prof.indices()])
     assert abs(exact.r_n**2 - mean) <= 4 * max(se, 1e-12)
 
 
@@ -160,8 +160,13 @@ def test_bound_report_draws_each_count_stream_once(monkeypatch):
 
 
 def test_bound_report_builds_each_value_table_once(monkeypatch):
-    builds, asks = [], []
-    real_snapshot, real_sup = processes.AtomTables.snapshot, processes.expected_sup
+    builds, asks, chunks = [], [], []
+    real_snapshot, real_sup, real_batches = processes.AtomTables.snapshot, processes.expected_sup, processes.iter_count_batches
+
+    def recording_batches(*args):
+        for chunk in real_batches(*args):
+            chunks.append(chunk)
+            yield chunk
 
     def counting_snapshot(self, counts, n):
         builds.append((counts, n))
@@ -172,6 +177,7 @@ def test_bound_report_builds_each_value_table_once(monkeypatch):
         return real_sup(*args, **kwargs)
 
     monkeypatch.setattr(processes.AtomTables, "snapshot", counting_snapshot)
+    monkeypatch.setattr(processes, "iter_count_batches", recording_batches)
     for module in (bounds, localization):
         monkeypatch.setattr(module, "expected_sup", counting_sup)
     prof = profile(canonical_law(), canonical_three_map_collection())
@@ -179,7 +185,6 @@ def test_bound_report_builds_each_value_table_once(monkeypatch):
     inputs = bounds.compute_bound_inputs(prof, 60, trials=trials, seed=5)
     for delta in (0.01, 0.05, 0.1, 0.5):
         bounds.thresholds_and_bounds(prof, inputs, 60, delta, k=2)
-    chunks = prof.tables.sample(60, trials, 5, "mc").chunks
     assert len(chunks) == 2
     assert len(builds) == len(chunks)
     assert all(counts is chunk and n == 60 for (counts, n), chunk in zip(builds, chunks))
@@ -194,12 +199,13 @@ def test_reused_count_sample_matches_fresh_profile():
     reused = [processes.expected_sup(process, subset, 40, shared, **args) for process, subset in asks]
     fresh = [processes.expected_sup(process, subset, 40, profile(law, coll), **args) for process, subset in asks]
     assert reused == fresh  # exact float equality
-    assert shared.tables.sample(40, 500, 3, "mc") is shared.tables.sample(40, 500, 3, "mc")
+    assert shared.tables.table(40, 500, 3) is shared.tables.table(40, 500, 3)
 
 
 def test_profile_with_count_sample_is_freed_without_cyclic_gc():
     prof = profile(canonical_law(), canonical_three_map_collection())
-    prof.tables.sample(40, 500, 3, "mc")  # the count sample alone, no value table
+    prof.tables.table(40, 500, 3)  # a cached table, replaced by a second key
+    prof.tables.table(40, 500, 4)
     ref = weakref.ref(prof)
     gc.disable()
     try:
@@ -227,11 +233,20 @@ def test_profile_with_value_table_is_freed_without_cyclic_gc():
 
 def test_sandwich_symmetric_coin():
     law = DiscreteLaw(xs=np.array([[1.0], [-1.0]]), ys=np.zeros(2), weights=[0.5, 0.5])
-    res = bounds.finite_sup_sandwich([law.xs[:, 0]], law, n=1, mode="exact")
+    # at n = 1 every dataset gives ||E_n(f)||^2 = 1: the estimate is exact
+    res = bounds.finite_sup_sandwich([law.xs[:, 0]], law, n=1, trials=200, seed=0)
     assert res.estimate == pytest.approx(1.0, rel=1e-12)
+    assert res.se == 0.0
     assert res.lower == pytest.approx(0.75, rel=1e-12)
     assert res.upper == pytest.approx(30.0, rel=1e-12)
     assert res.lower <= res.estimate <= res.upper
+
+
+@pytest.mark.parametrize("arg", ["n", "trials"])
+def test_sandwich_rejects_an_empty_sample(arg):
+    law = DiscreteLaw(xs=np.array([[1.0], [-1.0]]), ys=np.zeros(2), weights=[0.5, 0.5])
+    with pytest.raises(ValueError, match=arg):
+        bounds.finite_sup_sandwich([law.xs[:, 0]], law, **{"n": 3, "trials": 200, arg: 0})
 
 
 def test_sandwich_zero_class():
@@ -348,6 +363,14 @@ def test_cov_dev_mc_gaussian_smoke():
     coll = subset_collection(2, 2)
     est = bounds.covariance_deviation_lambda_max_mc(law, coll, draws=200_000, seed=0)
     assert est == pytest.approx(3.0, rel=0.05)
+
+
+@pytest.mark.parametrize("draws", [0, -5])
+def test_cov_dev_mc_rejects_no_draws(draws):
+    # no draw has no estimate: 0.0 would understate every threshold built on it
+    law = GaussianDesignLaw(cov=np.eye(2), w_true=np.zeros(2), noise_std=1.0)
+    with pytest.raises(ValueError, match="draws"):
+        bounds.covariance_deviation_lambda_max_mc(law, subset_collection(2, 2), draws=draws, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +533,9 @@ def test_expected_max_closed_form_matches_masked_max(n, gap_rows):
     # the Monte Carlo reference masks every atom a row misses; once every row
     # holds every atom, it is the overall max, which the closed form rounds to
     prof = profile(bss_instance("discrete", 8, [1.0, 1.0] + [0.0] * 6, 1.0), subset_collection(8, 2))
-    sample = processes.count_sample(prof.law, n, 1000, 4, "mc")
+    chunks = list(processes.iter_count_batches(prof.law, n, 1000, 4))
     assert prof.law.support_size == 512
-    share = np.mean(np.concatenate([c.min(axis=1) == 0 for c in sample.chunks]))
+    share = np.mean(np.concatenate([c.min(axis=1) == 0 for c in chunks]))
     assert {"all": share == 1.0, "some": 0.0 < share < 1.0, "none": share == 0.0}[gap_rows]
     recs = prof.records
     grad_w = {t: rec.resid[:, None] * (rec.phi @ rec.whitener) for t, rec in recs.items()}
@@ -522,7 +545,7 @@ def test_expected_max_closed_form_matches_masked_max(n, gap_rows):
         [((0.5 * recs[t].resid ** 2 - loss0) / prof.gap(t) - 1.0) ** 2 for t in prof.suboptimal()[:3]],
     ):
         got = bounds._expected_max_sqrt(prof.law.weights, values, n)
-        root, se = bounds._sqrt_with_se(*expected_max_presence(sample, values))
+        root, se = bounds._sqrt_with_se(*expected_max_presence(chunks, values))
         assert abs(got - root) <= 4.0 * se
         if gap_rows == "none":
             assert got == root

@@ -336,6 +336,28 @@ MONTECARLO_DIGESTS = {
         "validity.svg": "4674625e069758c882a77befb532ea7aa4eb844f1b7e885f048df41b044e3e01",
         "verdict_validity.json": "9bd4e4471f2ca5a3c3f542c91f89c9fb7f81c53f922f8ee44c816f47cb15bab8",
     },
+    "consistency_small_n": {
+        "consistency.csv": "02536d7b19a7ed60c1fe16b5d47a21d9d2c1d88fd63c1cef023d17aeaa95094d",
+        "consistency.svg": "91075df48c8bd11516390db42102874b6baf4af76a1462c7607e4834f4b87c15",
+        "verdict_consistency.json": "046c3ab109f9d1fd0932c60906d48ee55de6629240ba6b089241d17629cb383c",
+    },
+    "validity_singular_small_n": {
+        "validity.csv": "1ed39adf825d196617121c58c7af0fca6adf91c972b15197671b4dfa8d13388e",
+        "validity.svg": "fc833560a84f9e2dc0e8f718343a08065bde0954939e1691b5261b567f0af342",
+        "verdict_validity.json": "556ce578dfb2b3d9c31a7b00546e5bbfc71815fd27c0e70fad648021ea25e648",
+    },
+    "bss_discrete": {
+        "bss.csv": "1a4d5c70f3a54fdedae0afd80a036f9e12bb07bfd68f152bcc0179152d89fb8f",
+        "bss.svg": "de167499a29df736591155539d65a80a13d38d7293b11d9600ac992e347034bc",
+        "verdict_bss.json": "6325564af2511204b36d975e5279dc09d835c3eaa0a168fcfb3a291b9ac8b480",
+    },
+}
+
+# a run whose output depends on its trials: a moved stream or fit moves its bytes
+DEPENDS_ON_TRIALS = {
+    "consistency_small_n": lambda verdict: any(0 < r["p_miss"] < 1 for r in verdict["rows"]),
+    "validity_singular_small_n": lambda verdict: any(r["violations"] > 0 for r in verdict["rows"]),
+    "bss_discrete": lambda verdict: all(r["a_n_se"] > 0 for r in verdict["rows"]),
 }
 
 
@@ -346,6 +368,10 @@ MONTECARLO_RUNS = [
     pytest.param("validity", {"n_grid": [16, 120], "delta": 0.5}, id="validity_explicit_grid"),
     pytest.param("validity", {"n_grid": [50, 400], "delta": 0.5, "k": 2}, id="validity_explicit_k2"),
     pytest.param("validity", {"delta": 0.5, "bound": "single_class"}, id="validity_single_class_default_grid"),
+    pytest.param("consistency", {"n_grid": [5, 10, 20, 40]}, id="consistency_small_n"),
+    # every violation is a singular fit: the bound dwarfs the excess at these n
+    pytest.param("validity", {"n_grid": [2, 3, 5], "delta": 0.5}, id="validity_singular_small_n"),
+    pytest.param("bss", _BSS, id="bss_discrete"),
 ]
 
 
@@ -358,6 +384,9 @@ def test_montecarlo_outputs_are_pinned(tmp_path, request, command, params):
     assert main(["--config", cfg, "--out", str(out), "--trials", "100", "montecarlo", command]) == 0
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert digests == MONTECARLO_DIGESTS[request.node.callspec.id]
+    depends = DEPENDS_ON_TRIALS.get(request.node.callspec.id)
+    if depends is not None:
+        assert depends(json.loads((out / f"verdict_{command}.json").read_text()))
 
 
 HYPERCUBE_DIGESTS = {
@@ -498,13 +527,13 @@ def test_localize_draws_no_count_sample_and_bounds_draws_one(tmp_path, monkeypat
     # A(S) and the class moments are closed forms: only the expected suprema draw
     from unionerm import processes
 
-    drawn, real = [], processes.count_sample
-    monkeypatch.setattr(processes, "count_sample", lambda *args: (drawn.append(args[1:]), real(*args))[1])
+    drawn, real = [], processes.iter_count_batches
+    monkeypatch.setattr(processes, "iter_count_batches", lambda *args: (drawn.append(args[1:]), real(*args))[1])
     cfg = _write(tmp_path, _canonical_config(n=200, delta=0.1, trials=300, k=2))
     assert main(["--config", cfg, "--out", str(tmp_path / "loc"), "localize"]) == 0
     assert drawn == []
     assert main(["--config", cfg, "--out", str(tmp_path / "b"), "bounds"]) == 0
-    assert drawn == [(200, 300, 19, "mc")]
+    assert drawn == [(200, 300, 19)]
 
 
 def _namedtuples_in(node):

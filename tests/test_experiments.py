@@ -381,10 +381,10 @@ def test_validity_sweep_reads_formulas_and_draws_each_count_sample_once(monkeypa
 
     monkeypatch.setattr(ex, "compute_bound_inputs", refuse)
     monkeypatch.setattr(ex, "thresholds_and_bounds", refuse)
-    keys, real = [], processes.count_sample
+    keys, real = [], processes.iter_count_batches
     monkeypatch.setattr(
-        processes, "count_sample",
-        lambda law, n, trials, seed, mode: (keys.append((n, trials, seed)), real(law, n, trials, seed, mode))[1],
+        processes, "iter_count_batches",
+        lambda law, n, trials, seed: (keys.append((n, trials, seed)), real(law, n, trials, seed))[1],
     )
     law, coll = canonical_law(), canonical_collection()
     prof = build_profile(law, coll)  # a fresh profile holds no earlier test's count sample

@@ -23,10 +23,16 @@ from unionerm.model import (
     validate_collection,
 )
 from unionerm import model
-from unionerm.processes import enumerate_product_counts
 
 from conftest import canonical_law, mixed_dim_instance, two_atom_law
-from oracles import atoms_of, enum_expectation, seed_sequence_stream, sorted_uniform_counts, validate_collection_loop
+from oracles import (
+    atoms_of,
+    enum_expectation,
+    enumerate_product_counts,
+    seed_sequence_stream,
+    sorted_uniform_counts,
+    validate_collection_loop,
+)
 
 
 def test_exact_expectation_constant_is_one():

@@ -19,10 +19,8 @@ from unionerm.model import (
 from unionerm.population import profile
 from unionerm.processes import (
     TABLE_BLOCK,
-    CountSample,
     DeltaUndefinedError,
-    count_sample,
-    enumerate_product_counts,
+    chunk_mean,
     expected_sup,
     iter_count_batches,
     snapshot,
@@ -37,7 +35,7 @@ from conftest import (
     random_instance,
     symmetric_law_and_collection,
 )
-from oracles import delta_process, enum_expected_sup, g_process, lambda_process
+from oracles import delta_process, enum_expected_sup, exact_expected_sup, g_process, lambda_process
 
 
 def _unit_scalar_instance():
@@ -120,7 +118,7 @@ def test_g_second_moment_matches_population(canonical):
     law, coll, prof = canonical
     est, se = expected_sup("g_sq", ["A"], 1, prof, trials=100_000, seed=4)
     assert abs(est - prof.grad_second_moment("A")) <= 3 * se
-    exact, _ = expected_sup("g_sq", ["A"], 1, prof, mode="exact")
+    exact = exact_expected_sup(prof, "g_sq", ["A"], 1)
     assert exact == pytest.approx(prof.grad_second_moment("A"), rel=1e-10)
 
 
@@ -231,10 +229,12 @@ def test_expected_sup_requires_enough_trials(canonical):
 
 
 def test_exact_mode_matches_independent_enumeration(canonical):
+    # the value table over every dataset of the merged rows, against a loop
+    # over every ordered dataset of atoms
     law, coll, prof = canonical
     for n in (1, 2):
         ref = enum_expected_sup(prof, "g_sq", prof.indices(), n)  # itertools loop oracle
-        lib, _ = expected_sup("g_sq", None, n, prof, mode="exact")
+        lib = exact_expected_sup(prof, "g_sq", prof.indices(), n)
         assert lib == pytest.approx(ref, rel=1e-10)
 
 
@@ -245,7 +245,7 @@ def test_exact_mode_matches_monte_carlo():
     coll = FeatureCollection([FeatureEntry("t", 1, lambda x: x)])
     prof_ = profile(law, coll)
     for process in ("lambda", "g_sq"):
-        exact, _ = expected_sup(process, None, 2, prof_, mode="exact")
+        exact = exact_expected_sup(prof_, process, prof_.indices(), 2)
         mc, se = expected_sup(process, None, 2, prof_, trials=1_000_000, seed=8)
         assert abs(mc - exact) <= 4 * max(se, 1e-12)
 
@@ -253,7 +253,7 @@ def test_exact_mode_matches_monte_carlo():
 def test_exact_mode_respects_cap():
     law, coll, prof = random_instance(np.random.default_rng(0))
     with pytest.raises(ValueError, match="cap"):
-        enumerate_product_counts(law, 30)
+        oracles.enumerate_product_counts(law, 30)
 
 
 def test_expected_sup_lambda_scale_decreases_with_n(canonical):
@@ -289,32 +289,27 @@ def _subsets(indices):
     return [indices] + [(t,) for t in indices] + [indices[::2], indices[1:]]
 
 
-@pytest.mark.parametrize("mode", ["exact", "mc"])
-def test_expected_sup_is_the_mean_of_oracle_maxima(mode, canonical):
+def test_expected_sup_is_the_mean_of_oracle_maxima(canonical):
     rng = np.random.default_rng(17)
     instances = [canonical] + [random_instance(rng) for _ in range(4)]
     for law, coll, prof in instances:
-        n, trials, seed = (3, 150, 0) if mode == "exact" else (9, 150, 23)
-        sample = prof.tables.sample(n, trials, seed, mode)
+        n, trials, seed = 9, 150, 23
+        chunks = list(iter_count_batches(prof.tables.sample_law, n, trials, seed))
         # the sample counts the table's distinct rows: each row's count goes to its first atom
-        counts = np.zeros((sum(len(c) for c in sample.chunks), law.support_size), dtype=np.int64)
-        counts[:, prof.tables.rows] = np.concatenate(sample.chunks)
-        weights = sample.probs if mode == "exact" else np.full(len(counts), 1.0 / len(counts))
+        counts = np.zeros((trials, law.support_size), dtype=np.int64)
+        counts[:, prof.tables.rows] = np.concatenate(chunks)
         rows = _oracle_rows(law, prof, counts)
         for process in ("lambda", "g_sq", "delta"):
             pool = prof.suboptimal() if process == "delta" else prof.indices()
             for subset in _subsets(pool):
                 if not subset:
                     continue
-                got, se = expected_sup(process, subset, n, prof, trials=trials, seed=seed, mode=mode)
+                got, se = expected_sup(process, subset, n, prof, trials=trials, seed=seed)
                 maxima = np.array([max(r[process][t] for t in subset) for r in rows])
-                ref = float(weights @ maxima)
+                ref = float(np.full(len(maxima), 1.0 / len(maxima)) @ maxima)
                 assert got == pytest.approx(ref, rel=1e-12, abs=1e-12), (process, subset)
-                if mode == "mc":
-                    ref_se = statistics.pstdev(maxima.tolist()) / np.sqrt(len(maxima))
-                    assert se == pytest.approx(ref_se, rel=1e-9, abs=1e-12), (process, subset)
-                else:
-                    assert se == 0.0
+                ref_se = statistics.pstdev(maxima.tolist()) / np.sqrt(len(maxima))
+                assert se == pytest.approx(ref_se, rel=1e-9, abs=1e-12), (process, subset)
 
 
 def test_value_table_rows_do_not_depend_on_the_sample_size():
@@ -324,10 +319,10 @@ def test_value_table_rows_do_not_depend_on_the_sample_size():
     law = DiscreteLaw(xs=1.1 * xs, ys=0.7 * ys, weights=ws)
     prof = profile(law, canonical_three_map_collection())
     k = TABLE_BLOCK + 3
-    short = prof.tables.table(25, k, 11, "mc").chunks[0]
-    long = prof.tables.table(25, k + 6, 11, "mc").chunks[0]
-    assert np.array_equal(prof.tables.sample(25, k + 6, 11, "mc").chunks[0][:k],
-                          prof.tables.sample(25, k, 11, "mc").chunks[0])
+    short = prof.tables.table(25, k, 11)[0]
+    long = prof.tables.table(25, k + 6, 11)[0]
+    assert np.array_equal(next(iter_count_batches(prof.tables.sample_law, 25, k + 6, 11))[:k],
+                          next(iter_count_batches(prof.tables.sample_law, 25, k, 11)))
     for field in ("lam_min", "lam_minus_scaled", "g_sq", "delta"):
         assert np.array_equal(getattr(long, field)[:k], getattr(short, field)), field
 
@@ -433,8 +428,7 @@ def test_two_by_two_eigenvalues_match_eigvalsh(mats):
 
 def _split_sample(values, sizes):
     parts = iter(np.split(np.asarray(values, dtype=float), np.cumsum(sizes)[:-1]))
-    sample = CountSample(tuple(np.zeros((k, 1)) for k in sizes), None)
-    return sample.mean(lambda chunk: next(parts))
+    return chunk_mean(tuple(np.zeros((k, 1)) for k in sizes), lambda chunk: next(parts))
 
 
 @pytest.mark.parametrize("sizes", [(2700,), (1000, 1000, 700), (1, 2699), (256,) * 10 + (140,)])
@@ -493,9 +487,8 @@ def test_exact_expectations_over_rows_match_per_atom_enumeration(build):
         for subset in _subsets(pool):
             if not subset:
                 continue
-            got, se = expected_sup(process, subset, n, prof, mode="exact")
+            got = exact_expected_sup(prof, process, subset, n)
             ref = oracles.enum_expected_sup(prof, process, subset, n)
-            assert se == 0.0
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-12), (process, subset)
     for kind, pool in (("G", prof.indices()), ("D", prof.suboptimal())):
         for subset in _subsets(pool):
@@ -507,16 +500,28 @@ def test_exact_expectations_over_rows_match_per_atom_enumeration(build):
             assert mom.r_n == pytest.approx(r_n, rel=1e-12, abs=1e-12), (kind, subset)
 
 
+def _record_draws(monkeypatch):
+    """The (law, n, trials, seed) of every count sample drawn through ``processes.iter_count_batches``."""
+    draws, real = [], processes.iter_count_batches
+    monkeypatch.setattr(processes, "iter_count_batches", lambda *args: (draws.append(args), real(*args))[1])
+    return draws
+
+
+def _same_table(got, ref):
+    fields = ("lam_min", "lam_minus_scaled", "g_sq", "delta")
+    return len(got) == len(ref) and all(np.array_equal(getattr(a, f), getattr(b, f)) for a, b in zip(got, ref) for f in fields)
+
+
 @pytest.mark.parametrize("s", range(6))
-def test_sample_of_a_law_without_equal_rows_is_the_law_stream(s):
+def test_sample_of_a_law_without_equal_rows_is_the_law_stream(s, monkeypatch):
     law, _, prof = random_instance(np.random.default_rng(s))
     tables = prof.tables
     assert tables.sample_law is law
     assert np.array_equal(tables.rows, np.arange(law.support_size))
-    got = tables.sample(40, 300, 9, "mc")
-    ref = count_sample(law, 40, 300, 9, "mc")
-    assert got.probs is None and len(got.chunks) == len(ref.chunks)
-    assert all(np.array_equal(a, b) for a, b in zip(got.chunks, ref.chunks))
+    draws = _record_draws(monkeypatch)
+    got = tables.table(40, 300, 9)
+    assert len(draws) == 1 and draws[0][0] is law and draws[0][1:] == (40, 300, 9)
+    assert _same_table(got, [tables.snapshot(c, 40) for c in iter_count_batches(law, 40, 300, 9)])
 
 
 @pytest.mark.parametrize("d,s,rows", [(8, 2, 256), (10, 3, 1024)])
@@ -542,11 +547,13 @@ def test_rows_are_merged_on_the_first_count_sample_only(monkeypatch):
     prof = profile(bss_instance("discrete", 8, [1.0, 1.0] + [0.0] * 6, 1.0), subset_collection(8, 2))
     run_trials(prof.law, prof.collection, 50, 20, 3, prof, snapshots=True)
     assert merges == []
-    sample = prof.tables.sample(50, 200, 3, "mc")
+    draws = _record_draws(monkeypatch)
+    table = prof.tables.table(50, 200, 3)
     assert merges == [1] and len(prof.tables.rows) == 256
-    ref = count_sample(prof.tables.sample_law, 50, 200, 3, "mc")
-    assert all(np.array_equal(a, b) for a, b in zip(sample.chunks, ref.chunks))
-    prof.tables.sample(50, 100, 4, "mc")
+    assert draws[0][0] is prof.tables.sample_law
+    ref = [prof.tables.snapshot(c, 50) for c in iter_count_batches(prof.tables.sample_law, 50, 200, 3)]
+    assert _same_table(table, ref)
+    prof.tables.table(50, 100, 4)
     assert merges == [1]
 
 
