@@ -38,7 +38,7 @@ import numpy as np
 
 from .model import DESIGN_MC_TAG, QUARTIC_TAG, DiscreteLaw, stream
 from .population import PopulationProfile
-from .processes import _distinct_rows, chunk_mean, expected_sup, iter_count_batches
+from .processes import EXPECTED_SUP_MIN_TRIALS, _distinct_rows, chunk_mean, expected_sup, iter_count_batches
 
 if TYPE_CHECKING:
     from .localization import ClosedFormComplexity, ExpectedSupComplexity
@@ -203,8 +203,8 @@ def finite_sup_sandwich(
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if trials < EXPECTED_SUP_MIN_TRIALS:
+        raise ValueError(f"the Monte Carlo estimate needs at least {EXPECTED_SUP_MIN_TRIALS} trials")
     if law.kind != "discrete":
         raise ValueError("the sandwich check needs a discrete law")
     if len(atom_values) == 0:

@@ -493,13 +493,10 @@ def _mc_quantiles(cfg, out, law, collection, prof, trials):
         )
     z_minus, z_plus = experiments.sample_gaussian_limit(prof, draws, seed)
     rows = []
-    batches = {}
     for i, n in enumerate(n_grid):
-        batch = experiments.run_trials(law, collection, n, trials, experiments._grid_seed(seed, i), prof)
-        batches[n] = batch
-        q = experiments.estimate_quantile(batch.n_excess, 1 - delta)
+        final = experiments.run_trials(law, collection, n, trials, experiments._grid_seed(seed, i), prof)
+        q = experiments.estimate_quantile(final.n_excess, 1 - delta)
         rows.append([n, q.estimate, q.ci_lo, q.ci_hi])
-    final = batches[n_grid[-1]]
     verdict = experiments.quantile_sandwich_check(final, z_minus, z_plus, delta)
     write_csv(os.path.join(out, "trials_quantiles.csv"), {
         "trial": range(final.trials), "t_hat": map(str, final.t_hat), "n_excess": final.n_excess,

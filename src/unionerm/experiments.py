@@ -3,11 +3,13 @@
 Conventions used throughout:
 
 * every trial is reproducible from (master seed, trial index): trial i is
-  draw i % TRIAL_CHUNK of chunk i // TRIAL_CHUNK's stream, so its values do
-  not depend on how many trials run or in what order chunks are drawn; a
-  trial is one moment row (a discrete law's atom counts times the profile's
-  moment table, a Gaussian design's joint Gram), from which
-  :class:`unionerm.erm.MomentFit` fits every index;
+  draw i % CHUNK of chunk i // CHUNK's stream (``model.CHUNK``), so its
+  values do not depend on how many trials run or in what order chunks are
+  drawn; a trial is one moment row (on a discrete law, its counts over the
+  distinct rows of the profile's moment table times those rows, the one
+  dataset representation of :mod:`unionerm.processes`; on a Gaussian
+  design, its joint Gram), from which :class:`unionerm.erm.MomentFit` fits
+  every index;
 * every reported probability carries a binomial confidence interval;
 * quantiles are order statistics with binomial-method confidence intervals;
 * trials whose solver hit a singular sample covariance are flagged, never
@@ -25,12 +27,13 @@ import numpy as np
 from . import bounds, erm
 from .localization import ClosedFormComplexity, choose_k, iterate, k_sweep
 from .model import (
+    CHUNK,
     DiscreteLaw,
     FeatureCollection,
     GRID_TAG,
     GaussianDesignLaw,
+    LIMIT_TAG,
     TRIAL_TAG,
-    rng_from_seed,
     sample_dataset,  # noqa: F401 -- the benchmark tracer wraps it under this name
     stream,
     subset_collection,
@@ -61,11 +64,6 @@ __all__ = [
 ]
 
 
-# Trials fitted together, from one stream; bounds the memory of a batch,
-# whatever `trials` is.  Part of the stream contract: trial i is draw
-# i % TRIAL_CHUNK of chunk i // TRIAL_CHUNK, so changing it moves the trials
-# outside the first chunk.
-TRIAL_CHUNK = 256
 # Level of the KS test of the trials' rescaled excess against the limit law.
 KS_ALPHA = 0.05
 # K^{-1}(KS_ALPHA), K the Kolmogorov distribution's survival function:
@@ -167,17 +165,17 @@ def run_trials(
 ) -> TrialBatch:
     """Solve ERM on `trials` independent datasets of size n.
 
-    Chunk c, trials c TRIAL_CHUNK onwards, draws its datasets from the one
-    stream ``model.stream(master_seed, c, TRIAL_TAG)``, so trial i is draw
-    i % TRIAL_CHUNK of chunk i // TRIAL_CHUNK, whatever ``trials`` is and
-    in whatever order chunks are drawn.  The chunk is one moment row per
-    dataset, from which :class:`unionerm.erm.MomentFit` fits every index.
-    On a discrete law the rows are one ``rng.multinomial(n, weights,
-    size=b)`` count draw times the atom tables of ``prof`` (the profile of
-    this ``law`` and ``collection``), which with ``snapshots`` also give
-    every process value.  On a Gaussian law (coordinate maps only) the row
-    is the joint Gram [X, y]^T [X, y] / n of one ``law.sample`` call, trial
-    after trial on the chunk's stream.
+    Chunk c, trials c CHUNK onwards, draws its datasets from the one stream
+    ``model.stream(master_seed, c, TRIAL_TAG)``, so trial i is draw
+    i % CHUNK of chunk i // CHUNK, whatever ``trials`` is and in whatever
+    order chunks are drawn.  The chunk is one moment row per dataset, from
+    which :class:`unionerm.erm.MomentFit` fits every index.  On a discrete
+    law the rows are one ``rng.multinomial(n, tables.law.weights, size=b)``
+    count draw over the distinct moment rows of ``tables = prof.tables``
+    (``prof`` the profile of this ``law`` and ``collection``), which with
+    ``snapshots`` also give every process value.  On a Gaussian law
+    (coordinate maps only) the row is the joint Gram [X, y]^T [X, y] / n of
+    one ``law.sample`` call, trial after trial on the chunk's stream.
     Excess risks are exact: the profile's on discrete laws, the design's
     closed form on Gaussian laws.  The benchmark record reuses the solver's
     fit of the a-priori optimal index, which is what refitting it alone
@@ -213,15 +211,15 @@ def run_trials(
         fits, o = tables.fits, ids.index(prof.least_optimal_index)
 
         def moments(rng, b):
-            rows = tables.moments(rng.multinomial(n, law.weights, size=b), n)
+            rows = tables.moments(rng.multinomial(n, tables.law.weights, size=b), n)
             return rows, rows[:, tables.loss]
 
         def excess(j, w):
             return excess_risk(ids[j], w, prof)
 
     parts = []
-    for c, lo in enumerate(range(0, trials, TRIAL_CHUNK)):
-        rows, ref_risk = moments(stream(master_seed, c, TRIAL_TAG), min(TRIAL_CHUNK, trials - lo))
+    for c, lo in enumerate(range(0, trials, CHUNK)):
+        rows, ref_risk = moments(stream(master_seed, c, TRIAL_TAG), min(CHUNK, trials - lo))
         weights, risks, singular = fits.fit(rows, ref_risk)
         pick = erm.select(risks)
         # one evaluation per selected index; the oracle's doubles as t_hat's
@@ -342,8 +340,7 @@ class GaussianLimit:
 
     def sample(self, draws: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         """Draws of (min, max) over the optimal set of the squared block norms."""
-        rng = rng_from_seed(seed, 5)
-        z = rng.standard_normal((draws, self.cov.shape[0])) @ self._root.T
+        z = stream(seed, LIMIT_TAG).standard_normal((draws, self.cov.shape[0])) @ self._root.T
         norms = np.stack([np.sum(z[:, sl] ** 2, axis=1) for sl in self.block_slices], axis=1)
         return norms.min(axis=1), norms.max(axis=1)
 
@@ -723,8 +720,11 @@ def bss_study(
 
     Reports per-n recovery frequency with its binomial CI and the ratio
     a_n = mean(n * excess) / (noise_var * s); on the discrete design also the
-    gap-based recovery threshold and the recovery frequency at it.
+    gap-based recovery threshold and the recovery frequency at it.  The
+    standard error of a_n needs at least two trials.
     """
+    if trials < 2:
+        raise ValueError(f"the standard error of a_n needs at least 2 trials, got {trials}")
     w_true = np.asarray(w_true, dtype=float)
     support = tuple(int(j) for j in np.nonzero(w_true)[0])
     if len(support) != s:

@@ -80,12 +80,20 @@ class DuplicateClassError(ValueError):
 
 # Last seed words that give each kind of derived stream its own namespace:
 # (seed, chunk, tag) for chunked draws, (seed, idx, GRID_TAG) for the seeds of
-# a grid's rows and (seed, QUARTIC_TAG) for the quartic's random starts.
+# a grid's rows, and (seed, tag) for the quartic's random starts and the
+# limit law's draws.
 COUNT_BATCH_TAG = 1  # processes.iter_count_batches
 DESIGN_MC_TAG = 2  # bounds.covariance_deviation_lambda_max_mc
 QUARTIC_TAG = 3  # the quartic ascent's random starts in bounds
 GRID_TAG = 4  # experiments._grid_seed
 TRIAL_TAG = 5  # the trial chunks of experiments.run_trials
+LIMIT_TAG = 6  # experiments.GaussianLimit.sample
+
+# Datasets per chunk of every count draw (trials and count samples alike):
+# chunk c draws its datasets c CHUNK onwards from its own stream, so changing
+# it moves every dataset outside the first chunk.  It also bounds a chunk's
+# (B, rows) temporaries, whatever the number of datasets.
+CHUNK = 256
 
 
 def stream(*key: int) -> np.random.Generator:

@@ -14,26 +14,30 @@ Each summand of the variational form of lambda_n is at most one, so
 lambda_n(t) <= sqrt(n) pathwise.  The supremum over an empty index subset is
 0 by convention (the risk-gap term vanishes when every map is optimal).
 
-On a discrete law a dataset is its atom counts, and every quantity read
-from it is a contraction of (counts / n) with the per-atom moment table of
-``prof.tables`` (:class:`AtomTables`): the pair products of the dictionary
+On a discrete law every quantity read from a dataset is a contraction of
+its frequencies with the moment table of ``prof.tables``
+(:class:`AtomTables`): per atom, the pair products of the dictionary
 z = [distinct atom columns of every map, y] that some map's Sigma_n or
-Phi^T y reads, then each index's pointwise loss at w_*.  One product per
-dataset gives every index's Sigma_n, Phi^T y / n and R_n(w_*), which the
-trial fits (:class:`unionerm.erm.MomentFit`) and :func:`snapshot`, the
+Phi^T y reads, then each index's pointwise loss at w_*.  Atoms with equal
+rows are the same dataset to every reader, so a dataset has one
+representation: its counts over the table's distinct rows, the categories
+of ``prof.tables.law``.  Every count draw, the trials of
+:mod:`unionerm.experiments` and the count samples here alike, is a
+multinomial over that law, in chunks of ``model.CHUNK`` datasets with
+per-chunk seed streams.  One product per dataset gives every index's
+Sigma_n, Phi^T y / n and R_n(w_*), which the trial fits
+(:class:`unionerm.erm.MomentFit`) and :meth:`AtomTables.evaluate`, the
 per-index value table of all three processes, both read; for d_t <= 2 the
 table is elementwise in the moment columns, with no per-index LAPACK call.
 Every expected supremum is one reduction, :func:`chunk_mean`, over the
-value table of one Monte Carlo count sample of the table's distinct rows
-(:meth:`AtomTables.table`), drawn in chunks with per-chunk seed streams.
+value table of one Monte Carlo count sample (:meth:`AtomTables.table`).
 (Class moments and A(S) in :mod:`unionerm.bounds` draw nothing: their
 expected maximum over the n draws is a closed form in the atoms' weights.)
 ``prof.tables`` keeps the value table of the last sample drawn, keyed by
 (n, trials, seed), of which every expected supremum is a column max.  So
 one command draws each stream and evaluates each dataset once.
 The tables hold no per-atom population arrays; those are the profile's
-records.  Trials (:mod:`unionerm.experiments`) keep their per-atom counts,
-read against the full table.
+records.
 """
 
 from __future__ import annotations
@@ -46,7 +50,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .erm import MomentFit, gram
-from .model import COUNT_BATCH_TAG, DiscreteLaw, stream
+from .model import CHUNK, COUNT_BATCH_TAG, DiscreteLaw, stream
 from .population import PopulationProfile
 
 __all__ = [
@@ -58,8 +62,6 @@ __all__ = [
     "iter_count_batches",
 ]
 
-CHUNK = 16384
-TABLE_BLOCK = 256  # rows per block of AtomTables.snapshot
 EXPECTED_SUP_MIN_TRIALS = 100  # the fewest Monte Carlo rows an expected supremum is estimated from
 
 
@@ -74,18 +76,18 @@ class DeltaUndefinedError(ValueError):
 class AtomTables:
     """The moment table of a discrete law (see the module docstring): a
     dataset's :meth:`moments` are all that ``fits`` (about w_*, with R_n(w_*)
-    in the columns ``loss``) and :meth:`evaluate` read.  Also the table's
-    distinct rows, over which count samples are drawn, and the value table
-    of the last count sample drawn.
+    in the columns ``loss``) and :meth:`evaluate` read.  Also the value
+    table of the last count sample drawn.
 
-    Atoms whose moment rows are equal are one category for every count
-    sample: ``rows`` holds the first atom of each distinct row, in atom
-    order, and ``sample_law`` the law of those atoms with each group's
-    weights summed (the law itself when no two rows are equal).  Summing
-    multinomial counts over a group gives a multinomial over its summed
-    weight, and a dataset's moments read only those sums, so drawing over
-    ``sample_law`` loses nothing.  Both are built on first read, so trials,
-    which count atoms, never merge rows.
+    Atoms whose moment rows are equal are one dataset category for every
+    fit and process value: ``rows`` holds the first atom of each distinct
+    row, in atom order, and ``law`` the law of those atoms with each group's
+    weights summed (the profile's law itself when no two rows are equal).
+    Summing multinomial counts over a group gives a multinomial over its
+    summed weight, and a dataset's moments read only those sums, so every
+    count draw, trial or count sample, is over ``law`` and loses nothing.
+    The rows are merged on the first read of either, and the table then
+    keeps the distinct rows only: the per-atom table is dropped.
     """
 
     def __init__(self, prof: PopulationProfile):
@@ -95,7 +97,6 @@ class AtomTables:
         # no reference back to prof, which holds these tables: a cycle would
         # keep every profile and its count sample alive until the cyclic GC
         recs = prof.records
-        self._law = law
         self.indices = prof.indices()        # column order of a Snapshot
         self.suboptimal = prof.suboptimal()  # column order of Snapshot.delta
         self._sub = [self.indices.index(t) for t in self.suboptimal]
@@ -117,50 +118,48 @@ class AtomTables:
         columns = [col for _, col in slots.values()]
         self.loss = slice(len(pairs), None)  # R_n(w_*) of every index
         # filled in place, column by column: the build holds nothing but the table
-        self._moment_columns = np.empty((law.support_size, len(pairs) + len(self.indices)))
+        table = np.empty((law.support_size, len(pairs) + len(self.indices)))
         for k, (a, b) in enumerate(pairs):
-            np.multiply(columns[a], columns[b], out=self._moment_columns[:, k])
+            np.multiply(columns[a], columns[b], out=table[:, k])
         for k, t in enumerate(self.indices, len(pairs)):
-            np.multiply(0.5, recs[t].resid ** 2, out=self._moment_columns[:, k])
+            np.multiply(0.5, recs[t].resid ** 2, out=table[:, k])
+        self._atoms = (law, table)  # until the rows are merged
 
     @functools.cached_property
     def _merged(self) -> tuple:
-        """(rows, sample_law, the table's rows ``rows``): the equal rows merged
-        (:func:`_distinct_rows`) on first read."""
-        law, table = self._law, self._moment_columns
+        """(rows, law, table): the equal rows merged (:func:`_distinct_rows`)
+        on first read, after which the per-atom table is dropped."""
+        law, table = self._atoms
         rows, labels = _distinct_rows(table)
-        if len(rows) == law.support_size:
-            return rows, law, table
-        weights = np.bincount(labels, weights=law.weights)
-        return rows, DiscreteLaw(xs=law.xs[rows], ys=law.ys[rows], weights=weights), table[rows]
+        if len(rows) < law.support_size:
+            weights = np.bincount(labels, weights=law.weights)
+            law, table = DiscreteLaw(xs=law.xs[rows], ys=law.ys[rows], weights=weights), table[rows]
+        del self._atoms
+        return rows, law, table
 
     rows = property(lambda self: self._merged[0])
-    sample_law = property(lambda self: self._merged[1])
+    law = property(lambda self: self._merged[1])
 
     def table(self, n: int, trials: int, seed: int) -> tuple:
         """The value table of the count sample (n, trials, seed): one
         :class:`Snapshot` per chunk of :func:`iter_count_batches` over
-        ``sample_law``, whose rows count the table's distinct rows, in the
-        order of ``rows``.
+        ``law``, in chunk order.
 
         The last table built is kept, so consecutive requests for one key
         share a single draw and a single evaluation.
         """
         key = (n, trials, seed)
         if self._last is None or self._last[0] != key:
-            chunks = iter_count_batches(self.sample_law, n, trials, seed)
-            self._last = (key, tuple(self.snapshot(c, n) for c in chunks))
+            chunks = iter_count_batches(self.law, n, trials, seed)
+            self._last = (key, tuple(self.evaluate(self.moments(c, n), n) for c in chunks))
         return self._last[1]
 
     def moments(self, counts: np.ndarray, n: int) -> np.ndarray:
-        """The moments (B, K) of the datasets with counts ``counts``: atom
-        counts (B, m) times the table, or the row counts (B, len(rows)) of a
-        count sample of ``sample_law`` times its distinct rows (the same
-        table when no two rows are equal).  One product per dataset
-        (``(b, 1, m) @ table``), so a row's moments do not depend on the
-        other rows."""
-        table = self._moment_columns if counts.shape[1] == self._moment_columns.shape[0] else self._merged[2]
-        return ((counts[:, None, :] / n) @ table)[:, 0, :]
+        """The moments (B, K) of the datasets whose counts over the rows of
+        ``law`` are ``counts`` (B, len(rows)).  One product per dataset
+        (``(b, 1, rows) @ table``), so a dataset's moments do not depend on
+        the other datasets."""
+        return ((counts[:, None, :] / n) @ self._merged[2])[:, 0, :]
 
     def evaluate(self, moments: np.ndarray, n: int) -> Snapshot:
         """Every process on the datasets of ``moments`` (B, K) at sample size n:
@@ -178,18 +177,6 @@ class AtomTables:
         loss = moments[:, self.loss]
         delta = np.sqrt(n) * (1.0 - (loss[:, self._sub] - loss[:, [self._s0]]) / self._gaps)
         return Snapshot(n=n, lam_min=lam_min, lam_minus_scaled=lam_minus, g_sq=g_sq, delta=delta)
-
-    def snapshot(self, counts: np.ndarray, n: int) -> Snapshot:
-        """Evaluate every process on the datasets with atom or row counts
-        ``counts`` (see :meth:`moments`), in blocks of ``TABLE_BLOCK`` rows,
-        which bounds the (b, 1, m) frequency temporary: one :meth:`moments`
-        and :meth:`evaluate` each."""
-        blocks = [
-            self.evaluate(self.moments(counts[lo:lo + TABLE_BLOCK], n), n)
-            for lo in range(0, counts.shape[0], TABLE_BLOCK)
-        ]
-        fields = ("lam_min", "lam_minus_scaled", "g_sq", "delta")
-        return Snapshot(n=n, **{f: np.concatenate([getattr(s, f) for s in blocks]) for f in fields})
 
 
 def _whitened(moments: np.ndarray, cols: np.ndarray, w_ref: np.ndarray, whitener: np.ndarray):
@@ -273,9 +260,10 @@ class Snapshot(NamedTuple):
 
 
 def snapshot(counts: np.ndarray, n: int, prof: PopulationProfile) -> Snapshot:
-    """Every process on the datasets with atom counts ``counts`` (B, m):
-    :meth:`AtomTables.snapshot` of ``prof.tables``."""
-    return prof.tables.snapshot(counts, n)
+    """Every process on the datasets whose counts over the rows of
+    ``prof.tables.law`` are ``counts`` (B, len(rows))."""
+    tables = prof.tables
+    return tables.evaluate(tables.moments(counts, n), n)
 
 
 def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,8 +278,8 @@ def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows, labels = [], np.empty(table.shape[0], dtype=np.intp)
     seen = {}  # hash of a row's bytes -> the groups with that hash
     as_bytes = np.dtype((np.void, table.shape[1] * table.itemsize))
-    for lo in range(0, table.shape[0], TABLE_BLOCK):
-        keys = (table[lo:lo + TABLE_BLOCK] + 0.0).view(as_bytes).ravel().tolist()
+    for lo in range(0, table.shape[0], CHUNK):
+        keys = (table[lo:lo + CHUNK] + 0.0).view(as_bytes).ravel().tolist()
         for a, key in enumerate(keys, lo):
             groups = seen.setdefault(hash(key), [])
             g = next((g for g in groups if (table[rows[g]] + 0.0).tobytes() == key), None)
@@ -306,9 +294,9 @@ def _distinct_rows(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def iter_count_batches(law: DiscreteLaw, n: int, trials: int, seed: int):
     """Yield multinomial count batches over the law's atoms, chunked with per-chunk streams.
 
-    Chunking is fixed-size so that the sequence of batches (and therefore
-    any order-independent aggregate) is identical no matter how the chunks
-    are scheduled.
+    Chunking is fixed-size (``model.CHUNK``) so that the sequence of batches
+    (and therefore any order-independent aggregate) is identical no matter
+    how the chunks are scheduled.
     """
     for chunk_idx, lo in enumerate(range(0, trials, CHUNK)):
         yield stream(seed, chunk_idx, COUNT_BATCH_TAG).multinomial(n, law.weights, size=min(CHUNK, trials - lo))

@@ -17,8 +17,8 @@ import numpy as np
 
 from unionerm.bounds import QUARTIC_MAX_ITER, QUARTIC_RESTARTS, QUARTIC_TOL
 from unionerm.erm import ErmSolution, fit_linear
-from unionerm.experiments import TRIAL_CHUNK
 from unionerm.model import (
+    CHUNK,
     SINGULAR_TOL,
     TRIAL_TAG,
     Dataset,
@@ -29,7 +29,7 @@ from unionerm.model import (
     _column_space_rank,
 )
 from unionerm.population import IndexRecord
-from unionerm.processes import TABLE_BLOCK, DeltaUndefinedError, Snapshot, chunk_mean
+from unionerm.processes import AtomTables, DeltaUndefinedError, Snapshot, chunk_mean, snapshot as count_snapshot
 
 
 def enum_expectation(atoms, fn):
@@ -111,20 +111,45 @@ def seed_sequence_stream(*key):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(tuple(int(k) for k in key))))
 
 
+def row_groups(prof):
+    """(first atom of each group, each atom's group) of the equal rows of the
+    per-atom moment table of a fresh ``AtomTables`` (whose rows are not yet
+    merged), by numpy's row sort, which takes -0.0 == 0.0; groups in order
+    of first occurrence."""
+    _, first, labels = np.unique(AtomTables(prof)._atoms[1], axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[labels.ravel()]
+
+
+def merged_law(prof):
+    """The law of a profile's distinct moment rows, the one every discrete
+    count draw is over: the first atom of each group of :func:`row_groups`,
+    with the group's weights summed one atom at a time, in atom order."""
+    law = prof.law
+    first, labels = row_groups(prof)
+    weights = [0.0] * len(first)
+    for w, g in zip(law.weights.tolist(), labels.tolist()):
+        weights[g] += w
+    return DiscreteLaw(xs=law.xs[first], ys=law.ys[first], weights=np.array(weights))
+
+
 def chunk_counts(law, n, master, chunk, size):
-    """Atom counts (size, m) of the first ``size`` trials of chunk ``chunk``
-    of ``run_trials`` under ``master``: one multinomial draw on numpy's
-    SeedSequence stream of (master, chunk, TRIAL_TAG)."""
+    """Counts (size, m) over the atoms of ``law`` of the first ``size`` trials
+    of chunk ``chunk`` of ``run_trials`` under ``master``: one multinomial
+    draw on numpy's SeedSequence stream of (master, chunk, TRIAL_TAG).  For
+    a discrete law's trials, ``law`` is its :func:`merged_law`."""
     return seed_sequence_stream(master, chunk, TRIAL_TAG).multinomial(n, law.weights, size=size)
 
 
 def trial_dataset(law, n, master, trial):
     """Trial ``trial`` of ``run_trials`` under ``master`` as a dataset of rows:
-    draw trial % TRIAL_CHUNK of chunk trial // TRIAL_CHUNK, after the
-    chunk's earlier draws.  On a discrete law that draw is a row of the
-    chunk's counts, expanded in atom order; on a Gaussian design it is one
-    ``law.sample`` call."""
-    chunk, pos = divmod(int(trial), TRIAL_CHUNK)
+    draw trial % CHUNK of chunk trial // CHUNK, after the chunk's earlier
+    draws.  On a discrete law, passed as its :func:`merged_law`, that draw
+    is a row of the chunk's counts over the representative atoms, expanded
+    in their order; on a Gaussian design it is one ``law.sample`` call."""
+    chunk, pos = divmod(int(trial), CHUNK)
     if law.kind == "discrete":
         idx = np.repeat(np.arange(law.support_size), chunk_counts(law, n, master, chunk, pos + 1)[pos])
         return Dataset(x=law.xs[idx], y=law.ys[idx])
@@ -157,13 +182,13 @@ def enumerate_product_counts(law: DiscreteLaw, n: int):
 
 def exact_expected_sup(prof, process, subset, n):
     """Exact E[max over ``subset`` of one process] on the library's value
-    table: every dataset of size n over the rows of ``prof.tables.sample_law``
-    (:func:`enumerate_product_counts`), evaluated by ``tables.snapshot``, its
-    maximum weighted by its product probability."""
+    table: every dataset of size n over the rows of ``prof.tables.law``
+    (:func:`enumerate_product_counts`), evaluated by ``processes.snapshot``,
+    its maximum weighted by its product probability."""
     tables = prof.tables
-    counts, probs = enumerate_product_counts(tables.sample_law, n)
+    counts, probs = enumerate_product_counts(tables.law, n)
     order = tables.suboptimal if process == "delta" else tables.indices
-    values = tables.snapshot(counts, n).values(process)[:, [order.index(t) for t in subset]]
+    values = count_snapshot(counts, n, prof).values(process)[:, [order.index(t) for t in subset]]
     return float(probs @ values.max(axis=1))
 
 
@@ -314,10 +339,10 @@ def snapshot(dataset, prof):
 
 
 def table_snapshot_loop(prof, counts, n):
-    """``AtomTables.snapshot`` one index at a time: three products and one
-    ``eigvalsh`` per index and block, on per-atom arrays built from the
-    profile's records (whitened features, whitened gradients, normalized
-    loss gaps)."""
+    """``processes.snapshot`` one index at a time, on atom counts (B, m):
+    three products and one ``eigvalsh`` per index, on per-atom arrays built
+    from the profile's records (whitened features, whitened gradients,
+    normalized loss gaps)."""
     b, m = counts.shape
     recs, indices, suboptimal = prof.records, prof.indices(), prof.suboptimal()
     psi = {t: rec.phi @ rec.whitener for t, rec in recs.items()}
@@ -327,19 +352,16 @@ def table_snapshot_loop(prof, counts, n):
     lam_min, g_sq = np.empty((b, len(indices))), np.empty((b, len(indices)))
     lam_minus = np.full(b, -np.inf)
     delta = np.empty((b, len(suboptimal)))
-    for lo in range(0, b, TABLE_BLOCK):
-        rows = slice(lo, lo + TABLE_BLOCK)
-        freq = counts[rows, None, :] / n
-        for j, t in enumerate(indices):
-            d = psi[t].shape[1]
-            outer = psi[t][:, :, None] * psi[t][:, None, :]
-            wcov = (freq @ outer.reshape(m, d * d)).reshape(-1, d, d)
-            ends = np.linalg.eigvalsh(wcov)
-            lam_min[rows, j] = ends[:, 0]
-            np.maximum(lam_minus[rows], ends[:, -1] - 1.0, out=lam_minus[rows])
-            g_sq[rows, j] = n * np.sum((freq @ grad_w[t])[:, 0] ** 2, axis=1)
-        for j, t in enumerate(suboptimal):
-            delta[rows, j] = np.sqrt(n) * (1.0 - (freq @ delta_vals[t])[:, 0])
+    freq = counts[:, None, :] / n
+    for j, t in enumerate(indices):
+        d = psi[t].shape[1]
+        outer = psi[t][:, :, None] * psi[t][:, None, :]
+        ends = np.linalg.eigvalsh((freq @ outer.reshape(m, d * d)).reshape(-1, d, d))
+        lam_min[:, j] = ends[:, 0]
+        np.maximum(lam_minus, ends[:, -1] - 1.0, out=lam_minus)
+        g_sq[:, j] = n * np.sum((freq @ grad_w[t])[:, 0] ** 2, axis=1)
+    for j, t in enumerate(suboptimal):
+        delta[:, j] = np.sqrt(n) * (1.0 - (freq @ delta_vals[t])[:, 0])
     return Snapshot(n=n, lam_min=lam_min, lam_minus_scaled=lam_minus, g_sq=g_sq, delta=delta)
 
 

@@ -8,6 +8,7 @@ import pytest
 from unionerm import bounds, localization, model, processes
 from unionerm.experiments import bss_instance
 from unionerm.model import (
+    CHUNK,
     STACK_ENTRIES,
     DiscreteLaw,
     FeatureCollection,
@@ -161,31 +162,31 @@ def test_bound_report_draws_each_count_stream_once(monkeypatch):
 
 def test_bound_report_builds_each_value_table_once(monkeypatch):
     builds, asks, chunks = [], [], []
-    real_snapshot, real_sup, real_batches = processes.AtomTables.snapshot, processes.expected_sup, processes.iter_count_batches
+    real_moments, real_sup, real_batches = processes.AtomTables.moments, processes.expected_sup, processes.iter_count_batches
 
     def recording_batches(*args):
         for chunk in real_batches(*args):
             chunks.append(chunk)
             yield chunk
 
-    def counting_snapshot(self, counts, n):
+    def counting_moments(self, counts, n):
         builds.append((counts, n))
-        return real_snapshot(self, counts, n)
+        return real_moments(self, counts, n)
 
     def counting_sup(*args, **kwargs):
         asks.append(args[:2])
         return real_sup(*args, **kwargs)
 
-    monkeypatch.setattr(processes.AtomTables, "snapshot", counting_snapshot)
+    monkeypatch.setattr(processes.AtomTables, "moments", counting_moments)
     monkeypatch.setattr(processes, "iter_count_batches", recording_batches)
     for module in (bounds, localization):
         monkeypatch.setattr(module, "expected_sup", counting_sup)
     prof = profile(canonical_law(), canonical_three_map_collection())
-    trials = processes.CHUNK + 300  # two chunks
+    trials = 2 * CHUNK + 30  # three chunks
     inputs = bounds.compute_bound_inputs(prof, 60, trials=trials, seed=5)
     for delta in (0.01, 0.05, 0.1, 0.5):
         bounds.thresholds_and_bounds(prof, inputs, 60, delta, k=2)
-    assert len(chunks) == 2
+    assert len(chunks) == 3
     assert len(builds) == len(chunks)
     assert all(counts is chunk and n == 60 for (counts, n), chunk in zip(builds, chunks))
     assert len(asks) > 10  # many subsets, steps and deltas read the one table
@@ -247,6 +248,16 @@ def test_sandwich_rejects_an_empty_sample(arg):
     law = DiscreteLaw(xs=np.array([[1.0], [-1.0]]), ys=np.zeros(2), weights=[0.5, 0.5])
     with pytest.raises(ValueError, match=arg):
         bounds.finite_sup_sandwich([law.xs[:, 0]], law, **{"n": 3, "trials": 200, arg: 0})
+
+
+@pytest.mark.parametrize("trials", [1, 2, processes.EXPECTED_SUP_MIN_TRIALS - 1])
+def test_sandwich_refuses_fewer_trials_than_an_expected_supremum(trials):
+    # one draw would report a standard error of 0 and give holds() no slack
+    law = DiscreteLaw(xs=np.array([[1.0], [-1.0], [3.0]]), ys=np.zeros(3), weights=[0.4, 0.4, 0.2])
+    with pytest.raises(ValueError, match=str(processes.EXPECTED_SUP_MIN_TRIALS)):
+        bounds.finite_sup_sandwich([law.xs[:, 0]], law, n=3, trials=trials, seed=0)
+    res = bounds.finite_sup_sandwich([law.xs[:, 0]], law, n=3, trials=processes.EXPECTED_SUP_MIN_TRIALS, seed=0)
+    assert res.se > 0.0
 
 
 def test_sandwich_zero_class():

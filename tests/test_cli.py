@@ -313,13 +313,13 @@ def test_montecarlo_pathwise(tmp_path):
 
 MONTECARLO_DIGESTS = {
     "quantiles-params0": {
-        "quantiles.svg": "1d23f6fea6f11fabd159b0f4325227057ee459c9ecda5472c36c162fc4b40b3c",
-        "trials_quantiles.csv": "2e173853e07c9340473ba75a6d57f536b587fa7009cf7007c9fd4ef87fcfae8e",
-        "verdict_quantiles.json": "78870076d7bdacf5df717720334e320b9b082351ab64ba4609c194b0cbb8583b",
+        "quantiles.svg": "99571756e7938945905f88cd515d222874cccd6de49f20c5fcf222d3e3c283ee",
+        "trials_quantiles.csv": "de82475f9db5ed1e1917c98a952ed8ba1727b23653a160f9e2897e76236bf358",
+        "verdict_quantiles.json": "28f28dddb09cc58baf458e1c017e184957c230f4f9800ad5f275ec3d93827b10",
     },
     "pathwise-params1": {
-        "pathwise.csv": "ed1da888d9c25ac1434a40453fe8c8949c877955c7f35479ec67fa29d423f81c",
-        "verdict_pathwise.json": "4c21be7eaafb707c62321d476431ebfcee3fa4d43202c1753014d5d656b1b3f7",
+        "pathwise.csv": "aac23782e4bcd9bb50e7ce34bda05e345c6e42788737ddbeda3aa37289ec10d6",
+        "verdict_pathwise.json": "629182f70b696049f27cd8965b73703912a3e1f2a702af7de64b35e6c4eb9625",
     },
     "validity_explicit_grid": {
         "validity.csv": "c13bddc5e9c3b736ba84816e1ece2cae33f5f81156dbf2f0b167d7a10347bc6c",
@@ -337,19 +337,19 @@ MONTECARLO_DIGESTS = {
         "verdict_validity.json": "9bd4e4471f2ca5a3c3f542c91f89c9fb7f81c53f922f8ee44c816f47cb15bab8",
     },
     "consistency_small_n": {
-        "consistency.csv": "02536d7b19a7ed60c1fe16b5d47a21d9d2c1d88fd63c1cef023d17aeaa95094d",
-        "consistency.svg": "91075df48c8bd11516390db42102874b6baf4af76a1462c7607e4834f4b87c15",
-        "verdict_consistency.json": "046c3ab109f9d1fd0932c60906d48ee55de6629240ba6b089241d17629cb383c",
+        "consistency.csv": "5141ec061ac5b020844f56286591c1ca2016c1055ab833e358dd0483dd9c7671",
+        "consistency.svg": "9bdf3917f3109972d208439d83611e7aba843f24400b84bca1c0df1cb2da5591",
+        "verdict_consistency.json": "136ef145aeae132b25e3ace6b5636398ec12cf5441d1372ea5f0efb63110c42f",
     },
     "validity_singular_small_n": {
-        "validity.csv": "1ed39adf825d196617121c58c7af0fca6adf91c972b15197671b4dfa8d13388e",
-        "validity.svg": "fc833560a84f9e2dc0e8f718343a08065bde0954939e1691b5261b567f0af342",
-        "verdict_validity.json": "556ce578dfb2b3d9c31a7b00546e5bbfc71815fd27c0e70fad648021ea25e648",
+        "validity.csv": "9a0b42a219f5c3f42df991dc06f318d36e4b391419158c77af2865786ce791f5",
+        "validity.svg": "43644df21f9fa8c53f7fe8a8fc3d63bd220a0129a46cf7bd0c75b495283be572",
+        "verdict_validity.json": "d65c4c6978e2880c7d11e4c1270260305b80f50ef34743a4bc84ca3aa34a7c38",
     },
     "bss_discrete": {
-        "bss.csv": "1a4d5c70f3a54fdedae0afd80a036f9e12bb07bfd68f152bcc0179152d89fb8f",
-        "bss.svg": "de167499a29df736591155539d65a80a13d38d7293b11d9600ac992e347034bc",
-        "verdict_bss.json": "6325564af2511204b36d975e5279dc09d835c3eaa0a168fcfb3a291b9ac8b480",
+        "bss.csv": "0d96884e4165d53ff6e9f8499615e3b94b0f2d2db3e2dd422d1b7fd790b3664b",
+        "bss.svg": "6189c795c2677c40338e9519fc64409e298beb41a0a18e127f1fec2d5b97dc10",
+        "verdict_bss.json": "4b2ed20d7bbc316afe22b4c8960eb1f200fa6314a1740e35156a623a36d07a00",
     },
 }
 
@@ -391,13 +391,13 @@ def test_montecarlo_outputs_are_pinned(tmp_path, request, command, params):
 
 HYPERCUBE_DIGESTS = {
     "quantiles": {
-        "quantiles.svg": "ef49a7b34bfce748f73dd8d47ea2a2aa9c7cb50583a7205d6eb655b8b1d2e717",
-        "trials_quantiles.csv": "dd15859b81eafb5cea537f9473c4d38caf47aa11928d966fc5dac5c265b051e4",
-        "verdict_quantiles.json": "163850987318b19e000ad6b609b88db2cd3d635a295879d2a6aaeb70c88ad890",
+        "quantiles.svg": "5f427775245965a5914a0114f1f4d02c98c3f8467d1b1a616a9053502684ac30",
+        "trials_quantiles.csv": "ecaa8a3760d00a8487e9027a4a4d2cb3a52099ea772ca5d7152db0dc4662c40c",
+        "verdict_quantiles.json": "f2ad4e17cf122e2f4a3757cde4bcf9b9f9ba09ee57dae351bd548faeba968caf",
     },
     "pathwise": {
-        "pathwise.csv": "e388698425cc7e929da1f3a44b9bb1605865ff9810e98036bc0aa6e46ffbe364",
-        "verdict_pathwise.json": "e7aeb22996d595219057328ea4a188e902f52f999b7fd947c15192fb6fdc87b5",
+        "pathwise.csv": "61c4b41c0569b2c98ece67ab7c3da8478b5536517a054c30401142b3155d0d9a",
+        "verdict_pathwise.json": "f035520af7ff3a0a7c16f7d16472b988906cf5538cbff49d2b6d5e0194658217",
     },
 }
 HYPERCUBE_RUNS = [
@@ -425,8 +425,8 @@ def test_montecarlo_outputs_on_subsets_are_pinned(tmp_path, command, params, tab
 
 REPORT_DIGESTS = {
     "bounds": {
-        "bounds.json": "147b86af1efa50aca570804c934c88f075b4d0c2f8414e0c3a3f74086283236a",
-        "thresholds.csv": "115733fb9520b43b548114efc8630f8b8f66aafb5f865ed3782f052d470e7cd1",
+        "bounds.json": "d727691033bccd89822ecc8bbdcc3a8ff36caadcc0a1f346c6d87c03326021fd",
+        "thresholds.csv": "e86df468578d39e9b8bce0826af74d307aa50c5f2ecd1ef14f244f93cafca0c7",
     },
     "localize": {
         "localize.svg": "0e8541dca36c8008562460891a62d8e188eecaf47a8c31fc01885271ee6aacd8",
@@ -435,10 +435,10 @@ REPORT_DIGESTS = {
         "trace.txt": "3c62da411ba254bf4b7157fde7e03c65ecc800efe55663fbc6a097c3101ccc6a",
     },
     "localize_expected_sup": {
-        "localize.svg": "d6b54091352b20d8b1d516bc77894027563c80361ff6e29acd4002deee5a794a",
-        "localize_ksweep.svg": "98e220fd7cd7e3bdfc1eaffeb2e820a396303954244bc96a74f521a327c5ca66",
-        "trace.json": "ffe1306fcf3f32102bedf2f1cd692cf4b897c90126c3bc0f99afe29048d776da",
-        "trace.txt": "1b377aa277f2bbe05860dbb5587e335b1e2ea346b45ad453f77b423f1a09f51f",
+        "localize.svg": "61d0afb5308c6a3bba2d0bc6b708a0f5ece3bc387cc8ff0742e5d902a1c08ce2",
+        "localize_ksweep.svg": "c863a8a0bce0c7051161d29a084ea48f8beeb0ee27375a8b19b0279a861fbc1e",
+        "trace.json": "ba7faea2fdbb418dee5fc1bb91ec2dfdcd31c4becfbc7e42520566bc80ae950d",
+        "trace.txt": "cf6e0daa28f2f27de6df90fe0d82dc2e7641334f8a5697f13e3e569ce85ddf98",
     },
 }
 REPORT_RUNS = [

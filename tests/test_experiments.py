@@ -9,6 +9,8 @@ import pytest
 
 from unionerm import erm, experiments as ex
 from unionerm.model import (
+    CHUNK,
+    LIMIT_TAG,
     DiscreteLaw,
     FeatureCollection,
     FeatureEntry,
@@ -44,11 +46,11 @@ def test_run_trials_batches_are_pinned():
     # a Gaussian design of 120 subset maps.
     law, coll = canonical_law(), canonical_collection()
     batch = ex.run_trials(law, coll, 2000, 600, 2024, build_profile(law, coll), snapshots=True)
-    assert batch.batch_hash() == "aa3deb41e5ee5cce0659a5d7e519a16e15192d3c3632b63bcc34ac9b3f7e5f94"
+    assert batch.batch_hash() == "549e47a68f4deae2206219397bf190e29d1085fedab6ebf14e2f3f6844c45c4f"
     h = hashlib.sha256()
     for field in ("lam_plus", "lam_minus", "delta_plus", "g_sq_hat", "gap_hat", "est_err_hat"):
         h.update(np.ascontiguousarray(getattr(batch, field)).tobytes())
-    assert h.hexdigest() == "2ec6b05d45079aeccce6e3b7aee2cad7003e762d1a00acf9e25993bcaec95063"
+    assert h.hexdigest() == "d6f9cd089375789225c4ac99a7c94c37ad07d7b633c3c8ec8bc2ae24f6da567c"
     design = ex.bss_instance("gaussian", 10, [1.0, 1.0, 1.0] + [0.0] * 7, 1.0)
     batch = ex.run_trials(design, subset_collection(10, 3), 100, 60, 2025)
     assert batch.batch_hash() == "9a3c061810624c550bc525ba0fe9cdc725003a897f594c229a781e0e23e54332"
@@ -92,7 +94,7 @@ def test_run_trials_prefix_matches_shorter_run():
         (discrete, canonical_collection(), ["lam_plus", "lam_minus", "delta_plus", "g_sq_hat", "gap_hat", "est_err_hat"]),
         (_correlated_design(), subset_collection(5, 2), []),
     ]
-    k = ex.TRIAL_CHUNK + 3
+    k = CHUNK + 3
     for law, coll, process_fields in cases:
         prof = build_profile(law, coll) if process_fields else None
         long = ex.run_trials(law, coll, 25, k + 6, 303, prof, snapshots=bool(process_fields))
@@ -130,10 +132,11 @@ def test_run_trials_matches_per_dataset_route(canonical_three):
 
             def excess(t, w):
                 return excess_risk(t, w, prof)
+        drawn = law if prof is None else oracles.merged_law(prof)
         for n in (1, 2, 5, 40):
             batch = ex.run_trials(law, coll, n, 12, 500 + case, prof, snapshots=prof is not None)
             for i in range(12):
-                ds = oracles.trial_dataset(law, n, 500 + case, i)
+                ds = oracles.trial_dataset(drawn, n, 500 + case, i)
                 sol = erm.solve(ds, coll, prof)
                 assert batch.t_hat[i] == sol.index
                 assert bool(batch.singular[i]) == sol.singular
@@ -191,10 +194,11 @@ def test_run_trials_chunks_drawn_in_reverse_order_give_its_bytes(canonical, monk
     # counts drawn last chunk first (three chunks, the last one ragged) is
     # run_trials' batch byte for byte, every process value included
     law, coll, prof = canonical
-    n, trials, master = 40, 2 * ex.TRIAL_CHUNK + 7, 312
+    n, trials, master = 40, 2 * CHUNK + 7, 312
     ref = ex.run_trials(law, coll, n, trials, master, prof, snapshots=True)
-    sizes = [min(ex.TRIAL_CHUNK, trials - lo) for lo in range(0, trials, ex.TRIAL_CHUNK)]
-    drawn = {c: oracles.chunk_counts(law, n, master, c, sizes[c]) for c in reversed(range(len(sizes)))}
+    sizes = [min(CHUNK, trials - lo) for lo in range(0, trials, CHUNK)]
+    rows_law = oracles.merged_law(prof)
+    drawn = {c: oracles.chunk_counts(rows_law, n, master, c, sizes[c]) for c in reversed(range(len(sizes)))}
     tables, fed = prof.tables, []
     real = tables.moments
 
@@ -214,7 +218,7 @@ def test_run_trials_oracle_record_matches_oracle_solve(canonical):
     law, coll, prof = canonical
     batch = ex.run_trials(law, coll, 30, 5, 304, prof)
     for trial in range(5):
-        ds = oracles.trial_dataset(law, 30, 304, trial)
+        ds = oracles.trial_dataset(oracles.merged_law(prof), 30, 304, trial)
         osol = oracles.oracle_solve(ds, coll, prof)
         ref = 30 * excess_risk(osol.index, osol.weights, prof)
         assert batch.n_excess_oracle[trial] == pytest.approx(ref, rel=1e-12)
@@ -287,12 +291,14 @@ def test_gaussian_limit_zero_in_noiseless_case(realizable):
 
 def test_gaussian_limit_sample_covariance_matches(symmetric):
     law, coll, prof = symmetric
+    # the limit's draws come from the stream (seed, LIMIT_TAG), apart from
+    # every dataset stream (seed, trial) of sample_dataset
     lim = ex.GaussianLimit(prof)
-    rng = np.random.default_rng(0)
     draws = 100_000
-    from unionerm.model import rng_from_seed
-
-    z = rng_from_seed(311, 5).standard_normal((draws, lim.cov.shape[0])) @ lim._root.T
+    z = oracles.seed_sequence_stream(311, LIMIT_TAG).standard_normal((draws, lim.cov.shape[0])) @ lim._root.T
+    norms = np.stack([np.sum(z[:, sl] ** 2, axis=1) for sl in lim.block_slices], axis=1)
+    z_minus, z_plus = lim.sample(draws, 311)
+    assert np.array_equal(z_minus, norms.min(axis=1)) and np.array_equal(z_plus, norms.max(axis=1))
     emp = z.T @ z / draws
     for i in range(lim.cov.shape[0]):
         for j in range(lim.cov.shape[0]):
@@ -471,6 +477,13 @@ def test_bss_gaussian_trend():
 def test_bss_rejects_wrong_sparsity():
     with pytest.raises(ValueError):
         ex.bss_study("discrete", 4, 2, [1.0, 0.0, 0.0, 0.0], 1.0, [50], 10, 325)
+
+
+@pytest.mark.parametrize("trials", [0, 1])
+def test_bss_rejects_fewer_than_two_trials(trials):
+    # the standard error of a_n takes ddof = 1: one trial would give NaN
+    with pytest.raises(ValueError, match="at least 2 trials"):
+        ex.bss_study("discrete", 2, 2, [1.0, 0.5], 1.0, [40], trials, 323, check_threshold=False)
 
 
 def test_recovery_threshold_warns_when_rounds_run_out():

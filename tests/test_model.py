@@ -1,5 +1,7 @@
+import ast
 import itertools
 import math
+import pathlib
 from collections import Counter
 
 import numpy as np
@@ -170,11 +172,36 @@ def test_trial_streams_reject_negative_seeds_like_seed_sequence():
 
 def test_stream_tags_are_distinct():
     # the last key word of each kind of derived stream: count batches, the
-    # design's Monte Carlo, the quartic's starts, grid seeds and trial chunks
-    tags = [model.COUNT_BATCH_TAG, model.DESIGN_MC_TAG, model.QUARTIC_TAG, model.GRID_TAG, model.TRIAL_TAG]
-    assert tags == [1, 2, 3, 4, 5]
+    # design's Monte Carlo, the quartic's starts, grid seeds, trial chunks
+    # and the limit law's draws
+    tags = [model.COUNT_BATCH_TAG, model.DESIGN_MC_TAG, model.QUARTIC_TAG, model.GRID_TAG, model.TRIAL_TAG,
+            model.LIMIT_TAG]
+    assert tags == [1, 2, 3, 4, 5, 6]
     draws = {stream(7, 0, tag).integers(2**63) for tag in tags}
     assert len(draws) == len(tags)
+
+
+def _literal_stream_keys(tree):
+    """(line, call) of each ``stream(...)``/``rng_from_seed(...)`` call whose
+    tag word, its last positional argument past the first, is an int literal."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in ("stream", "rng_from_seed") and len(node.args) > 1:
+                tag = node.args[-1]
+                if isinstance(tag, ast.Constant) and isinstance(tag.value, int):
+                    yield node.lineno, ast.unparse(node)
+
+
+def test_no_stream_is_keyed_by_a_literal_tag():
+    # every stream's tag is a name from model's tag table, so no two kinds
+    # of draw can share a key by accident
+    src = pathlib.Path(model.__file__).parent
+    found = [(path.name, line, call) for path in sorted(src.glob("*.py"))
+             for line, call in _literal_stream_keys(ast.parse(path.read_text()))]
+    assert found == []
+    planted = ast.parse("rng = rng_from_seed(seed, 5)\nz = stream(seed, chunk, 2).random()\nok = stream(seed, TAG)")
+    assert [call for _, call in _literal_stream_keys(planted)] == ["rng_from_seed(seed, 5)", "stream(seed, chunk, 2)"]
 
 
 def test_counts_match_exact_count_vector_probabilities():

@@ -341,6 +341,6 @@ def test_profile_and_value_table_make_one_lapack_call_per_dimension(monkeypatch)
     assert eigh == [(28, 2, 2)] and eigvalsh == [(28, 2, 2)]
     tables = prof.tables
     eigvalsh.clear()
-    counts = np.random.default_rng(0).multinomial(500, law.weights, size=300)
-    tables.snapshot(counts, 500)
+    counts = np.random.default_rng(0).multinomial(500, tables.law.weights, size=300)
+    tables.evaluate(tables.moments(counts, 500), 500)
     assert eigvalsh == [] and eigh == [(28, 2, 2)]

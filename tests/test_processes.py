@@ -8,6 +8,7 @@ import pytest
 from unionerm import bounds, processes
 from unionerm.experiments import bss_instance
 from unionerm.model import (
+    CHUNK,
     Dataset,
     DiscreteLaw,
     FeatureCollection,
@@ -18,7 +19,6 @@ from unionerm.model import (
 )
 from unionerm.population import profile
 from unionerm.processes import (
-    TABLE_BLOCK,
     DeltaUndefinedError,
     chunk_mean,
     expected_sup,
@@ -178,8 +178,10 @@ def test_delta_mean_zero(canonical):
 
 
 def _count_and_oracle_snapshots(law, prof, n, seed):
-    ds = sample_dataset(law, n, seed)
-    counts = sample_counts(law, n, seed)[None]
+    # one draw over the distinct moment rows, as counts and as the dataset of their representative atoms
+    rows_law = prof.tables.law
+    ds = sample_dataset(rows_law, n, seed)
+    counts = sample_counts(rows_law, n, seed)[None]
     return snapshot(counts, n, prof), oracles.snapshot(ds, prof), ds
 
 
@@ -191,7 +193,7 @@ def test_snapshot_consistency(canonical):
     assert snap.delta["B"] == pytest.approx(delta_process(ds, "B", "A", prof))
     assert snap.sup_g_sq == pytest.approx(max(snap.g["A"] ** 2, snap.g["B"] ** 2))
     assert snap.lam_plus_scaled == pytest.approx(max(snap.lam.values()) / np.sqrt(ds.n))
-    # the count snapshot evaluates the same processes from the atom counts
+    # the count snapshot evaluates the same processes from the row counts
     rn = np.sqrt(ds.n)
     for j, t in enumerate(prof.indices()):
         assert rn * (1.0 - count_snap.lam_min[0, j]) == pytest.approx(snap.lam[t], rel=1e-12, abs=1e-12)
@@ -294,7 +296,7 @@ def test_expected_sup_is_the_mean_of_oracle_maxima(canonical):
     instances = [canonical] + [random_instance(rng) for _ in range(4)]
     for law, coll, prof in instances:
         n, trials, seed = 9, 150, 23
-        chunks = list(iter_count_batches(prof.tables.sample_law, n, trials, seed))
+        chunks = list(iter_count_batches(prof.tables.law, n, trials, seed))
         # the sample counts the table's distinct rows: each row's count goes to its first atom
         counts = np.zeros((trials, law.support_size), dtype=np.int64)
         counts[:, prof.tables.rows] = np.concatenate(chunks)
@@ -314,35 +316,37 @@ def test_expected_sup_is_the_mean_of_oracle_maxima(canonical):
 
 def test_value_table_rows_do_not_depend_on_the_sample_size():
     # non-integer atoms, so no product is exact by luck: a plain (B, m)
-    # product rounds the rows of a 3-row and a 9-row last block differently
+    # product rounds the rows of a 3-row and a 9-row last chunk differently
     xs, ys, ws = canonical_atoms()
     law = DiscreteLaw(xs=1.1 * xs, ys=0.7 * ys, weights=ws)
     prof = profile(law, canonical_three_map_collection())
-    k = TABLE_BLOCK + 3
-    short = prof.tables.table(25, k, 11)[0]
-    long = prof.tables.table(25, k + 6, 11)[0]
-    assert np.array_equal(next(iter_count_batches(prof.tables.sample_law, 25, k + 6, 11))[:k],
-                          next(iter_count_batches(prof.tables.sample_law, 25, k, 11)))
+    k = CHUNK + 3
+    short = prof.tables.table(25, k, 11)
+    long = prof.tables.table(25, k + 6, 11)
+    assert [len(c.g_sq) for c in short] == [CHUNK, 3] and [len(c.g_sq) for c in long] == [CHUNK, 9]
+    assert np.array_equal(list(iter_count_batches(prof.tables.law, 25, k + 6, 11))[1][:3],
+                          list(iter_count_batches(prof.tables.law, 25, k, 11))[1])
     for field in ("lam_min", "lam_minus_scaled", "g_sq", "delta"):
-        assert np.array_equal(getattr(long, field)[:k], getattr(short, field)), field
+        assert np.array_equal(getattr(long[0], field), getattr(short[0], field)), field
+        assert np.array_equal(getattr(long[1], field)[:3], getattr(short[1], field)), field
 
 
 def test_value_table_peak_memory_is_a_fraction_of_one_count_chunk():
-    # the table itself is (B, 2|T| + |T_sub| + 1); with |T| = 8 against m = 512
-    # atoms the bound measures the (B, m) temporaries the blocks avoid
+    # the table itself is (B, 2|T| + |T_sub| + 1); with |T| = 8 against 256
+    # distinct rows the bound measures the (B, rows) counts and frequencies
+    # that drawing and evaluating B datasets at once would hold
     prof = profile(bss_instance("discrete", 8, [1.0, 1.0] + [0.0] * 6, 1.0), subset_collection(8, 1))
     tables = prof.tables
     b, n = 4096, 1000
-    counts = np.random.default_rng(5).multinomial(n, prof.law.weights, size=b)
-    assert counts.shape == (b, 512)
+    assert len(tables.rows) == 256  # merged before the measurement
     tracemalloc.start()
     try:
-        snap = tables.snapshot(counts, n)
+        table = tables.table(n, b, 5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert snap.g_sq.shape == (b, 8)
-    assert peak < b * 512 * 8 / 4
+    assert sum(len(c.g_sq) for c in table) == b and table[0].g_sq.shape == (CHUNK, 8)
+    assert peak < b * 256 * 8 / 2
 
 
 def _value_table_cases():
@@ -383,10 +387,13 @@ def _value_table_cases():
 
 @pytest.mark.parametrize("build", list(_value_table_cases()))
 def test_value_table_matches_per_index_loop(build):
+    # row counts against the same datasets' counts at the representative atoms
     prof = build()
-    n, b = 23, 2 * TABLE_BLOCK + 5
-    counts = np.random.default_rng(3).multinomial(n, prof.law.weights, size=b)
-    got, ref = prof.tables.snapshot(counts, n), oracles.table_snapshot_loop(prof, counts, n)
+    n, b, tables = 23, 2 * CHUNK + 5, prof.tables
+    counts = np.random.default_rng(3).multinomial(n, tables.law.weights, size=b)
+    atom_counts = np.zeros((b, prof.law.support_size), dtype=counts.dtype)
+    atom_counts[:, tables.rows] = counts
+    got, ref = snapshot(counts, n, prof), oracles.table_snapshot_loop(prof, atom_counts, n)
     assert got.delta.shape == ref.delta.shape == (b, len(prof.suboptimal()))
     # not bit-equal: numpy takes a one-column product by ddot and a wider
     # one by gemv, whose sums run in different orders
@@ -466,21 +473,11 @@ def _merging_profiles():
         yield pytest.param(split, id=f"split-{s}")
 
 
-def _row_groups(prof):
-    """(first atom of each group, each atom's group) of the equal rows of the
-    moment table, by numpy's row sort (which takes -0.0 == 0.0)."""
-    _, first, labels = np.unique(prof.tables._moment_columns, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first)  # groups in first-occurrence order
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[labels.ravel()]
-
-
 @pytest.mark.parametrize("build", list(_merging_profiles()))
 def test_exact_expectations_over_rows_match_per_atom_enumeration(build):
     prof, rows = build()
     law, tables = prof.law, prof.tables
-    assert tables.sample_law.support_size == len(tables.rows) == rows < law.support_size
+    assert tables.law.support_size == len(tables.rows) == rows < law.support_size
     n = 3 if law.support_size <= 8 else 2
     for process in ("lambda", "g_sq", "delta"):
         pool = prof.suboptimal() if process == "delta" else prof.indices()
@@ -516,12 +513,12 @@ def _same_table(got, ref):
 def test_sample_of_a_law_without_equal_rows_is_the_law_stream(s, monkeypatch):
     law, _, prof = random_instance(np.random.default_rng(s))
     tables = prof.tables
-    assert tables.sample_law is law
+    assert tables.law is law
     assert np.array_equal(tables.rows, np.arange(law.support_size))
     draws = _record_draws(monkeypatch)
     got = tables.table(40, 300, 9)
     assert len(draws) == 1 and draws[0][0] is law and draws[0][1:] == (40, 300, 9)
-    assert _same_table(got, [tables.snapshot(c, 40) for c in iter_count_batches(law, 40, 300, 9)])
+    assert _same_table(got, [snapshot(c, 40, prof) for c in iter_count_batches(law, 40, 300, 9)])
 
 
 @pytest.mark.parametrize("d,s,rows", [(8, 2, 256), (10, 3, 1024)])
@@ -530,36 +527,41 @@ def test_sign_hypercube_samples_over_half_its_atoms(d, s, rows):
     prof = profile(bss_instance("discrete", d, [1.0] * s + [0.0] * (d - s), 1.0), subset_collection(d, s))
     tables = prof.tables
     assert prof.law.support_size == 2 * rows
-    assert tables.sample_law.support_size == len(tables.rows) == rows
-    first, labels = _row_groups(prof)
+    assert tables.law.support_size == len(tables.rows) == rows
+    first, _ = oracles.row_groups(prof)
     assert np.array_equal(tables.rows, first)
-    sums = np.bincount(labels, weights=prof.law.weights)
-    assert np.allclose(tables.sample_law.weights, sums, rtol=1e-15, atol=0.0)
+    ref = oracles.merged_law(prof)
+    for field in ("xs", "ys", "weights"):
+        assert np.array_equal(getattr(tables.law, field), getattr(ref, field)), field
 
 
 def test_rows_are_merged_on_the_first_count_sample_only(monkeypatch):
-    # trials draw over atoms and read the full table: they never merge rows
+    # the first draw, here a trial chunk, merges the rows and drops the
+    # per-atom table; count samples and later trials draw over the merged law
     from unionerm.experiments import run_trials
 
     merges = []
     real = processes._distinct_rows
-    monkeypatch.setattr(processes, "_distinct_rows", lambda table: merges.append(1) or real(table))
+    monkeypatch.setattr(processes, "_distinct_rows", lambda table: merges.append(table.shape[0]) or real(table))
     prof = profile(bss_instance("discrete", 8, [1.0, 1.0] + [0.0] * 6, 1.0), subset_collection(8, 2))
+    tables = prof.tables
+    assert merges == [] and tables._atoms[1].shape[0] == 512
     run_trials(prof.law, prof.collection, 50, 20, 3, prof, snapshots=True)
-    assert merges == []
+    assert merges == [512] and len(tables.rows) == 256
+    assert not hasattr(tables, "_atoms") and tables._merged[2].shape[0] == 256
     draws = _record_draws(monkeypatch)
-    table = prof.tables.table(50, 200, 3)
-    assert merges == [1] and len(prof.tables.rows) == 256
-    assert draws[0][0] is prof.tables.sample_law
-    ref = [prof.tables.snapshot(c, 50) for c in iter_count_batches(prof.tables.sample_law, 50, 200, 3)]
+    table = tables.table(50, 200, 3)
+    assert draws[0][0] is tables.law
+    ref = [snapshot(c, 50, prof) for c in iter_count_batches(tables.law, 50, 200, 3)]
     assert _same_table(table, ref)
-    prof.tables.table(50, 100, 4)
-    assert merges == [1]
+    tables.table(50, 100, 4)
+    run_trials(prof.law, prof.collection, 50, 20, 4, prof)
+    assert merges == [512]
 
 
 def test_distinct_rows_tell_apart_rows_whose_hashes_collide(monkeypatch):
     rng = np.random.default_rng(4)
-    table = rng.integers(-1, 2, size=(3 * TABLE_BLOCK, 3)).astype(float)  # 27 distinct rows, many repeats
+    table = rng.integers(-1, 2, size=(3 * CHUNK, 3)).astype(float)  # 27 distinct rows, many repeats
     table[1, :] = [-0.0, 0.0, -0.0]  # equal to a row of zeros
     ref_rows, ref_labels = np.unique(table, axis=0, return_index=True, return_inverse=True)[1:]
     for colliding in (False, True):
@@ -589,7 +591,7 @@ def _row_group_cases():
 def test_class_values_are_constant_on_row_groups(build):
     prof = build()
     recs, rows = prof.records, prof.tables.rows
-    first, labels = _row_groups(prof)
+    first, labels = oracles.row_groups(prof)
     assert np.array_equal(rows, first)
     loss0 = 0.5 * recs[prof.least_optimal_index].resid ** 2
     per_atom = {
