@@ -487,10 +487,7 @@ def _mc_quantiles(cfg, out, law, collection, prof, trials):
     delta = _param(cfg, "delta", 0.1)
     draws = _param(cfg, "draws", max(trials, 10_000))
     seed = int(cfg["seed"])
-    if trials < 50 / delta:
-        raise experiments.InsufficientTrialsError(
-            f"{trials} trials cannot resolve the {1 - delta:.3f} quantile"
-        )
+    experiments.check_quantile_resolution(trials, draws, delta)
     z_minus, z_plus = experiments.sample_gaussian_limit(prof, draws, seed)
     rows = []
     for i, n in enumerate(n_grid):

@@ -32,7 +32,6 @@ __all__ = [
     "least_squares",
     "select",
     "fit_linear",
-    "empirical_risk",
     "solve",
 ]
 
@@ -53,23 +52,6 @@ class ErmSolution(NamedTuple):
     weights: np.ndarray
     risk: float
     table: tuple[FitResult, ...]
-
-    @property
-    def singular(self) -> bool:
-        return any(r.singular for r in self.table)
-
-    def record(self, index) -> FitResult:
-        for r in self.table:
-            if r.index == index:
-                return r
-        raise KeyError(f"no fit for index {index!r}")
-
-
-def empirical_risk(t, w, dataset: Dataset, collection: FeatureCollection) -> float:
-    """Mean of (prediction - y)^2 / 2 over the dataset."""
-    phi = collection.entry(t)(dataset.x)
-    resid = phi @ np.asarray(w, dtype=float).ravel() - dataset.y
-    return 0.5 * float(np.mean(resid**2))
 
 
 def least_squares(sigma_n: np.ndarray, rhs: np.ndarray):

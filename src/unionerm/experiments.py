@@ -54,6 +54,7 @@ __all__ = [
     "estimate_quantile",
     "ks_statistic",
     "ks_critical_value",
+    "check_quantile_resolution",
     "quantile_sandwich_check",
     "bound_validity_sweep",
     "MasterCheckResult",
@@ -291,15 +292,12 @@ def consistency_curve(
 # Limiting Gaussian law over the optimal set
 # ---------------------------------------------------------------------------
 
-PSD_FLOOR = -1e-10
-
-
 class GaussianLimit:
     """Joint Gaussian limit of the whitened gradients over the optimal set.
 
-    The block covariance has blocks W(t) G(t, s) W(s) for t, s optimal.
-    Eigenvalues above the floor -1e-10 are clipped to zero; anything lower
-    fails assembly with the offending pair named.
+    The block covariance has blocks W(t) G(t, s) W(s) for t, s optimal: a
+    congruence of the Gram matrix of the stacked gradients, so it is PSD by
+    construction, and eigenvalues that rounding leaves below zero are clipped.
     """
 
     def __init__(self, prof: PopulationProfile):
@@ -319,24 +317,8 @@ class GaussianLimit:
                 cov[self.block_slices[i], self.block_slices[j]] = block
         cov = 0.5 * (cov + cov.T)
         vals, vecs = np.linalg.eigh(cov)
-        if vals[0] < PSD_FLOOR:
-            raise ValueError(
-                f"limit covariance is not PSD (min eigenvalue {vals[0]:.3e}); "
-                f"offending pair {self._offending_pair(cov)!r}"
-            )
         self.cov = cov
         self._root = vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-    def _offending_pair(self, cov: np.ndarray):
-        for i, t in enumerate(self.t_star):
-            for j, s in enumerate(self.t_star):
-                if j <= i:
-                    continue
-                si, sj = self.block_slices[i], self.block_slices[j]
-                sub = np.block([[cov[si, si], cov[si, sj]], [cov[sj, si], cov[sj, sj]]])
-                if np.linalg.eigvalsh(sub)[0] < PSD_FLOOR:
-                    return (t, s)
-        return (self.t_star[0], self.t_star[0])
 
     def sample(self, draws: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         """Draws of (min, max) over the optimal set of the squared block norms."""
@@ -472,6 +454,17 @@ def ks_critical_value(n: int, m: int) -> float:
     return _KS_SURVIVAL_INVERSE * math.sqrt((n + m) / (n * m))
 
 
+def check_quantile_resolution(trials: int, draws: int, delta: float) -> None:
+    """Raise :class:`InsufficientTrialsError` unless both the trials and the
+    limit draws number at least 50 / delta, the fewest that resolve the
+    (1 - delta) quantile."""
+    for count, what in ((trials, "trials"), (draws, "limit draws")):
+        if count < 50 / delta:
+            raise InsufficientTrialsError(
+                f"{count} {what} cannot resolve the {1 - delta:.3f} quantile; need >= {50 / delta:.0f}"
+            )
+
+
 def quantile_sandwich_check(
     batch: TrialBatch,
     z_minus: np.ndarray,
@@ -488,10 +481,7 @@ def quantile_sandwich_check(
     KS statistic against the fixed-index benchmark (a paired sample, so it
     has no such critical value).
     """
-    if batch.trials < 50 / delta:
-        raise InsufficientTrialsError(
-            f"{batch.trials} trials cannot resolve the {1 - delta:.3f} quantile; need >= {50 / delta:.0f}"
-        )
+    check_quantile_resolution(batch.trials, len(z_plus), delta)
     q_exc = estimate_quantile(batch.n_excess, 1.0 - delta)
     q_min = estimate_quantile(z_minus, 1.0 - delta)
     q_max = estimate_quantile(z_plus, 1.0 - delta)
@@ -534,8 +524,8 @@ def bound_validity_sweep(
     Each row computes only the threshold and bound it reports, from their
     formulas in :mod:`unionerm.bounds`.  The covariance deviation and the
     quadratic-form variance sup do not depend on n, so every row shares them:
-    both are computed once, the sup at row 0's seed ``_grid_seed(seed, 1000)``
-    (which only its ascent over blocks of dimension >= 3 reads).  The gap
+    both are computed once, the sup at ``seed`` as every reader of L takes it
+    (only its ascent over blocks of dimension >= 3 reads the seed).  The gap
     class of the ``explicit`` threshold is exact, and so are the
     ``single_class`` bound and the ``explicit`` bound, the final bound of the
     trace (k steps, or the best k when ``k`` is None) of A(S).  Row i draws
@@ -550,7 +540,7 @@ def bound_validity_sweep(
         raise ValueError("delta must lie in (0, 1)")
     coll = prof.collection
     lam_v = bounds.covariance_deviation_lambda_max(prof)
-    l_val, _ = bounds.quadratic_form_variance_sup(prof, seed=_grid_seed(seed, 1000))
+    l_val, _ = bounds.quadratic_form_variance_sup(prof, seed=seed)
     rows = []
     all_pass = True
     for i, n in enumerate(n_grid):

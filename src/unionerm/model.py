@@ -35,7 +35,6 @@ __all__ = [
     "Dataset",
     "exact_expectation",
     "sample_dataset",
-    "sample_counts",
     "subset_collection",
     "validate_collection",
     "rng_from_seed",
@@ -241,27 +240,10 @@ class DiscreteLaw:
     def input_dim(self) -> int:
         return self.xs.shape[1]
 
-    def expectation(self, fn: Callable[[np.ndarray, np.ndarray], np.ndarray]):
-        """Exact expectation of a per-sample function.
-
-        ``fn`` is evaluated in batch on the atoms: it receives ``(xs, ys)``
-        and must return an array whose leading axis runs over atoms.  The
-        result is the weight-contracted value (scalar, vector or matrix).
-        """
-        vals = np.asarray(fn(self.xs, self.ys), dtype=float)
-        if vals.shape[0] != self.support_size:
-            raise ValueError("expectation integrand must return one value per atom")
-        out = np.tensordot(self.weights, vals, axes=(0, 0))
-        return float(out) if np.ndim(out) == 0 else out
-
-    def counts(self, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Atom counts (m,) of n i.i.d. draws: one ``rng.multinomial(n,
-        weights)`` call, O(m) whatever n, with no rows materialised."""
-        return rng.multinomial(n, self.weights)
-
     def sample(self, n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        """n draws as rows, in atom order: the :meth:`counts` expanded."""
-        idx = np.repeat(np.arange(self.support_size), self.counts(n, rng))
+        """n draws as rows, in atom order: the atom counts of one
+        ``rng.multinomial(n, weights)`` call, expanded."""
+        idx = np.repeat(np.arange(self.support_size), rng.multinomial(n, self.weights))
         return self.xs[idx], self.ys[idx]
 
 
@@ -368,13 +350,19 @@ class Dataset:
 def exact_expectation(fn, law) -> float | np.ndarray:
     """Exact expectation of ``fn`` against a discrete law.
 
-    Rejects generative laws: expectations against those must go through the
-    Monte Carlo estimators in :mod:`unionerm.experiments`, which carry
-    explicit error bars.
+    ``fn(xs, ys)`` returns one value per atom along its leading axis; the
+    result is their weighted sum (scalar, vector or matrix).  Rejects
+    generative laws: expectations against those must go through the Monte
+    Carlo estimators in :mod:`unionerm.experiments`, which carry explicit
+    error bars.
     """
     if getattr(law, "kind", None) != "discrete":
         raise ValueError("exact expectations are only defined for discrete laws")
-    return law.expectation(fn)
+    vals = np.asarray(fn(law.xs, law.ys), dtype=float)
+    if vals.shape[:1] != (law.support_size,):
+        raise ValueError("expectation integrand must return one value per atom")
+    out = np.tensordot(law.weights, vals, axes=(0, 0))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def sample_dataset(law, n: int, seed: tuple[int, int]) -> Dataset:
@@ -382,9 +370,9 @@ def sample_dataset(law, n: int, seed: tuple[int, int]) -> Dataset:
     identical (law, n, seed) is bit-identical.  This is not a trial of
     ``run_trials``, whose chunks of trials draw from chunk streams.
 
-    On a discrete law the rows are the stream's one multinomial count draw,
-    :meth:`DiscreteLaw.counts`, expanded in atom order (the draw is
-    exchangeable, so the order carries no information).
+    On a discrete law the rows are the stream's one multinomial count draw
+    expanded in atom order (the draw is exchangeable, so the order carries
+    no information).
     """
     if n < 1:
         raise ValueError("sample size must be at least 1")
@@ -392,17 +380,6 @@ def sample_dataset(law, n: int, seed: tuple[int, int]) -> Dataset:
     rng = rng_from_seed(master, trial)
     x, y = law.sample(n, rng)
     return Dataset(x=x, y=y, seed=(int(master), int(trial)))
-
-
-def sample_counts(law: DiscreteLaw, n: int, seed: tuple[int, int]) -> np.ndarray:
-    """Atom counts (m,) of ``sample_dataset(law, n, seed)``: ``rng_from_seed(*seed).multinomial(n, law.weights)``.
-
-    Same stream, same atoms: the counts are the sufficient statistic of that
-    dataset for every empirical second moment.
-    """
-    if n < 1:
-        raise ValueError("sample size must be at least 1")
-    return law.counts(n, rng_from_seed(*seed))
 
 
 # ---------------------------------------------------------------------------

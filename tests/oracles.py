@@ -98,11 +98,19 @@ def sorted_uniform_counts(law, n, rng):
     """Atom counts (m,) of n draws by binning uniforms: atom j takes the
     uniforms that fall in [cdf[j-1], cdf[j]) of the normalized cumulative
     weights, counted on the sorted uniforms.  O(n log n) per draw; the
-    reference sampler of the law that ``DiscreteLaw.counts`` draws from."""
+    reference sampler of the atom counts of ``DiscreteLaw.sample``."""
     cdf = law.weights.cumsum()
     cdf /= cdf[-1]
     u = np.sort(rng.random(n))
     return np.diff(np.searchsorted(u, cdf, "left"), prepend=0)
+
+
+def atom_counts(law, x, y):
+    """Atom counts (m,) of the rows (x, y) drawn from a law whose atoms are
+    distinct: each row must equal exactly one atom."""
+    match = np.all(np.column_stack([x, y])[:, None, :] == np.column_stack([law.xs, law.ys])[None], axis=2)
+    assert np.all(match.sum(axis=1) == 1)
+    return match.sum(axis=0)
 
 
 def seed_sequence_stream(*key):

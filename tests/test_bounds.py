@@ -161,8 +161,9 @@ def test_bound_report_draws_each_count_stream_once(monkeypatch):
 
 
 def test_bound_report_builds_each_value_table_once(monkeypatch):
-    builds, asks, chunks = [], [], []
+    builds, asks, chunks, traces = [], [], [], []
     real_moments, real_sup, real_batches = processes.AtomTables.moments, processes.expected_sup, processes.iter_count_batches
+    real_iterate = localization.iterate
 
     def recording_batches(*args):
         for chunk in real_batches(*args):
@@ -177,7 +178,14 @@ def test_bound_report_builds_each_value_table_once(monkeypatch):
         asks.append(args[:2])
         return real_sup(*args, **kwargs)
 
+    def recording_iterate(n, delta, k, prof, complexity):
+        trace = real_iterate(n, delta, k, prof, complexity)
+        if isinstance(complexity, localization.ExpectedSupComplexity):
+            traces.append(trace)
+        return trace
+
     monkeypatch.setattr(processes.AtomTables, "moments", counting_moments)
+    monkeypatch.setattr(localization, "iterate", recording_iterate)
     monkeypatch.setattr(processes, "iter_count_batches", recording_batches)
     for module in (bounds, localization):
         monkeypatch.setattr(module, "expected_sup", counting_sup)
@@ -189,7 +197,13 @@ def test_bound_report_builds_each_value_table_once(monkeypatch):
     assert len(chunks) == 3
     assert len(builds) == len(chunks)
     assert all(counts is chunk and n == 60 for (counts, n), chunk in zip(builds, chunks))
-    assert len(asks) > 10  # many subsets, steps and deltas read the one table
+    # the inputs ask lambda and delta once; each expected-sup trace asks once
+    # per step it runs (up to its fixed point) and once for its final set
+    expected = [("lambda", None), ("delta", None)]
+    for trace in traces:
+        steps = trace.k if trace.fixed_point_at is None else trace.fixed_point_at + 1
+        expected += [("g_sq", s) for s in trace.sets[:steps]] + [("g_sq", trace.sets[-1])]
+    assert len(traces) == 4 and asks == expected  # every ask reads the one table
 
 
 def test_reused_count_sample_matches_fresh_profile():

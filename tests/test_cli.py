@@ -143,6 +143,20 @@ def test_insufficient_trials_exits_4(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("draws", [1, 99])
+def test_too_few_limit_draws_exit_4_before_any_trial(tmp_path, capsys, monkeypatch, draws):
+    # at delta = 0.5 the (1 - delta) quantile needs 50 / delta = 100 limit
+    # draws, as it needs 100 trials
+    def refuse(*args, **kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "run_trials", refuse)
+    cfg = _write(tmp_path, _canonical_config(n_grid=[50], delta=0.5, draws=draws))
+    code = main(["--config", cfg, "--out", str(tmp_path / "o"), "--trials", "100", "montecarlo", "quantiles"])
+    assert code == 4
+    assert f"{draws} limit draws cannot resolve the 0.500 quantile; need >= 100" in capsys.readouterr().err
+
+
 OUT_OF_RANGE = [
     (["bounds"], {"n": 200, "k": 0}, "k"),
     (["bounds"], {"n": 200, "delta": 1.5}, "delta"),

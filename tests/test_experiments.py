@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from unionerm import erm, experiments as ex
+from unionerm import bounds, erm, experiments as ex
 from unionerm.model import (
     CHUNK,
     LIMIT_TAG,
@@ -139,10 +139,12 @@ def test_run_trials_matches_per_dataset_route(canonical_three):
                 ds = oracles.trial_dataset(drawn, n, 500 + case, i)
                 sol = erm.solve(ds, coll, prof)
                 assert batch.t_hat[i] == sol.index
-                assert bool(batch.singular[i]) == sol.singular
-                singular_seen[law.kind] += sol.singular
+                singular = any(r.singular for r in sol.table)
+                assert bool(batch.singular[i]) == singular
+                singular_seen[law.kind] += singular
                 exc = excess(sol.index, sol.weights)
-                ref = {"n_excess": n * exc, "n_excess_oracle": n * excess(t0, sol.record(t0).weights)}
+                w0 = sol.table[coll.indices().index(t0)].weights
+                ref = {"n_excess": n * exc, "n_excess_oracle": n * excess(t0, w0)}
                 if prof is not None:
                     snap = oracles.snapshot(ds, prof)
                     ref.update(
@@ -335,6 +337,14 @@ def test_sandwich_check_insufficient_trials(canonical):
         ex.quantile_sandwich_check(batch, np.ones(100), np.ones(100), delta=0.01)
 
 
+def test_sandwich_check_insufficient_limit_draws(canonical):
+    # 50 / delta = 100: the trials resolve the median, 99 limit draws do not
+    law, coll, prof = canonical
+    batch = ex.run_trials(law, coll, 50, 100, 313, prof)
+    with pytest.raises(ex.InsufficientTrialsError, match="99 limit draws"):
+        ex.quantile_sandwich_check(batch, np.ones(99), np.ones(99), delta=0.5)
+
+
 def test_sandwich_check_median_inside(canonical):
     law, coll, prof = canonical
     batch = ex.run_trials(law, coll, 2000, 2000, 314, prof)
@@ -375,6 +385,30 @@ def test_validity_sweep_single_class(canonical):
     row = out["rows"][0]
     assert row["above_threshold"]
     assert row["rate"] <= 0.1 + 2 * math.sqrt(0.1 * 0.9 / 1000)
+
+
+def test_validity_sweep_reads_l_at_the_command_seed():
+    # L of a three-dimensional map comes from a seeded ascent, which settles a
+    # few ulps apart at two seeds on this law; every row's threshold reads it
+    # at the seed the command's default grid and the bound report use
+    rng = np.random.default_rng(0)
+    w = rng.uniform(0.2, 1.0, size=40)
+    law = DiscreteLaw(xs=rng.normal(size=(40, 4)), ys=rng.normal(size=40), weights=w / w.sum())
+    coll = FeatureCollection([FeatureEntry("one", 1, lambda x: x[:, [3]]), FeatureEntry("three", 3, lambda x: x[:, :3])])
+    prof = build_profile(law, coll)
+    seed, delta, n = 0, 0.1, 50
+    l_val, _ = bounds.quadratic_form_variance_sup(prof, seed=seed)
+    assert l_val != bounds.quadratic_form_variance_sup(prof, seed=ex._grid_seed(seed, 1000))[0]
+    lam_v = bounds.covariance_deviation_lambda_max(prof)
+    expected = {
+        "single_class": bounds.single_class_threshold_value(lam_v, l_val, 3, delta),
+        "explicit": bounds.explicit_threshold_value(
+            lam_v, l_val, 3, 2, delta, bounds.class_moments("D", None, prof, n)
+        ),
+    }
+    for kind, threshold in expected.items():
+        row = ex.bound_validity_sweep(law, coll, delta, [n], 100, seed, prof, bound_kind=kind)["rows"][0]
+        assert row["threshold"] == threshold, kind
 
 
 def test_validity_sweep_reads_formulas_and_draws_each_count_sample_once(monkeypatch):

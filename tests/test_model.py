@@ -17,7 +17,6 @@ from unionerm.model import (
     WEIGHT_TOL,
     exact_expectation,
     rng_from_seed,
-    sample_counts,
     sample_dataset,
     stream,
     subset_collection,
@@ -28,6 +27,7 @@ from unionerm import model
 
 from conftest import canonical_law, mixed_dim_instance, two_atom_law
 from oracles import (
+    atom_counts,
     atoms_of,
     enum_expectation,
     enumerate_product_counts,
@@ -58,6 +58,12 @@ def test_exact_expectation_rejects_generative():
     law = GaussianDesignLaw(cov=np.eye(2), w_true=np.array([1.0, 0.0]), noise_std=1.0)
     with pytest.raises(ValueError, match="discrete"):
         exact_expectation(lambda x, y: y, law)
+
+
+@pytest.mark.parametrize("fn", [lambda x, y: 1.0, lambda x, y: np.ones(3)], ids=["scalar", "three-values"])
+def test_exact_expectation_rejects_an_integrand_without_one_value_per_atom(fn):
+    with pytest.raises(ValueError, match="one value per atom"):
+        exact_expectation(fn, two_atom_law())
 
 
 def test_exact_expectation_matches_enumeration_for_polynomials():
@@ -112,7 +118,7 @@ def _random_law(rng, m):
     return DiscreteLaw(xs=rng.normal(size=(m, 2)), ys=rng.normal(size=m), weights=w / w.sum())
 
 
-def test_sample_counts_is_the_atom_multiset_of_sample_dataset():
+def test_sample_dataset_is_the_atom_multiset_of_one_count_draw():
     rng = np.random.default_rng(20)
     w = rng.exponential(size=512) ** 3
     laws = [canonical_law(), two_atom_law(), _hypercube_law(), _hypercube_law(w / w.sum())]
@@ -124,10 +130,12 @@ def test_sample_counts_is_the_atom_multiset_of_sample_dataset():
             rows = np.column_stack([ds.x, ds.y])
             match = np.all(rows[:, None, :] == atoms[None, :, :], axis=2)
             assert np.all(match.sum(axis=1) == 1)
-            assert sample_counts(law, n, seed).tolist() == match.sum(axis=0).tolist()
+            assert np.all(np.diff(match.argmax(axis=1)) >= 0)  # rows in atom order
+            expected = rng_from_seed(*seed).multinomial(n, law.weights)
+            assert match.sum(axis=0).tolist() == expected.tolist()
 
 
-def test_sample_counts_is_one_multinomial_draw_of_the_trial_stream():
+def test_sample_dataset_is_one_multinomial_draw_of_the_trial_stream():
     # The declared stream: a discrete dataset of trial (master, i) is one
     # rng.multinomial(n, weights) call on the stream of SeedSequence((master,
     # i)), and its rows are those counts expanded in atom order.
@@ -136,7 +144,6 @@ def test_sample_counts_is_one_multinomial_draw_of_the_trial_stream():
     for law in laws:
         for n, (master, i) in ((1, (3, 0)), (7, (3, 1)), (3001, (11, 9)), (20000, (5, 2))):
             expected = seed_sequence_stream(master, i).multinomial(n, law.weights)
-            assert sample_counts(law, n, (master, i)).tolist() == expected.tolist()
             ds = sample_dataset(law, n, (master, i))
             idx = np.repeat(np.arange(law.support_size), expected)
             assert np.array_equal(ds.x, law.xs[idx]) and np.array_equal(ds.y, law.ys[idx])
@@ -213,7 +220,8 @@ def test_counts_match_exact_count_vector_probabilities():
     for c, prob in zip(*enumerate_product_counts(law, n)):
         exact[tuple(c.tolist())] += prob
     assert len(exact) == math.comb(n + 2, 2) and sum(exact.values()) == pytest.approx(1.0, abs=1e-15)
-    for sampler in (law.counts, lambda n, rng: sorted_uniform_counts(law, n, rng)):
+    samplers = (lambda n, rng: atom_counts(law, *law.sample(n, rng)), lambda n, rng: sorted_uniform_counts(law, n, rng))
+    for sampler in samplers:
         rng = np.random.default_rng(41)
         seen = Counter(tuple(sampler(n, rng).tolist()) for _ in range(draws))
         assert set(seen) <= set(exact)
@@ -239,10 +247,9 @@ def test_counts_on_edge_weights(offset):
         law = DiscreteLaw(xs=np.arange(ws.size, dtype=float)[:, None], ys=np.zeros(ws.size), weights=ws)
         rng = np.random.default_rng(k)
         for n in (1, 2, 50, 10**6):
-            for counts in (law.counts(n, rng), sample_counts(law, n, (k, n))):
-                assert counts.shape == (ws.size,) and counts.dtype.kind == "i"
-                assert np.all(counts >= 0) and int(counts.sum()) == n
-            assert sample_dataset(law, n, (k, n)).n == n
+            ds = sample_dataset(law, n, (k, n))
+            for counts in (atom_counts(law, *law.sample(n, rng)), atom_counts(law, ds.x, ds.y)):
+                assert counts.shape == (ws.size,) and np.all(counts >= 0) and int(counts.sum()) == n
 
 
 def test_sample_dataset_rejects_empty():

@@ -13,7 +13,6 @@ from unionerm.model import (
     DiscreteLaw,
     FeatureCollection,
     FeatureEntry,
-    sample_counts,
     sample_dataset,
     subset_collection,
 )
@@ -181,7 +180,7 @@ def _count_and_oracle_snapshots(law, prof, n, seed):
     # one draw over the distinct moment rows, as counts and as the dataset of their representative atoms
     rows_law = prof.tables.law
     ds = sample_dataset(rows_law, n, seed)
-    counts = sample_counts(rows_law, n, seed)[None]
+    counts = oracles.atom_counts(rows_law, ds.x, ds.y)[None]
     return snapshot(counts, n, prof), oracles.snapshot(ds, prof), ds
 
 
