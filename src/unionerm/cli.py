@@ -13,7 +13,7 @@ computation: it states every structural rule and, in ``PARAM_RULES``, the
 rule of every param a command reads, and names the broken field as
 ``$.path``.  The master seed is mandatory (there is no wall-clock default).
 All outputs are deterministic functions of (config, seed overrides) and are
-written atomically (temp file + rename).
+written as UTF-8, atomically (temp file + rename), with the umask's mode.
 
 Exit codes: 0 success, 2 config error, 3 degenerate model, 4 insufficient
 trials, 1 internal error.
@@ -25,11 +25,11 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -242,9 +242,9 @@ def check_config(cfg) -> None:
 
 def load_config(path: str) -> dict:
     try:
-        with open(path) as f:
+        with open(path, encoding="utf-8") as f:  # JSON's encoding, whatever the locale's
             cfg = json.load(f)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     check_config(cfg)
     return cfg
@@ -311,12 +311,23 @@ def _trials(cfg: dict, trials_override: int | None, default: int, minimum: int, 
 # Atomic writers
 # ---------------------------------------------------------------------------
 
+_TEMP_NUMBERS = itertools.count()
+
+
 def _write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write ``text`` to ``path`` as UTF-8 through a temp file beside it and a
+    rename, so that a reader sees the old file or the new one.  The temp file
+    is created with mode 0o666, so the file published gets the umask's mode."""
+    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+    for n in _TEMP_NUMBERS:  # pid and count name a file no other write holds; a stale one is skipped
+        tmp = f"{path}.{os.getpid()}.{n}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            pass
     try:
-        with os.fdopen(fd, "w") as f:
+        with open(fd, "w", encoding="utf-8", newline="") as f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -339,23 +350,65 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def write_csv(path: str, columns: dict) -> None:
-    """Write the table ``{header: column}``, columns of one length.
-
-    Each float64 array cell is written as its ``repr`` (the bytes of its
-    ``str``), formed once per distinct bit pattern across the table's float64
-    columns, as per-trial tables repeat many values; any other array goes
-    through ``tolist()``, and a list, range or iterator is written as it is."""
-    cols = [c.tolist() if isinstance(c, np.ndarray) and c.dtype != np.float64 else c for c in columns.values()]
-    if floats := [j for j, c in enumerate(cols) if isinstance(c, np.ndarray)]:
-        bits, inverse = np.unique(np.concatenate([cols[j] for j in floats]).view(np.int64), return_inverse=True)
-        text = np.array([repr(x) for x in bits.view(np.float64).tolist()], dtype=object)[inverse]
-        for j, part in zip(floats, np.split(text, len(floats))):
-            cols[j] = part.tolist()
+def _csv_field(value) -> str:
+    """The text ``csv.writer`` gives ``value`` in a row of two or more fields."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    writer.writerows(zip(*cols, strict=True))
+    csv.writer(buf, lineterminator="\n").writerow((value, None))
+    return buf.getvalue()[:-2]
+
+
+def _float_reprs(values) -> list[str]:
+    """The ``repr`` of each of one or more values as a float64, in one
+    ``repr`` of their list (a float's repr never holds ", ")."""
+    return repr(np.asarray(values, dtype=np.float64).tolist())[1:-1].split(", ")
+
+
+def write_csv(path: str, columns: dict) -> None:
+    """Write the table ``{header: column}``, columns of one length, as
+    ``csv.writer`` writes it row by row: minimal quoting, ``\\n`` line ends.
+
+    The header goes through ``csv.writer``.  Each column is formed as text
+    first, and each row is its cells joined with ``,``; a row that joins to
+    nothing (a one-column row's empty field) is written ``""``, as csv does:
+
+    * float64 array cells are formed as the ``repr`` of each distinct bit
+      pattern across all such columns (per-trial tables repeat many values),
+      taken in one ``repr`` of the list of distinct values;
+    * a list of floats (a report table's few rows) is formed in one ``repr``
+      of the list, with no dedupe: ``np.unique``'s first sort in a process
+      pages in ~0.5 MB that a command writing no float64 array never touches;
+    * a column of ints and bools (an int or bool array, a ``range``) is
+      formed as the ``str`` of each item;
+    * any other cell goes through ``csv.writer`` on its own, so its quoting
+      stays csv's, once per distinct value in a column of ``str`` cells.
+
+    Any other array goes through ``tolist()``, and an iterator is read into a
+    list first."""
+    cols = [c.tolist() if isinstance(c, np.ndarray) and c.dtype != np.float64 else c for c in columns.values()]
+    floats = [j for j, c in enumerate(cols) if isinstance(c, np.ndarray)]
+    for j, c in enumerate(cols):
+        if j not in floats:
+            c = list(c)
+            kinds = set(map(type, c))
+            if kinds <= {int, bool}:
+                cols[j] = list(map(str, c))
+            elif all(issubclass(k, float) for k in kinds):
+                cols[j] = _float_reprs(c)
+            elif kinds == {str}:  # exact str only: 0.0 == -0.0 and 1 == 1.0 == True as keys
+                text = {v: _csv_field(v) for v in set(c)}
+                cols[j] = [text[v] for v in c]
+            else:
+                cols[j] = list(map(_csv_field, c))
+    if floats:
+        bits, inverse = np.unique(np.concatenate([cols[j] for j in floats]).view(np.int64), return_inverse=True)
+        text = iter(np.array(_float_reprs(bits.view(np.float64)), dtype=object)[inverse].tolist())
+        for j in floats:
+            cols[j] = list(itertools.islice(text, len(cols[j])))
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(columns)
+    for row in zip(*cols, strict=True):
+        buf.write(",".join(row) or '""')
+        buf.write("\n")
     _write_text(path, buf.getvalue())
 
 

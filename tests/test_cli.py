@@ -697,6 +697,104 @@ def test_column_writer_writes_an_empty_table_as_its_header(tmp_path):
     assert (tmp_path / "t.csv").read_text() == "trial,x,y,id\n"
 
 
+def _writer_tables():
+    return {
+        "quoted-strings": {
+            "id": ["a,b", 'say "hi"', "two\nlines", "cr\rhere", " lead", "", "plain", "a,b", ""],
+            "x": np.arange(9) / 7,
+        },
+        "one-column-empty-string": {"id": ["", "x", ""]},
+        "one-column-floats": {"x": np.array([0.5, -0.0, math.nan])},
+        "mixed-columns": {
+            "one": [1, 1.0, True, 1, 1.0, True],
+            "zero": [0.0, -0.0, math.nan, -0.0, 0.0, math.nan],
+            "id": iter(["1", "1.0", "True", "1", "1.0", "True"]),
+        },
+        "none-bool-int64": {
+            "none": [None, "x", None],
+            "flag": np.array([True, False, True]),
+            "count": np.array([-2**62, 0, 2**62], dtype=np.int64),
+            "scalars": [np.float64(0.1), np.float64(-0.0), np.float64(1e300)],
+            "trial": range(3),
+        },
+        "thresholds-like": {
+            "delta": [0.01, 0.02, 0.05, 0.1, 0.2, 0.5],
+            **{c: [1 / d if d < 0.1 else math.inf for d in (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)]
+               for c in ("explicit_threshold", "expected_sup_threshold")},
+            "single_class_excess_bound": [2.5e-05, 1.25e-05, 5e-06, 2.5e-06, 1.25e-06, 5e-07],
+        },
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_writer_tables()))
+def test_column_writer_matches_the_csv_oracle(tmp_path, name):
+    # the per-cell writer is given an array's NumPy scalars and any other cell as it is
+    cli.write_csv(str(tmp_path / "t.csv"), _writer_tables()[name])
+    cells = {k: list(c) for k, c in _writer_tables()[name].items()}
+    expected = csv_rows_text(list(cells), zip(*cells.values()))
+    assert (tmp_path / "t.csv").read_bytes() == expected.encode()
+
+
+def test_column_writer_rejects_float_columns_whose_lengths_sum_to_a_multiple(tmp_path):
+    with pytest.raises(ValueError):
+        cli.write_csv(str(tmp_path / "t.csv"), {"a": np.zeros(2), "b": np.ones(4)})
+    assert list(tmp_path.iterdir()) == []
+
+
+def _pathwise_config(ids=("A", "B")):
+    cfg = _canonical_config(n=60, trials=20)
+    for entry, idx in zip(cfg["collection"]["entries"], ids):
+        entry["id"] = idx
+    return cfg
+
+
+def test_outputs_get_the_umask_mode(tmp_path):
+    cfg = _write(tmp_path, _canonical_config(n=100, delta=0.2, trials=200))
+    pathwise = _write(tmp_path, _pathwise_config(), "pathwise.json")
+    out = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        assert main(["--config", cfg, "--out", str(out), "bounds"]) == 0
+        assert main(["--config", cfg, "--out", str(out), "localize"]) == 0
+        assert main(["--config", pathwise, "--out", str(out), "montecarlo", "pathwise"]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: p.stat().st_mode & 0o777 for p in out.iterdir()}
+    assert {"thresholds.csv", "trace.json", "pathwise.csv", "verdict_pathwise.json"} <= set(modes)
+    assert set(modes.values()) == {0o644}
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path):
+    (tmp_path / "t.txt").write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):
+        cli._write_text(str(tmp_path / "t.txt"), "\ud800")  # a lone surrogate has no UTF-8 form
+    assert [p.name for p in tmp_path.iterdir()] == ["t.txt"]
+    assert (tmp_path / "t.txt").read_text() == "old\n"
+
+
+def test_configs_and_outputs_are_utf8_under_an_ascii_locale(tmp_path):
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_pathwise_config(ids=("β", "γ")), ensure_ascii=False), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+    env.pop("PYTHONUTF8", None)
+    argv = ["--config", str(cfg), "montecarlo", "pathwise"]
+    run = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "unionerm.cli", "--out", str(tmp_path / "c"), *argv],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert main(["--out", str(tmp_path / "host"), *argv]) == 0
+    for name in ("pathwise.csv", "verdict_pathwise.json"):
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "host" / name).read_bytes()
+    assert ",β," in (tmp_path / "c" / "pathwise.csv").read_bytes().decode("utf-8")
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(_pathwise_config(ids=("é", "B")), ensure_ascii=False).encode("latin-1"))
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "montecarlo", "pathwise"]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_no_temp_files_left_behind(tmp_path):
     cfg = _write(tmp_path, _canonical_config(n=100, delta=0.2, trials=200))
     out = tmp_path / "out"
