@@ -451,7 +451,8 @@ def cmd_profile(cfg: dict, out: str) -> int:
     if prof.mixed_dims:
         lines.append("note: the collection mixes feature dimensions")
     _write_text(os.path.join(out, "profile.txt"), "\n".join(lines) + "\n")
-    print("\n".join(lines))
+    enc = getattr(sys.stdout, "encoding", None) or "utf-8"  # escape the ids stdout cannot encode
+    print("\n".join(lines).encode(enc, "backslashreplace").decode(enc))
     return EXIT_OK
 
 
@@ -668,10 +669,9 @@ def _mc_bss(cfg, out, law, collection, prof, trials):
     noise_std = _param(cfg, "noise_std", 1.0)
     n_grid = _param(cfg, "n_grid", required=True)
     delta = _param(cfg, "delta", 0.1)
-    report = experiments.bss_study(
-        design, d, s, w_true, noise_std, n_grid, trials, seed, delta=delta,
-        check_threshold=_param(cfg, "check_threshold", design == "discrete"),
-    )
+    if (check := _param(cfg, "check_threshold", design == "discrete")) and design != "discrete":
+        raise ConfigError("config field $.params.check_threshold: the recovery threshold needs the discrete design")
+    report = experiments.bss_study(design, d, s, w_true, noise_std, n_grid, trials, seed, delta=delta, check_threshold=check)
     rows = report.rows
     write_csv(os.path.join(out, "bss.csv"), {
         "n": [r["n"] for r in rows], "recovery": [r["recovery"] for r in rows],

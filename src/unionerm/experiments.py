@@ -8,8 +8,9 @@ Conventions used throughout:
   drawn; a trial is one moment row (on a discrete law, its counts over the
   distinct rows of the profile's moment table times those rows, the one
   dataset representation of :mod:`unionerm.processes`; on a Gaussian
-  design, its joint Gram), from which :class:`unionerm.erm.MomentFit` fits
-  every index;
+  design, its joint Gram, one Bartlett draw of its chunk's stream, which
+  draws ``CHUNK`` trials' variates), from which
+  :class:`unionerm.erm.MomentFit` fits every index;
 * every reported probability carries a binomial confidence interval;
 * quantiles are order statistics with binomial-method confidence intervals;
 * trials whose solver hit a singular sample covariance are flagged, never
@@ -175,8 +176,12 @@ def run_trials(
     count draw over the distinct moment rows of ``tables = prof.tables``
     (``prof`` the profile of this ``law`` and ``collection``), which with
     ``snapshots`` also give every process value.  On a Gaussian law
-    (coordinate maps only) the row is the joint Gram [X, y]^T [X, y] / n of
-    one ``law.sample`` call, trial after trial on the chunk's stream.
+    (coordinate maps only) the row is the joint Gram of z = (x, y), one
+    Bartlett draw (L B)(L B)^T / n of Wishart(n, L L^T) / n, L = ``law.joint``
+    and B (d + 1) x min(n, d + 1) lower trapezoidal, B_ii^2 ~ chi2(n - i) and
+    N(0, 1) below the diagonal: exact at every n.  The chunk draws a whole
+    ``CHUNK``'s variates (the normals, then the chi-squares) and keeps the
+    first b, so a trial does not depend on its chunk's size.
     Excess risks are exact: the profile's on discrete laws, the design's
     closed form on Gaussian laws.  The benchmark record reuses the solver's
     fit of the a-priori optimal index, which is what refitting it alone
@@ -199,8 +204,11 @@ def run_trials(
                              [np.zeros(e.dim) for e in collection])
 
         def moments(rng, b):
-            zs = (np.column_stack(law.sample(n, rng)) for _ in range(b))
-            grams = np.stack([z.T @ z / n for z in zs])  # R_n(0) = y^T y / 2n for every index
+            m = min(n, y + 1)  # Bartlett's B: (d + 1) x m lower trapezoidal, B_ii^2 ~ chi2(n - i)
+            bart = np.tril(rng.standard_normal((CHUNK, y + 1, m))[:b])
+            bart[:, range(m), range(m)] = np.sqrt(rng.chisquare(n - np.arange(m), (CHUNK, m))[:b])
+            lb = law.joint @ bart
+            grams = lb @ lb.swapaxes(1, 2) / n  # R_n(0) = y^T y / 2n for every index
             return grams.reshape(b, -1), np.repeat(0.5 * grams[:, y, y:], len(ids), axis=1)
 
         def excess(j, w):

@@ -268,12 +268,19 @@ class GaussianDesignLaw:
         w = np.asarray(self.w_true, dtype=float).ravel()
         if cov.shape[0] != cov.shape[1] or cov.shape[0] != w.shape[0]:
             raise ValueError("covariance must be square and match the target dimension")
-        if self.noise_std < 0:
-            raise ValueError("noise_std must be nonnegative")
+        if not (np.isfinite(cov).all() and np.isfinite(w).all() and 0 <= self.noise_std < math.inf):  # NaN fails too
+            raise ValueError("cov and w_true must be finite, and noise_std finite and nonnegative")
+        if not np.array_equal(cov, cov.T):  # sample reads its lower triangle, risk all of it
+            raise ValueError("covariance must be symmetric")
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "w_true", w)
-        chol = np.linalg.cholesky(cov + 0.0)
+        try:
+            chol = np.linalg.cholesky(cov + 0.0)
+        except np.linalg.LinAlgError:
+            raise ValueError("covariance must be positive definite") from None
         object.__setattr__(self, "_chol", chol)
+        # z = (x, y) = L g for g ~ N(0, I): the joint factor of trials' Grams (lower triangular, also at sigma = 0)
+        object.__setattr__(self, "joint", np.block([[chol, np.zeros((len(w), 1))], [w @ chol, self.noise_std]]))
 
     @property
     def input_dim(self) -> int:

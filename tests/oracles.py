@@ -153,18 +153,63 @@ def chunk_counts(law, n, master, chunk, size):
 
 def trial_dataset(law, n, master, trial):
     """Trial ``trial`` of ``run_trials`` under ``master`` as a dataset of rows:
-    draw trial % CHUNK of chunk trial // CHUNK, after the chunk's earlier
-    draws.  On a discrete law, passed as its :func:`merged_law`, that draw
-    is a row of the chunk's counts over the representative atoms, expanded
-    in their order; on a Gaussian design it is one ``law.sample`` call."""
+    draw trial % CHUNK of chunk trial // CHUNK.  On a discrete law, passed as
+    its :func:`merged_law`, that draw is a row of the chunk's counts over the
+    representative atoms, expanded in their order.
+
+    On a Gaussian design it is a Bartlett factor: the chunk's stream gives
+    the N(0, 1) variates of CHUNK arrays (p, k), p = d + 1 and k = min(n, p),
+    then CHUNK rows of k chi-square variates with n - i degrees of freedom;
+    B keeps the trial's array on and below the diagonal, with the root of
+    its chi-square row on the diagonal.  With the joint factor
+    L = [[C, 0], [w^T C, sigma]] of z = (x, y), C = chol(cov), the k columns
+    of L B scaled by sqrt(k / n) are a k-row dataset whose Gram is the
+    trial's (L B)(L B)^T / n, a draw of Wishart(n, L L^T) / n."""
     chunk, pos = divmod(int(trial), CHUNK)
     if law.kind == "discrete":
         idx = np.repeat(np.arange(law.support_size), chunk_counts(law, n, master, chunk, pos + 1)[pos])
         return Dataset(x=law.xs[idx], y=law.ys[idx])
+    d = law.input_dim
+    p, k = d + 1, min(n, d + 1)
     rng = seed_sequence_stream(master, chunk, TRIAL_TAG)
-    for _ in range(pos + 1):
-        x, y = law.sample(n, rng)
-    return Dataset(x=x, y=y)
+    normals = rng.standard_normal((CHUNK, p, k))[pos]
+    chi2 = rng.chisquare([n - i for i in range(k)], (CHUNK, k))[pos]
+    bart = np.zeros((p, k))
+    for i in range(p):
+        for j in range(min(i, k)):
+            bart[i, j] = normals[i, j]
+        if i < k:
+            bart[i, i] = math.sqrt(chi2[i])
+    chol = np.linalg.cholesky(law.cov)
+    joint = np.zeros((p, p))
+    joint[:d, :d] = chol
+    joint[d, :d] = law.w_true @ chol
+    joint[d, d] = law.noise_std
+    rows = (joint @ bart).T * math.sqrt(k / n)
+    return Dataset(x=rows[:, :d], y=rows[:, d])
+
+
+def row_route_excess(law, collection, n, trials, seed):
+    """n * excess risk of ERM on ``trials`` datasets of n rows of a Gaussian
+    design (coordinate maps of full-rank sample covariance), each one
+    ``law.sample`` call on one stream of ``seed`` reduced to its Gram
+    [X, y]^T [X, y] / n; each index is fitted by ``np.linalg.solve`` and
+    scored by the design's closed-form risk.  The dataset route, for
+    comparing the law of the Gram route's trials."""
+    rng = seed_sequence_stream(seed)
+    grams = np.stack([z.T @ z / n for z in (np.column_stack(law.sample(n, rng)) for _ in range(trials))])
+    y = law.input_dim
+    fits = []
+    for e in collection:
+        c = list(e.coords)
+        sigma, rhs = grams[:, c][:, :, c], grams[:, c, y]
+        w = np.linalg.solve(sigma, rhs[..., None])[..., 0]
+        quad = np.sum(w * (sigma @ w[..., None])[..., 0], axis=1)
+        fits.append((w, 0.5 * grams[:, y, y] - np.sum(w * rhs, axis=1) + 0.5 * quad))
+    pick = np.argmin(np.stack([r for _, r in fits], axis=1), axis=1)
+    r_star = min(law.approx_risk(e) for e in collection)
+    risks = np.stack([law.risk(e, w) for e, (w, _) in zip(collection, fits)], axis=1)
+    return n * (risks[np.arange(trials), pick] - r_star)
 
 
 MAX_EXACT_DATASETS = 250_000

@@ -594,6 +594,25 @@ def test_montecarlo_bss(tmp_path):
     assert (out / "bss.svg").exists()
 
 
+def test_bss_recovery_threshold_on_the_gaussian_design_is_a_config_error(tmp_path, capsys):
+    # the threshold clause needs the discrete design's profile: on the Gaussian
+    # design it used to be dropped without a word
+    cfg_data = _canonical_config(design="gaussian", d=3, s=2, w_true=[1.0, 1.0, 0.0], n_grid=[20, 40])
+    del cfg_data["law"], cfg_data["collection"]
+    argv = ["--trials", "20", "montecarlo", "bss"]
+    for check, code in ((True, 2), (False, 0), (None, 0)):
+        if check is not None:
+            cfg_data["params"]["check_threshold"] = check
+        out = tmp_path / f"o{check}"
+        assert main(["--config", _write(tmp_path, cfg_data), "--out", str(out), *argv]) == code
+        if code:
+            assert "config field $.params.check_threshold:" in capsys.readouterr().err
+            assert not (out / "verdict_bss.json").exists()
+        else:
+            clauses = json.loads((out / "verdict_bss.json").read_text())["clauses"]
+            assert [c["id"] for c in clauses] == ["c11_ratio_trend"]
+
+
 def test_montecarlo_validity_small(tmp_path):
     cfg = _write(tmp_path, _canonical_config(delta=0.5, n_grid=[120], bound="explicit"))
     out = tmp_path / "mc"
@@ -785,6 +804,23 @@ def test_configs_and_outputs_are_utf8_under_an_ascii_locale(tmp_path):
     for name in ("pathwise.csv", "verdict_pathwise.json"):
         assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "host" / name).read_bytes()
     assert ",β," in (tmp_path / "c" / "pathwise.csv").read_bytes().decode("utf-8")
+
+
+def test_profile_escapes_ids_stdout_cannot_encode(tmp_path):
+    # under an ASCII locale the table's "β" went to stdout as UnicodeEncodeError
+    # (exit 1) after both files were written; the files keep their UTF-8 bytes
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(_pathwise_config(ids=("β", "γ")), ensure_ascii=False), encoding="utf-8")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0"}
+    env.pop("PYTHONUTF8", None)
+    run = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "unionerm.cli", "--config", str(cfg),
+                          "--out", str(tmp_path / "c"), "profile"], env=env, capture_output=True)
+    assert run.returncode == 0, run.stderr
+    assert b"\\u03b2" in run.stdout and b"\\u03b3" in run.stdout
+    assert main(["--config", str(cfg), "--out", str(tmp_path / "host"), "profile"]) == 0
+    for name in ("profile.json", "profile.txt"):
+        assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "host" / name).read_bytes()
+    assert "β" in (tmp_path / "c" / "profile.txt").read_text(encoding="utf-8")
 
 
 def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):

@@ -53,7 +53,7 @@ def test_run_trials_batches_are_pinned():
     assert h.hexdigest() == "d6f9cd089375789225c4ac99a7c94c37ad07d7b633c3c8ec8bc2ae24f6da567c"
     design = ex.bss_instance("gaussian", 10, [1.0, 1.0, 1.0] + [0.0] * 7, 1.0)
     batch = ex.run_trials(design, subset_collection(10, 3), 100, 60, 2025)
-    assert batch.batch_hash() == "9a3c061810624c550bc525ba0fe9cdc725003a897f594c229a781e0e23e54332"
+    assert batch.batch_hash() == "5237806d4c31093866e564b3b0ceff58b06fbf1289d12ddbb0ab718cd5a36c05"
 
 
 def test_run_trials_rejects_empty_datasets(canonical):
@@ -214,6 +214,83 @@ def test_run_trials_chunks_drawn_in_reverse_order_give_its_bytes(canonical, monk
     assert batch.batch_hash() == ref.batch_hash() and batch.t_hat == ref.t_hat
     for field in ("n_excess", "n_excess_oracle", "singular", "lam_plus", "lam_minus", "delta_plus", "g_sq_hat", "gap_hat", "est_err_hat"):
         assert getattr(batch, field).tobytes() == getattr(ref, field).tobytes(), field
+
+
+def test_run_trials_gaussian_chunks_drawn_in_reverse_order_give_its_bytes(monkeypatch):
+    # a Gaussian chunk draws CHUNK trials' variates and keeps the first b, so
+    # with the chunk streams read last chunk first (three chunks, the last
+    # one ragged), the first trials of each chunk are the bytes of the
+    # chunk that read that stream in order
+    law, coll = _correlated_design(), subset_collection(5, 2)
+    n, trials, master = 12, 2 * CHUNK + 7, 313
+    ref = ex.run_trials(law, coll, n, trials, master)
+    real = ex.stream
+    monkeypatch.setattr(ex, "stream", lambda seed, c, tag: real(seed, 2 - c, tag))
+    batch = ex.run_trials(law, coll, n, trials, master)
+    for c in range(3):
+        got, want = slice(c * CHUNK, c * CHUNK + 7), slice((2 - c) * CHUNK, (2 - c) * CHUNK + 7)
+        assert batch.t_hat[got] == ref.t_hat[want]
+        for field in ("n_excess", "n_excess_oracle", "singular"):
+            assert getattr(batch, field)[got].tobytes() == getattr(ref, field)[want].tobytes(), field
+
+
+@pytest.mark.parametrize("n", [12, 20])
+def test_run_trials_gaussian_oracle_mean_is_the_exact_ols_mean(n):
+    # OLS on the true support of a Gaussian design: E[n excess] is
+    # sigma^2 s n / (2 (n - s - 1)) at every n > s + 1 (2.25 at n = 12,
+    # 1.875 at n = 20 for s = 3, sigma = 1)
+    d, s, trials = 8, 3, 20_000
+    law = ex.bss_instance("gaussian", d, [1.0] * s + [0.0] * (d - s), 1.0)
+    batch = ex.run_trials(law, _coordinate_maps((0, 1, 2), (2, 3, 4)), n, trials, 330)
+    exact = 0.5 * s * n / (n - s - 1)
+    se = np.std(batch.n_excess_oracle, ddof=1) / math.sqrt(trials)
+    assert abs(np.mean(batch.n_excess_oracle) - exact) <= 3 * se
+
+
+@pytest.mark.parametrize("n", [5, 12, 100])
+def test_run_trials_gaussian_excess_has_the_row_route_law(n):
+    # two-sample KS at level 0.05 of ERM's n * excess: Bartlett Grams against
+    # Grams of law.sample rows (oracles.row_route_excess), n below and above d + 1
+    law, coll = _correlated_design(), subset_collection(5, 2)
+    rows = oracles.row_route_excess(law, coll, n, 4096, 900 + n)
+    batch = ex.run_trials(law, coll, n, 8192, 910 + n)
+    assert ex.ks_statistic(batch.n_excess, rows) <= ex.ks_critical_value(8192, 4096)
+
+
+def test_run_trials_gaussian_noiseless_oracle_excess_is_zero():
+    # sigma = 0: L's last diagonal entry is 0, and at every n >= s the
+    # support's fit recovers w_true, also below d + 1 rows
+    law = GaussianDesignLaw(cov=_correlated_design().cov, w_true=[0.0, 1.0, -2.0, 0.0, 0.5], noise_std=0.0)
+    coll = subset_collection(5, 3)
+    for n in (3, 4, 6, 40):
+        batch = ex.run_trials(law, coll, n, 50, 331)
+        assert not batch.singular.any()
+        assert np.all(np.abs(batch.n_excess_oracle) <= 1e-12)
+
+
+def test_run_trials_gaussian_below_s_rows_flags_every_trial():
+    law = _correlated_design()
+    for n, s in ((1, 2), (2, 3), (3, 4)):
+        assert ex.run_trials(law, subset_collection(5, s), n, 40, 332).singular.all()
+
+
+def test_run_trials_gaussian_cost_does_not_grow_with_n(monkeypatch):
+    # a Gaussian chunk is one Gram draw of fixed shape: no law.sample rows,
+    # and the same traced peak at n = 10^9 as at n = 250
+    def no_rows(self, n, rng):
+        raise AssertionError("a trial drew rows")
+
+    monkeypatch.setattr(GaussianDesignLaw, "sample", no_rows)
+    law, coll = ex.bss_instance("gaussian", 10, [1.0] * 3 + [0.0] * 7, 1.0), subset_collection(10, 3)
+    peaks = []
+    for n in (250, 10**9):
+        tracemalloc.start()
+        try:
+            ex.run_trials(law, coll, n, CHUNK, 333)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0]
 
 
 def test_run_trials_oracle_record_matches_oracle_solve(canonical):

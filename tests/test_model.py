@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import itertools
 import math
 import pathlib
@@ -465,6 +466,43 @@ def test_gaussian_design_closed_forms():
     ds = sample_dataset(law, 200_000, (5, 0))
     emp = np.mean((ds.x @ np.array([1.0, -2.0, 0.0]) - ds.y) ** 2)
     assert emp == pytest.approx(0.25, rel=0.02)
+
+
+@pytest.mark.parametrize(
+    "cov, w_true, noise_std, match",
+    [
+        ([[1.0, 5.0], [0.0, 1.0]], [1.0, 0.0], 1.0, "symmetric"),  # sample read its lower triangle, risk all of it
+        ([[1.0, 2.0], [2.0, 1.0]], [1.0, 0.0], 1.0, "positive definite"),  # was numpy's LinAlgError
+        ([[1.0, 1.0], [1.0, 1.0]], [1.0, 0.0], 1.0, "positive definite"),
+        (np.eye(2), [1.0, 0.0], math.nan, "finite"),  # sample dropped the noise, risk was NaN
+        (np.eye(2), [1.0, 0.0], math.inf, "finite"),
+        (np.eye(2), [1.0, 0.0], -1.0, "nonnegative"),
+        (np.eye(2), [math.nan, 0.0], 1.0, "finite"),
+        ([[1.0, math.nan], [math.nan, 1.0]], [1.0, 0.0], 1.0, "finite"),
+    ],
+    ids=["non-symmetric", "indefinite", "singular", "nan-noise", "inf-noise", "negative-noise", "nan-target", "nan-cov"],
+)
+def test_gaussian_design_rejects_inputs_its_factor_cannot_read(cov, w_true, noise_std, match):
+    with pytest.raises(ValueError, match=match):
+        GaussianDesignLaw(cov=cov, w_true=w_true, noise_std=noise_std)
+
+
+@pytest.mark.parametrize("noise_std", [0.5, 0.0])
+def test_gaussian_design_joint_factor_is_lower_triangular_and_factors_the_joint_covariance(noise_std):
+    cov, w = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]]), np.array([1.0, -2.0, 0.0])
+    law = GaussianDesignLaw(cov=cov, w_true=w, noise_std=noise_std)
+    joint = np.block([[cov, (cov @ w)[:, None]], [cov @ w, w @ cov @ w + noise_std**2]])
+    assert np.array_equal(law.joint, np.tril(law.joint))
+    assert np.allclose(law.joint @ law.joint.T, joint, rtol=1e-14, atol=1e-14)
+
+
+def test_gaussian_design_sample_dataset_is_pinned():
+    # run_trials draws Grams, not rows: sample_dataset's rows of a Gaussian
+    # design keep their bytes
+    law = GaussianDesignLaw(cov=[[2.0, 0.5, 0.0], [0.5, 1.0, 0.3], [0.0, 0.3, 1.5]], w_true=[1.0, -2.0, 0.0], noise_std=0.5)
+    ds = sample_dataset(law, 50, (7, 3))
+    digest = hashlib.sha256(ds.x.tobytes() + ds.y.tobytes()).hexdigest()
+    assert digest == "7ff3f23ac939e25f289c3e7f465a6c2d413eff20173e99647be484159a29a0b2"
 
 
 def test_feature_entry_shape_check():
