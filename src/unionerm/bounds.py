@@ -64,6 +64,7 @@ __all__ = [
     "single_class_excess_bound",
     "explicit_threshold_value",
     "resolve_explicit_threshold",
+    "explicit_threshold_fixed_point",
 ]
 
 
@@ -270,14 +271,20 @@ def matrix_bernstein_bound(mean_z, v, n: int, d: int | None = None) -> float:
 # Covariance-deviation second moment
 # ---------------------------------------------------------------------------
 
+# the per-map passes below stack 1/MAP_BLOCK as many maps as a model stack:
+# at most STACK_ENTRIES / MAP_BLOCK per-atom feature entries at a time
+MAP_BLOCK = 16
+
+
 def covariance_deviation_lambda_max(prof: PopulationProfile) -> float:
     """max_t lambda_max(E[(psi_t psi_t^T - I)^2]), exact on a discrete law:
-    each stack of maps of one dimension (:meth:`FeatureCollection.stacks`)
-    forms its matrices with the products of a per-map loop and takes one
-    batched ``eigvalsh``."""
+    each stack of maps of one dimension (:meth:`FeatureCollection.stacks`,
+    on ``MAP_BLOCK`` times the atoms, so its (k, m, d, d) products stay
+    small) forms its matrices with the products of a per-map loop and takes
+    one batched ``eigvalsh``."""
     weights = prof.law.weights
     best = 0.0
-    for d, ids in prof.collection.stacks(weights.size):
+    for d, ids in prof.collection.stacks(MAP_BLOCK * weights.size):
         recs = [prof.records[t] for t in ids]
         psi = np.stack([r.phi for r in recs]) @ np.stack([r.whitener for r in recs])
         dev = psi[..., :, None] * psi[..., None, :] - np.eye(d)
@@ -343,16 +350,16 @@ def quadratic_form_variance_sup(prof: PopulationProfile, seed: int = 0) -> tuple
 
     Returns (L, tag): ``"exact"`` when every d_t <= 2, else the ascent's tag.
     """
-    weights = prof.law.weights
-    psi = [rec.phi @ rec.whitener for rec in prof.records.values()]
+    weights, recs = prof.law.weights, prof.records.values()
     sups, tag = [], "exact"
-    lines = [p[:, 0] for p in psi if p.shape[1] == 1]
+    lines = [(r.phi @ r.whitener)[:, 0] for r in recs if r.dim == 1]
     if lines:
         sups.append(weights @ (np.stack(lines, axis=1) ** 2 - 1.0) ** 2)
-    planes = [p for p in psi if p.shape[1] == 2]
-    if planes:
-        sups.append(_pair_block_sups(weights, np.stack(planes)))
-    wide = [p for p in psi if p.shape[1] >= 3]
+    for d, ids in prof.collection.stacks(MAP_BLOCK * weights.size):
+        if d == 2:  # the (k, m, 3) features of one stack at a time
+            psi = np.stack([prof.records[t].phi @ prof.records[t].whitener for t in ids])
+            sups.append(_pair_block_sups(weights, psi))
+    wide = [r.phi @ r.whitener for r in recs if r.dim >= 3]
     if wide:
         val, tag = _ascent_sup(weights, wide, seed)
         sups.append([val])
@@ -489,9 +496,9 @@ def compute_bound_inputs(
     lam_v = TaggedValue(covariance_deviation_lambda_max(prof), "exact", None)
     l_val, l_tag = quadratic_form_variance_sup(prof, seed=seed)
     gap = class_moments("D", None, prof, n)
-    grad = class_moments("G", None, prof, n)
     sup_lam = expected_sup("lambda", None, n, prof, trials=trials, seed=seed)
     sup_del = expected_sup("delta", None, n, prof, trials=trials, seed=seed)
+    grad = class_moments("G", None, prof, n)  # after the value table: its per-atom grad_sq is kept
     return BoundInputs(
         cov_dev_lambda_max=lam_v,
         quad_form_var_sup=TaggedValue(l_val, l_tag, None),
@@ -585,9 +592,15 @@ def resolve_explicit_threshold(prof: PopulationProfile, delta: float, seed: int 
     ``rounds`` substitutions do not reach it, the last iterate is returned
     with a RuntimeWarning naming the last two iterates.
     """
-    coll = prof.collection
-    lam_v = covariance_deviation_lambda_max(prof)
     l_val, _ = quadratic_form_variance_sup(prof, seed=seed)
+    return explicit_threshold_fixed_point(prof, delta, covariance_deviation_lambda_max(prof), l_val, rounds)
+
+
+def explicit_threshold_fixed_point(prof: PopulationProfile, delta: float, lam_v: float, l_val: float,
+                                   rounds: int = 8) -> int:
+    """:func:`resolve_explicit_threshold` from lambda_max(V) ``lam_v`` and L
+    ``l_val``, for a caller that holds them already."""
+    coll = prof.collection
 
     def step(n):
         gap = class_moments("D", None, prof, n)

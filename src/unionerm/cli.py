@@ -34,14 +34,7 @@ import sys
 import numpy as np
 
 from . import experiments, localization, svgplot
-from .bounds import (
-    compute_bound_inputs,
-    covariance_deviation_lambda_max,
-    quadratic_form_variance_sup,
-    resolve_explicit_threshold,
-    single_class_threshold_value,
-    thresholds_and_bounds,
-)
+from .bounds import compute_bound_inputs, thresholds_and_bounds
 from .model import (
     DegenerateFeatureError,
     DiscreteLaw,
@@ -274,16 +267,39 @@ def _entry_from_json(spec: dict) -> FeatureEntry:
     raise ConfigError(f"config field $.collection: entry {idx!r} needs coords or matrix")
 
 
-def build_collection(cfg: dict) -> FeatureCollection:
+def build_collection(cfg: dict, law=None) -> FeatureCollection:
+    """The config's collection.  An explicit map with no features is a
+    config error, and given the ``law`` so is a map that does not fit its
+    inputs: a subsets ``dim`` above the input dimension, or an explicit map
+    that fails on one input of it."""
     if "collection" not in cfg:
         raise ConfigError("config field $.collection: required for this command")
     coll = cfg["collection"]
-    if coll["kind"] == "subsets":
-        return subset_collection(coll["dim"], coll["sparsity"])
+    inputs = None if law is None else law.input_dim
+    if coll["kind"] == "subsets" and inputs is not None and coll["dim"] > inputs:
+        raise ConfigError(f"config field $.collection.dim: {coll['dim']} is more than the law's {inputs} inputs")
     try:
-        return FeatureCollection([_entry_from_json(e) for e in coll["entries"]])
+        if coll["kind"] == "subsets":
+            return subset_collection(coll["dim"], coll["sparsity"])
+        collection = FeatureCollection([_entry_from_json(e) for e in coll["entries"]])
     except ValueError as exc:
         raise ConfigError(f"config field $.collection: {exc}") from exc
+    for entry in collection:
+        if entry.dim < 1:
+            raise ConfigError(f"config field $.collection: map {entry.index!r} has no features")
+        try:
+            if inputs is not None:
+                entry(np.zeros((1, inputs)))
+        except (IndexError, ValueError) as exc:
+            raise ConfigError(f"config field $.collection: map {entry.index!r} does not fit "
+                              f"the law's {inputs} inputs: {exc}") from exc
+    return collection
+
+
+def build_profile_of(cfg: dict):
+    """The profile of the config's law and collection."""
+    law = build_law(cfg)
+    return build_profile(law, build_collection(cfg, law))
 
 
 def _param(cfg: dict, name: str, default=None, required: bool = False):
@@ -417,7 +433,7 @@ def write_csv(path: str, columns: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_profile(cfg: dict, out: str) -> int:
-    prof = build_profile(build_law(cfg), build_collection(cfg))
+    prof = build_profile_of(cfg)
     payload = {
         "r_star": prof.r_star,
         "t_star": [str(t) for t in prof.t_star],
@@ -457,7 +473,7 @@ def cmd_profile(cfg: dict, out: str) -> int:
 
 
 def cmd_bounds(cfg: dict, out: str, trials_override: int | None) -> int:
-    prof = build_profile(build_law(cfg), build_collection(cfg))
+    prof = build_profile_of(cfg)
     n = _param(cfg, "n", required=True)
     delta = _param(cfg, "delta", 0.1)
     k = _param(cfg, "k", 1)
@@ -477,7 +493,7 @@ def cmd_bounds(cfg: dict, out: str, trials_override: int | None) -> int:
 
 
 def cmd_localize(cfg: dict, out: str, trials_override: int | None) -> int:
-    prof = build_profile(build_law(cfg), build_collection(cfg))
+    prof = build_profile_of(cfg)
     n = _param(cfg, "n", required=True)
     delta = _param(cfg, "delta", 0.1)
     k = _param(cfg, "k")
@@ -606,17 +622,8 @@ def _mc_validity(cfg, out, law, collection, prof, trials):
     delta = _param(cfg, "delta", 0.1)
     bound_kind = _param(cfg, "bound", "explicit")
     k = _param(cfg, "k")
-    seed = int(cfg["seed"])
-    n_grid = _param(cfg, "n_grid")
-    if n_grid is None:
-        if bound_kind == "single_class":
-            l_val, _ = quadratic_form_variance_sup(prof, seed=seed)
-            thr = single_class_threshold_value(covariance_deviation_lambda_max(prof), l_val, collection.max_dim, delta)
-            n_grid = [int(math.ceil(thr))]
-        else:
-            n_grid = [resolve_explicit_threshold(prof, delta, seed=seed)]
     result = experiments.bound_validity_sweep(
-        law, collection, delta, n_grid, trials, seed, prof, bound_kind=bound_kind, k=k,
+        law, collection, delta, _param(cfg, "n_grid"), trials, int(cfg["seed"]), prof, bound_kind=bound_kind, k=k,
     )
     cols = ("n", "k", "threshold", "above_threshold", "bound", "violations", "rate", "allowed", "pass")
     flags = ("above_threshold", "pass")
@@ -722,7 +729,7 @@ _MC_MIN_TRIALS = {"quantiles": 100, "consistency": 10, "validity": 100, "pathwis
 
 def cmd_montecarlo(cfg: dict, out: str, sub: str, trials_override: int | None) -> int:
     trials = _trials(cfg, trials_override, 1000, _MC_MIN_TRIALS[sub], f"subcommand {sub}")
-    prof = None if sub == "bss" else build_profile(build_law(cfg), build_collection(cfg))
+    prof = None if sub == "bss" else build_profile_of(cfg)
     law, collection = (None, None) if prof is None else (prof.law, prof.collection)
     payload, clauses = _MC_SUBCOMMANDS[sub](cfg, out, law, collection, prof, trials)
     ok = all(c["pass"] for c in clauses)

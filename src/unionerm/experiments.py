@@ -39,7 +39,7 @@ from .model import (
     stream,
     subset_collection,
 )
-from .population import PopulationProfile, excess_risk
+from .population import PopulationProfile, excess_risk, profile
 from .processes import snapshot as process_snapshot  # noqa: F401 -- the benchmark tracer wraps it under this name
 from .bounds import _fixed_point
 from .bounds import compute_bound_inputs, thresholds_and_bounds  # noqa: F401 -- the benchmark tracer wraps them under these names
@@ -533,7 +533,8 @@ def bound_validity_sweep(
     formulas in :mod:`unionerm.bounds`.  The covariance deviation and the
     quadratic-form variance sup do not depend on n, so every row shares them:
     both are computed once, the sup at ``seed`` as every reader of L takes it
-    (only its ascent over blocks of dimension >= 3 reads the seed).  The gap
+    (only its ascent over blocks of dimension >= 3 reads the seed).  Without
+    an ``n_grid`` the grid is the bound's own threshold, from those two.  The gap
     class of the ``explicit`` threshold is exact, and so are the
     ``single_class`` bound and the ``explicit`` bound, the final bound of the
     trace (k steps, or the best k when ``k`` is None) of A(S).  Row i draws
@@ -549,6 +550,10 @@ def bound_validity_sweep(
     coll = prof.collection
     lam_v = bounds.covariance_deviation_lambda_max(prof)
     l_val, _ = bounds.quadratic_form_variance_sup(prof, seed=seed)
+    if n_grid is None and bound_kind == "single_class":
+        n_grid = [math.ceil(bounds.single_class_threshold_value(lam_v, l_val, coll.max_dim, delta))]
+    elif n_grid is None:
+        n_grid = [bounds.explicit_threshold_fixed_point(prof, delta, lam_v, l_val)]
     rows = []
     all_pass = True
     for i, n in enumerate(n_grid):
@@ -718,11 +723,14 @@ def bss_study(
 
     Reports per-n recovery frequency with its binomial CI and the ratio
     a_n = mean(n * excess) / (noise_var * s); on the discrete design also the
-    gap-based recovery threshold and the recovery frequency at it.  The
-    standard error of a_n needs at least two trials.
+    gap-based recovery threshold and the recovery frequency at it, which
+    ``check_threshold`` asks for (the Gaussian design has none, so it must
+    be false there).  The standard error of a_n needs at least two trials.
     """
     if trials < 2:
         raise ValueError(f"the standard error of a_n needs at least 2 trials, got {trials}")
+    if check_threshold and design != "discrete":
+        raise ValueError("the recovery threshold needs the discrete design: pass check_threshold=False")
     w_true = np.asarray(w_true, dtype=float)
     support = tuple(int(j) for j in np.nonzero(w_true)[0])
     if len(support) != s:
@@ -732,9 +740,7 @@ def bss_study(
     prof = None
     gamma = None
     if design == "discrete":
-        from .population import profile as build_profile
-
-        prof = build_profile(law, collection)
+        prof = profile(law, collection)
         gamma = prof.gamma
     else:
         risks = {e.index: law.approx_risk(e) for e in collection}
@@ -766,7 +772,7 @@ def bss_study(
     )
     n_thr = k_thr = None
     rec_at_thr = None
-    if design == "discrete" and check_threshold:
+    if check_threshold:
         n_thr, k_thr = recovery_threshold(prof, delta)
         batch = run_trials(law, collection, n_thr, trials, _grid_seed(seed, 10_000), prof)
         rec_at_thr = sum(1 for t in batch.t_hat if t == support) / trials

@@ -63,6 +63,9 @@ __all__ = [
 ]
 
 EXPECTED_SUP_MIN_TRIALS = 100  # the fewest Monte Carlo rows an expected supremum is estimated from
+# entries per block of a chunk's (B, rows) frequencies and of each (B, k)
+# temporary of evaluate, which form them a block of datasets at a time
+BLOCK_ENTRIES = 1 << 11
 
 
 class DeltaUndefinedError(ValueError):
@@ -146,34 +149,52 @@ class AtomTables:
         ``law``, in chunk order.
 
         The last table built is kept, so consecutive requests for one key
-        share a single draw and a single evaluation.
+        share a single draw and a single evaluation.  A chunk's counts are
+        dropped once its moments exist, and a new key drops the old table
+        before drawing.
         """
         key = (n, trials, seed)
         if self._last is None or self._last[0] != key:
-            chunks = iter_count_batches(self.law, n, trials, seed)
-            self._last = (key, tuple(self.evaluate(self.moments(c, n), n) for c in chunks))
+            self._last, snaps = None, []
+            for counts in iter_count_batches(self.law, n, trials, seed):
+                moments = self.moments(counts, n)
+                del counts  # each chunk's counts, then its moments, go as soon as they are read
+                snaps.append(self.evaluate(moments, n))
+                del moments
+            self._last = (key, tuple(snaps))
         return self._last[1]
 
     def moments(self, counts: np.ndarray, n: int) -> np.ndarray:
         """The moments (B, K) of the datasets whose counts over the rows of
         ``law`` are ``counts`` (B, len(rows)).  One product per dataset
-        (``(b, 1, rows) @ table``), so a dataset's moments do not depend on
-        the other datasets."""
-        return ((counts[:, None, :] / n) @ self._merged[2])[:, 0, :]
+        (``(1, rows) @ table``), so a dataset's moments do not depend on
+        the other datasets, and the frequencies are formed about
+        ``BLOCK_ENTRIES`` entries at a time."""
+        table = self._merged[2]
+        out = np.empty((counts.shape[0], 1, table.shape[1]))
+        step = max(1, BLOCK_ENTRIES // table.shape[0])
+        for lo in range(0, counts.shape[0], step):
+            np.matmul(counts[lo:lo + step, None, :] / n, table, out=out[lo:lo + step])
+        return out[:, 0, :]
 
     def evaluate(self, moments: np.ndarray, n: int) -> Snapshot:
         """Every process on the datasets of ``moments`` (B, K) at sample size n:
         lambda_n from the extreme eigenvalues of W Sigma_n W, g_n from
         W (Sigma_n w_* - Phi^T y / n), one pass per feature dimension
-        (:func:`_whitened`), and delta_n from the loss columns."""
-        b = moments.shape[0]
-        lam_min, g_sq = np.empty((b, len(self.indices))), np.empty((b, len(self.indices)))
+        (:func:`_whitened`), and delta_n from the loss columns.  The k maps of
+        a dimension d <= 2 are elementwise in the moments, so they are taken
+        ``BLOCK_ENTRIES // k`` datasets at a time."""
+        b, size = moments.shape[0], len(self.indices)
+        lam_min, g_sq = np.empty((b, size)), np.empty((b, size))
         lam_minus = np.full(b, -np.inf)
         for (js, cols, w_ref), whitener in zip(self.fits.groups, self._whiteners):
-            lo, hi, grad_sq = _whitened(moments, cols, w_ref, whitener)
-            lam_min[:, js] = lo
-            np.maximum(lam_minus, hi.max(axis=1) - 1.0, out=lam_minus)
-            g_sq[:, js] = n * grad_sq
+            step = max(1, BLOCK_ENTRIES // len(js) if w_ref.shape[1] <= 2 else b)
+            for lo in range(0, b, step):
+                rows = slice(lo, lo + step)
+                low, hi, grad_sq = _whitened(moments[rows], cols, w_ref, whitener)
+                lam_min[rows, js] = low
+                np.maximum(lam_minus[rows], hi.max(axis=1) - 1.0, out=lam_minus[rows])
+                g_sq[rows, js] = n * grad_sq
         loss = moments[:, self.loss]
         delta = np.sqrt(n) * (1.0 - (loss[:, self._sub] - loss[:, [self._s0]]) / self._gaps)
         return Snapshot(n=n, lam_min=lam_min, lam_minus_scaled=lam_minus, g_sq=g_sq, delta=delta)
@@ -196,6 +217,7 @@ def _whitened(moments: np.ndarray, cols: np.ndarray, w_ref: np.ndarray, whitener
     grad = [_dot(sig[i], w_ref.T) - moments[:, cols[:, i, d]] for i in range(d)]
     ws = [[_dot(w[i], sig[j]) for j in range(d)] for i in range(d)]
     m = [[_dot(ws[i], w[:, j]) for j in range(i + 1)] for i in range(d)]  # lower triangle
+    del sig, ws  # m and grad are all the rest reads
     lo, hi = (m[0][0], m[0][0]) if d == 1 else _eig2(m[0][0], m[1][0], m[1][1])
     grad_w = [_dot(w[i], grad) for i in range(d)]
     return lo, hi, _dot(grad_w, grad_w)

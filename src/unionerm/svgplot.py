@@ -7,6 +7,7 @@ diff-stable outputs.  The charts return their SVG text; the CLI writes it.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 WIDTH, HEIGHT = 640, 420
@@ -18,22 +19,23 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _widen(lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi), or a range of width max(1, |lo| 2^-20) from lo when it is
+    empty: a width that float arithmetic at |lo| does not lose."""
+    return (lo, hi) if hi > lo else (lo, lo + max(1.0, abs(lo) * 2.0**-20))
+
+
 def _ticks(lo: float, hi: float, count: int = 5) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    lo, hi = _widen(lo, hi)
     span = hi - lo
     step = 10 ** math.floor(math.log10(span / count))
     for mult in (1, 2, 5, 10):
         if span / (step * mult) <= count:
             step *= mult
             break
-    start = math.ceil(lo / step) * step
-    out = []
-    t = start
-    while t <= hi + 1e-12 * span:
-        out.append(t)
-        t += step
-    return out
+    # tick k is k * step, so ticks advance even where step is below the float spacing
+    ticks = (k * step for k in itertools.count(math.ceil(lo / step)))
+    return list(itertools.takewhile(lambda t: t <= hi + 1e-12 * span, ticks))
 
 
 class _Canvas:
@@ -53,8 +55,7 @@ class _Canvas:
 
 
 def _scale(lo: float, hi: float, pix_lo: float, pix_hi: float):
-    if hi <= lo:
-        hi = lo + 1.0
+    lo, hi = _widen(lo, hi)
     k = (pix_hi - pix_lo) / (hi - lo)
     return lambda v: pix_lo + (v - lo) * k
 

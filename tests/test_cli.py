@@ -3,6 +3,7 @@ import importlib.util
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
-from unionerm import cli, experiments
+from unionerm import bounds, cli, experiments, svgplot
 from unionerm.cli import ConfigError, load_config, main
 
 from conftest import canonical_atoms
@@ -134,6 +135,42 @@ def test_degenerate_collection_exits_3(tmp_path):
     cfg_data["collection"]["entries"].append({"id": "Z", "matrix": [[0.0, 0.0]]})
     cfg = _write(tmp_path, cfg_data)
     assert main(["--config", cfg, "--out", str(tmp_path / "o"), "profile"]) == 3
+
+
+@pytest.mark.parametrize("collection", [
+    {"kind": "subsets", "dim": 2, "sparsity": 3},
+    {"kind": "subsets", "dim": 3, "sparsity": 1},
+    {"kind": "explicit", "entries": [{"id": "A", "coords": [5]}]},
+    {"kind": "explicit", "entries": [{"id": "A", "coords": []}]},
+    {"kind": "explicit", "entries": [{"id": "A", "matrix": []}]},
+    {"kind": "explicit", "entries": [{"id": "A", "matrix": [[1, 0, 2]]}]},
+    {"kind": "explicit", "entries": [{"id": "A", "matrix": [[1, 0]], "offset": [0, 1]}]},
+], ids=["sparsity-above-dim", "dim-above-inputs", "coord-out-of-range", "no-coords", "no-matrix",
+        "matrix-too-wide", "offset-too-long"])
+def test_collection_that_does_not_fit_the_law_exits_2(tmp_path, capsys, collection):
+    # the canonical law has 2 inputs
+    cfg = _canonical_config()
+    cfg["collection"] = collection
+    assert main(["--config", _write(tmp_path, cfg), "--out", str(tmp_path / "o"), "profile"]) == 2
+    assert capsys.readouterr().err.startswith("config error: config field $.collection")
+
+
+@pytest.mark.parametrize("xs", [[10**16], [10**16, 10**16 + 4]], ids=["one-point", "span-below-spacing"])
+def test_line_chart_axes_hold_at_large_magnitudes(xs):
+    # a zero span at 1e16 divided by zero, and a tick step of 1 below the
+    # float spacing of 2 never advanced; the timer ends a hang
+    def expire(signum, frame):
+        raise TimeoutError("line_chart did not return")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 10.0)
+    try:
+        svg = svgplot.line_chart(xs, {"rate": [0.5] * len(xs)}, "consistency", "n", "rate")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    ticks = [line for line in svg.splitlines() if 'text-anchor="middle">1e+16<' in line]
+    assert svg.endswith("</svg>\n") and 1 <= len(ticks) <= 6
 
 
 def test_insufficient_trials_exits_4(tmp_path):
@@ -401,6 +438,24 @@ def test_montecarlo_outputs_are_pinned(tmp_path, request, command, params):
     depends = DEPENDS_ON_TRIALS.get(request.node.callspec.id)
     if depends is not None:
         assert depends(json.loads((out / f"verdict_{command}.json").read_text()))
+
+
+@pytest.mark.parametrize("bound", ["explicit", "single_class"])
+def test_validity_without_a_grid_computes_each_constant_once(tmp_path, monkeypatch, bound):
+    # the default grid is the bound's threshold, sized from the sweep's own
+    # lambda_max(V) and L: an ascent over blocks of d_t >= 3 runs once
+    calls = []
+    for name in ("quadratic_form_variance_sup", "covariance_deviation_lambda_max"):
+        def counting(*args, real=getattr(bounds, name), name=name, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        for module in (bounds, cli, experiments):  # every module that holds the function
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting)
+    cfg = _write(tmp_path, _canonical_config(delta=0.5, bound=bound))
+    assert main(["--config", cfg, "--out", str(tmp_path / "o"), "--trials", "100", "montecarlo", "validity"]) == 0
+    assert sorted(calls) == ["covariance_deviation_lambda_max", "quadratic_form_variance_sup"]
 
 
 HYPERCUBE_DIGESTS = {

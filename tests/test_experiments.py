@@ -585,6 +585,12 @@ def test_bss_gaussian_trend():
     assert rep.rows[-1]["recovery"] >= 0.99
 
 
+def test_bss_refuses_the_recovery_threshold_on_the_gaussian_design():
+    # check_threshold defaults to true; the Gaussian design has no threshold
+    with pytest.raises(ValueError, match="discrete design"):
+        ex.bss_study("gaussian", 6, 2, [1.0, 0.0, 1.0, 0.0, 0.0, 0.0], 1.0, [30], 10, 324)
+
+
 def test_bss_rejects_wrong_sparsity():
     with pytest.raises(ValueError):
         ex.bss_study("discrete", 4, 2, [1.0, 0.0, 0.0, 0.0], 1.0, [50], 10, 325)

@@ -333,19 +333,27 @@ def test_value_table_rows_do_not_depend_on_the_sample_size():
 def test_value_table_peak_memory_is_a_fraction_of_one_count_chunk():
     # the table itself is (B, 2|T| + |T_sub| + 1); with |T| = 8 against 256
     # distinct rows the bound measures the (B, rows) counts and frequencies
-    # that drawing and evaluating B datasets at once would hold
-    prof = profile(bss_instance("discrete", 8, [1.0, 1.0] + [0.0] * 6, 1.0), subset_collection(8, 1))
-    tables = prof.tables
+    # that drawing and evaluating B datasets at once would hold.  The 28 maps
+    # of d_t = 2 hold the table near the bound, and beyond the table the peak
+    # holds little more than one chunk's counts: no float copy of them, and
+    # evaluate's (B, |T|) temporaries a block of datasets at a time
+    law = bss_instance("discrete", 8, [1.0, 1.0] + [0.0] * 6, 1.0)
     b, n = 4096, 1000
-    assert len(tables.rows) == 256  # merged before the measurement
-    tracemalloc.start()
-    try:
-        table = tables.table(n, b, 5)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert sum(len(c.g_sq) for c in table) == b and table[0].g_sq.shape == (CHUNK, 8)
-    assert peak < b * 256 * 8 / 2
+    for s in (1, 2):
+        prof = profile(law, subset_collection(8, s))
+        tables = prof.tables
+        assert len(tables.rows) == 256  # merged before the measurement
+        tracemalloc.start()
+        try:
+            table = tables.table(n, b, 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        size = len(prof.indices())
+        assert sum(len(c.g_sq) for c in table) == b and table[0].g_sq.shape == (CHUNK, size)
+        assert peak < b * 256 * 8 / 2
+        own = sum(field.nbytes for chunk in table for field in chunk[1:])
+        assert peak - own < 1.25 * CHUNK * 256 * 8, s
 
 
 def _value_table_cases():
