@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .model import DESIGN_MC_TAG, QUARTIC_TAG, DiscreteLaw, stream
-from .population import PopulationProfile
+from .population import PopulationProfile, profile
 from .processes import EXPECTED_SUP_MIN_TRIALS, _distinct_rows, chunk_mean, expected_sup, iter_count_batches
 
 if TYPE_CHECKING:
@@ -297,14 +297,14 @@ MC_CHUNK = 65536  # draws per seed stream of covariance_deviation_lambda_max_mc
 
 
 def covariance_deviation_lambda_max_mc(law, collection, draws: int = 10**6, seed: int = 0) -> float:
-    """Monte Carlo variant for generative laws with known feature covariance."""
+    """Monte Carlo variant for a Gaussian design, whose maps' whiteners are
+    those of its profile (coordinate maps only)."""
     if draws < 1:
         raise ValueError("draws must be at least 1")
+    prof = profile(law, collection)
     best = 0.0
     for entry in collection:
-        sigma = law.feature_covariance(entry)
-        vals, vecs = np.linalg.eigh(sigma)
-        whitener = (vecs / np.sqrt(vals)) @ vecs.T
+        whitener = prof.whitener(entry.index)
         d = entry.dim
         acc = np.zeros((d, d))
         for chunk_idx, lo in enumerate(range(0, draws, MC_CHUNK)):

@@ -73,12 +73,27 @@ def least_squares(sigma_n: np.ndarray, rhs: np.ndarray):
     return w, ~np.all(keep, axis=-1)
 
 
+def matvec(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for stacks a (..., d, e) and x (..., e), elementwise, each entry
+    summed as 0 + a_0 x_0 + a_1 x_1 + ... (the sum of numpy's unblocked
+    matmul loop, which BLAS need not give)."""
+    out = 0.0
+    for i in range(x.shape[-1]):
+        out = out + a[..., i] * x[..., None, i]
+    return out
+
+
 def gram(moments: np.ndarray, cols: np.ndarray, w_ref: np.ndarray):
     """Sigma_n (B, k, d, d), Phi^T y / n (B, k, d) and grad = Sigma_n w_ref -
-    Phi^T y / n of the k maps of one :attr:`MomentFit.groups` entry."""
-    both = moments[:, cols]
+    Phi^T y / n of the k maps of one :attr:`MomentFit.groups` entry.
+
+    The gather is C-contiguous, so each dataset's block has the same strides
+    whatever B is, and every product of it takes the same route (numpy's
+    ``@`` calls BLAS for some strides only): a dataset's values do not
+    depend on how many datasets share its batch."""
+    both = np.take(moments, cols, axis=1)
     sigma_n, rhs = both[..., :-1], both[..., -1]
-    return sigma_n, rhs, (sigma_n @ w_ref[..., None])[..., 0] - rhs
+    return sigma_n, rhs, matvec(sigma_n, w_ref) - rhs
 
 
 class MomentFit:
@@ -114,7 +129,7 @@ class MomentFit:
             sigma_n, rhs, grad = gram(moments, cols, w_ref)
             w, sing = least_squares(sigma_n, rhs)
             diff = w - w_ref
-            risks[:, js] += np.sum(diff * (grad + 0.5 * (sigma_n @ diff[..., None])[..., 0]), axis=2)
+            risks[:, js] += np.sum(diff * (grad + 0.5 * matvec(sigma_n, diff)), axis=2)
             singular |= sing.any(axis=1)
             for i, j in enumerate(js):
                 weights[j] = w[:, i]

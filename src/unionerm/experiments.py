@@ -162,7 +162,7 @@ def run_trials(
     n: int,
     trials: int,
     master_seed: int,
-    prof: PopulationProfile | None = None,
+    prof: PopulationProfile,
     snapshots: bool = False,
 ) -> TrialBatch:
     """Solve ERM on `trials` independent datasets of size n.
@@ -173,32 +173,36 @@ def run_trials(
     order chunks are drawn.  The chunk is one moment row per dataset, from
     which :class:`unionerm.erm.MomentFit` fits every index.  On a discrete
     law the rows are one ``rng.multinomial(n, tables.law.weights, size=b)``
-    count draw over the distinct moment rows of ``tables = prof.tables``
-    (``prof`` the profile of this ``law`` and ``collection``), which with
-    ``snapshots`` also give every process value.  On a Gaussian law
-    (coordinate maps only) the row is the joint Gram of z = (x, y), one
+    count draw over the distinct moment rows of ``tables = prof.tables``,
+    which with ``snapshots`` also give every process value.  On a Gaussian
+    design (coordinate maps only) the row is the joint Gram of z = (x, y), one
     Bartlett draw (L B)(L B)^T / n of Wishart(n, L L^T) / n, L = ``law.joint``
     and B (d + 1) x min(n, d + 1) lower trapezoidal, B_ii^2 ~ chi2(n - i) and
     N(0, 1) below the diagonal: exact at every n.  The chunk draws a whole
     ``CHUNK``'s variates (the normals, then the chi-squares) and keeps the
-    first b, so a trial does not depend on its chunk's size.
-    Excess risks are exact: the profile's on discrete laws, the design's
-    closed form on Gaussian laws.  The benchmark record reuses the solver's
-    fit of the a-priori optimal index, which is what refitting it alone
-    would produce.
+    first b, so a trial does not depend on its chunk's size.  The design has
+    no process values: it refuses ``snapshots``.
+    On both designs ``prof`` is the profile of this ``law`` and
+    ``collection``, and excess risks are its exact ones
+    (:func:`unionerm.population.excess_risk`).  The benchmark record is its
+    least optimal index, whose fit the solver's reuses.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if n < 1:
         raise ValueError("sample size must be at least 1")
-    if snapshots and prof is None:
-        raise ValueError("snapshots need a population profile")
-    if prof is None and law.kind == "discrete":
-        raise ValueError("discrete laws need a profile for exact excess risks")
+    if prof.law is not law or prof.collection is not collection:
+        raise ValueError("the profile must be built from this law and collection")
     ids = collection.indices()
-    if prof is None:
-        risks = np.array([law.approx_risk(e) for e in collection])
-        o, r_star = int(erm.select(risks[None])[0]), risks.min()
+    o = ids.index(prof.least_optimal_index)
+    tables = prof.tables if snapshots or law.kind == "discrete" else None
+    if law.kind == "discrete":
+        fits = tables.fits
+
+        def moments(rng, b):
+            rows = tables.moments(rng.multinomial(n, tables.law.weights, size=b), n)
+            return rows, rows[:, tables.loss]
+    else:
         y = law.input_dim  # the Gram's last row and column
         fits = erm.MomentFit([e.coords for e in collection], y, lambda a, b: a * (y + 1) + b,
                              [np.zeros(e.dim) for e in collection])
@@ -211,32 +215,17 @@ def run_trials(
             grams = lb @ lb.swapaxes(1, 2) / n  # R_n(0) = y^T y / 2n for every index
             return grams.reshape(b, -1), np.repeat(0.5 * grams[:, y, y:], len(ids), axis=1)
 
-        def excess(j, w):
-            return law.risk(collection.entries[j], w) - r_star
-    else:
-        if prof.law is not law or prof.collection is not collection:
-            raise ValueError("the profile must be built from this law and collection")
-        tables = prof.tables
-        fits, o = tables.fits, ids.index(prof.least_optimal_index)
-
-        def moments(rng, b):
-            rows = tables.moments(rng.multinomial(n, tables.law.weights, size=b), n)
-            return rows, rows[:, tables.loss]
-
-        def excess(j, w):
-            return excess_risk(ids[j], w, prof)
-
     parts = []
     for c, lo in enumerate(range(0, trials, CHUNK)):
         rows, ref_risk = moments(stream(master_seed, c, TRIAL_TAG), min(CHUNK, trials - lo))
         weights, risks, singular = fits.fit(rows, ref_risk)
         pick = erm.select(risks)
         # one evaluation per selected index; the oracle's doubles as t_hat's
-        exc_o = excess(o, weights[o])
+        exc_o = excess_risk(ids[o], weights[o], prof)
         exc = exc_o.copy()
         for j in np.flatnonzero(np.bincount(pick)):  # np.unique would load numpy.ma
             if j != o:
-                exc[pick == j] = excess(j, weights[j][pick == j])
+                exc[pick == j] = excess_risk(ids[j], weights[j][pick == j], prof)
         part = {"pick": pick, "n_excess": n * exc, "n_excess_oracle": n * exc_o, "singular": singular}
         if snapshots:
             snap = tables.evaluate(rows, n)
@@ -699,7 +688,7 @@ class BssReport(NamedTuple):
     d: int
     s: int
     support: tuple
-    gamma: float | None
+    gamma: float
     n_threshold: int | None
     threshold_k: int | None
     rows: tuple
@@ -737,15 +726,7 @@ def bss_study(
         raise ValueError("w_true must be exactly s-sparse")
     law = bss_instance(design, d, w_true, noise_std)
     collection = subset_collection(d, s)
-    prof = None
-    gamma = None
-    if design == "discrete":
-        prof = profile(law, collection)
-        gamma = prof.gamma
-    else:
-        risks = {e.index: law.approx_risk(e) for e in collection}
-        r_star = min(risks.values())
-        gamma = min(v - r_star for t, v in risks.items() if t != support)
+    prof = profile(law, collection)
     noise_var = noise_std**2
 
     rows = []
@@ -781,7 +762,7 @@ def bss_study(
         d=d,
         s=s,
         support=support,
-        gamma=gamma,
+        gamma=prof.gamma,
         n_threshold=n_thr,
         threshold_k=k_thr,
         rows=tuple(rows),

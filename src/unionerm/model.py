@@ -6,9 +6,9 @@ Two kinds of joint laws for (X, Y) are supported:
   expectation against it is an exact finite sum, which makes discrete laws
   the ground-truth substrate for all population quantities and tests.
 * ``GaussianDesignLaw`` — a generative law with Gaussian inputs and a linear
-  target plus independent noise.  It only exposes sampling (plus closed-form
-  second-moment identities for coordinate-subset features, which follow
-  directly from the law's parameters).
+  target plus independent noise.  It only exposes sampling; the population
+  quantities of its coordinate-subset features are closed form, and
+  :func:`unionerm.population.profile` forms them as it does a discrete law's.
 
 A feature collection is an ordered, finite family of maps from inputs to
 real vectors.  Entry identifiers carry a total order that is used everywhere
@@ -117,8 +117,7 @@ class FeatureEntry:
     ``fn`` is evaluated in batch: it receives an ``(n, p)`` input array and
     must return an ``(n, dim)`` array.  ``coords`` is set for maps that are
     plain coordinate selections of the input (used by coordinate-subset
-    collections, where exact second moments of Gaussian designs are
-    available in closed form).
+    collections; a Gaussian design's profile takes these maps only).
     """
 
     index: object
@@ -251,10 +250,10 @@ class DiscreteLaw:
 class GaussianDesignLaw:
     """Gaussian design with a linear target and independent Gaussian noise.
 
-    X ~ N(0, cov), Y = <w_true, X> + noise_std * N(0, 1).  Only sampling is
-    exposed for general use; second-moment identities are available for
-    coordinate-subset feature maps because they are closed-form functions of
-    (cov, w_true, noise_std).
+    X ~ N(0, cov), Y = <w_true, X> + noise_std * N(0, 1).  Only sampling and
+    the joint factor of z = (x, y) are exposed; the population quantities of
+    coordinate-subset feature maps, closed-form functions of (cov, w_true,
+    noise_std), are :func:`unionerm.population.profile`'s.
     """
 
     cov: np.ndarray
@@ -270,7 +269,7 @@ class GaussianDesignLaw:
             raise ValueError("covariance must be square and match the target dimension")
         if not (np.isfinite(cov).all() and np.isfinite(w).all() and 0 <= self.noise_std < math.inf):  # NaN fails too
             raise ValueError("cov and w_true must be finite, and noise_std finite and nonnegative")
-        if not np.array_equal(cov, cov.T):  # sample reads its lower triangle, risk all of it
+        if not np.array_equal(cov, cov.T):  # sample reads its lower triangle, profile all of it
             raise ValueError("covariance must be symmetric")
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "w_true", w)
@@ -293,38 +292,6 @@ class GaussianDesignLaw:
         if self.noise_std > 0:
             y = y + self.noise_std * rng.standard_normal(n)
         return x, y
-
-    # -- closed-form second moments for coordinate-subset features ---------
-
-    def _require_coords(self, entry: FeatureEntry) -> tuple[int, ...]:
-        if entry.coords is None:
-            raise ValueError(
-                f"entry {entry.index!r} is not a coordinate selection; exact "
-                "moments for a Gaussian design are only available for those"
-            )
-        return entry.coords
-
-    def feature_covariance(self, entry: FeatureEntry) -> np.ndarray:
-        c = self._require_coords(entry)
-        return self.cov[np.ix_(c, c)]
-
-    def optimal_weights(self, entry: FeatureEntry) -> np.ndarray:
-        c = self._require_coords(entry)
-        rhs = (self.cov @ self.w_true)[list(c)]
-        return np.linalg.solve(self.feature_covariance(entry), rhs)
-
-    def risk(self, entry: FeatureEntry, w: np.ndarray):
-        """R(w) for one weight vector (a float) or a stack (B, d_t) (an array
-        (B,)), one product per vector, so a value does not depend on the stack."""
-        c = list(self._require_coords(entry))
-        w = np.asarray(w, dtype=float)
-        diff = np.broadcast_to(-self.w_true, w.shape[:-1] + self.w_true.shape).copy()
-        diff[..., c] += w
-        out = 0.5 * ((diff[..., None, :] @ self.cov @ diff[..., None])[..., 0, 0] + self.noise_std**2)
-        return float(out) if out.ndim == 0 else out
-
-    def approx_risk(self, entry: FeatureEntry) -> float:
-        return self.risk(entry, self.optimal_weights(entry))
 
 
 # ---------------------------------------------------------------------------

@@ -1,26 +1,24 @@
-"""Exact population quantities for discrete laws.
+"""Exact population quantities, one profile for both designs.
 
-For each feature map t the profile stores its atom table phi(t) and the
-covariance Sigma(t) (both formed once, by
-:func:`unionerm.model.validate_collection`), the covariance's
-symmetric inverse square root, the risk minimizer w_*(t), the per-atom
-residuals at w_*(t) and the attained risk R(t, w_*(t)); the per-atom squared
-norm of the whitened loss gradient at the minimizer is formed from these on
-first read, and its second moment (their weighted mean) from that.  Across
-maps it stores the optimal risk R_*, the optimal set of indices and the
-suboptimality gap.  The records of each stack of maps of one dimension
-(:meth:`unionerm.model.FeatureCollection.stacks`) take one batched pass per
-step, which makes per map the BLAS or LAPACK call of a loop over the maps.
-These records are the only per-atom population arrays: the finite-class
-moments and the covariance-deviation and quadratic-form constants of
-:mod:`unionerm.bounds` read them, any gradient cross-covariance G(t, s) =
-E[g(t) g(s)^T] is formed on demand from them, and the moment table that
-every trial fit and process value reads (:attr:`PopulationProfile.tables`)
-is built from them.
+For each feature map t the profile stores the covariance Sigma(t), its
+symmetric inverse square root, the risk minimizer w_*(t) and the attained
+risk R(t, w_*(t)); across maps, the optimal risk R_*, the optimal set and the
+suboptimality gap.  Each stack of maps of one dimension
+(:meth:`unionerm.model.FeatureCollection.stacks`) takes one batched pass per
+step from Sigma(t) and E[phi y] to the whitener and w_*.
 
-Everything here is an exact finite sum over the atoms of the law; generative
-laws are rejected (their quantities are only ever Monte Carlo estimates and
-live in :mod:`unionerm.experiments`).
+* On a discrete law every quantity is an exact sum over the atoms; Sigma(t)
+  comes from :func:`unionerm.model.validate_collection`.  A record also keeps
+  the map's atom table phi(t) and per-atom residuals at w_*(t), the only
+  per-atom population arrays: the whitened gradient norms, the gradient
+  cross-covariance G(t, s) = E[g(t) g(s)^T], the constants of
+  :mod:`unionerm.bounds` and the moment table of every trial fit and process
+  value (:attr:`PopulationProfile.tables`) are formed from them.
+* On a Gaussian design (X ~ N(0, C), Y = <w, X> + sigma N(0, 1)) with
+  coordinate maps c, Sigma(t) = C[c, c], E[phi y] = (C w)[c] and
+  R(t) = (sigma^2 + v^T C v) / 2 with v = w - P_c w_*, P_c w_* the minimizer
+  placed on the coordinates c.  Its records have no per-atom arrays, and
+  every reader of them refuses the design.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .model import DiscreteLaw, FeatureCollection, validate_collection
+from .model import DiscreteLaw, FeatureCollection, GaussianDesignLaw, validate_collection
 
 __all__ = [
     "IndexRecord",
@@ -43,23 +41,31 @@ __all__ = [
 OPT_TOL = 1e-10
 
 
-def _check_discrete(law) -> DiscreteLaw:
-    if getattr(law, "kind", None) != "discrete":
-        raise ValueError("population quantities require a discrete law")
-    return law
-
-
 @dataclass(frozen=True)
 class IndexRecord:
     """Per-index exact population quantities."""
 
-    phi: np.ndarray              # the map evaluated on the atoms, (m, d_t)
-    resid: np.ndarray            # per-atom residual phi w_star - y, (m,)
     sigma: np.ndarray            # covariance of the feature map
     whitener: np.ndarray         # symmetric inverse square root of sigma
     w_star: np.ndarray           # population risk minimizer
     approx_risk: float           # R(t, w_star(t))
     dim: int
+    atoms: tuple | None = None   # (phi (m, d_t), resid (m,)) on a discrete law, None on a Gaussian design
+
+    def _per_atom(self) -> tuple:
+        if self.atoms is None:
+            raise ValueError("the Gaussian design has no atoms: per-atom population arrays need a discrete law")
+        return self.atoms
+
+    @property
+    def phi(self) -> np.ndarray:
+        """The map evaluated on the atoms, (m, d_t)."""
+        return self._per_atom()[0]
+
+    @property
+    def resid(self) -> np.ndarray:
+        """Per-atom residual phi w_star - y, (m,)."""
+        return self._per_atom()[1]
 
     @cached_property
     def grad_sq(self) -> np.ndarray:
@@ -73,7 +79,7 @@ class IndexRecord:
 class PopulationProfile:
     """Exact population profile of (law, collection)."""
 
-    law: DiscreteLaw
+    law: DiscreteLaw | GaussianDesignLaw
     collection: FeatureCollection
     records: dict
     r_star: float
@@ -98,7 +104,7 @@ class PopulationProfile:
 
     def grad_second_moment(self, t) -> float:
         """E ||g(t)||^2, the weighted mean of the record's grad_sq."""
-        return float(self.law.weights @ self.records[t].grad_sq)
+        return float(self.records[t].grad_sq @ self.law.weights)
 
     def gap(self, t) -> float:
         return self.records[t].approx_risk - self.r_star
@@ -135,23 +141,37 @@ def profile(law, collection) -> PopulationProfile:
 
     Membership in the optimal set is decided by
     ``approx_risk(t) - R_* <= OPT_TOL * max(1, R_*)`` so that exact ties in
-    symmetric constructions survive rescaling of the target.
+    symmetric constructions survive rescaling of the target.  A Gaussian
+    design takes coordinate maps only.
     """
-    law = _check_discrete(law)
-    stacks = []
-    phis = validate_collection(law, collection, stacks)
     records = dict.fromkeys(collection.indices())
-    for dim, ids, phi, gram in stacks:  # phi (k, m, d): one pass per step over the k maps
-        sigma = 0.5 * (gram + gram.swapaxes(1, 2))
-        vals, vecs = np.linalg.eigh(sigma)  # validation proved vals > SINGULAR_TOL
-        whitener = (vecs / np.sqrt(vals)[:, None, :]) @ vecs.swapaxes(1, 2)
-        rhs = phi.swapaxes(1, 2) @ (law.weights * law.ys)
-        w_star = (vecs @ ((vecs.swapaxes(1, 2) @ rhs[..., None]) / vals[..., None]))[..., 0]
-        resid = (phi @ w_star[..., None])[..., 0] - law.ys
-        risk = 0.5 * (resid[:, None, :] ** 2 @ law.weights[:, None])[:, 0, 0]
-        for j, t in enumerate(ids):
-            records[t] = IndexRecord(phi=phis[t], resid=resid[j], sigma=sigma[j], whitener=whitener[j],
-                                     w_star=w_star[j], approx_risk=float(risk[j]), dim=dim)
+    if law.kind == "discrete":
+        stacks = []
+        phis = validate_collection(law, collection, stacks)
+        for dim, ids, phi, gram in stacks:  # phi (k, m, d): one pass per step over the k maps
+            sigma, whitener, w_star = _whiten(gram, phi.swapaxes(1, 2) @ (law.weights * law.ys))
+            resid = (phi @ w_star[..., None])[..., 0] - law.ys
+            risk = 0.5 * (resid[:, None, :] ** 2 @ law.weights[:, None])[:, 0, 0]
+            for j, t in enumerate(ids):
+                records[t] = IndexRecord(sigma=sigma[j], whitener=whitener[j], w_star=w_star[j],
+                                         approx_risk=float(risk[j]), dim=dim, atoms=(phis[t], resid[j]))
+    else:
+        p = law.input_dim
+        for e in collection:
+            c = e.coords
+            if c is None or len(c) != e.dim or len(set(c)) != e.dim or not all(0 <= j < p for j in c):
+                raise ValueError(f"entry {e.index!r} is not a coordinate selection; exact "
+                                 "moments for a Gaussian design are only available for those")
+        cov_w = law.cov @ law.w_true
+        for dim, ids in collection.stacks(p):
+            cs = np.array([collection.entry(t).coords for t in ids])  # (k, d)
+            sigma, whitener, w_star = _whiten(law.cov[cs[:, :, None], cs[:, None, :]], cov_w[cs])
+            v = np.repeat(law.w_true[None], len(ids), axis=0)  # w - P_c w_*
+            v[np.arange(len(ids))[:, None], cs] -= w_star
+            risk = 0.5 * (law.noise_std**2 + np.sum(v * (v @ law.cov), axis=1))
+            for j, t in enumerate(ids):
+                records[t] = IndexRecord(sigma=sigma[j], whitener=whitener[j], w_star=w_star[j],
+                                         approx_risk=float(risk[j]), dim=dim)
     risks = {t: records[t].approx_risk for t in collection.indices()}
     r_star = min(risks.values())
     tol = OPT_TOL * max(1.0, r_star)
@@ -166,6 +186,18 @@ def profile(law, collection) -> PopulationProfile:
         t_star=t_star,
         gamma=gamma,
     )
+
+
+def _whiten(gram: np.ndarray, rhs: np.ndarray) -> tuple:
+    """(Sigma, whitener, w_*) of a stack of k maps of one dimension d, from
+    their second moments ``gram`` (k, d, d) and E[phi y] ``rhs`` (k, d): one
+    batched ``eigh`` (Sigma is positive definite: validation proved it on a
+    discrete law, and a design's C[c, c] is a block of a definite C)."""
+    sigma = 0.5 * (gram + gram.swapaxes(1, 2))
+    vals, vecs = np.linalg.eigh(sigma)
+    whitener = (vecs / np.sqrt(vals)[:, None, :]) @ vecs.swapaxes(1, 2)
+    w_star = (vecs @ ((vecs.swapaxes(1, 2) @ rhs[..., None]) / vals[..., None]))[..., 0]
+    return sigma, whitener, w_star
 
 
 def excess_risk(t, w, prof: PopulationProfile):

@@ -95,8 +95,6 @@ class AtomTables:
 
     def __init__(self, prof: PopulationProfile):
         law = prof.law
-        if law.kind != "discrete":
-            raise ValueError("atom tables require a discrete law")
         # no reference back to prof, which holds these tables: a cycle would
         # keep every profile and its count sample alive until the cyclic GC
         recs = prof.records
@@ -182,13 +180,13 @@ class AtomTables:
         lambda_n from the extreme eigenvalues of W Sigma_n W, g_n from
         W (Sigma_n w_* - Phi^T y / n), one pass per feature dimension
         (:func:`_whitened`), and delta_n from the loss columns.  The k maps of
-        a dimension d <= 2 are elementwise in the moments, so they are taken
-        ``BLOCK_ENTRIES // k`` datasets at a time."""
+        a dimension are taken ``BLOCK_ENTRIES // k`` datasets at a time, which
+        moves no value: a dataset's values do not depend on its block."""
         b, size = moments.shape[0], len(self.indices)
         lam_min, g_sq = np.empty((b, size)), np.empty((b, size))
         lam_minus = np.full(b, -np.inf)
         for (js, cols, w_ref), whitener in zip(self.fits.groups, self._whiteners):
-            step = max(1, BLOCK_ENTRIES // len(js) if w_ref.shape[1] <= 2 else b)
+            step = max(1, BLOCK_ENTRIES // len(js))
             for lo in range(0, b, step):
                 rows = slice(lo, lo + step)
                 low, hi, grad_sq = _whitened(moments[rows], cols, w_ref, whitener)

@@ -149,6 +149,25 @@ def mixed_dim_instance(rng, dims=(1, 2, 3, 3, 2, 1)):
     return law, coll
 
 
+def correlated_design():
+    """A Gaussian design on 5 correlated inputs, misspecified for 2-subsets."""
+    from unionerm.model import GaussianDesignLaw
+
+    a = np.random.default_rng(42).normal(size=(5, 5))
+    return GaussianDesignLaw(cov=a @ a.T / 5 + 0.2 * np.eye(5), w_true=[1.0, -0.5, 0.0, 0.3, 0.0], noise_std=0.8)
+
+
+def coordinate_maps(*coords):
+    """One coordinate map per tuple of input coordinates, indexed by it."""
+    return FeatureCollection(
+        [FeatureEntry(c, len(c), lambda x, cols=list(c): x[:, cols], coords=c) for c in coords]
+    )
+
+
+# coordinate maps of dimensions 1, 2 and 3 on 5 inputs
+MIXED_COORDS = ((0,), (1, 3), (0, 2, 4), (2, 3, 4), (4,), (1, 2))
+
+
 @pytest.fixture(scope="session")
 def canonical():
     law = canonical_law()

@@ -189,13 +189,37 @@ def trial_dataset(law, n, master, trial):
     return Dataset(x=rows[:, :d], y=rows[:, d])
 
 
+def gaussian_optimal_weights(law, entry):
+    """w_*(t) of a coordinate map c of a Gaussian design: the solution of
+    C[c, c] w = (C w_true)[c] by ``np.linalg.solve``."""
+    c = list(entry.coords)
+    return np.linalg.solve(law.cov[np.ix_(c, c)], (law.cov @ law.w_true)[c])
+
+
+def gaussian_risk(law, entry, w):
+    """R(t, w) of a coordinate map c of a Gaussian design,
+    (noise_std^2 + v^T C v) / 2 with v = P_c w - w_true, for one weight vector
+    (a float) or a stack (B, d_t) (an array (B,)), one product per vector."""
+    c = list(entry.coords)
+    w = np.asarray(w, dtype=float)
+    diff = np.broadcast_to(-law.w_true, w.shape[:-1] + law.w_true.shape).copy()
+    diff[..., c] += w
+    out = 0.5 * ((diff[..., None, :] @ law.cov @ diff[..., None])[..., 0, 0] + law.noise_std**2)
+    return float(out) if out.ndim == 0 else out
+
+
+def gaussian_approx_risk(law, entry):
+    """R(t, w_*(t)) of a coordinate map of a Gaussian design."""
+    return gaussian_risk(law, entry, gaussian_optimal_weights(law, entry))
+
+
 def row_route_excess(law, collection, n, trials, seed):
     """n * excess risk of ERM on ``trials`` datasets of n rows of a Gaussian
     design (coordinate maps of full-rank sample covariance), each one
     ``law.sample`` call on one stream of ``seed`` reduced to its Gram
     [X, y]^T [X, y] / n; each index is fitted by ``np.linalg.solve`` and
-    scored by the design's closed-form risk.  The dataset route, for
-    comparing the law of the Gram route's trials."""
+    scored by the design's closed-form risk (:func:`gaussian_risk`).  The
+    dataset route, for comparing the law of the Gram route's trials."""
     rng = seed_sequence_stream(seed)
     grams = np.stack([z.T @ z / n for z in (np.column_stack(law.sample(n, rng)) for _ in range(trials))])
     y = law.input_dim
@@ -207,8 +231,8 @@ def row_route_excess(law, collection, n, trials, seed):
         quad = np.sum(w * (sigma @ w[..., None])[..., 0], axis=1)
         fits.append((w, 0.5 * grams[:, y, y] - np.sum(w * rhs, axis=1) + 0.5 * quad))
     pick = np.argmin(np.stack([r for _, r in fits], axis=1), axis=1)
-    r_star = min(law.approx_risk(e) for e in collection)
-    risks = np.stack([law.risk(e, w) for e, (w, _) in zip(collection, fits)], axis=1)
+    r_star = min(gaussian_approx_risk(law, e) for e in collection)
+    risks = np.stack([gaussian_risk(law, e, w) for e, (w, _) in zip(collection, fits)], axis=1)
     return n * (risks[np.arange(trials), pick] - r_star)
 
 
@@ -463,13 +487,12 @@ def profile_loop(law, collection):
         w_star = vecs @ ((vecs.T @ rhs) / vals)
         resid = phi @ w_star - law.ys
         records[entry.index] = IndexRecord(
-            phi=phi,
-            resid=resid,
             sigma=sigma,
             whitener=(vecs / np.sqrt(vals)) @ vecs.T,
             w_star=w_star,
             approx_risk=0.5 * float(law.weights @ resid**2),
             dim=entry.dim,
+            atoms=(phi, resid),
         )
     return records
 

@@ -20,7 +20,15 @@ from unionerm.model import (
 from unionerm.population import excess_risk, profile as build_profile
 
 import oracles
-from conftest import canonical_atoms, canonical_collection, canonical_law, random_instance
+from conftest import (
+    MIXED_COORDS,
+    canonical_atoms,
+    canonical_collection,
+    canonical_law,
+    coordinate_maps,
+    correlated_design,
+    random_instance,
+)
 
 
 def test_run_trials_noiseless_realizable_zero_excess(realizable):
@@ -51,9 +59,9 @@ def test_run_trials_batches_are_pinned():
     for field in ("lam_plus", "lam_minus", "delta_plus", "g_sq_hat", "gap_hat", "est_err_hat"):
         h.update(np.ascontiguousarray(getattr(batch, field)).tobytes())
     assert h.hexdigest() == "d6f9cd089375789225c4ac99a7c94c37ad07d7b633c3c8ec8bc2ae24f6da567c"
-    design = ex.bss_instance("gaussian", 10, [1.0, 1.0, 1.0] + [0.0] * 7, 1.0)
-    batch = ex.run_trials(design, subset_collection(10, 3), 100, 60, 2025)
-    assert batch.batch_hash() == "5237806d4c31093866e564b3b0ceff58b06fbf1289d12ddbb0ab718cd5a36c05"
+    design, maps = ex.bss_instance("gaussian", 10, [1.0, 1.0, 1.0] + [0.0] * 7, 1.0), subset_collection(10, 3)
+    batch = ex.run_trials(design, maps, 100, 60, 2025, build_profile(design, maps))
+    assert batch.batch_hash() == "0f243a15c0b46acbd0ad1fbd8b4fa1f671626ca1f375267a2841a603880f39c0"
 
 
 def test_run_trials_rejects_empty_datasets(canonical):
@@ -72,36 +80,56 @@ def test_run_trials_rejects_profile_of_another_law_or_collection(canonical):
         ex.run_trials(law, canonical_collection(), 10, 5, 1, prof)
 
 
-def _correlated_design():
-    a = np.random.default_rng(42).normal(size=(5, 5))
-    return GaussianDesignLaw(cov=a @ a.T / 5 + 0.2 * np.eye(5), w_true=[1.0, -0.5, 0.0, 0.3, 0.0], noise_std=0.8)
-
-
-def _coordinate_maps(*coords):
-    return FeatureCollection(
-        [FeatureEntry(c, len(c), lambda x, cols=list(c): x[:, cols], coords=c) for c in coords]
-    )
+def _random_5_input_law(seed):
+    """A discrete law on 40 random non-integer atoms in R^5."""
+    rng = np.random.default_rng(seed)
+    xs, ys, w = rng.normal(size=(40, 5)), rng.normal(size=40), rng.uniform(0.2, 1.0, size=40)
+    return DiscreteLaw(xs=xs, ys=ys, weights=w / w.sum())
 
 
 def test_run_trials_prefix_matches_shorter_run():
-    # trial i depends on (master seed, i) only, also across a chunk boundary.
-    # Non-integer atoms, so no sum is exact by luck; with 8 atoms a (B, m)
-    # matrix product rounds a row differently for a 9-row and a 3-row chunk.
-    # On a Gaussian design, each trial's Gram and each weight vector's risk.
+    # trial i depends on (master seed, i) only, also across a chunk boundary,
+    # bit for bit.  Non-integer atoms, so no sum is exact by luck; with 8
+    # atoms a (B, m) matrix product rounds a row differently for a 9-row and
+    # a 3-row chunk.  On the mixed maps of dimensions 1 to 3, the last chunk
+    # of 257 trials has one row, whose gathered moment columns a row of a
+    # full chunk shares the values but not the strides of.  On a Gaussian
+    # design, each trial's Gram and each weight vector's risk.
     xs, ys, ws = canonical_atoms()
-    discrete = DiscreteLaw(xs=1.1 * xs, ys=0.7 * ys, weights=ws)
-    cases = [
-        (discrete, canonical_collection(), ["lam_plus", "lam_minus", "delta_plus", "g_sq_hat", "gap_hat", "est_err_hat"]),
-        (_correlated_design(), subset_collection(5, 2), []),
-    ]
+    processes = ["lam_plus", "lam_minus", "delta_plus", "g_sq_hat", "gap_hat", "est_err_hat"]
     k = CHUNK + 3
-    for law, coll, process_fields in cases:
-        prof = build_profile(law, coll) if process_fields else None
-        long = ex.run_trials(law, coll, 25, k + 6, 303, prof, snapshots=bool(process_fields))
-        short = ex.run_trials(law, coll, 25, k, 303, prof, snapshots=bool(process_fields))
-        assert long.t_hat[:k] == short.t_hat
+    cases = [
+        (DiscreteLaw(xs=1.1 * xs, ys=0.7 * ys, weights=ws), canonical_collection(), processes, 25, 303, k, k + 6),
+        (correlated_design(), subset_collection(5, 2), [], 25, 303, k, k + 6),
+    ]
+    cases += [(_random_5_input_law(seed), coordinate_maps(*MIXED_COORDS), processes, 50, 11, CHUNK + 1, 2 * CHUNK)
+              for seed in range(10)]
+    for law, coll, process_fields, n, master, short_trials, long_trials in cases:
+        prof = build_profile(law, coll)
+        long = ex.run_trials(law, coll, n, long_trials, master, prof, snapshots=bool(process_fields))
+        short = ex.run_trials(law, coll, n, short_trials, master, prof, snapshots=bool(process_fields))
+        assert long.t_hat[:short_trials] == short.t_hat
         for field in ["n_excess", "n_excess_oracle", "singular", *process_fields]:
-            assert np.array_equal(getattr(long, field)[:k], getattr(short, field))
+            assert getattr(long, field)[:short_trials].tobytes() == getattr(short, field).tobytes(), field
+
+
+def test_one_row_fit_and_evaluate_equal_that_row_of_a_chunk():
+    # MomentFit.fit and AtomTables.evaluate on a one-row batch give the bytes
+    # of that row inside a full chunk, on maps of dimensions 1 to 3
+    law = _random_5_input_law(3)
+    tables = build_profile(law, coordinate_maps(*MIXED_COORDS)).tables
+    n = 50
+    moments = tables.moments(np.random.default_rng(7).multinomial(n, tables.law.weights, size=CHUNK), n)
+    weights, risks, singular = tables.fits.fit(moments, moments[:, tables.loss])
+    snap = tables.evaluate(moments, n)
+    for i in (0, 1, 100, CHUNK - 1):
+        row = moments[i:i + 1].copy()
+        w1, r1, s1 = tables.fits.fit(row, row[:, tables.loss])
+        assert all(a[i:i + 1].tobytes() == b.tobytes() for a, b in zip(weights, w1))
+        assert risks[i:i + 1].tobytes() == r1.tobytes() and singular[i:i + 1].tobytes() == s1.tobytes()
+        one = tables.evaluate(row, n)
+        for field in ("lam_min", "lam_minus_scaled", "g_sq", "delta"):
+            assert getattr(snap, field)[i:i + 1].tobytes() == getattr(one, field).tobytes(), field
 
 
 def test_run_trials_matches_per_dataset_route(canonical_three):
@@ -110,31 +138,33 @@ def test_run_trials_matches_per_dataset_route(canonical_three):
     # fits occur.  On discrete laws excess risks are the profile's and
     # process values the oracle snapshot's; in the last two discrete
     # instances maps share atom columns (coordinate subsets, and a constant
-    # map), and at small n atoms go missing.  On a correlated Gaussian design (subsets, and coordinate maps
-    # of mixed dimension) excess risks are the design's closed form
+    # map), and at small n atoms go missing.  On a correlated Gaussian design
+    # (subsets, and coordinate maps of mixed dimension) excess risks are the
+    # design's closed form (oracles.gaussian_risk)
     rng = np.random.default_rng(41)
     instances = [random_instance(rng) for _ in range(8)]
     cube, pairs = ex.bss_instance("discrete", 4, [1.0, -1.0, 0.0, 0.0], 1.0), subset_collection(4, 2)
     instances += [(cube, pairs, build_profile(cube, pairs)), canonical_three]
-    design = _correlated_design()
-    mixed = _coordinate_maps((0,), (1, 3), (0, 2, 4), (2, 3, 4), (4,), (1, 2))
-    instances += [(design, subset_collection(5, 2), None), (design, mixed, None)]
+    design = correlated_design()
+    for coll in (subset_collection(5, 2), coordinate_maps(*MIXED_COORDS)):
+        instances.append((design, coll, build_profile(design, coll)))
     singular_seen = {"discrete": 0, "generative": 0}
     for case, (law, coll, prof) in enumerate(instances):
-        if prof is None:
-            risks = [law.approx_risk(e) for e in coll]
-            t0 = coll.indices()[int(np.argmin(risks))]
-
-            def excess(t, w):
-                return law.risk(coll.entry(t), w) - min(risks)
-        else:
+        discrete = law.kind == "discrete"
+        if discrete:
             t0 = prof.least_optimal_index
 
             def excess(t, w):
                 return excess_risk(t, w, prof)
-        drawn = law if prof is None else oracles.merged_law(prof)
+        else:
+            risks = [oracles.gaussian_approx_risk(law, e) for e in coll]
+            t0 = coll.indices()[int(np.argmin(risks))]
+
+            def excess(t, w):
+                return oracles.gaussian_risk(law, coll.entry(t), w) - min(risks)
+        drawn = oracles.merged_law(prof) if discrete else law
         for n in (1, 2, 5, 40):
-            batch = ex.run_trials(law, coll, n, 12, 500 + case, prof, snapshots=prof is not None)
+            batch = ex.run_trials(law, coll, n, 12, 500 + case, prof, snapshots=discrete)
             for i in range(12):
                 ds = oracles.trial_dataset(drawn, n, 500 + case, i)
                 sol = erm.solve(ds, coll, prof)
@@ -145,7 +175,7 @@ def test_run_trials_matches_per_dataset_route(canonical_three):
                 exc = excess(sol.index, sol.weights)
                 w0 = sol.table[coll.indices().index(t0)].weights
                 ref = {"n_excess": n * exc, "n_excess_oracle": n * excess(t0, w0)}
-                if prof is not None:
+                if discrete:
                     snap = oracles.snapshot(ds, prof)
                     ref.update(
                         lam_plus=snap.lam_plus_scaled,
@@ -161,10 +191,18 @@ def test_run_trials_matches_per_dataset_route(canonical_three):
 
 
 def test_run_trials_rejects_a_gaussian_design_map_that_is_not_a_coordinate_selection():
+    # the design's profile refuses it, with the map's index
     total = FeatureEntry((9,), 1, lambda x: x.sum(axis=1, keepdims=True))
-    coll = FeatureCollection([*_coordinate_maps((0,), (1, 2)), total])
-    with pytest.raises(ValueError, match="not a coordinate selection"):
-        ex.run_trials(_correlated_design(), coll, 10, 5, 1)
+    coll = FeatureCollection([*coordinate_maps((0,), (1, 2)), total])
+    design = correlated_design()
+    with pytest.raises(ValueError, match=r"entry \(9,\) is not a coordinate selection"):
+        ex.run_trials(design, coll, 10, 5, 1, build_profile(design, coll))
+
+
+def test_run_trials_refuses_snapshots_on_a_gaussian_design():
+    design, coll = correlated_design(), subset_collection(5, 2)
+    with pytest.raises(ValueError, match="Gaussian design has no atoms"):
+        ex.run_trials(design, coll, 10, 5, 1, build_profile(design, coll), snapshots=True)
 
 
 def test_run_trials_peak_memory_on_a_wide_law():
@@ -221,12 +259,13 @@ def test_run_trials_gaussian_chunks_drawn_in_reverse_order_give_its_bytes(monkey
     # with the chunk streams read last chunk first (three chunks, the last
     # one ragged), the first trials of each chunk are the bytes of the
     # chunk that read that stream in order
-    law, coll = _correlated_design(), subset_collection(5, 2)
+    law, coll = correlated_design(), subset_collection(5, 2)
+    prof = build_profile(law, coll)
     n, trials, master = 12, 2 * CHUNK + 7, 313
-    ref = ex.run_trials(law, coll, n, trials, master)
+    ref = ex.run_trials(law, coll, n, trials, master, prof)
     real = ex.stream
     monkeypatch.setattr(ex, "stream", lambda seed, c, tag: real(seed, 2 - c, tag))
-    batch = ex.run_trials(law, coll, n, trials, master)
+    batch = ex.run_trials(law, coll, n, trials, master, prof)
     for c in range(3):
         got, want = slice(c * CHUNK, c * CHUNK + 7), slice((2 - c) * CHUNK, (2 - c) * CHUNK + 7)
         assert batch.t_hat[got] == ref.t_hat[want]
@@ -241,7 +280,8 @@ def test_run_trials_gaussian_oracle_mean_is_the_exact_ols_mean(n):
     # 1.875 at n = 20 for s = 3, sigma = 1)
     d, s, trials = 8, 3, 20_000
     law = ex.bss_instance("gaussian", d, [1.0] * s + [0.0] * (d - s), 1.0)
-    batch = ex.run_trials(law, _coordinate_maps((0, 1, 2), (2, 3, 4)), n, trials, 330)
+    coll = coordinate_maps((0, 1, 2), (2, 3, 4))
+    batch = ex.run_trials(law, coll, n, trials, 330, build_profile(law, coll))
     exact = 0.5 * s * n / (n - s - 1)
     se = np.std(batch.n_excess_oracle, ddof=1) / math.sqrt(trials)
     assert abs(np.mean(batch.n_excess_oracle) - exact) <= 3 * se
@@ -251,27 +291,29 @@ def test_run_trials_gaussian_oracle_mean_is_the_exact_ols_mean(n):
 def test_run_trials_gaussian_excess_has_the_row_route_law(n):
     # two-sample KS at level 0.05 of ERM's n * excess: Bartlett Grams against
     # Grams of law.sample rows (oracles.row_route_excess), n below and above d + 1
-    law, coll = _correlated_design(), subset_collection(5, 2)
+    law, coll = correlated_design(), subset_collection(5, 2)
     rows = oracles.row_route_excess(law, coll, n, 4096, 900 + n)
-    batch = ex.run_trials(law, coll, n, 8192, 910 + n)
+    batch = ex.run_trials(law, coll, n, 8192, 910 + n, build_profile(law, coll))
     assert ex.ks_statistic(batch.n_excess, rows) <= ex.ks_critical_value(8192, 4096)
 
 
 def test_run_trials_gaussian_noiseless_oracle_excess_is_zero():
     # sigma = 0: L's last diagonal entry is 0, and at every n >= s the
     # support's fit recovers w_true, also below d + 1 rows
-    law = GaussianDesignLaw(cov=_correlated_design().cov, w_true=[0.0, 1.0, -2.0, 0.0, 0.5], noise_std=0.0)
+    law = GaussianDesignLaw(cov=correlated_design().cov, w_true=[0.0, 1.0, -2.0, 0.0, 0.5], noise_std=0.0)
     coll = subset_collection(5, 3)
+    prof = build_profile(law, coll)
     for n in (3, 4, 6, 40):
-        batch = ex.run_trials(law, coll, n, 50, 331)
+        batch = ex.run_trials(law, coll, n, 50, 331, prof)
         assert not batch.singular.any()
         assert np.all(np.abs(batch.n_excess_oracle) <= 1e-12)
 
 
 def test_run_trials_gaussian_below_s_rows_flags_every_trial():
-    law = _correlated_design()
+    law = correlated_design()
     for n, s in ((1, 2), (2, 3), (3, 4)):
-        assert ex.run_trials(law, subset_collection(5, s), n, 40, 332).singular.all()
+        coll = subset_collection(5, s)
+        assert ex.run_trials(law, coll, n, 40, 332, build_profile(law, coll)).singular.all()
 
 
 def test_run_trials_gaussian_cost_does_not_grow_with_n(monkeypatch):
@@ -282,11 +324,12 @@ def test_run_trials_gaussian_cost_does_not_grow_with_n(monkeypatch):
 
     monkeypatch.setattr(GaussianDesignLaw, "sample", no_rows)
     law, coll = ex.bss_instance("gaussian", 10, [1.0] * 3 + [0.0] * 7, 1.0), subset_collection(10, 3)
+    prof = build_profile(law, coll)
     peaks = []
     for n in (250, 10**9):
         tracemalloc.start()
         try:
-            ex.run_trials(law, coll, n, CHUNK, 333)
+            ex.run_trials(law, coll, n, CHUNK, 333, prof)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()

@@ -25,6 +25,7 @@ from unionerm.model import (
     validate_collection,
 )
 from unionerm import model
+from unionerm.population import profile
 
 from conftest import canonical_law, mixed_dim_instance, two_atom_law
 from oracles import (
@@ -455,14 +456,14 @@ def test_validation_cases_cover_accept_and_reject():
 
 
 def test_gaussian_design_closed_forms():
+    # the design's population quantities are its profile's
     law = GaussianDesignLaw(cov=np.eye(3), w_true=np.array([1.0, -2.0, 0.0]), noise_std=0.5)
-    coll = subset_collection(3, 2)
-    best = coll.entry((0, 1))
-    assert np.allclose(law.optimal_weights(best), [1.0, -2.0])
-    assert law.approx_risk(best) == pytest.approx(0.5 * 0.25)
-    worse = coll.entry((0, 2))
+    prof = profile(law, subset_collection(3, 2))
+    assert np.allclose(prof.w_star((0, 1)), [1.0, -2.0])
+    assert prof.approx_risk((0, 1)) == pytest.approx(0.5 * 0.25)
     # dropping coordinate 1 leaves its signal as residual variance
-    assert law.approx_risk(worse) == pytest.approx(0.5 * (4.0 + 0.25))
+    assert prof.approx_risk((0, 2)) == pytest.approx(0.5 * (4.0 + 0.25))
+    assert prof.t_star == ((0, 1),) and prof.gamma == pytest.approx(0.5 * 1.0)
     ds = sample_dataset(law, 200_000, (5, 0))
     emp = np.mean((ds.x @ np.array([1.0, -2.0, 0.0]) - ds.y) ** 2)
     assert emp == pytest.approx(0.25, rel=0.02)

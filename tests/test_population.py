@@ -17,13 +17,24 @@ from unionerm.model import (
 )
 from unionerm.population import excess_risk, profile
 
-from conftest import bench_law_cases, canonical_collection, canonical_law, mixed_dim_instance, random_instance
+from conftest import (
+    MIXED_COORDS,
+    bench_law_cases,
+    canonical_collection,
+    canonical_law,
+    coordinate_maps,
+    correlated_design,
+    mixed_dim_instance,
+    random_instance,
+)
 from oracles import (
     atoms_of,
     enum_grad_cross,
     enum_optimal_weights,
     enum_risk,
     enum_sigma,
+    gaussian_approx_risk,
+    gaussian_optimal_weights,
     profile_loop,
 )
 
@@ -112,10 +123,59 @@ def test_profile_canonical_values(canonical):
 
 
 def test_profile_rejects_generative():
+    # a Gaussian design's profile takes coordinate maps only: a map with no
+    # coordinates, or with coordinates that are not a selection of the inputs
     law = GaussianDesignLaw(cov=np.eye(2), w_true=np.array([1.0, 0.0]), noise_std=1.0)
-    coll = _single(lambda x: x[:, [0]])
-    with pytest.raises(ValueError):
-        profile(law, coll)
+    bad = [
+        _single(lambda x: x[:, [0]]),
+        FeatureCollection([FeatureEntry("t", 1, lambda x: x[:, [2]], coords=(2,))]),
+        FeatureCollection([FeatureEntry("t", 2, lambda x: x[:, [0, 0]], coords=(0, 0))]),
+        FeatureCollection([FeatureEntry("t", 2, lambda x: x[:, [0]], coords=(0,))]),
+    ]
+    for coll in bad:
+        with pytest.raises(ValueError, match="entry 't' is not a coordinate selection"):
+            profile(law, coll)
+
+
+@pytest.mark.parametrize("coords", [None, MIXED_COORDS])
+def test_gaussian_profile_matches_the_closed_forms(coords):
+    # Sigma_t = C[c, c], w_* by np.linalg.solve, R(t) by the quadratic form
+    # of w - P_c w_*, and R_*, t_* and gamma from those risks
+    law = correlated_design()
+    coll = subset_collection(5, 2) if coords is None else coordinate_maps(*coords)
+    prof = profile(law, coll)
+    risks = {}
+    for e in coll:
+        t, c = e.index, list(e.coords)
+        w = gaussian_optimal_weights(law, e)
+        risks[t] = gaussian_approx_risk(law, e)
+        assert np.abs(prof.sigma(t) - law.cov[np.ix_(c, c)]).max() <= 1e-12 * np.abs(law.cov).max()
+        assert np.abs(prof.w_star(t) - w).max() <= 1e-12 * np.abs(w).max(), t
+        wh = prof.whitener(t)
+        assert np.abs(wh @ prof.sigma(t) @ wh - np.eye(e.dim)).max() <= 1e-12, t
+        assert prof.approx_risk(t) == pytest.approx(risks[t], rel=1e-12), t
+    r_star = min(risks.values())
+    assert prof.r_star == pytest.approx(r_star, rel=1e-12)
+    assert prof.t_star == (min(risks, key=risks.get),)
+    assert prof.gamma == pytest.approx(min(r - r_star for r in risks.values() if r > r_star), rel=1e-12)
+
+
+def test_per_atom_readers_refuse_the_gaussian_design():
+    # one check names the design on every reader of per-atom arrays
+    law = correlated_design()
+    prof = profile(law, subset_collection(5, 2))
+    rec = prof.records[(0, 1)]
+    readers = [
+        lambda: rec.phi,
+        lambda: rec.resid,
+        lambda: rec.grad_sq,
+        lambda: prof.g_cross((0, 1), (0, 2)),
+        lambda: prof.grad_second_moment((0, 1)),
+        lambda: prof.tables,
+    ]
+    for read in readers:
+        with pytest.raises(ValueError, match="the Gaussian design has no atoms"):
+            read()
 
 
 def test_gradient_covariance_zero_in_noiseless_case(realizable):
