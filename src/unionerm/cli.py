@@ -297,8 +297,9 @@ def build_collection(cfg: dict, law=None) -> FeatureCollection:
 
 
 def build_profile_of(cfg: dict):
-    """The profile of the config's law and collection."""
+    """The profile of the config's law and collection; drops the parsed atoms from ``cfg`` once the law is built."""
     law = build_law(cfg)
+    del cfg["law"]
     return build_profile(law, build_collection(cfg, law))
 
 
@@ -485,7 +486,7 @@ def cmd_bounds(cfg: dict, out: str, trials_override: int | None) -> int:
     write_json(os.path.join(out, "bounds.json"), report.to_json_dict())
     cols = ("single_class_threshold", "explicit_threshold", "expected_sup_threshold",
             "single_class_excess_bound", "explicit_excess_bound", "expected_sup_excess_bound")
-    grid = [thresholds_and_bounds(prof, inputs, n, dval, k=k) for dval in delta_grid]
+    grid = [report if dval == delta else thresholds_and_bounds(prof, inputs, n, dval, k=k) for dval in delta_grid]
     write_csv(os.path.join(out, "thresholds.csv"),
               {"delta": delta_grid, **{c: [getattr(r, c).value for r in grid] for c in cols}})
     print(f"wrote bounds.json and thresholds.csv (n={n}, delta={delta}, k={k})")

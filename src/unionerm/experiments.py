@@ -318,10 +318,12 @@ class GaussianLimit:
         self._root = vecs * np.sqrt(np.clip(vals, 0.0, None))
 
     def sample(self, draws: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """Draws of (min, max) over the optimal set of the squared block norms."""
+        """Draws of (min, max) over the optimal set of the squared block norms,
+        one array for a singleton optimal set."""
         z = stream(seed, LIMIT_TAG).standard_normal((draws, self.cov.shape[0])) @ self._root.T
         norms = np.stack([np.sum(z[:, sl] ** 2, axis=1) for sl in self.block_slices], axis=1)
-        return norms.min(axis=1), norms.max(axis=1)
+        low = norms.min(axis=1)
+        return low, (low if norms.shape[1] == 1 else norms.max(axis=1))
 
 
 def sample_gaussian_limit(prof: PopulationProfile, draws: int, seed: int):
@@ -472,16 +474,16 @@ def quantile_sandwich_check(
 
     Passes when the order-statistic intervals are consistent with
     0.5 * Q(min) <= n * Q(excess) <= 0.5 * Q(max); for a singleton optimal
-    set (z_minus and z_plus agree within ``np.allclose``), also reports the
-    two-sample KS statistic against half the squared norm of the limit, with
-    its level-``KS_ALPHA`` critical value for the two sample sizes, and the
-    KS statistic against the fixed-index benchmark (a paired sample, so it
-    has no such critical value).
+    set (z_minus is z_plus, or they agree within ``np.allclose``), also
+    reports the two-sample KS statistic against half the squared norm of the
+    limit, with its level-``KS_ALPHA`` critical value for the two sample
+    sizes, and the KS statistic against the fixed-index benchmark (a paired
+    sample, so it has no such critical value).
     """
     check_quantile_resolution(batch.trials, len(z_plus), delta)
     q_exc = estimate_quantile(batch.n_excess, 1.0 - delta)
     q_min = estimate_quantile(z_minus, 1.0 - delta)
-    q_max = estimate_quantile(z_plus, 1.0 - delta)
+    q_max = q_min if z_plus is z_minus else estimate_quantile(z_plus, 1.0 - delta)
     tol = 1e-9 * max(1.0, abs(q_exc.estimate))  # absorbs exact-zero degeneracies
     lower_ok = 0.5 * q_min.ci_lo <= q_exc.ci_hi + tol
     upper_ok = q_exc.ci_lo <= 0.5 * q_max.ci_hi + tol
@@ -494,7 +496,7 @@ def quantile_sandwich_check(
         "upper_ok": bool(upper_ok),
         "pass": bool(lower_ok and upper_ok),
     }
-    if np.allclose(z_minus, z_plus):
+    if z_plus is z_minus or np.allclose(z_minus, z_plus):
         out["ks_limit"] = ks_statistic(batch.n_excess, 0.5 * z_plus)
         out["ks_limit_threshold"] = ks_critical_value(batch.trials, len(z_plus))
         out["ks_oracle"] = ks_statistic(batch.n_excess, batch.n_excess_oracle)

@@ -384,7 +384,7 @@ def subset_collection(d: int, s: int, *, cap: int = 10**6) -> FeatureCollection:
 
 
 # ---------------------------------------------------------------------------
-# Collection validation on discrete laws
+# Collection validation
 # ---------------------------------------------------------------------------
 
 def _column_space_rank(mat: np.ndarray, tol_scale: float = 1e-10) -> int:
@@ -414,39 +414,48 @@ def _coordinate_classes(law, tables: dict, collection: FeatureCollection):
     return {entry.index: frozenset(entry.coords) for entry in collection}
 
 
-def validate_collection(law, collection: FeatureCollection, stacks: list | None = None) -> dict:
-    """Check a collection against a discrete law; return its atom tables.
+def validate_collection(law, collection: FeatureCollection, stacks: list | None = None) -> dict | None:
+    """Check a collection against either law; return its atom tables on a
+    discrete law, None on a Gaussian design (it has no atoms).
 
-    Evaluates every map, then rejects degenerate maps (non-finite on the
-    atoms, or of singular population covariance: one batched ``eigvalsh``
-    per stack of :meth:`FeatureCollection.stacks`; the first in collection
-    order raises) and pairs of maps inducing the same linear class, detected
-    by comparing column spaces of the atom-evaluated feature matrices (for
-    coordinate selections of full-rank inputs: their coordinate sets).
-    Those matrices, ``{index: phi (m, d_t)}``, are returned: they are the
-    only evaluation of each map that later layers read.  If ``stacks`` is a
-    list, each stack's ``(d, indices, phi (k, m, d), (phi w)^T phi (k, d, d))``
-    is appended to it, so that the profile does not form them again.
+    Rejects pairs of maps inducing the same linear class, naming the first
+    index with a later duplicate: for coordinate selections, two with one
+    coordinate set (on a Gaussian design every map must be one, and C is
+    positive definite; on a discrete law the inputs must have full rank),
+    and otherwise two atom-evaluated feature matrices of one column space.
+    A discrete law also rejects degenerate maps (non-finite on the atoms,
+    or of singular population covariance: one batched ``eigvalsh`` per stack
+    of :meth:`FeatureCollection.stacks`; the first in collection order
+    raises).  Its returned tables ``{index: phi (m, d_t)}`` are the only
+    evaluation of each map that later layers read; if ``stacks`` is a list,
+    each stack's ``(d, indices, phi (k, m, d), (phi w)^T phi (k, d, d))`` is
+    appended to it, so that the profile does not form them again.
     """
-    if getattr(law, "kind", None) != "discrete":
-        raise ValueError("collection validation requires a discrete law")
-    tables = {entry.index: entry(law.xs) for entry in collection}
-    finite = {t: bool(np.all(np.isfinite(phi))) for t, phi in tables.items()}
-    lam_min = {}
-    for dim, ids in collection.stacks(law.support_size):
-        if ids := [t for t in ids if finite[t]]:
-            phi = np.stack([tables[t] for t in ids])
-            gram = (phi * law.weights[:, None]).swapaxes(1, 2) @ phi
-            lam_min.update(zip(ids, np.linalg.eigvalsh(gram)[:, 0]))
-            if stacks is not None:
-                stacks.append((dim, ids, phi, gram))
-    for t in tables:
-        if not finite[t]:
-            raise DegenerateFeatureError(t, "non-finite feature values")
-        if lam_min[t] <= SINGULAR_TOL:
-            raise DegenerateFeatureError(t, f"lambda_min={lam_min[t]:.3e}")
+    if law.kind != "discrete":
+        for e in collection:
+            c = e.coords
+            if c is None or len(c) != e.dim or len(set(c)) != e.dim or not all(0 <= j < law.input_dim for j in c):
+                raise ValueError(f"entry {e.index!r} is not a coordinate selection; exact "
+                                 "moments for a Gaussian design are only available for those")
+        tables, classes = None, {e.index: frozenset(e.coords) for e in collection}
+    else:
+        tables = {entry.index: entry(law.xs) for entry in collection}
+        finite = {t: bool(np.all(np.isfinite(phi))) for t, phi in tables.items()}
+        lam_min = {}
+        for dim, ids in collection.stacks(law.support_size):
+            if ids := [t for t in ids if finite[t]]:
+                phi = np.stack([tables[t] for t in ids])
+                gram = (phi * law.weights[:, None]).swapaxes(1, 2) @ phi
+                lam_min.update(zip(ids, np.linalg.eigvalsh(gram)[:, 0]))
+                if stacks is not None:
+                    stacks.append((dim, ids, phi, gram))
+        for t in tables:
+            if not finite[t]:
+                raise DegenerateFeatureError(t, "non-finite feature values")
+            if lam_min[t] <= SINGULAR_TOL:
+                raise DegenerateFeatureError(t, f"lambda_min={lam_min[t]:.3e}")
+        classes = _coordinate_classes(law, tables, collection)
     ids = collection.indices()
-    classes = _coordinate_classes(law, tables, collection)
     if classes is not None:
         groups = {}
         for t in ids:

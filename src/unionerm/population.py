@@ -141,13 +141,13 @@ def profile(law, collection) -> PopulationProfile:
 
     Membership in the optimal set is decided by
     ``approx_risk(t) - R_* <= OPT_TOL * max(1, R_*)`` so that exact ties in
-    symmetric constructions survive rescaling of the target.  A Gaussian
-    design takes coordinate maps only.
+    symmetric constructions survive rescaling of the target.  Either law's
+    collection is checked by :func:`unionerm.model.validate_collection`.
     """
     records = dict.fromkeys(collection.indices())
+    stacks = []
+    phis = validate_collection(law, collection, stacks)
     if law.kind == "discrete":
-        stacks = []
-        phis = validate_collection(law, collection, stacks)
         for dim, ids, phi, gram in stacks:  # phi (k, m, d): one pass per step over the k maps
             sigma, whitener, w_star = _whiten(gram, phi.swapaxes(1, 2) @ (law.weights * law.ys))
             resid = (phi @ w_star[..., None])[..., 0] - law.ys
@@ -156,14 +156,8 @@ def profile(law, collection) -> PopulationProfile:
                 records[t] = IndexRecord(sigma=sigma[j], whitener=whitener[j], w_star=w_star[j],
                                          approx_risk=float(risk[j]), dim=dim, atoms=(phis[t], resid[j]))
     else:
-        p = law.input_dim
-        for e in collection:
-            c = e.coords
-            if c is None or len(c) != e.dim or len(set(c)) != e.dim or not all(0 <= j < p for j in c):
-                raise ValueError(f"entry {e.index!r} is not a coordinate selection; exact "
-                                 "moments for a Gaussian design are only available for those")
         cov_w = law.cov @ law.w_true
-        for dim, ids in collection.stacks(p):
+        for dim, ids in collection.stacks(law.input_dim):
             cs = np.array([collection.entry(t).coords for t in ids])  # (k, d)
             sigma, whitener, w_star = _whiten(law.cov[cs[:, :, None], cs[:, None, :]], cov_w[cs])
             v = np.repeat(law.w_true[None], len(ids), axis=0)  # w - P_c w_*
@@ -178,14 +172,7 @@ def profile(law, collection) -> PopulationProfile:
     t_star = tuple(t for t in collection.indices() if risks[t] - r_star <= tol)
     sub = [risks[t] - r_star for t in collection.indices() if t not in set(t_star)]
     gamma = min(sub) if sub else float("inf")
-    return PopulationProfile(
-        law=law,
-        collection=collection,
-        records=records,
-        r_star=r_star,
-        t_star=t_star,
-        gamma=gamma,
-    )
+    return PopulationProfile(law=law, collection=collection, records=records, r_star=r_star, t_star=t_star, gamma=gamma)
 
 
 def _whiten(gram: np.ndarray, rhs: np.ndarray) -> tuple:

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -548,6 +549,37 @@ def test_bounds_evaluates_each_subset_complexity_once(tmp_path, monkeypatch):
     cfg = _write(tmp_path, _canonical_config(n=200, delta=0.1, trials=300, k=2))
     assert main(["--config", cfg, "--out", str(tmp_path / "b"), "bounds"]) == 0
     assert asked and len(asked) == len(set(asked))
+
+
+@pytest.mark.parametrize("delta,built", [(0.1, 6), (0.3, 7)])
+def test_bounds_builds_the_report_at_delta_once(tmp_path, monkeypatch, delta, built):
+    # a delta of the default grid reuses the report at delta for its row
+    calls, real = [], cli.thresholds_and_bounds
+    monkeypatch.setattr(cli, "thresholds_and_bounds", lambda *a, **kw: (calls.append(a[3]), real(*a, **kw))[1])
+    cfg = _write(tmp_path, _canonical_config(n=200, delta=delta, trials=300, k=2))
+    assert main(["--config", cfg, "--out", str(tmp_path / "b"), "bounds"]) == 0
+    assert len(calls) == built and calls[0] == delta
+
+
+def test_bounds_drops_the_config_atoms_once_the_law_is_built(tmp_path, monkeypatch):
+    # the parsed atoms are not live while the bound inputs are computed
+    class Atoms(list):  # a list that takes weak references
+        pass
+
+    refs, real_load = [], cli.load_config
+
+    def load(path):
+        cfg = real_load(path)
+        cfg["law"]["atoms"] = Atoms(cfg["law"]["atoms"])
+        refs.append(weakref.ref(cfg["law"]["atoms"]))
+        return cfg
+
+    alive, real_inputs = [], cli.compute_bound_inputs
+    monkeypatch.setattr(cli, "load_config", load)
+    monkeypatch.setattr(cli, "compute_bound_inputs", lambda *a, **kw: (alive.append(refs[0]() is not None), real_inputs(*a, **kw))[1])
+    cfg = _write(tmp_path, _canonical_config(n=200, delta=0.1, trials=300))
+    assert main(["--config", cfg, "--out", str(tmp_path / "b"), "bounds"]) == 0
+    assert alive == [False]
 
 
 def test_validity_bound_outside_its_choices_is_a_config_error(tmp_path, capsys):

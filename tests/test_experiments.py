@@ -473,6 +473,20 @@ def test_sandwich_check_median_inside(canonical):
     assert verdict["pass"]
 
 
+def test_sandwich_check_estimates_a_singleton_limit_quantile_once(canonical, monkeypatch):
+    # one optimal map: the limit sample is one array as both min and max, and
+    # the verdict equals the one from two equal arrays
+    law, coll, prof = canonical
+    batch = ex.run_trials(law, coll, 2000, 2000, 314, prof)
+    z_minus, z_plus = ex.sample_gaussian_limit(prof, 20_000, 315)
+    assert z_minus is z_plus
+    ref = ex.quantile_sandwich_check(batch, z_minus, z_plus.copy(), delta=0.1)
+    sorted_sizes, real = [], ex.estimate_quantile
+    monkeypatch.setattr(ex, "estimate_quantile", lambda x, *a, **kw: (sorted_sizes.append(len(x)), real(x, *a, **kw))[1])
+    assert ex.quantile_sandwich_check(batch, z_minus, z_plus, delta=0.1) == ref
+    assert sorted_sizes == [2000, 20_000]
+
+
 def test_sandwich_check_degenerate_zero_noise(realizable):
     law, coll, prof = realizable
     batch = ex.run_trials(law, coll, 30, 600, 316, prof)

@@ -27,7 +27,7 @@ from unionerm.model import (
 from unionerm import model
 from unionerm.population import profile
 
-from conftest import canonical_law, mixed_dim_instance, two_atom_law
+from conftest import canonical_law, correlated_design, mixed_dim_instance, two_atom_law
 from oracles import (
     atom_counts,
     atoms_of,
@@ -387,6 +387,24 @@ def test_validate_collection_matches_pairwise_loop(name, law, coll, coordinate_r
     got = validate_collection(law, coll)
     assert got.keys() == ref.keys()
     assert all(np.array_equal(got[t], ref[t]) for t in ref)
+
+
+def test_gaussian_design_and_full_rank_atoms_name_the_same_duplicate():
+    # the design and the discrete coordinate-class route group the maps alike:
+    # the first index with a later duplicate, and the first of those
+    _, full, coll, _ = next(case for case in _validation_cases() if case[0] == "two-groups")
+    names = []
+    for law in (full, correlated_design()):
+        with pytest.raises(DuplicateClassError) as got:
+            validate_collection(law, coll)
+        names.append(got.value.indices)
+    assert names == [("A", "D"), ("A", "D")]
+
+
+def test_validate_collection_returns_no_atom_tables_on_a_gaussian_design():
+    stacks = []
+    assert validate_collection(correlated_design(), subset_collection(5, 2), stacks) is None
+    assert stacks == []
 
 
 @pytest.mark.parametrize("entries", [1, 40, 60, model.STACK_ENTRIES])

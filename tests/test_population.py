@@ -9,6 +9,7 @@ from unionerm.model import (
     STACK_ENTRIES,
     DegenerateFeatureError,
     DiscreteLaw,
+    DuplicateClassError,
     FeatureCollection,
     FeatureEntry,
     GaussianDesignLaw,
@@ -135,6 +136,15 @@ def test_profile_rejects_generative():
     for coll in bad:
         with pytest.raises(ValueError, match="entry 't' is not a coordinate selection"):
             profile(law, coll)
+
+
+@pytest.mark.parametrize("check", [model.validate_collection, profile])
+def test_gaussian_design_refuses_two_maps_of_one_class(check):
+    # C is positive definite, so maps with one coordinate set span one class;
+    # the profile would otherwise make a tie the design does not have
+    with pytest.raises(DuplicateClassError) as got:
+        check(correlated_design(), coordinate_maps((0, 1), (1, 0), (2,)))
+    assert got.value.indices == ((0, 1), (1, 0))
 
 
 @pytest.mark.parametrize("coords", [None, MIXED_COORDS])
